@@ -5,73 +5,26 @@ sample covariance: small trained networks (ERNet regression, ECNet
 classification, a covariance-input ablation), the classical AIC/MDL
 criteria, and forward-backward spatial smoothing for coherent sources,
 plus a seeded Monte-Carlo harness for accuracy sweeps.
+
+The package root exports the documented library API; everything else
+lives in the submodules.
 """
 
 __version__ = "0.1.0"
 
-from .classical import CriterionTrace, EigenSpectrum, aic, count_ops_classical, mdl
-from .detectors import (
-    Detector,
-    DetectorSpec,
-    LabeledSample,
-    build_detector,
-    ecnet_decide,
-    ernet_decide,
-    load_detector,
-    make_feature_cov,
-    make_feature_eigen,
-    make_feature_fbss,
-    one_hot,
-    save_detector,
-)
+from .classical import EigenSpectrum, aic, mdl
+from .detectors import Detector, DetectorSpec, load_detector, save_detector
 from .experiments import (
     ClassicalDetector,
     ExperimentConfig,
-    SweepResult,
-    bench_complexity,
     emit_csv,
     evaluate_detectors,
-    generate_dataset,
     generate_trials,
     load_config,
     read_csv,
+    select_features,
     sweep_snapshots,
     sweep_snr_coherent,
     sweep_snr_noncoherent,
     train_detector,
-)
-from .linalg import (
-    EigenDecomposition,
-    conj_transpose,
-    exchange_conjugate,
-    hermitian_eig,
-    is_hermitian,
-    matmul,
-)
-from .network import (
-    AdamState,
-    Layer,
-    Network,
-    TrainConfig,
-    adam_step,
-    backward,
-    forward,
-    init_truncated_normal,
-    load_network,
-    loss_cce,
-    loss_l2,
-    relu,
-    save_network,
-    softmax,
-    train,
-)
-from .signal_model import (
-    Scenario,
-    SnapshotBatch,
-    fbss_covariance,
-    generate_snapshots,
-    generate_sources,
-    sample_covariance,
-    steering_matrix,
-    steering_vector,
 )

@@ -22,6 +22,25 @@ import numpy as np
 EIGENVALUE_FLOOR = 1e-300
 
 
+def check_spectra(values, num_snapshots: int) -> np.ndarray:
+    """Returns ``values`` as a float (num, m) batch of spectra.
+
+    Raises:
+        ValueError: Unless m >= 2, every eigenvalue is non-negative,
+            every row is sorted descending, and ``num_snapshots`` >= 1.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] < 2:
+        raise ValueError("spectra must form a (num, m) array with m >= 2")
+    if (values < 0.0).any():
+        raise ValueError("eigenvalues must be non-negative")
+    if (values[:, 1:] > values[:, :-1]).any():
+        raise ValueError("eigenvalues must be sorted descending")
+    if num_snapshots < 1:
+        raise ValueError("num_snapshots must be at least 1")
+    return values
+
+
 @dataclass(frozen=True)
 class EigenSpectrum:
     """Sorted eigenvalue spectrum of a covariance estimate.
@@ -36,15 +55,10 @@ class EigenSpectrum:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size < 2:
             raise ValueError("spectrum must be a 1-D vector of length >= 2")
-        if np.any(values < 0.0):
-            raise ValueError("eigenvalues must be non-negative")
-        if np.any(np.diff(values) > 0.0):
-            raise ValueError("eigenvalues must be sorted descending")
-        if self.num_snapshots < 1:
-            raise ValueError("num_snapshots must be at least 1")
+        check_spectra(values[np.newaxis], self.num_snapshots)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -55,40 +69,45 @@ class CriterionTrace:
     order: int
 
 
-def _log_mean_ratio(values: np.ndarray) -> np.ndarray:
-    """ln(g_k / a_k) for every k, from the floored descending spectrum."""
-    m = values.size
-    lam = np.maximum(values, EIGENVALUE_FLOOR)
-    log_lam = np.log(lam)
-    counts = np.arange(m, 0, -1, dtype=float)  # m-k for k = 0..m-1
-    # Suffix sums: sums[k] aggregates the m-k smallest eigenvalues.
-    tail_sum = np.cumsum(lam[::-1])[::-1]
-    tail_log_sum = np.cumsum(log_lam[::-1])[::-1]
-    return tail_log_sum / counts - np.log(tail_sum / counts)
+def criterion_values(values: np.ndarray, num_snapshots: int, kind: str) -> np.ndarray:
+    """AIC or MDL over k = 0..m-1 for each row of a (num, m) batch of
+    spectra that passed :func:`check_spectra`.
 
-
-def _criterion(spec: EigenSpectrum, penalty: np.ndarray, scale: float) -> CriterionTrace:
-    if not np.any(spec.values > 0.0):
+    Raises:
+        ValueError: If a row is all zeros or ``kind`` is unknown.
+    """
+    if not (values > 0.0).any(axis=1).all():
         raise ValueError("degenerate all-zero spectrum")
-    m = spec.values.size
-    counts = np.arange(m, 0, -1, dtype=float)
-    values = -scale * spec.num_snapshots * counts * _log_mean_ratio(spec.values) + penalty
-    return CriterionTrace(values=values, order=int(np.argmin(values)))
+    m = values.shape[1]
+    k = np.arange(m, dtype=float)
+    counts = np.arange(m, 0, -1, dtype=float)  # m-k for k = 0..m-1
+    if kind == "aic":
+        scale, penalty = 2.0, 2.0 * k * (2 * m - k)
+    elif kind == "mdl":
+        scale, penalty = 1.0, 0.5 * k * (2 * m - k) * math.log(num_snapshots)
+    else:
+        raise ValueError(f"unknown criterion kind {kind!r}")
+    lam = np.maximum(values, EIGENVALUE_FLOOR)
+    # Suffix sums: column k aggregates the m-k smallest eigenvalues.
+    tail_sum = lam[:, ::-1].cumsum(axis=1)[:, ::-1]
+    tail_log_sum = np.log(lam)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    log_mean_ratio = tail_log_sum / counts - np.log(tail_sum / counts)  # ln(g_k / a_k)
+    return -scale * num_snapshots * counts * log_mean_ratio + penalty
+
+
+def _trace(spec: EigenSpectrum, kind: str) -> CriterionTrace:
+    values = criterion_values(spec.values[np.newaxis], spec.num_snapshots, kind)[0]
+    return CriterionTrace(values=values, order=int(values.argmin()))
 
 
 def aic(spec: EigenSpectrum) -> CriterionTrace:
     """Akaike information criterion trace over k = 0..m-1."""
-    m = spec.values.size
-    k = np.arange(m, dtype=float)
-    return _criterion(spec, penalty=2.0 * k * (2 * m - k), scale=2.0)
+    return _trace(spec, "aic")
 
 
 def mdl(spec: EigenSpectrum) -> CriterionTrace:
     """Minimum description length criterion trace over k = 0..m-1."""
-    m = spec.values.size
-    k = np.arange(m, dtype=float)
-    penalty = 0.5 * k * (2 * m - k) * math.log(spec.num_snapshots)
-    return _criterion(spec, penalty=penalty, scale=1.0)
+    return _trace(spec, "mdl")
 
 
 @dataclass(frozen=True)

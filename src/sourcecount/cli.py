@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .detectors import Detector, load_detector, save_detector
+from .detectors import Detector, detector_name, feature_kind, load_detector, save_detector
 from .experiments import (
     CLASSICAL_KINDS,
     ClassicalDetector,
@@ -37,6 +37,17 @@ from .experiments import (
 ALL_DETECTORS = NET_KINDS + CLASSICAL_KINDS
 
 
+def _count(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, detector: bool = True):
     parser.add_argument("--config", type=Path, help="flat key=value config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
@@ -44,8 +55,9 @@ def _add_common(parser: argparse.ArgumentParser, detector: bool = True):
                         help="output directory (default: runs)")
     if detector:
         parser.add_argument("--detector", choices=ALL_DETECTORS, default="ernet")
-        parser.add_argument("--fbss", type=int, metavar="M0",
-                            help="use smoothed features with this sub-array size")
+        parser.add_argument("--fbss", type=_count, metavar="M0",
+                            help="use the smoothed eigenvalue spectrum with this "
+                                 "sub-array size (ernet, ecnet, aic, mdl)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a labelled dataset file")
     _add_common(p)
     p.add_argument("--phase", choices=("train", "test"), default="train")
-    p.add_argument("--num", type=int, help="sample count (default from config)")
+    p.add_argument("--num", type=_count, help="sample count (default from config)")
     p.add_argument("--snr-db", type=float, help="fixed SNR for test-phase draws")
 
     p = sub.add_parser("train", help="train a network detector on a dataset file")
@@ -68,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--model", type=Path, help="model file (default from --out)")
     p.add_argument("--snr-db", type=float, help="test SNR in dB (default from config)")
-    p.add_argument("--snapshots", type=int, help="snapshot count (default from config)")
-    p.add_argument("--trials", type=int, help="trial count (default from config)")
+    p.add_argument("--snapshots", type=_count, help="snapshot count (default from config)")
+    p.add_argument("--trials", type=_count, help="trial count (default from config)")
 
     for name, help_text in (
         ("sweep-snapshots", "accuracy versus snapshot count (non-coherent)"),
@@ -91,16 +103,6 @@ def _load_experiment_config(args) -> ExperimentConfig:
     return config
 
 
-def _detector_name(kind: str, subarray_size) -> str:
-    return f"fbss-{kind}" if subarray_size is not None else kind
-
-
-def _feature_kind(kind: str, subarray_size) -> str:
-    if kind == "covnet":
-        return "cov"
-    return "fbss" if subarray_size is not None else "eigen"
-
-
 def _cmd_gen_data(args) -> int:
     config = _load_experiment_config(args)
     if args.fbss is not None:
@@ -108,14 +110,15 @@ def _cmd_gen_data(args) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     phase = args.phase
-    num = args.num or (config.num_train if phase == "train" else config.num_test)
+    num = args.num if args.num is not None else (
+        config.num_train if phase == "train" else config.num_test)
     snr = tuple(config.train_snr_db) if phase == "train" else (
         args.snr_db if args.snr_db is not None else config.test_snr_db)
     sub = args.fbss
-    feature = _feature_kind(args.detector, sub)
+    feature = feature_kind(args.detector, sub)
     trials = generate_trials(config, phase=phase, num=num, snr_db=snr, want=(feature,))
     feats = select_features(trials, args.detector, sub)
-    name = _detector_name(args.detector, sub)
+    name = detector_name(args.detector, sub)
     path = out / f"dataset-{name}-{phase}.csv"
     write_dataset(path, feats, trials.labels, config=config)
     write_manifest(out, config, f"gen-data --detector {name} --phase {phase}",
@@ -131,7 +134,7 @@ def _cmd_train(args) -> int:
         return 2
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    name = _detector_name(args.detector, args.fbss)
+    name = detector_name(args.detector, args.fbss)
     dataset_path = out / f"dataset-{name}-train.csv"
     if not dataset_path.exists():
         print(f"error: {dataset_path} not found; run gen-data first", file=sys.stderr)
@@ -160,7 +163,7 @@ def _cmd_eval(args) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     sub = args.fbss
-    name = _detector_name(args.detector, sub)
+    name = detector_name(args.detector, sub)
     if args.detector in NET_KINDS:
         model_path = args.model or out / f"model-{name}.json"
         if not Path(model_path).exists():
@@ -177,7 +180,7 @@ def _cmd_eval(args) -> int:
     n = args.snapshots if args.snapshots is not None else config.num_snapshots
     trials_count = args.trials if args.trials is not None else config.num_test
     kind = detector.spec.kind if isinstance(detector, Detector) else detector.kind
-    feature = _feature_kind(kind, sub)
+    feature = feature_kind(kind, sub)
     trials = generate_trials(config, phase="test", num=trials_count, snr_db=snr,
                              num_snapshots=n, want=(feature,))
     accuracy = evaluate_detectors([detector], trials)[name]
@@ -252,6 +255,12 @@ def _cmd_bench(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in ("gen-data", "train", "eval"):
+        try:
+            feature_kind(args.detector, args.fbss)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.command == "gen-data":
         return _cmd_gen_data(args)
     if args.command == "train":

@@ -9,12 +9,15 @@ Assembles the two proposed networks plus the covariance-input ablation:
 * CovNet — ablation fed the raw covariance entries (real parts then
   imaginary parts, 2*M^2 inputs) with the same trunk and softmax head.
 
-With a sub-array size set, features come from the forward-backward
-smoothed covariance instead (coherent-source mode).
+With a sub-array size set, ERNet and ECNet read the eigenvalues of the
+forward-backward smoothed covariance instead (coherent-source mode).
+A single covariance is decided as a one-row batch, so ``estimate`` and
+``decide_batch`` share one feature and one decision path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,26 @@ KINDS = ("ernet", "ecnet", "covnet")
 DEFAULT_HIDDEN = (8, 8)
 
 
+def feature_kind(kind: str, subarray_size: int | None) -> str:
+    """Trial feature a detector of ``kind`` reads: "cov" for CovNet,
+    "fbss" (smoothed eigenvalues) with a sub-array size, else "eigen".
+
+    Smoothing extends only the eigenvalue detectors (the networks and
+    AIC/MDL) to coherent sources; CovNet has no smoothed form.
+    """
+    if kind != "covnet":
+        return "eigen" if subarray_size is None else "fbss"
+    if subarray_size is not None:
+        raise ValueError("covnet has no smoothed form: FBSS (sub-array size "
+                         f"{subarray_size}) applies to ernet, ecnet, aic and mdl only")
+    return "cov"
+
+
+def detector_name(kind: str, subarray_size: int | None) -> str:
+    """Report name of a detector: the kind, prefixed "fbss-" when smoothed."""
+    return kind if subarray_size is None else f"fbss-{kind}"
+
+
 @dataclass(frozen=True)
 class DetectorSpec:
     """Architecture and feature choices of one detector.
@@ -44,7 +67,7 @@ class DetectorSpec:
         num_antennas: Full-array antenna count M; also the class count
             of the classification heads.
         subarray_size: Optional smoothing sub-array size M0; ``None``
-            disables smoothing.
+            disables smoothing.  Not allowed for CovNet.
         hidden: Hidden layer widths, (8, 8) unless overridden.
         normalize: Divide features by the covariance trace before the
             network (optional experiment, off by default).
@@ -59,6 +82,7 @@ class DetectorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
+        feature_kind(self.kind, self.subarray_size)
         if self.num_antennas < 2:
             raise ValueError("need at least two antennas")
         if any(h < 1 for h in self.hidden):
@@ -68,8 +92,9 @@ class DetectorSpec:
 
     @property
     def feature_size(self) -> int:
-        m = self.subarray_size if self.subarray_size is not None else self.num_antennas
-        return 2 * m * m if self.kind == "covnet" else m
+        if self.kind == "covnet":
+            return 2 * self.num_antennas ** 2
+        return self.subarray_size if self.subarray_size is not None else self.num_antennas
 
     @property
     def output_size(self) -> int:
@@ -81,16 +106,7 @@ class DetectorSpec:
 
     @property
     def name(self) -> str:
-        return f"fbss-{self.kind}" if self.subarray_size is not None else self.kind
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One training/testing record: feature vector plus the true count."""
-
-    features: np.ndarray
-    true_k: int
-    meta: dict | None = None
+        return detector_name(self.kind, self.subarray_size)
 
 
 def make_feature_eigen(r_hat) -> np.ndarray:
@@ -111,24 +127,26 @@ def make_feature_cov(r_hat) -> np.ndarray:
     return np.concatenate([r_hat.real.ravel(), r_hat.imag.ravel()]).astype(float)
 
 
-def one_hot(k: int, num_classes: int) -> np.ndarray:
-    """Length-``num_classes`` vector with a single 1 at index ``k``."""
-    if not 0 <= k < num_classes:
-        raise ValueError(f"need 0 <= k < {num_classes}, got {k}")
-    v = np.zeros(num_classes)
-    v[k] = 1.0
-    return v
+def make_feature(r_hat, feature: str, subarray_size: int | None = None) -> np.ndarray:
+    """One covariance's feature row of the given :func:`feature_kind`."""
+    if feature == "eigen":
+        return make_feature_eigen(r_hat)
+    if feature == "fbss":
+        return make_feature_fbss(r_hat, subarray_size)
+    return make_feature_cov(r_hat)
 
 
-def ernet_decide(net: Network, features, num_antennas: int) -> int:
-    """Rounds the scalar regression output half-up, clamped to [0, M-1]."""
-    raw = float(forward(net, features)[0])
-    return int(min(max(np.floor(raw + 0.5), 0), num_antennas - 1))
-
-
-def ecnet_decide(net: Network, features) -> int:
-    """Index of the maximum output component (ties to the smaller index)."""
-    return int(np.argmax(forward(net, features)))
+def normalize_features(feats: np.ndarray, feature: str) -> np.ndarray:
+    """Divides each row of a (num, dim) feature batch by the trace of
+    the covariance it came from; rows with a non-positive trace are
+    left as they are."""
+    if feature == "cov":
+        m = int(round(math.sqrt(feats.shape[1] / 2)))
+        trace = feats[:, np.arange(m) * (m + 1)].sum(axis=1)
+    else:
+        trace = feats.sum(axis=1)
+    trace = np.where(trace > 0.0, trace, 1.0)
+    return feats / trace[:, np.newaxis]
 
 
 def build_detector(spec: DetectorSpec, rng: np.random.Generator) -> Network:
@@ -162,37 +180,25 @@ class Detector:
     net: Network
     train_config: TrainConfig | None = None
 
-    def features(self, r_hat) -> np.ndarray:
-        if self.spec.kind == "covnet":
-            src = r_hat if self.spec.subarray_size is None else fbss_covariance(
-                r_hat, self.spec.subarray_size)
-            feat = make_feature_cov(src)
-            trace = float(np.trace(np.asarray(src)).real)
-        elif self.spec.subarray_size is not None:
-            feat = make_feature_fbss(r_hat, self.spec.subarray_size)
-            trace = float(np.sum(feat))
-        else:
-            feat = make_feature_eigen(r_hat)
-            trace = float(np.sum(feat))
-        if self.spec.normalize and trace > 0.0:
-            feat = feat / trace
-        return feat
-
-    def decide(self, features) -> int:
-        if self.spec.kind == "ernet":
-            return ernet_decide(self.net, features, self.spec.num_antennas)
-        return ecnet_decide(self.net, features)
-
     def decide_batch(self, features: np.ndarray) -> np.ndarray:
-        """Vectorized decisions for a (num, feature_size) batch."""
+        """Decisions for a (num, feature_size) batch: ERNet rounds its
+        output half-up and clamps it to [0, M-1]; the softmax heads take
+        the argmax (ties to the smaller index)."""
         out = forward(self.net, features)
         if self.spec.kind == "ernet":
             raw = np.floor(out[:, 0] + 0.5)
-            return np.clip(raw, 0, self.spec.num_antennas - 1).astype(int)
+            return np.minimum(np.maximum(raw, 0), self.spec.num_antennas - 1).astype(int)
         return np.argmax(out, axis=1)
 
     def estimate(self, r_hat) -> int:
-        return self.decide(self.features(r_hat))
+        """Source-count estimate for one covariance: its feature row,
+        decided as a one-row batch."""
+        spec = self.spec
+        feature = feature_kind(spec.kind, spec.subarray_size)
+        row = make_feature(r_hat, feature, spec.subarray_size)[np.newaxis]
+        if spec.normalize:
+            row = normalize_features(row, feature)
+        return int(self.decide_batch(row)[0])
 
 
 def save_detector(detector: Detector, path):

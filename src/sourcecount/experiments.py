@@ -23,23 +23,21 @@ from pathlib import Path
 import numpy as np
 
 from .classical import (
-    EigenSpectrum,
     OpCounter,
     OpCounts,
-    aic,
-    mdl,
+    check_spectra,
+    criterion_values,
     measured_op_counts,
     table_op_counts,
 )
 from .detectors import (
     Detector,
     DetectorSpec,
-    LabeledSample,
     build_detector,
-    make_feature_cov,
-    make_feature_eigen,
-    make_feature_fbss,
-    one_hot,
+    detector_name,
+    feature_kind,
+    make_feature,
+    normalize_features,
 )
 from .network import TrainConfig, train
 from .signal_model import Scenario, generate_snapshots, sample_covariance
@@ -53,6 +51,9 @@ CLASSICAL_KINDS = ("aic", "mdl")
 
 DEFAULT_SNAPSHOT_AXIS = (5, 10, 20, 50, 100, 200)
 DEFAULT_SNR_AXIS_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+
+# Attempts at drawing pairwise-distinct DOAs before a draw is abandoned.
+_DOA_REDRAW_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -106,11 +107,12 @@ def _seed_int(seed: int, *key: int) -> int:
 
 
 def _draw_doas(rng: np.random.Generator, k: int) -> tuple[float, ...]:
-    for _ in range(100):
+    for _ in range(_DOA_REDRAW_LIMIT):
         doas = rng.uniform(0.0, 2.0 * math.pi, size=k)
         if len(set(doas.tolist())) == k:
             return tuple(doas.tolist())
-    raise RuntimeError("failed to draw pairwise-distinct DOAs after 100 attempts")
+    raise RuntimeError(
+        f"failed to draw pairwise-distinct DOAs after {_DOA_REDRAW_LIMIT} attempts")
 
 
 def draw_scenario(config: ExperimentConfig, rng: np.random.Generator, *,
@@ -164,30 +166,27 @@ class TrialSet:
     fbss: np.ndarray | None = None
     cov: np.ndarray | None = None
     subarray_size: int | None = None
-    scenarios: list[Scenario] | None = None
 
 
 def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
                     snr_db, num_snapshots: int | None = None,
                     coherent: bool | None = None, axis_index: int = 0,
-                    want=("eigen",), keep_scenarios: bool = False) -> TrialSet:
-    """Draws ``num`` scenarios and extracts the requested feature kinds.
+                    want=("eigen",)) -> TrialSet:
+    """Draws ``num`` scenarios and extracts the requested feature kinds
+    (see :func:`~sourcecount.detectors.feature_kind`).
 
     ``phase`` selects the seed-stream role ("train" or "test"), so the
     two phases can never share draws.
     """
     role = {"train": ROLE_TRAIN, "test": ROLE_TEST}[phase]
     n = config.num_snapshots if num_snapshots is None else num_snapshots
-    want = set(want)
-    unknown = want - {"eigen", "fbss", "cov"}
+    m, m0 = config.num_antennas, config.subarray_size
+    widths = {"eigen": m, "fbss": m0, "cov": 2 * m * m}
+    unknown = set(want) - set(widths)
     if unknown:
         raise ValueError(f"unknown feature kinds {sorted(unknown)}")
-    m0 = config.subarray_size
     labels = np.zeros(num, dtype=int)
-    eigen = np.zeros((num, config.num_antennas)) if "eigen" in want else None
-    fbss = np.zeros((num, m0)) if "fbss" in want else None
-    cov = np.zeros((num, 2 * config.num_antennas ** 2)) if "cov" in want else None
-    scenarios = [] if keep_scenarios else None
+    feats = {feature: np.zeros((num, widths[feature])) for feature in set(want)}
     for i in range(num):
         ss = np.random.SeedSequence(config.seed, spawn_key=(role, axis_index, i))
         rng = np.random.default_rng(ss)
@@ -197,81 +196,33 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
         )
         r_hat = sample_covariance(generate_snapshots(scenario, rng))
         labels[i] = scenario.num_sources
-        if eigen is not None:
-            eigen[i] = make_feature_eigen(r_hat)
-        if fbss is not None:
-            fbss[i] = make_feature_fbss(r_hat, m0)
-        if cov is not None:
-            cov[i] = make_feature_cov(r_hat)
-        if scenarios is not None:
-            scenarios.append(scenario)
-    return TrialSet(
-        labels=labels,
-        num_snapshots=n,
-        eigen=eigen,
-        fbss=fbss,
-        cov=cov,
-        subarray_size=m0 if fbss is not None else None,
-        scenarios=scenarios,
-    )
+        for feature, rows in feats.items():
+            rows[i] = make_feature(r_hat, feature, m0)
+    return TrialSet(labels=labels, num_snapshots=n,
+                    subarray_size=m0 if "fbss" in feats else None, **feats)
 
 
 def select_features(trials: TrialSet, kind: str, subarray_size: int | None,
                      normalize: bool = False) -> np.ndarray:
-    if kind == "covnet":
-        feats = trials.cov
-    elif subarray_size is not None:
-        if trials.fbss is not None and trials.subarray_size != subarray_size:
-            raise ValueError("trial set was smoothed with a different sub-array size")
-        feats = trials.fbss
-    else:
-        feats = trials.eigen
+    """The (num, dim) feature batch that detector ``kind`` reads from
+    ``trials``, divided row by row by the covariance trace if
+    ``normalize``."""
+    feature = feature_kind(kind, subarray_size)
+    feats = getattr(trials, feature)
+    if feature == "fbss" and feats is not None and trials.subarray_size != subarray_size:
+        raise ValueError("trial set was smoothed with a different sub-array size")
     if feats is None:
         raise ValueError(f"trial set lacks the features required by {kind!r}")
-    if not normalize:
-        return feats
-    if kind == "covnet":
-        m = int(round(math.sqrt(feats.shape[1] / 2)))
-        diag = np.arange(m) * m + np.arange(m)
-        trace = feats[:, diag].sum(axis=1)
-    else:
-        trace = feats.sum(axis=1)
-    trace = np.where(trace > 0.0, trace, 1.0)
-    return feats / trace[:, np.newaxis]
+    return normalize_features(feats, feature) if normalize else feats
 
 
 def _targets(spec: DetectorSpec, labels: np.ndarray) -> np.ndarray:
+    """Training targets: the count itself for ERNet, one-hot rows otherwise."""
+    if labels.size and not 0 <= labels.min() <= labels.max() < spec.num_antennas:
+        raise ValueError(f"labels must lie in [0, {spec.num_antennas - 1}]")
     if spec.kind == "ernet":
         return labels[:, np.newaxis].astype(float)
     return np.eye(spec.num_antennas)[labels]
-
-
-def generate_dataset(config: ExperimentConfig, phase: str, *,
-                     detector_kind: str = "ernet", subarray_size: int | None = None,
-                     num: int | None = None, snr_db=None,
-                     num_snapshots: int | None = None, path=None,
-                     axis_index: int = 0) -> list[LabeledSample]:
-    """Labelled samples for one detector's feature kind, optionally
-    written to ``path`` in the diff-able dataset text format."""
-    if num is None:
-        num = config.num_train if phase == "train" else config.num_test
-    if snr_db is None:
-        snr_db = tuple(config.train_snr_db) if phase == "train" else config.test_snr_db
-    want = "cov" if detector_kind == "covnet" else ("fbss" if subarray_size else "eigen")
-    trials = generate_trials(
-        config, phase=phase, num=num, snr_db=snr_db, num_snapshots=num_snapshots,
-        axis_index=axis_index, want=(want,), keep_scenarios=True,
-    )
-    feats = select_features(trials, detector_kind, subarray_size, normalize=False)
-    samples = [
-        LabeledSample(features=feats[i], true_k=int(trials.labels[i]),
-                      meta={"scenario": trials.scenarios[i]})
-        for i in range(num)
-    ]
-    if path is not None:
-        write_dataset(path, feats, trials.labels, config=config,
-                      num_snapshots=trials.num_snapshots)
-    return samples
 
 
 def write_dataset(path, features: np.ndarray, labels: np.ndarray, *,
@@ -342,14 +293,14 @@ class ClassicalDetector:
 
     @property
     def name(self) -> str:
-        return f"fbss-{self.kind}" if self.subarray_size is not None else self.kind
+        return detector_name(self.kind, self.subarray_size)
 
     def decide_batch(self, values: np.ndarray, num_snapshots: int) -> np.ndarray:
-        criterion = aic if self.kind == "aic" else mdl
-        out = np.zeros(values.shape[0], dtype=int)
-        for i, row in enumerate(values):
-            out[i] = criterion(EigenSpectrum(row, num_snapshots)).order
-        return out
+        """Selected order for each row of a (num, m) batch of spectra,
+        validated once for the whole batch as ``EigenSpectrum`` validates
+        one spectrum."""
+        values = check_spectra(values, num_snapshots)
+        return np.argmin(criterion_values(values, num_snapshots, self.kind), axis=1)
 
 
 def evaluate_detectors(detectors, trials: TrialSet) -> dict[str, float]:
@@ -380,16 +331,8 @@ class SweepResult:
     seed: int
 
 
-def _feature_wants(kinds, subarray_size: int | None):
-    want = set()
-    for kind in kinds:
-        if kind == "covnet":
-            want.add("cov")
-        elif subarray_size is not None:
-            want.add("fbss")
-        else:
-            want.add("eigen")
-    return tuple(sorted(want))
+def _feature_wants(kinds, subarray_size: int | None) -> tuple[str, ...]:
+    return tuple(sorted({feature_kind(kind, subarray_size) for kind in kinds}))
 
 
 def _build_detector_set(config: ExperimentConfig, kinds, trials_train: TrialSet,
@@ -408,6 +351,20 @@ def _build_detector_set(config: ExperimentConfig, kinds, trials_train: TrialSet,
     return detectors
 
 
+def _sweep_result(config: ExperimentConfig, axis, points) -> SweepResult:
+    """Gathers the per-point accuracy dicts along ``axis``; every point
+    names the same detectors in the same order."""
+    points = list(points)
+    names = tuple(points[0]) if points else ()
+    return SweepResult(
+        axis=tuple(float(a) for a in axis),
+        detectors=names,
+        accuracy={name: tuple(point[name] for point in points) for name in names},
+        num_trials=config.num_test,
+        seed=config.seed,
+    )
+
+
 def sweep_snapshots(config: ExperimentConfig) -> SweepResult:
     """Accuracy versus snapshot count, non-coherent sources.
 
@@ -416,9 +373,8 @@ def sweep_snapshots(config: ExperimentConfig) -> SweepResult:
     """
     kinds = config.detectors or ("ernet", "ecnet", "aic", "mdl", "covnet")
     want = _feature_wants(kinds, None)
-    accuracy: dict[str, list[float]] = {}
-    names: list[str] = []
-    for ai, n in enumerate(config.snapshot_axis):
+
+    def point(ai: int, n: int) -> dict[str, float]:
         trials_train = generate_trials(
             config, phase="train", num=config.num_train, snr_db=tuple(config.train_snr_db),
             num_snapshots=n, coherent=False, axis_index=ai, want=want)
@@ -427,19 +383,10 @@ def sweep_snapshots(config: ExperimentConfig) -> SweepResult:
         trials_test = generate_trials(
             config, phase="test", num=config.num_test, snr_db=config.test_snr_db,
             num_snapshots=n, coherent=False, axis_index=ai, want=want)
-        point = evaluate_detectors(detectors, trials_test)
-        if not names:
-            names = list(point)
-            accuracy = {name: [] for name in names}
-        for name in names:
-            accuracy[name].append(point[name])
-    return SweepResult(
-        axis=tuple(float(n) for n in config.snapshot_axis),
-        detectors=tuple(names),
-        accuracy={name: tuple(vals) for name, vals in accuracy.items()},
-        num_trials=config.num_test,
-        seed=config.seed,
-    )
+        return evaluate_detectors(detectors, trials_test)
+
+    return _sweep_result(config, config.snapshot_axis,
+                         (point(ai, n) for ai, n in enumerate(config.snapshot_axis)))
 
 
 def _sweep_snr(config: ExperimentConfig, kinds, *, coherent: bool,
@@ -451,25 +398,15 @@ def _sweep_snr(config: ExperimentConfig, kinds, *, coherent: bool,
         coherent=coherent, axis_index=0, want=want)
     detectors = _build_detector_set(config, kinds, trials_train,
                                     subarray_size=subarray_size, axis_index=0)
-    accuracy: dict[str, list[float]] = {}
-    names: list[str] = []
-    for ai, snr in enumerate(config.snr_axis_db):
+
+    def point(ai: int, snr: float) -> dict[str, float]:
         trials_test = generate_trials(
             config, phase="test", num=config.num_test, snr_db=float(snr),
             coherent=coherent, axis_index=ai, want=want)
-        point = evaluate_detectors(detectors, trials_test)
-        if not names:
-            names = list(point)
-            accuracy = {name: [] for name in names}
-        for name in names:
-            accuracy[name].append(point[name])
-    return SweepResult(
-        axis=tuple(float(s) for s in config.snr_axis_db),
-        detectors=tuple(names),
-        accuracy={name: tuple(vals) for name, vals in accuracy.items()},
-        num_trials=config.num_test,
-        seed=config.seed,
-    )
+        return evaluate_detectors(detectors, trials_test)
+
+    return _sweep_result(config, config.snr_axis_db,
+                         (point(ai, snr) for ai, snr in enumerate(config.snr_axis_db)))
 
 
 def sweep_snr_noncoherent(config: ExperimentConfig) -> SweepResult:
@@ -480,7 +417,8 @@ def sweep_snr_noncoherent(config: ExperimentConfig) -> SweepResult:
 
 def sweep_snr_coherent(config: ExperimentConfig) -> SweepResult:
     """Accuracy versus test SNR with coherent sources; every detector
-    runs on the forward-backward smoothed covariance (size M0)."""
+    runs on the forward-backward smoothed spectrum (size M0), so CovNet
+    is rejected."""
     kinds = config.detectors or ("ernet", "ecnet", "aic", "mdl")
     return _sweep_snr(config, kinds, coherent=True, subarray_size=config.subarray_size)
 
@@ -534,13 +472,21 @@ def _measured_op_counts_network(detector: Detector, features) -> OpCounts:
     return ops.counts()
 
 
+def _seconds_per_call(call, trials: int) -> float:
+    start = time.perf_counter()
+    for _ in range(trials):
+        call()
+    return (time.perf_counter() - start) / trials
+
+
 def bench_complexity(config: ExperimentConfig, *, timing_trials: int = 2000,
                      hidden: tuple[int, int] = (8, 8)) -> list[ComplexityRow]:
     """Closed-form counts, instrumented counts, and wall-clock time per
     decision for ERNet, ECNet, AIC and MDL at the configured array size.
 
     The shared eigendecomposition is excluded everywhere: timings start
-    from a precomputed eigenvalue feature vector.
+    from a precomputed eigenvalue feature vector, decided by
+    ``decide_batch`` as a one-row batch.
     """
     m = config.num_antennas
     n1, n2 = hidden
@@ -548,33 +494,28 @@ def bench_complexity(config: ExperimentConfig, *, timing_trials: int = 2000,
     # Any descending PSD spectrum works; counts and timings do not
     # depend on the values.
     features = np.sort(rng.uniform(0.1, 10.0, size=m))[::-1].copy()
-    spectrum = EigenSpectrum(features, config.num_snapshots)
+    row = features[np.newaxis]
 
     rows: list[ComplexityRow] = []
     for kind in ("ernet", "ecnet"):
         spec = DetectorSpec(kind, m, hidden=hidden)
         det = Detector(spec, build_detector(spec, _rng(config.seed, ROLE_INIT, 0,
                                                        _KIND_ORDINAL[kind])))
-        start = time.perf_counter()
-        for _ in range(timing_trials):
-            det.decide(features)
-        elapsed = (time.perf_counter() - start) / timing_trials
         rows.append(ComplexityRow(
             method=kind,
             table=table_op_counts_network(kind, m, n1, n2),
             measured=_measured_op_counts_network(det, features),
-            seconds_per_decision=elapsed,
+            seconds_per_decision=_seconds_per_call(lambda: det.decide_batch(row),
+                                                   timing_trials),
         ))
-    for kind, criterion in (("aic", aic), ("mdl", mdl)):
-        start = time.perf_counter()
-        for _ in range(timing_trials):
-            criterion(spectrum)
-        elapsed = (time.perf_counter() - start) / timing_trials
+    for kind in CLASSICAL_KINDS:
+        det = ClassicalDetector(kind)
         rows.append(ComplexityRow(
             method=kind,
             table=table_op_counts(m, kind),
             measured=measured_op_counts(m, kind, config.num_snapshots),
-            seconds_per_decision=elapsed,
+            seconds_per_decision=_seconds_per_call(
+                lambda: det.decide_batch(row, config.num_snapshots), timing_trials),
         ))
     return rows
 

@@ -93,20 +93,6 @@ def hermitian_eig(a, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Complex matrix product A @ B with a dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes for matmul: {a.shape} and {b.shape}")
-    return a @ b
-
-
-def conj_transpose(a) -> np.ndarray:
-    """Hermitian transpose: (A^H)[i,j] = conj(A[j,i])."""
-    return as_matrix(a).conj().T
-
-
 def exchange_conjugate(a) -> np.ndarray:
     """Computes J conj(A) J, with J the anti-identity of matching size.
 

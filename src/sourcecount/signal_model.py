@@ -26,8 +26,6 @@ import numpy as np
 
 from .linalg import exchange_conjugate
 
-_DOA_REDRAW_LIMIT = 100
-
 
 @dataclass(frozen=True)
 class Scenario:

@@ -91,6 +91,33 @@ class TestGenTrainEval:
                    "--detector", "aic") == 2
 
 
+class TestFlagValidation:
+    @pytest.mark.parametrize("command, flag", [
+        ("gen-data", "--num"), ("eval", "--trials"), ("eval", "--snapshots"),
+        ("gen-data", "--fbss"), ("eval", "--fbss"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_counts_below_one_rejected(self, tmp_path, config_file, capsys,
+                                       command, flag, value):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--config", config_file, "--out", out, "--detector", "mdl",
+                flag, value)
+        assert exc.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+    def test_smoothed_covnet_rejected(self, tmp_path, config_file, capsys, command):
+        out = tmp_path / "run"
+        assert run(command, "--config", config_file, "--out", out,
+                   "--detector", "covnet", "--fbss", "5") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: covnet has no smoothed form")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestSweepCommands:
     def test_sweep_snr(self, tmp_path, config_file):
         out = tmp_path / "sweep"

@@ -9,15 +9,14 @@ from sourcecount.detectors import (
     Detector,
     DetectorSpec,
     build_detector,
-    ecnet_decide,
-    ernet_decide,
     load_detector,
     make_feature_cov,
     make_feature_eigen,
     make_feature_fbss,
-    one_hot,
+    normalize_features,
     save_detector,
 )
+from sourcecount.experiments import _targets
 from sourcecount.linalg import exchange_conjugate
 from sourcecount.network import Layer, Network
 from sourcecount.signal_model import Scenario, generate_snapshots, sample_covariance
@@ -28,6 +27,17 @@ def constant_output_net(values, activation="linear", in_dim=4):
     out = len(values)
     return Network([Layer(np.zeros((out, in_dim)), np.array(values, dtype=float),
                           activation)])
+
+
+def decide_one(net, kind="ecnet", num_antennas=10):
+    """Decision of ``net`` on one all-zero feature row."""
+    det = Detector(DetectorSpec(kind, num_antennas), net)
+    return int(det.decide_batch(np.zeros((1, net.input_dim)))[0])
+
+
+def one_hot(k, num_classes):
+    """ECNet training target for true count ``k``."""
+    return _targets(DetectorSpec("ecnet", num_classes), np.array([k]))[0]
 
 
 def random_hermitian_psd(rng, m):
@@ -96,6 +106,8 @@ class TestFeatureCov:
 
 
 class TestOneHot:
+    """One-hot training targets of the classification heads."""
+
     def test_zero_class(self):
         v = one_hot(0, 10)
         assert v[0] == 1.0 and v.sum() == 1.0
@@ -121,34 +133,33 @@ class TestDecisions:
     def test_ernet_rounds_half_up_and_clamps(self):
         for raw, expected in ((2.4, 2), (-0.3, 0), (2.5, 3), (14.2, 9), (8.5, 9)):
             net = constant_output_net([raw])
-            assert ernet_decide(net, np.zeros(4), 10) == expected
+            assert decide_one(net, "ernet") == expected
 
     def test_ernet_always_in_range(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             net = constant_output_net([float(rng.uniform(-100, 100))])
-            assert 0 <= ernet_decide(net, np.zeros(4), 10) <= 9
+            assert 0 <= decide_one(net, "ernet") <= 9
 
     def test_ecnet_argmax(self):
         logits = np.zeros(10)
         logits[3] = 5.0
-        assert ecnet_decide(constant_output_net(logits, "softmax"), np.zeros(4)) == 3
+        assert decide_one(constant_output_net(logits, "softmax")) == 3
 
     def test_ecnet_uniform_tie_breaks_low(self):
-        assert ecnet_decide(constant_output_net(np.zeros(6), "softmax"), np.zeros(4)) == 0
+        assert decide_one(constant_output_net(np.zeros(6), "softmax")) == 0
 
     def test_ecnet_picks_peak(self):
         logits = np.log(np.array([0.1, 0.7, 0.2, 0.0001]))
-        assert ecnet_decide(constant_output_net(logits, "softmax"), np.zeros(4)) == 1
+        assert decide_one(constant_output_net(logits, "softmax")) == 1
 
     def test_ecnet_invariant_to_monotone_logit_maps(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             logits = rng.standard_normal(8)
-            base = ecnet_decide(constant_output_net(logits, "softmax"), np.zeros(4))
+            base = decide_one(constant_output_net(logits, "softmax"))
             for transform in (lambda z: 3.0 * z + 1.0, np.tanh, lambda z: z ** 3):
-                mapped = ecnet_decide(constant_output_net(transform(logits), "softmax"),
-                                      np.zeros(4))
+                mapped = decide_one(constant_output_net(transform(logits), "softmax"))
                 assert mapped == base
 
 
@@ -201,14 +212,17 @@ class TestDetectorWrapper:
         det = Detector(spec, build_detector(spec, np.random.default_rng(2)))
         sc = Scenario(10, 20, 2, (0.1, 0.8), 10.0)
         r = sample_covariance(generate_snapshots(sc, np.random.default_rng(0)))
-        assert det.features(r).shape == (5,)
+        assert det.net.input_dim == 5
+        assert det.estimate(r) == det.decide_batch(make_feature_fbss(r, 5)[np.newaxis])[0]
         assert spec.name == "fbss-ernet"
 
     def test_normalized_features_sum_to_one(self):
-        spec = DetectorSpec("ecnet", 10, normalize=True)
-        det = Detector(spec, build_detector(spec, np.random.default_rng(2)))
-        r = random_hermitian_psd(np.random.default_rng(8), 10)
-        assert det.features(r).sum() == pytest.approx(1.0)
+        rng = np.random.default_rng(8)
+        rows = np.stack([make_feature_eigen(random_hermitian_psd(rng, 10)) for _ in range(3)])
+        assert np.allclose(normalize_features(rows, "eigen").sum(axis=1), 1.0)
+        r = random_hermitian_psd(rng, 10)
+        cov = normalize_features(make_feature_cov(r)[np.newaxis], "cov")[0]
+        assert np.trace(cov[:100].reshape(10, 10)) == pytest.approx(1.0)
 
     def test_decide_batch_matches_scalar_decide(self):
         rng = np.random.default_rng(9)
@@ -217,8 +231,18 @@ class TestDetectorWrapper:
             det = Detector(spec, build_detector(spec, rng))
             feats = rng.uniform(0.0, 5.0, size=(16, 10))
             batch = det.decide_batch(feats)
-            scalar = [det.decide(f) for f in feats]
-            assert np.array_equal(batch, scalar)
+            one_row = [det.decide_batch(f[np.newaxis])[0] for f in feats]
+            assert np.array_equal(batch, one_row)
+
+    def test_covnet_has_no_smoothed_form(self, tmp_path):
+        with pytest.raises(ValueError, match="covnet has no smoothed form"):
+            DetectorSpec("covnet", 10, subarray_size=5)
+        spec = DetectorSpec("ecnet", 10, subarray_size=5)
+        path = tmp_path / "det.json"
+        save_detector(Detector(spec, build_detector(spec, np.random.default_rng(4))), path)
+        path.write_text(path.read_text().replace('"ecnet"', '"covnet"'))
+        with pytest.raises(ValueError, match="covnet has no smoothed form"):
+            load_detector(path)
 
     def test_save_load_round_trip(self, tmp_path):
         spec = DetectorSpec("ecnet", 10, subarray_size=5)

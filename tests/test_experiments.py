@@ -16,7 +16,6 @@ from sourcecount.experiments import (
     draw_scenario,
     emit_csv,
     evaluate_detectors,
-    generate_dataset,
     generate_trials,
     read_csv,
     read_dataset,
@@ -25,6 +24,7 @@ from sourcecount.experiments import (
     sweep_snr_coherent,
     sweep_snr_noncoherent,
     train_detector,
+    write_dataset,
     write_manifest,
 )
 from sourcecount.detectors import DetectorSpec, build_detector
@@ -154,6 +154,12 @@ class TestTrials:
         diag = np.arange(m) * m + np.arange(m)
         assert np.allclose(cov_norm[:, diag].sum(axis=1), 1.0)
 
+    def test_smoothed_covnet_features_rejected(self):
+        config = tiny_config()
+        t = generate_trials(config, phase="test", num=5, snr_db=5.0, want=("fbss", "cov"))
+        with pytest.raises(ValueError, match="covnet has no smoothed form"):
+            select_features(t, "covnet", 5)
+
     def test_missing_feature_kind_rejected(self):
         config = tiny_config()
         t = generate_trials(config, phase="test", num=5, snr_db=5.0, want=("eigen",))
@@ -161,23 +167,29 @@ class TestTrials:
             select_features(t, "covnet", None)
 
 
+def write_trials(config, path, num, feature="eigen"):
+    """Draws ``num`` training trials and writes their features as gen-data does."""
+    trials = generate_trials(config, phase="train", num=num,
+                             snr_db=tuple(config.train_snr_db), want=(feature,))
+    write_dataset(path, getattr(trials, feature), trials.labels, config=config)
+    return trials
+
+
 class TestDataset:
     def test_generate_dataset_counts_and_labels(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "data.csv"
-        samples = generate_dataset(config, "train", detector_kind="ernet",
-                                   num=50, path=path)
-        assert len(samples) == 50
-        assert all(0 <= s.true_k <= config.max_sources for s in samples)
-        assert all(s.features.shape == (10,) for s in samples)
-        # K = 0 draws produce noise-only features with label 0
-        zeros = [s for s in samples if s.true_k == 0]
-        assert zeros and all(s.meta["scenario"].num_sources == 0 for s in zeros)
+        trials = write_trials(config, path, 50)
+        feats, labels, _ = read_dataset(path)
+        assert feats.shape == (50, 10) and labels.shape == (50,)
+        assert np.all((0 <= labels) & (labels <= config.max_sources))
+        assert np.any(labels == 0)  # noise-only draws are labelled 0
+        assert np.array_equal(labels, trials.labels)
 
     def test_file_round_trip(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "data.csv"
-        generate_dataset(config, "train", detector_kind="ernet", num=25, path=path)
+        write_trials(config, path, 25)
         feats, labels, info = read_dataset(path)
         assert feats.shape == (25, 10)
         assert labels.shape == (25,)
@@ -190,9 +202,7 @@ class TestDataset:
     def test_file_values_lossless(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "data.csv"
-        trials = generate_trials(config, phase="train", num=10,
-                                 snr_db=tuple(config.train_snr_db), want=("eigen",))
-        generate_dataset(config, "train", detector_kind="ernet", num=10, path=path)
+        trials = write_trials(config, path, 10)
         feats, labels, _ = read_dataset(path)
         assert np.array_equal(feats, trials.eigen)
         assert np.array_equal(labels, trials.labels)
@@ -211,6 +221,12 @@ class TestTrainDetector:
         for trained, fresh in zip(det.net.layers, reference.layers):
             assert np.array_equal(trained.weights, fresh.weights)
             assert np.array_equal(trained.bias, fresh.bias)
+
+    def test_smoothed_covnet_rejected_before_training(self):
+        config = tiny_config()
+        with pytest.raises(ValueError, match="covnet has no smoothed form"):
+            train_detector(config, "covnet", np.zeros((4, 50)), np.zeros(4, dtype=int),
+                           subarray_size=5)
 
     def test_classical_kind_rejected(self):
         config = tiny_config()
@@ -248,6 +264,17 @@ class TestSweeps:
         config = tiny_config(coherent=True, detectors=("ecnet", "mdl"))
         result = sweep_snr_coherent(config)
         assert result.detectors == ("fbss-ecnet", "fbss-mdl")
+
+    def test_coherent_sweep_rejects_covnet_before_drawing(self, monkeypatch):
+        import sourcecount.experiments as experiments
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials drawn before the detector set was checked")
+
+        monkeypatch.setattr(experiments, "generate_trials", no_trials)
+        config = tiny_config(coherent=True, detectors=("ernet", "covnet", "mdl"))
+        with pytest.raises(ValueError, match="covnet has no smoothed form"):
+            sweep_snr_coherent(config)
 
     def test_paired_evaluation(self):
         # classical detectors see exactly the trials the networks see

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from sourcecount.linalg import (
-    conj_transpose,
-    exchange_conjugate,
-    hermitian_eig,
-    is_hermitian,
-    matmul,
-)
+from sourcecount.linalg import exchange_conjugate, hermitian_eig, is_hermitian
 
 
 def random_hermitian(rng, m):
@@ -91,50 +85,6 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.allclose(matmul(a, np.eye(3, dtype=complex)), a)
-
-    def test_scalar_case(self):
-        out = matmul(np.array([[2 + 1j]]), np.array([[3 - 1j]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == (2 + 1j) * (3 - 1j)
-
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        expected = np.zeros((2, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    expected[i, j] += a[i, k] * b[k, j]
-        assert np.allclose(matmul(a, b), expected, atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-class TestConjTranspose:
-    def test_real_symmetric_fixed_point(self):
-        a = np.array([[1.0, 2.0], [2.0, 5.0]], dtype=complex)
-        assert np.array_equal(conj_transpose(a), a)
-
-    def test_involution(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        assert np.array_equal(conj_transpose(conj_transpose(a)), a)
-
-    def test_column_vector(self):
-        col = np.array([[1 + 2j], [3 - 4j]])
-        out = conj_transpose(col)
-        assert out.shape == (1, 2)
-        assert np.array_equal(out, np.array([[1 - 2j, 3 + 4j]]))
 
 
 class TestExchangeConjugate:
