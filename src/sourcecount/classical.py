@@ -229,11 +229,3 @@ def measured_op_counts(m: int, kind: str, num_snapshots: int = 1000) -> OpCounts
     values = [float(m - i) for i in range(m)]
     _criterion_counted(values, num_snapshots, kind, ops)
     return ops.counts()
-
-
-def count_ops_classical(m: int) -> dict[str, dict[str, OpCounts]]:
-    """Closed-form and instrumented per-decision counts for AIC and MDL."""
-    return {
-        kind: {"table": table_op_counts(m, kind), "measured": measured_op_counts(m, kind)}
-        for kind in ("aic", "mdl")
-    }

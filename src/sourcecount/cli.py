@@ -97,23 +97,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
+    """The config file (or the defaults) with the flags applied: --seed,
+    and --fbss and --snr-db where the command has them.  Raises
+    ValueError for a flag or file value the config rejects."""
     config = load_config(args.config) if args.config else ExperimentConfig()
+    overrides = {}
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
+        overrides["seed"] = args.seed
+    if getattr(args, "fbss", None) is not None:
+        feature_kind(args.detector, args.fbss)
+        overrides["subarray_size"] = args.fbss
+    if getattr(args, "snr_db", None) is not None:
+        overrides["test_snr_db"] = args.snr_db
+    return dataclasses.replace(config, **overrides)
 
 
-def _cmd_gen_data(args) -> int:
-    config = _load_experiment_config(args)
-    if args.fbss is not None:
-        config = dataclasses.replace(config, subarray_size=args.fbss)
+def _cmd_gen_data(args, config: ExperimentConfig) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     phase = args.phase
     num = args.num if args.num is not None else (
         config.num_train if phase == "train" else config.num_test)
-    snr = tuple(config.train_snr_db) if phase == "train" else (
-        args.snr_db if args.snr_db is not None else config.test_snr_db)
+    snr = tuple(config.train_snr_db) if phase == "train" else config.test_snr_db
     sub = args.fbss
     feature = feature_kind(args.detector, sub)
     trials = generate_trials(config, phase=phase, num=num, snr_db=snr, want=(feature,))
@@ -127,8 +132,7 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    config = _load_experiment_config(args)
+def _cmd_train(args, config: ExperimentConfig) -> int:
     if args.detector not in NET_KINDS:
         print(f"error: {args.detector} has no trainable parameters", file=sys.stderr)
         return 2
@@ -156,10 +160,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    config = _load_experiment_config(args)
-    if args.fbss is not None:
-        config = dataclasses.replace(config, subarray_size=args.fbss)
+def _cmd_eval(args, config: ExperimentConfig) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     sub = args.fbss
@@ -176,7 +177,7 @@ def _cmd_eval(args) -> int:
         name = detector.spec.name
     else:
         detector = ClassicalDetector(args.detector, sub)
-    snr = args.snr_db if args.snr_db is not None else config.test_snr_db
+    snr = config.test_snr_db
     n = args.snapshots if args.snapshots is not None else config.num_snapshots
     trials_count = args.trials if args.trials is not None else config.num_test
     kind = detector.spec.kind if isinstance(detector, Detector) else detector.kind
@@ -201,8 +202,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_sweep(args, which: str) -> int:
-    config = _load_experiment_config(args)
+def _cmd_sweep(args, config: ExperimentConfig) -> int:
+    which = args.command
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     runner = {
@@ -221,8 +222,7 @@ def _cmd_sweep(args, which: str) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    config = _load_experiment_config(args)
+def _cmd_bench(args, config: ExperimentConfig) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     rows = bench_complexity(config)
@@ -253,25 +253,25 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "gen-data": _cmd_gen_data,
+    "train": _cmd_train,
+    "eval": _cmd_eval,
+    "sweep-snapshots": _cmd_sweep,
+    "sweep-snr": _cmd_sweep,
+    "sweep-snr-coherent": _cmd_sweep,
+    "bench-complexity": _cmd_bench,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("gen-data", "train", "eval"):
-        try:
-            feature_kind(args.detector, args.fbss)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "gen-data":
-        return _cmd_gen_data(args)
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command in ("sweep-snapshots", "sweep-snr", "sweep-snr-coherent"):
-        return _cmd_sweep(args, args.command)
-    if args.command == "bench-complexity":
-        return _cmd_bench(args)
-    raise AssertionError(f"unhandled command {args.command}")
+    try:
+        config = _load_experiment_config(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return _COMMANDS[args.command](args, config)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .network import (
 )
 from .signal_model import fbss_covariance
 
-KINDS = ("ernet", "ecnet", "covnet")
+NET_KINDS = ("ernet", "ecnet", "covnet")
 DEFAULT_HIDDEN = (8, 8)
 
 
@@ -80,7 +80,7 @@ class DetectorSpec:
     normalize: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in NET_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
         feature_kind(self.kind, self.subarray_size)
         if self.num_antennas < 2:
@@ -192,10 +192,17 @@ class Detector:
 
     def estimate(self, r_hat) -> int:
         """Source-count estimate for one covariance: its feature row,
-        decided as a one-row batch."""
+        decided as a one-row batch.
+
+        Raises:
+            ValueError: If the covariance has a NaN or infinite entry
+                (the eigenvalue features find it in ``hermitian_eig``).
+        """
         spec = self.spec
         feature = feature_kind(spec.kind, spec.subarray_size)
         row = make_feature(r_hat, feature, spec.subarray_size)[np.newaxis]
+        if feature == "cov" and not np.isfinite(row).all():
+            raise ValueError("matrix has non-finite entries (NaN or inf)")
         if spec.normalize:
             row = normalize_features(row, feature)
         return int(self.decide_batch(row)[0])

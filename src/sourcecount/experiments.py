@@ -31,6 +31,7 @@ from .classical import (
     table_op_counts,
 )
 from .detectors import (
+    NET_KINDS,
     Detector,
     DetectorSpec,
     build_detector,
@@ -45,8 +46,6 @@ from .signal_model import Scenario, generate_snapshots, sample_covariance
 # Seed-stream roles: disjoint substreams of the master seed.
 ROLE_TRAIN, ROLE_TEST, ROLE_INIT, ROLE_SHUFFLE = 0, 1, 2, 3
 
-_KIND_ORDINAL = {"ernet": 0, "ecnet": 1, "covnet": 2}
-NET_KINDS = ("ernet", "ecnet", "covnet")
 CLASSICAL_KINDS = ("aic", "mdl")
 
 DEFAULT_SNAPSHOT_AXIS = (5, 10, 20, 50, 100, 200)
@@ -88,9 +87,13 @@ class ExperimentConfig:
         if self.num_train < 1 or self.num_test < 1:
             raise ValueError("num_train and num_test must be positive")
         if not 1 <= self.subarray_size <= self.num_antennas:
-            raise ValueError("subarray_size must lie in [1, num_antennas]")
+            raise ValueError(f"subarray_size must lie in [1, {self.num_antennas}], "
+                             f"got {self.subarray_size}")
         if len(self.train_snr_db) != 2 or self.train_snr_db[0] > self.train_snr_db[1]:
             raise ValueError("train_snr_db must be a (low, high) pair")
+        for snr in (*self.train_snr_db, self.test_snr_db, *self.snr_axis_db):
+            if not snr > -math.inf:
+                raise ValueError(f"SNRs must be numbers or inf (noise-free), got {snr}")
         if self.detectors is not None:
             for kind in self.detectors:
                 if kind not in NET_KINDS + CLASSICAL_KINDS:
@@ -117,7 +120,7 @@ def _draw_doas(rng: np.random.Generator, k: int) -> tuple[float, ...]:
 
 def draw_scenario(config: ExperimentConfig, rng: np.random.Generator, *,
                   snr_db, num_snapshots: int | None = None,
-                  coherent: bool | None = None, seed: int | None = None) -> Scenario:
+                  coherent: bool | None = None) -> Scenario:
     """One random scenario: K uniform over {0..K_max}, DOAs uniform over
     [0, 2pi), SNR fixed or uniform over a (low, high) range.
 
@@ -147,7 +150,6 @@ def draw_scenario(config: ExperimentConfig, rng: np.random.Generator, *,
         doas=doas,
         snr_db=snr,
         coherent_map=coherent_map,
-        seed=seed,
     )
 
 
@@ -188,12 +190,9 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     labels = np.zeros(num, dtype=int)
     feats = {feature: np.zeros((num, widths[feature])) for feature in set(want)}
     for i in range(num):
-        ss = np.random.SeedSequence(config.seed, spawn_key=(role, axis_index, i))
-        rng = np.random.default_rng(ss)
-        scenario = draw_scenario(
-            config, rng, snr_db=snr_db, num_snapshots=n, coherent=coherent,
-            seed=int(ss.generate_state(1, dtype=np.uint64)[0]),
-        )
+        rng = _rng(config.seed, role, axis_index, i)
+        scenario = draw_scenario(config, rng, snr_db=snr_db, num_snapshots=n,
+                                 coherent=coherent)
         r_hat = sample_covariance(generate_snapshots(scenario, rng))
         labels[i] = scenario.num_sources
         for feature, rows in feats.items():
@@ -271,7 +270,7 @@ def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
         subarray_size=subarray_size,
         normalize=config.normalize_features,
     )
-    ordinal = _KIND_ORDINAL[kind]
+    ordinal = NET_KINDS.index(kind)
     net = build_detector(spec, _rng(config.seed, ROLE_INIT, axis_index, ordinal))
     train_config = TrainConfig(
         learning_rate=config.learning_rate,
@@ -500,7 +499,7 @@ def bench_complexity(config: ExperimentConfig, *, timing_trials: int = 2000,
     for kind in ("ernet", "ecnet"):
         spec = DetectorSpec(kind, m, hidden=hidden)
         det = Detector(spec, build_detector(spec, _rng(config.seed, ROLE_INIT, 0,
-                                                       _KIND_ORDINAL[kind])))
+                                                       NET_KINDS.index(kind))))
         rows.append(ComplexityRow(
             method=kind,
             table=table_op_counts_network(kind, m, n1, n2),

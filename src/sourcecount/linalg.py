@@ -8,6 +8,7 @@ strict validation over throughput.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +34,18 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_hermitian(a, rtol: float = HERMITIAN_RTOL) -> bool:
-    """Checks |A[i,j] - conj(A[j,i])| <= rtol * max(1, max|A|) entrywise."""
+def is_hermitian(a) -> bool:
+    """Checks |A[i,j] - conj(A[j,i])| <= HERMITIAN_RTOL * max(1, max|A|)
+    entrywise; a matrix with a NaN or infinite entry is not Hermitian."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         return False
     if a.size == 0:
         return True
-    scale = max(1.0, float(np.max(np.abs(a))))
-    return float(np.max(np.abs(a - a.conj().T))) <= rtol * scale
+    scale = float(np.max(np.abs(a)))
+    if not math.isfinite(scale):
+        return False
+    return float(np.max(np.abs(a - a.conj().T))) <= HERMITIAN_RTOL * max(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(a, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
+def hermitian_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Negative eigenvalues within round-off of zero (``PSD_CLAMP_RTOL``
@@ -68,17 +72,18 @@ def hermitian_eig(a, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
 
     Args:
         a: Square Hermitian matrix.
-        rtol: Tolerance for the Hermitian input check.
 
     Raises:
-        ValueError: If the input is not square or not Hermitian within
-            tolerance.
+        ValueError: If the input is not square, has a NaN or infinite
+            entry, or is not Hermitian within ``HERMITIAN_RTOL``.
         ArithmeticError: If the underlying iteration fails to converge.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not is_hermitian(a, rtol):
+    if not is_hermitian(a):
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has non-finite entries (NaN or inf)")
         resid = float(np.max(np.abs(a - a.conj().T)))
         raise ValueError(f"matrix is not Hermitian (max asymmetry {resid:.3e})")
     try:

@@ -79,11 +79,6 @@ class Network:
     def layer_sizes(self) -> list[int]:
         return [self.input_dim] + [layer.out_dim for layer in self.layers]
 
-    def copy(self) -> "Network":
-        return Network(
-            [Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -395,9 +390,14 @@ def dumps_network(net: Network, train_config: TrainConfig | None = None,
     return "\n".join(lines) + "\n"
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"model file holds a non-finite number ({name})")
+
+
 def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
-    """Parses :func:`dumps_network` output back, bit-exact."""
-    doc = json.loads(text)
+    """Parses :func:`dumps_network` output back, bit-exact.  NaN and
+    Infinity, which :func:`dumps_network` never writes, are rejected."""
+    doc = json.loads(text, parse_constant=_reject_constant)
     if doc.get("format") != FORMAT_NAME:
         raise ValueError("not a serialized network document")
     if doc.get("version") != FORMAT_VERSION:

@@ -20,7 +20,7 @@ parallel workers can use independently seeded streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +36,11 @@ class Scenario:
         num_snapshots: Snapshot count N.
         num_sources: Source count K, with 0 <= K < M.
         doas: K distinct arrival angles in radians.
-        snr_db: Per-source SNR in dB (``math.inf`` means noise-free).
+        snr_db: Per-source SNR in dB (``math.inf`` means noise-free;
+            NaN and ``-math.inf`` are rejected).
         coherent_map: Optional mapping from coherent source index to the
             independent source index it duplicates; ``None`` or empty
             means all sources are independent.
-        seed: Seed of the stream this draw came from (provenance only).
     """
 
     num_antennas: int
@@ -49,7 +49,6 @@ class Scenario:
     doas: tuple[float, ...]
     snr_db: float
     coherent_map: dict[int, int] | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.num_antennas < 1:
@@ -65,6 +64,8 @@ class Scenario:
             raise ValueError("doas length must equal num_sources")
         if len(set(self.doas)) != len(self.doas):
             raise ValueError("doas must be pairwise distinct")
+        if not self.snr_db > -math.inf:
+            raise ValueError(f"snr_db must be a number or inf (noise-free), got {self.snr_db}")
         if self.coherent_map:
             coherent = set(self.coherent_map)
             for copy_idx, src_idx in self.coherent_map.items():
@@ -79,22 +80,10 @@ class Scenario:
                     )
 
     @property
-    def num_coherent(self) -> int:
-        return len(self.coherent_map) if self.coherent_map else 0
-
-    @property
     def noise_variance(self) -> float:
-        if math.isinf(self.snr_db) and self.snr_db > 0:
+        if self.snr_db == math.inf:
             return 0.0
         return 10.0 ** (-self.snr_db / 10.0)
-
-
-@dataclass(frozen=True)
-class SnapshotBatch:
-    """M x N matrix of array snapshots plus the scenario that made it."""
-
-    data: np.ndarray
-    scenario: Scenario = field(repr=False)
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -104,22 +93,18 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def steering_vector(theta: float, num_antennas: int) -> np.ndarray:
-    """Array response of a half-wavelength ULA to a plane wave at ``theta``.
-
-    Element m (0-based) is ``exp(i pi m sin(theta))``; element 0 is 1.
-    """
-    if num_antennas < 1:
-        raise ValueError("num_antennas must be at least 1")
-    phases = np.pi * np.arange(num_antennas) * math.sin(theta)
-    return np.exp(1j * phases)
-
-
 def steering_matrix(doas, num_antennas: int) -> np.ndarray:
-    """M x K matrix whose columns are steering vectors for ``doas``."""
-    if len(doas) == 0:
-        return np.zeros((num_antennas, 0), dtype=np.complex128)
-    return np.column_stack([steering_vector(t, num_antennas) for t in doas])
+    """M x K array response of a half-wavelength ULA to plane waves at
+    ``doas``: entry (m, k) is ``exp(i pi m sin(doas[k]))``, so row 0 is
+    all ones.  No DOAs give an M x 0 matrix."""
+    sines = np.array([math.sin(theta) for theta in doas], dtype=float)
+    return np.exp(1j * np.multiply.outer(np.pi * np.arange(num_antennas), sines))
+
+
+def steering_vector(theta: float, num_antennas: int) -> np.ndarray:
+    """Steering vector for one plane wave at ``theta``: the one-column
+    :func:`steering_matrix`."""
+    return steering_matrix((theta,), num_antennas)[:, 0]
 
 
 def generate_sources(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
@@ -140,31 +125,30 @@ def generate_sources(scenario: Scenario, rng: np.random.Generator) -> np.ndarray
     return s
 
 
-def generate_snapshots(scenario: Scenario, rng: np.random.Generator) -> SnapshotBatch:
-    """Draws one M x N snapshot batch: ``A(theta) S + W``.
+def generate_snapshots(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
+    """Draws the M x N snapshot matrix ``A(theta) S + W`` of one scenario.
 
     Noise entries are i.i.d. circular complex Gaussian with variance
     ``scenario.noise_variance`` per antenna.  With ``snr_db = inf`` no
-    noise is drawn at all, leaving the rank-K signal part.
+    noise is drawn at all, leaving the rank-K signal part (the zero
+    matrix for K = 0).
     """
     m, n = scenario.num_antennas, scenario.num_snapshots
-    a = steering_matrix(scenario.doas, m)
-    s = generate_sources(scenario, rng)
-    data = a @ s if scenario.num_sources else np.zeros((m, n), dtype=np.complex128)
+    data = steering_matrix(scenario.doas, m) @ generate_sources(scenario, rng)
     sigma2 = scenario.noise_variance
     if sigma2 > 0.0:
         data = data + math.sqrt(sigma2) * _complex_gaussian(rng, (m, n))
-    return SnapshotBatch(data=data, scenario=scenario)
+    return data
 
 
 def sample_covariance(snapshots) -> np.ndarray:
-    """Sample covariance ``(1/N) sum_n r(n) r(n)^H`` of an M x N batch.
+    """Sample covariance ``(1/N) sum_n r(n) r(n)^H`` of an M x N snapshot
+    matrix.
 
-    Accepts a :class:`SnapshotBatch` or a raw M x N array.  The result is
-    symmetrized entrywise, so it is exactly Hermitian and PSD up to
-    round-off.
+    The result is symmetrized entrywise, so it is exactly Hermitian and
+    PSD up to round-off.
     """
-    data = snapshots.data if isinstance(snapshots, SnapshotBatch) else np.asarray(snapshots)
+    data = np.asarray(snapshots)
     if data.ndim != 2:
         raise ValueError("snapshots must be an M x N matrix")
     n = data.shape[1]

@@ -117,6 +117,39 @@ class TestFlagValidation:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+    def test_fbss_above_array_size_rejected(self, tmp_path, config_file, capsys,
+                                            command):
+        out = tmp_path / "run"
+        assert run(command, "--config", config_file, "--out", out,
+                   "--detector", "ernet", "--fbss", "11") == 2
+        err = capsys.readouterr().err
+        assert err == "error: subarray_size must lie in [1, 10], got 11\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("gen-data", "--phase", "test", "--snr-db", "nan"),
+        ("eval", "--snr-db", "nan"),
+    ])
+    def test_nan_snr_flag_rejected(self, tmp_path, config_file, capsys, argv):
+        out = tmp_path / "run"
+        assert run(*argv, "--config", config_file, "--out", out,
+                   "--detector", "mdl") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SNRs must be numbers or inf")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_nan_snr_in_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        path.write_text(TINY_CONFIG + "test_snr_db = nan\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("eval", "--config", path, "--out", out, "--detector", "mdl") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SNRs must be numbers or inf")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSweepCommands:
     def test_sweep_snr(self, tmp_path, config_file):

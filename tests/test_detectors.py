@@ -1,6 +1,7 @@
 """Tests for feature extraction, label encoding and detector assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,21 @@ class TestDetectorWrapper:
             batch = det.decide_batch(feats)
             one_row = [det.decide_batch(f[np.newaxis])[0] for f in feats]
             assert np.array_equal(batch, one_row)
+
+    @pytest.mark.parametrize("kind, subarray_size", [
+        ("ernet", None), ("ecnet", None), ("covnet", None), ("ernet", 5), ("ecnet", 5)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_covariance_rejected(self, kind, subarray_size, bad):
+        spec = DetectorSpec(kind, 10, subarray_size=subarray_size)
+        det = Detector(spec, build_detector(spec, np.random.default_rng(2)))
+        r = np.eye(10, dtype=complex)
+        r[2, 3] = bad
+        with warnings.catch_warnings():
+            # Averaging an inf into the smoothed matrix warns before the
+            # error; the full-array paths must fail without a warning.
+            warnings.simplefilter("ignore" if subarray_size else "error", RuntimeWarning)
+            with pytest.raises(ValueError, match="non-finite entries"):
+                det.estimate(r)
 
     def test_covnet_has_no_smoothed_form(self, tmp_path):
         with pytest.raises(ValueError, match="covnet has no smoothed form"):

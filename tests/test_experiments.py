@@ -1,5 +1,6 @@
 """Tests for the experiment harness: configs, datasets, sweeps, bench."""
 
+import hashlib
 import json
 import math
 
@@ -28,7 +29,11 @@ from sourcecount.experiments import (
     write_manifest,
 )
 from sourcecount.detectors import DetectorSpec, build_detector
-from sourcecount.experiments import ROLE_INIT, _KIND_ORDINAL, _rng
+from sourcecount.experiments import NET_KINDS, ROLE_INIT, _rng
+
+
+# SHA-256 of TestTrials.test_simulation_bits_pinned's trial sets.
+SIMULATION_DIGEST = "b97c4e00fa97504846b43b7070ff4c3e1a73b725183c5a6b7bc0e6b4e20ec8e2"
 
 
 def tiny_config(**overrides):
@@ -72,6 +77,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(subarray_size=11)
 
+    @pytest.mark.parametrize("field, value", [
+        ("train_snr_db", (math.nan, 40.0)), ("train_snr_db", (0.0, math.nan)),
+        ("test_snr_db", math.nan), ("snr_axis_db", (0.0, math.nan)),
+        ("test_snr_db", -math.inf)])
+    def test_nan_snr_rejected(self, field, value):
+        with pytest.raises(ValueError, match="SNRs must be numbers or inf"):
+            ExperimentConfig(**{field: value})
+        assert ExperimentConfig(test_snr_db=math.inf).test_snr_db == math.inf
+
 
 class TestScenarioDraw:
     def test_source_count_uniform(self):
@@ -89,17 +103,18 @@ class TestScenarioDraw:
         saw_fully_coherent = False
         for i in range(2000):
             sc = draw_scenario(config, _rng(1, 7, 0, i), snr_db=0.0)
+            num_coherent = len(sc.coherent_map or {})
             if sc.num_sources == 0:
-                assert sc.num_coherent == 0
+                assert num_coherent == 0
                 continue
-            assert 0 <= sc.num_coherent <= sc.num_sources - 1
+            assert 0 <= num_coherent <= sc.num_sources - 1
             if sc.coherent_map:
-                independent = sc.num_sources - sc.num_coherent
+                independent = sc.num_sources - num_coherent
                 for copy_idx, src_idx in sc.coherent_map.items():
                     assert copy_idx >= independent
                     assert 0 <= src_idx < independent
             # boundary case: K-1 coherent copies leaves one independent row
-            if sc.num_sources >= 2 and sc.num_coherent == sc.num_sources - 1:
+            if sc.num_sources >= 2 and num_coherent == sc.num_sources - 1:
                 saw_fully_coherent = True
         assert saw_fully_coherent
 
@@ -166,6 +181,27 @@ class TestTrials:
         with pytest.raises(ValueError):
             select_features(t, "covnet", None)
 
+    def test_simulation_bits_pinned(self):
+        # One SHA-256 over labels and eigen/fbss/cov bytes of small trial
+        # sets: non-coherent and coherent draws, noise-free and finite SNR,
+        # K=0 included.  A refactor of the seed -> covariance path must
+        # leave every bit in place.
+        config = ExperimentConfig(num_antennas=6, num_snapshots=8, max_sources=3,
+                                  subarray_size=4, seed=7)
+        digest = hashlib.sha256()
+        labels = []
+        for ai, (coherent, snr_db) in enumerate(
+                [(False, math.inf), (False, 3.0), (True, math.inf), (True, 3.0),
+                 (True, (0.0, 20.0))]):
+            t = generate_trials(config, phase="test", num=24, snr_db=snr_db,
+                                coherent=coherent, axis_index=ai,
+                                want=("eigen", "fbss", "cov"))
+            labels.append(t.labels)
+            for array in (t.labels, t.eigen, t.fbss, t.cov):
+                digest.update(np.ascontiguousarray(array).tobytes())
+        assert all(0 in lab for lab in labels)
+        assert digest.hexdigest() == SIMULATION_DIGEST
+
 
 def write_trials(config, path, num, feature="eigen"):
     """Draws ``num`` training trials and writes their features as gen-data does."""
@@ -217,7 +253,7 @@ class TestTrainDetector:
         assert history == []
         spec = DetectorSpec("ecnet", config.num_antennas)
         reference = build_detector(spec, _rng(config.seed, ROLE_INIT, 0,
-                                              _KIND_ORDINAL["ecnet"]))
+                                              NET_KINDS.index("ecnet")))
         for trained, fresh in zip(det.net.layers, reference.layers):
             assert np.array_equal(trained.weights, fresh.weights)
             assert np.array_equal(trained.bias, fresh.bias)

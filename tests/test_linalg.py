@@ -1,5 +1,7 @@
 """Tests for the complex linear algebra helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,16 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[0, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_hermitian(a)
+            with pytest.raises(ValueError, match="non-finite entries"):
+                hermitian_eig(a)
 
 
 class TestExchangeConjugate:

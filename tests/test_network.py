@@ -378,6 +378,15 @@ class TestSerialization:
         numbers = re.findall(r"-?\d\.(\d+)e[+-]\d+", text)
         assert numbers and all(len(frac) >= 16 for frac in numbers)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_parameters(self, constant):
+        net = Network([layer(np.eye(2), np.zeros(2), "linear")])
+        text = dumps_network(net).replace('"bias": [0.0000000000000000e+00',
+                                          f'"bias": [{constant}', 1)
+        assert constant in text
+        with pytest.raises(ValueError, match="non-finite number"):
+            loads_network(text)
+
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError):
             loads_network('{"format": "something-else", "version": 1}')

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sourcecount.classical import EigenSpectrum, aic, mdl
-from sourcecount.detectors import KINDS, Detector, DetectorSpec, build_detector
+from sourcecount.detectors import NET_KINDS, Detector, DetectorSpec, build_detector
 from sourcecount.experiments import (
     ClassicalDetector,
     ExperimentConfig,
@@ -28,7 +28,7 @@ SETTINGS = settings(max_examples=40, deadline=None,
 def accepted_specs(draw):
     """Every (kind, M, M0, normalize) that DetectorSpec accepts."""
     m = draw(st.integers(2, 10))
-    kind = draw(st.sampled_from(KINDS))
+    kind = draw(st.sampled_from(NET_KINDS))
     subarray_size = draw(st.one_of(st.none(), st.integers(1, m)))
     normalize = draw(st.booleans())
     try:

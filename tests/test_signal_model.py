@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sourcecount.linalg import hermitian_eig, is_hermitian, exchange_conjugate
 from sourcecount.signal_model import (
@@ -12,6 +14,7 @@ from sourcecount.signal_model import (
     generate_snapshots,
     generate_sources,
     sample_covariance,
+    steering_matrix,
     steering_vector,
 )
 
@@ -38,6 +41,25 @@ class TestSteeringVector:
         assert np.allclose(np.abs(v), 1.0)
 
 
+class TestSteeringMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(doas=st.lists(st.floats(0.0, 2.0 * math.pi), max_size=6),
+           m=st.integers(1, 12))
+    def test_columns_are_closed_form_bit_for_bit(self, doas, m):
+        a = steering_matrix(doas, m)
+        assert a.shape == (m, len(doas))
+        assert a.dtype == np.complex128
+        for k, theta in enumerate(doas):
+            column = np.exp(1j * (np.pi * np.arange(m) * math.sin(theta)))
+            assert np.array_equal(a[:, k], column)
+            assert np.array_equal(steering_vector(theta, m), column)
+
+    def test_no_doas_give_exact_zero_signal(self):
+        a = steering_matrix((), 5)
+        assert a.shape == (5, 0)
+        assert np.array_equal(a @ np.zeros((0, 7), dtype=complex), np.zeros((5, 7)))
+
+
 class TestScenarioValidation:
     def test_rejects_too_many_sources(self):
         with pytest.raises(ValueError):
@@ -55,6 +77,12 @@ class TestScenarioValidation:
         assert scenario(snr_db=0.0).noise_variance == 1.0
         assert scenario(snr_db=10.0).noise_variance == pytest.approx(0.1)
         assert scenario(snr_db=math.inf).noise_variance == 0.0
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_rejects_nan_and_minus_inf_snr(self, snr_db):
+        # NaN would fail the noise test and simulate a noise-free array.
+        with pytest.raises(ValueError, match="snr_db must be a number or inf"):
+            scenario(snr_db=snr_db)
 
 
 class TestGenerateSources:
@@ -79,27 +107,33 @@ class TestGenerateSources:
 class TestGenerateSnapshots:
     def test_noise_free_single_source_is_rank_one(self):
         sc = scenario(k=1, doas=(0.7,), snr_db=math.inf)
-        batch = generate_snapshots(sc, np.random.default_rng(0))
+        data = generate_snapshots(sc, np.random.default_rng(0))
         a = steering_vector(0.7, sc.num_antennas)
         # every snapshot column must be proportional to the steering vector
-        coeff = batch.data[0, :] / a[0]
-        assert np.allclose(batch.data, np.outer(a, coeff), atol=1e-12)
+        coeff = data[0, :] / a[0]
+        assert np.allclose(data, np.outer(a, coeff), atol=1e-12)
 
     def test_pure_noise_power(self):
         sc = scenario(k=0, doas=(), n=10000, snr_db=0.0)
-        batch = generate_snapshots(sc, np.random.default_rng(5))
-        power = np.mean(np.abs(batch.data) ** 2)
+        data = generate_snapshots(sc, np.random.default_rng(5))
+        power = np.mean(np.abs(data) ** 2)
         assert abs(power - 1.0) <= 0.05
 
     def test_shape(self):
-        batch = generate_snapshots(scenario(m=10, n=20, k=3), np.random.default_rng(1))
-        assert batch.data.shape == (10, 20)
+        data = generate_snapshots(scenario(m=10, n=20, k=3), np.random.default_rng(1))
+        assert data.shape == (10, 20)
+        assert data.dtype == np.complex128
+
+    def test_noise_free_without_sources_is_zero(self):
+        sc = scenario(k=0, doas=(), snr_db=math.inf)
+        assert np.array_equal(generate_snapshots(sc, np.random.default_rng(1)),
+                              np.zeros((10, 20)))
 
     def test_seeded_determinism(self):
         sc = scenario()
-        b1 = generate_snapshots(sc, np.random.default_rng(99))
-        b2 = generate_snapshots(sc, np.random.default_rng(99))
-        assert np.array_equal(b1.data, b2.data)
+        d1 = generate_snapshots(sc, np.random.default_rng(99))
+        d2 = generate_snapshots(sc, np.random.default_rng(99))
+        assert np.array_equal(d1, d2)
 
 
 class TestSampleCovariance:
@@ -121,8 +155,7 @@ class TestSampleCovariance:
 
     def test_hermitian_and_psd(self):
         for seed in range(5):
-            batch = generate_snapshots(scenario(), np.random.default_rng(seed))
-            r = sample_covariance(batch)
+            r = sample_covariance(generate_snapshots(scenario(), np.random.default_rng(seed)))
             assert is_hermitian(r)
             assert np.all(hermitian_eig(r).eigenvalues >= 0.0)
 
@@ -177,8 +210,8 @@ class TestFbssCovariance:
             assert np.all(w >= -1e-9 * np.trace(r).real)
 
     def test_output_is_hermitian(self):
-        batch = generate_snapshots(scenario(), np.random.default_rng(3))
-        out = fbss_covariance(sample_covariance(batch), 5)
+        data = generate_snapshots(scenario(), np.random.default_rng(3))
+        out = fbss_covariance(sample_covariance(data), 5)
         assert is_hermitian(out)
 
     def test_subarray_size_bounds(self):
