@@ -172,8 +172,11 @@ def _cmd_eval(args, config: ExperimentConfig) -> int:
             return 2
         detector: Detector | ClassicalDetector = load_detector(model_path)
         sub = detector.spec.subarray_size
-        if sub is not None:
-            config = dataclasses.replace(config, subarray_size=sub)
+        try:
+            config = dataclasses.replace(config, subarray_size=sub or config.subarray_size)
+        except ValueError as exc:
+            print(f"error: model {model_path}: {exc}", file=sys.stderr)
+            return 2
         name = detector.spec.name
     else:
         detector = ClassicalDetector(args.detector, sub)

@@ -183,8 +183,11 @@ class Detector:
     def decide_batch(self, features: np.ndarray) -> np.ndarray:
         """Decisions for a (num, feature_size) batch: ERNet rounds its
         output half-up and clamps it to [0, M-1]; the softmax heads take
-        the argmax (ties to the smaller index)."""
+        the argmax (ties to the smaller index).  A NaN or inf in the
+        network output raises ValueError."""
         out = forward(self.net, features)
+        if not np.isfinite(out).all():
+            raise ValueError("network output is not finite (NaN or inf)")
         if self.spec.kind == "ernet":
             raw = np.floor(out[:, 0] + 0.5)
             return np.minimum(np.maximum(raw, 0), self.spec.num_antennas - 1).astype(int)

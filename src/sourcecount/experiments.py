@@ -94,10 +94,9 @@ class ExperimentConfig:
         for snr in (*self.train_snr_db, self.test_snr_db, *self.snr_axis_db):
             if not snr > -math.inf:
                 raise ValueError(f"SNRs must be numbers or inf (noise-free), got {snr}")
-        if self.detectors is not None:
-            for kind in self.detectors:
-                if kind not in NET_KINDS + CLASSICAL_KINDS:
-                    raise ValueError(f"unknown detector {kind!r}")
+        for kind in self.detectors or ():
+            if kind not in NET_KINDS + CLASSICAL_KINDS:
+                raise ValueError(f"unknown detector {kind!r}")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -601,13 +600,10 @@ def config_from_text(text: str) -> ExperimentConfig:
 
 
 def _convert_config_value(key: str, raw: str):
-    if key in ("train_snr_db",):
-        parts = [float(v) for v in raw.split(",")]
-        return tuple(parts)
+    if key in ("train_snr_db", "snr_axis_db"):
+        return tuple(float(v) for v in raw.split(","))
     if key == "snapshot_axis":
         return tuple(int(v) for v in raw.split(","))
-    if key == "snr_axis_db":
-        return tuple(float(v) for v in raw.split(","))
     if key == "detectors":
         return tuple(v.strip() for v in raw.split(",") if v.strip()) or None
     if key in ("coherent", "normalize_features"):

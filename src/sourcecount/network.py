@@ -4,7 +4,7 @@ Implements exactly what the detectors need and nothing more: dense
 layers with ReLU / linear / softmax activations, L2 and categorical
 cross-entropy losses, analytic backpropagation, the ADAM optimizer, a
 truncated-normal initializer, and a deterministic mini-batch training
-loop.  Parameters live in plain float64 numpy arrays.
+loop.  A network's parameters are views of one float64 vector.
 
 A layer applies ``g(W x + b)`` with ``W`` of shape (out, in).  Batches
 are row-major: an input batch has shape (batch, in).
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -42,9 +42,11 @@ class Layer:
 
 @dataclass
 class Network:
-    """Ordered dense layers; softmax only last, ReLU only hidden."""
+    """Ordered dense layers; softmax only last, ReLU only hidden.  Holds
+    copies of the given layers, whose arrays are views of ``params``."""
 
     layers: list[Layer]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -66,6 +68,10 @@ class Network:
                     f"layer {i} input size {layer.in_dim} does not chain with "
                     f"previous output size {self.layers[i - 1].out_dim}"
                 )
+        self.params = np.concatenate([np.ravel(a) for layer in self.layers
+                                      for a in (layer.weights, layer.bias)], dtype=float)
+        self.layers = [Layer(w, b, layer.activation) for layer, (w, b)
+                       in zip(self.layers, _layer_views(self, self.params))]
 
     @property
     def input_dim(self) -> int:
@@ -78,6 +84,14 @@ class Network:
     @property
     def layer_sizes(self) -> list[int]:
         return [self.input_dim] + [layer.out_dim for layer in self.layers]
+
+
+def _layer_views(net: Network, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views of ``flat`` per layer, laid out as (row-major weights, bias)."""
+    parts = np.split(flat, np.cumsum([n for layer in net.layers
+                                      for n in (layer.weights.size, layer.out_dim)])[:-1])
+    return [(w.reshape(layer.weights.shape), b)
+            for layer, w, b in zip(net.layers, parts[::2], parts[1::2])]
 
 
 @dataclass(frozen=True)
@@ -159,8 +173,7 @@ def forward(net: Network, x) -> np.ndarray:
             f"input dimension {batch.shape[1]} does not match network input "
             f"{net.input_dim}"
         )
-    _, acts = _forward_cached(net, batch)
-    out = acts[-1]
+    out = _forward_cached(net, batch)[1][-1]
     return out[0] if squeeze else out
 
 
@@ -198,8 +211,8 @@ def _check_loss_pairing(net: Network, loss: str):
         raise ValueError("l2 loss is paired with a linear output layer")
 
 
-def _backward_from_cache(net: Network, pre, acts, target: np.ndarray, loss: str):
-    """Analytic gradients given a cached forward pass.
+def _backward_from_cache(net: Network, pre, acts, target: np.ndarray, loss: str, grads):
+    """Analytic gradients given a cached forward pass, written into ``grads``.
 
     Softmax plus cross-entropy is fused, so the output delta is simply
     (prediction - target) scaled by the batch size in both loss modes.
@@ -209,12 +222,11 @@ def _backward_from_cache(net: Network, pre, acts, target: np.ndarray, loss: str)
         delta = 2.0 * (acts[-1] - target) / batch
     else:
         delta = (acts[-1] - target) / batch
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        np.matmul(delta.T, acts[i], out=grads[i][0])
+        delta.sum(axis=0, out=grads[i][1])
         if i > 0:
-            delta = delta @ layer.weights
+            delta = delta @ net.layers[i].weights
             if net.layers[i - 1].activation == "relu":
                 # Subgradient 0 at the kink: units with z <= 0 pass nothing.
                 delta = delta * (pre[i - 1] > 0.0)
@@ -225,7 +237,7 @@ def backward(net: Network, x, target, loss: str):
     """Gradients of the batch loss w.r.t. every weight and bias.
 
     Returns one ``(d_weights, d_bias)`` pair per layer, shaped like the
-    parameters.
+    parameters: views of one flat gradient in the layout of ``net.params``.
     """
     _check_loss_pairing(net, loss)
     xb, _ = _as_batch(x)
@@ -235,43 +247,38 @@ def backward(net: Network, x, target, loss: str):
     if tb.shape != (xb.shape[0], net.output_dim):
         raise ValueError("target shape does not match network output")
     pre, acts = _forward_cached(net, xb)
-    return _backward_from_cache(net, pre, acts, tb, loss)
+    return _backward_from_cache(net, pre, acts, tb, loss,
+                                _layer_views(net, np.empty_like(net.params)))
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the parameter shapes."""
+    """First/second moment vectors in the layout of ``Network.params``."""
 
+    moment1: np.ndarray
+    moment2: np.ndarray
     step: int = 0
-    moment1: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    moment2: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     @classmethod
     def for_network(cls, net: Network) -> "AdamState":
-        z = lambda l: (np.zeros_like(l.weights), np.zeros_like(l.bias))
-        return cls(
-            step=0,
-            moment1=[z(l) for l in net.layers],
-            moment2=[z(l) for l in net.layers],
-        )
+        return cls(np.zeros_like(net.params), np.zeros_like(net.params))
 
 
-def adam_step(net: Network, grads, state: AdamState, config: TrainConfig):
-    """One ADAM update with bias correction, applied in place."""
-    if len(grads) != len(net.layers):
-        raise ValueError("gradient list does not match network layers")
+def adam_step(net: Network, grad: np.ndarray, state: AdamState, config: TrainConfig):
+    """One ADAM update with bias correction, in place on ``net.params``."""
+    if np.shape(grad) != net.params.shape:
+        raise ValueError("gradient does not match the network's parameter vector")
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for layer, (gw, gb), m, v in zip(net.layers, grads, state.moment1, state.moment2):
-        for param, grad, m1, m2 in ((layer.weights, gw, m[0], v[0]),
-                                    (layer.bias, gb, m[1], v[1])):
-            m1 *= b1
-            m1 += (1.0 - b1) * grad
-            m2 *= b2
-            m2 += (1.0 - b2) * grad * grad
-            param -= config.learning_rate * (m1 / bc1) / (np.sqrt(m2 / bc2) + config.adam_epsilon)
+    m1, m2 = state.moment1, state.moment2
+    # Folding a constant such as lr/bc1 would change the trained bits.
+    m1 *= b1
+    m1 += (1.0 - b1) * grad
+    m2 *= b2
+    m2 += (1.0 - b2) * grad * grad
+    net.params -= config.learning_rate * (m1 / bc1) / (np.sqrt(m2 / bc2) + config.adam_epsilon)
 
 
 def init_truncated_normal(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -312,6 +319,8 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
     n = x.shape[0]
     rng = np.random.default_rng(config.seed)
     state = AdamState.for_network(net)
+    grad = np.empty_like(net.params)
+    grad_views = _layer_views(net, grad)
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -326,8 +335,8 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
                     f"non-finite loss {batch_loss} at epoch {epoch}, "
                     f"batch starting at {start}"
                 )
-            grads = _backward_from_cache(net, pre, acts, yb, config.loss)
-            adam_step(net, grads, state, config)
+            _backward_from_cache(net, pre, acts, yb, config.loss, grad_views)
+            adam_step(net, grad, state, config)
             total += batch_loss * len(idx)
         history.append(total / n)
     return history
@@ -375,16 +384,9 @@ def dumps_network(net: Network, train_config: TrainConfig | None = None,
     if train_config is None:
         lines.append('  "train_config": null,')
     else:
-        lines.append('  "train_config": {')
-        lines.append(f'    "learning_rate": {_fmt(train_config.learning_rate)},')
-        lines.append(f'    "batch_size": {train_config.batch_size},')
-        lines.append(f'    "epochs": {train_config.epochs},')
-        lines.append(f'    "adam_beta1": {_fmt(train_config.adam_beta1)},')
-        lines.append(f'    "adam_beta2": {_fmt(train_config.adam_beta2)},')
-        lines.append(f'    "adam_epsilon": {_fmt(train_config.adam_epsilon)},')
-        lines.append(f'    "seed": {train_config.seed},')
-        lines.append(f'    "loss": {json.dumps(train_config.loss)}')
-        lines.append("  },")
+        cells = [f'    "{f.name}": {_fmt(v) if f.type == "float" else json.dumps(v)}'
+                 for f, v in zip(fields(train_config), astuple(train_config))]
+        lines += ['  "train_config": {', ",\n".join(cells), "  },"]
     lines.append(f'  "meta": {json.dumps(meta if meta is not None else {}, sort_keys=True)}')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -101,12 +101,6 @@ def steering_matrix(doas, num_antennas: int) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(np.pi * np.arange(num_antennas), sines))
 
 
-def steering_vector(theta: float, num_antennas: int) -> np.ndarray:
-    """Steering vector for one plane wave at ``theta``: the one-column
-    :func:`steering_matrix`."""
-    return steering_matrix((theta,), num_antennas)[:, 0]
-
-
 def generate_sources(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     """K x N source waveform matrix for one scenario.
 
@@ -175,6 +169,8 @@ def fbss_covariance(r_hat, subarray_size: int) -> np.ndarray:
     r_hat = np.asarray(r_hat)
     if r_hat.ndim != 2 or r_hat.shape[0] != r_hat.shape[1]:
         raise ValueError("covariance must be a square matrix")
+    if not np.isfinite(r_hat).all():
+        raise ValueError("matrix has non-finite entries (NaN or inf)")
     m = r_hat.shape[0]
     m0 = subarray_size
     if not 1 <= m0 <= m:

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from sourcecount.cli import main
+from sourcecount.detectors import Detector, DetectorSpec, build_detector, save_detector
 from sourcecount.experiments import read_csv, read_dataset
 
 TINY_CONFIG = """
@@ -126,6 +128,20 @@ class TestFlagValidation:
         err = capsys.readouterr().err
         assert err == "error: subarray_size must lie in [1, 10], got 11\n"
         assert not out.exists()
+
+    def test_fbss_model_from_larger_array_rejected(self, tmp_path, capsys):
+        path = tmp_path / "m6.cfg"
+        path.write_text(TINY_CONFIG + "num_antennas = 6\n", encoding="utf-8")
+        spec = DetectorSpec("ernet", 10, subarray_size=8)
+        model = tmp_path / "model-fbss-ernet.json"
+        save_detector(Detector(spec, build_detector(spec, np.random.default_rng(0))), model)
+        out = tmp_path / "run"
+        assert run("eval", "--config", path, "--out", out, "--detector", "ernet",
+                   "--model", model) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: model {model}: "
+                       "subarray_size must lie in [1, 6], got 8\n")
+        assert not list(out.glob("eval-*.json"))
 
     @pytest.mark.parametrize("argv", [
         ("gen-data", "--phase", "test", "--snr-db", "nan"),

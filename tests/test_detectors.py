@@ -244,11 +244,20 @@ class TestDetectorWrapper:
         r = np.eye(10, dtype=complex)
         r[2, 3] = bad
         with warnings.catch_warnings():
-            # Averaging an inf into the smoothed matrix warns before the
-            # error; the full-array paths must fail without a warning.
-            warnings.simplefilter("ignore" if subarray_size else "error", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="non-finite entries"):
                 det.estimate(r)
+
+    @pytest.mark.parametrize("kind", ["ernet", "ecnet", "covnet"])
+    def test_non_finite_output_rejected(self, kind):
+        spec = DetectorSpec(kind, 10)
+        det = Detector(spec, build_detector(spec, np.random.default_rng(3)))
+        feats = np.ones((3, spec.feature_size))
+        feats[1, 0] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="network output is not finite"):
+                det.decide_batch(feats)
 
     def test_covnet_has_no_smoothed_form(self, tmp_path):
         with pytest.raises(ValueError, match="covnet has no smoothed form"):

@@ -34,6 +34,8 @@ from sourcecount.experiments import NET_KINDS, ROLE_INIT, _rng
 
 # SHA-256 of TestTrials.test_simulation_bits_pinned's trial sets.
 SIMULATION_DIGEST = "b97c4e00fa97504846b43b7070ff4c3e1a73b725183c5a6b7bc0e6b4e20ec8e2"
+# SHA-256 of TestTrainDetector.test_training_bits_pinned's trained nets.
+TRAINING_DIGEST = "764d2523f0de75be3774c5346e9870a4e576afe507b7fc6caefe084e76894b47"
 
 
 def tiny_config(**overrides):
@@ -257,6 +259,27 @@ class TestTrainDetector:
         for trained, fresh in zip(det.net.layers, reference.layers):
             assert np.array_equal(trained.weights, fresh.weights)
             assert np.array_equal(trained.bias, fresh.bias)
+
+    def test_training_bits_pinned(self):
+        # One SHA-256 over the trained weight/bias bytes and loss histories
+        # of ERNet, ECNet, CovNet and fbss-ERNet.  300 trials at batch 128
+        # end each epoch in a short 44-row batch.  A refactor of the
+        # training core must leave every bit in place.
+        config = tiny_config(num_train=300, epochs=3, seed=5)
+        trials = generate_trials(config, phase="train", num=300,
+                                 snr_db=tuple(config.train_snr_db),
+                                 want=("eigen", "fbss", "cov"))
+        digest = hashlib.sha256()
+        for kind, m0 in (("ernet", None), ("ecnet", None), ("covnet", None),
+                         ("ernet", config.subarray_size)):
+            feats = select_features(trials, kind, m0)
+            det, history = train_detector(config, kind, feats, trials.labels,
+                                          subarray_size=m0)
+            for lay in det.net.layers:
+                digest.update(lay.weights.tobytes())
+                digest.update(lay.bias.tobytes())
+            digest.update(np.array(history).tobytes())
+        assert digest.hexdigest() == TRAINING_DIGEST
 
     def test_smoothed_covnet_rejected_before_training(self):
         config = tiny_config()

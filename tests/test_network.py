@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from sourcecount.detectors import DetectorSpec, build_detector
 from sourcecount.network import (
     AdamState,
     Layer,
@@ -240,17 +241,15 @@ class TestAdam:
         rng = np.random.default_rng(4)
         net = random_net([3, 4, 1], "linear", rng)
         before = [(l.weights.copy(), l.bias.copy()) for l in net.layers]
-        grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
-        adam_step(net, grads, AdamState.for_network(net), TrainConfig())
+        adam_step(net, np.zeros_like(net.params), AdamState.for_network(net), TrainConfig())
         for (w0, b0), lay in zip(before, net.layers):
             assert np.array_equal(w0, lay.weights)
             assert np.array_equal(b0, lay.bias)
 
     def test_first_step_magnitude_is_learning_rate(self):
         net = Network([layer([[1.0]], [0.0], "linear")])
-        grads = [(np.array([[0.37]]), np.array([0.0]))]
         config = TrainConfig(learning_rate=0.01)
-        adam_step(net, grads, AdamState.for_network(net), config)
+        adam_step(net, np.array([0.37, 0.0]), AdamState.for_network(net), config)
         # |dw| = lr * |g| / (|g| + eps) ~ lr
         assert abs(net.layers[0].weights[0, 0] - 1.0) == pytest.approx(0.01, rel=1e-6)
 
@@ -272,9 +271,38 @@ class TestAdam:
         got = []
         for _ in range(3):
             g = 2.0 * net.layers[0].weights[0, 0]
-            adam_step(net, [(np.array([[g]]), np.array([0.0]))], state, config)
+            adam_step(net, np.array([g, 0.0]), state, config)
             got.append(net.layers[0].weights[0, 0])
         assert np.allclose(got, trajectory, rtol=1e-12)
+
+    def test_misshapen_gradient_rejected(self):
+        net = Network([layer([[1.0]], [0.0], "linear")])
+        with pytest.raises(ValueError, match="parameter vector"):
+            adam_step(net, np.zeros(3), AdamState.for_network(net), TrainConfig())
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("kind, m0", [("ernet", None), ("ecnet", None),
+                                          ("covnet", None), ("ernet", 4)])
+    def test_layers_are_views_of_params(self, kind, m0):
+        built = build_detector(DetectorSpec(kind, 6, subarray_size=m0),
+                               np.random.default_rng(0))
+        loaded, _, _ = loads_network(dumps_network(built))
+        for net in (built, loaded):
+            flat = [a.ravel() for lay in net.layers for a in (lay.weights, lay.bias)]
+            assert np.array_equal(net.params, np.concatenate(flat))
+            for lay in net.layers:
+                assert np.shares_memory(lay.weights, net.params)
+                assert np.shares_memory(lay.bias, net.params)
+
+
+    def test_construction_copies_the_given_layers(self):
+        given = [layer(np.eye(2), np.zeros(2), "linear")]
+        first, second = Network(given), Network(given)
+        first.params += 1.0
+        assert np.array_equal(first.layers[0].weights, np.eye(2) + 1.0)
+        assert np.array_equal(second.layers[0].weights, np.eye(2))
+        assert np.array_equal(given[0].weights, np.eye(2))
 
 
 class TestInit:

@@ -15,7 +15,6 @@ from sourcecount.signal_model import (
     generate_sources,
     sample_covariance,
     steering_matrix,
-    steering_vector,
 )
 
 
@@ -27,15 +26,15 @@ def scenario(m=10, n=20, k=3, doas=None, snr_db=5.0, coherent_map=None):
 
 class TestSteeringVector:
     def test_broadside_is_all_ones(self):
-        assert np.allclose(steering_vector(0.0, 8), np.ones(8))
+        assert np.allclose(steering_matrix((0.0,), 8)[:, 0], np.ones(8))
 
     def test_endfire_two_elements(self):
-        v = steering_vector(math.pi / 2, 2)
+        v = steering_matrix((math.pi / 2,), 2)[:, 0]
         assert np.allclose(v, [1.0, -1.0])
 
     def test_matches_scalar_evaluation(self):
         theta, m = math.pi / 6, 3
-        v = steering_vector(theta, m)
+        v = steering_matrix((theta,), m)[:, 0]
         expected = [np.exp(1j * math.pi * i * math.sin(theta)) for i in range(m)]
         assert np.allclose(v, expected, atol=1e-15)
         assert np.allclose(np.abs(v), 1.0)
@@ -52,7 +51,7 @@ class TestSteeringMatrix:
         for k, theta in enumerate(doas):
             column = np.exp(1j * (np.pi * np.arange(m) * math.sin(theta)))
             assert np.array_equal(a[:, k], column)
-            assert np.array_equal(steering_vector(theta, m), column)
+            assert np.array_equal(steering_matrix((theta,), m)[:, 0], column)
 
     def test_no_doas_give_exact_zero_signal(self):
         a = steering_matrix((), 5)
@@ -108,7 +107,7 @@ class TestGenerateSnapshots:
     def test_noise_free_single_source_is_rank_one(self):
         sc = scenario(k=1, doas=(0.7,), snr_db=math.inf)
         data = generate_snapshots(sc, np.random.default_rng(0))
-        a = steering_vector(0.7, sc.num_antennas)
+        a = steering_matrix((0.7,), sc.num_antennas)[:, 0]
         # every snapshot column must be proportional to the steering vector
         coeff = data[0, :] / a[0]
         assert np.allclose(data, np.outer(a, coeff), atol=1e-12)
