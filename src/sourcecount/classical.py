@@ -26,10 +26,12 @@ def check_spectra(values, num_snapshots: int) -> np.ndarray:
     """Returns ``values`` as a float (num, m) batch of spectra.
 
     Raises:
-        ValueError: Unless m >= 2, every eigenvalue is non-negative,
+        ValueError: Unless m >= 2, every eigenvalue is finite and non-negative,
             every row is sorted descending, and ``num_snapshots`` >= 1.
     """
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("eigenvalues must be finite (no NaN or inf)")
     if values.ndim != 2 or values.shape[1] < 2:
         raise ValueError("spectra must form a (num, m) array with m >= 2")
     if (values < 0.0).any():
@@ -216,16 +218,16 @@ def table_op_counts(m: int, kind: str) -> OpCounts:
     )
 
 
-def measured_op_counts(m: int, kind: str, num_snapshots: int = 1000) -> OpCounts:
+def measured_op_counts(m: int, kind: str) -> OpCounts:
     """Instrumented operation tally from actually running the criterion.
 
-    The count depends only on ``m``, so a synthetic descending spectrum
-    is used.  Reported side by side with :func:`table_op_counts`;
+    The count depends only on ``m``, so a synthetic spectrum and snapshot
+    count are used.  Reported side by side with :func:`table_op_counts`;
     the two are not asserted to agree.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
     ops = OpCounter()
     values = [float(m - i) for i in range(m)]
-    _criterion_counted(values, num_snapshots, kind, ops)
+    _criterion_counted(values, 1000, kind, ops)
     return ops.counts()

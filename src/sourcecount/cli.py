@@ -13,7 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .detectors import Detector, detector_name, feature_kind, load_detector, save_detector
+from .detectors import (Detector, DetectorSpec, detector_name, feature_kind, load_detector,
+                        save_detector)
 from .experiments import (
     CLASSICAL_KINDS,
     ClassicalDetector,
@@ -134,16 +135,22 @@ def _cmd_gen_data(args, config: ExperimentConfig) -> int:
 
 def _cmd_train(args, config: ExperimentConfig) -> int:
     if args.detector not in NET_KINDS:
-        print(f"error: {args.detector} has no trainable parameters", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.detector} has no trainable parameters")
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     name = detector_name(args.detector, args.fbss)
     dataset_path = out / f"dataset-{name}-train.csv"
     if not dataset_path.exists():
-        print(f"error: {dataset_path} not found; run gen-data first", file=sys.stderr)
-        return 2
-    features, labels, _ = read_dataset(dataset_path)
+        raise ValueError(f"{dataset_path} not found; run gen-data first")
+    features, labels, info = read_dataset(dataset_path)
+    mode = "coherent" if config.coherent else "non-coherent"
+    width = DetectorSpec(args.detector, config.num_antennas, args.fbss).feature_size
+    expected = {"M": config.num_antennas, "N": config.num_snapshots, "feature_dim": width,
+                "coherence": mode, "seed": config.seed}
+    for key, value in expected.items():
+        if info.get(key) != str(value):
+            raise ValueError(f"dataset {dataset_path} has {key}={info.get(key)}, "
+                             f"but this run has {key}={value}")
     detector, history = train_detector(config, args.detector, features, labels,
                                        subarray_size=args.fbss)
     model_path = out / f"model-{name}.json"
@@ -168,15 +175,13 @@ def _cmd_eval(args, config: ExperimentConfig) -> int:
     if args.detector in NET_KINDS:
         model_path = args.model or out / f"model-{name}.json"
         if not Path(model_path).exists():
-            print(f"error: model file {model_path} not found", file=sys.stderr)
-            return 2
+            raise ValueError(f"model file {model_path} not found")
         detector: Detector | ClassicalDetector = load_detector(model_path)
         sub = detector.spec.subarray_size
         try:
             config = dataclasses.replace(config, subarray_size=sub or config.subarray_size)
         except ValueError as exc:
-            print(f"error: model {model_path}: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"model {model_path}: {exc}") from exc
         name = detector.spec.name
     else:
         detector = ClassicalDetector(args.detector, sub)
@@ -270,11 +275,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_experiment_config(args)
+        return _COMMANDS[args.command](args, _load_experiment_config(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _COMMANDS[args.command](args, config)
 
 
 if __name__ == "__main__":

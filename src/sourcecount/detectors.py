@@ -101,10 +101,6 @@ class DetectorSpec:
         return 1 if self.kind == "ernet" else self.num_antennas
 
     @property
-    def loss(self) -> str:
-        return "l2" if self.kind == "ernet" else "cce"
-
-    @property
     def name(self) -> str:
         return detector_name(self.kind, self.subarray_size)
 
@@ -184,8 +180,9 @@ class Detector:
         """Decisions for a (num, feature_size) batch: ERNet rounds its
         output half-up and clamps it to [0, M-1]; the softmax heads take
         the argmax (ties to the smaller index).  A NaN or inf in the
-        network output raises ValueError."""
-        out = forward(self.net, features)
+        network output (say from a NaN or inf feature) raises ValueError."""
+        with np.errstate(invalid="ignore"):  # inf * 0 in the matmul; raised below
+            out = forward(self.net, features)
         if not np.isfinite(out).all():
             raise ValueError("network output is not finite (NaN or inf)")
         if self.spec.kind == "ernet":

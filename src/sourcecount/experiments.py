@@ -17,7 +17,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -118,8 +118,7 @@ def _draw_doas(rng: np.random.Generator, k: int) -> tuple[float, ...]:
 
 
 def draw_scenario(config: ExperimentConfig, rng: np.random.Generator, *,
-                  snr_db, num_snapshots: int | None = None,
-                  coherent: bool | None = None) -> Scenario:
+                  snr_db) -> Scenario:
     """One random scenario: K uniform over {0..K_max}, DOAs uniform over
     [0, 2pi), SNR fixed or uniform over a (low, high) range.
 
@@ -127,8 +126,6 @@ def draw_scenario(config: ExperimentConfig, rng: np.random.Generator, *,
     {0..K-1}; the last sources of the draw are the coherent copies and
     each copies a uniformly chosen independent source.
     """
-    coherent = config.coherent if coherent is None else coherent
-    n = config.num_snapshots if num_snapshots is None else num_snapshots
     k = int(rng.integers(0, config.max_sources + 1))
     doas = _draw_doas(rng, k)
     if isinstance(snr_db, (tuple, list)):
@@ -136,7 +133,7 @@ def draw_scenario(config: ExperimentConfig, rng: np.random.Generator, *,
     else:
         snr = float(snr_db)
     coherent_map = None
-    if coherent and k >= 1:
+    if config.coherent and k >= 1:
         num_coherent = int(rng.integers(0, k))
         if num_coherent:
             independent = k - num_coherent
@@ -144,7 +141,7 @@ def draw_scenario(config: ExperimentConfig, rng: np.random.Generator, *,
             coherent_map = {independent + j: int(t) for j, t in enumerate(targets)}
     return Scenario(
         num_antennas=config.num_antennas,
-        num_snapshots=n,
+        num_snapshots=config.num_snapshots,
         num_sources=k,
         doas=doas,
         snr_db=snr,
@@ -180,7 +177,8 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     two phases can never share draws.
     """
     role = {"train": ROLE_TRAIN, "test": ROLE_TEST}[phase]
-    n = config.num_snapshots if num_snapshots is None else num_snapshots
+    overrides = {"num_snapshots": num_snapshots, "coherent": coherent}
+    config = replace(config, **{key: v for key, v in overrides.items() if v is not None})
     m, m0 = config.num_antennas, config.subarray_size
     widths = {"eigen": m, "fbss": m0, "cov": 2 * m * m}
     unknown = set(want) - set(widths)
@@ -190,13 +188,12 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     feats = {feature: np.zeros((num, widths[feature])) for feature in set(want)}
     for i in range(num):
         rng = _rng(config.seed, role, axis_index, i)
-        scenario = draw_scenario(config, rng, snr_db=snr_db, num_snapshots=n,
-                                 coherent=coherent)
+        scenario = draw_scenario(config, rng, snr_db=snr_db)
         r_hat = sample_covariance(generate_snapshots(scenario, rng))
         labels[i] = scenario.num_sources
         for feature, rows in feats.items():
             rows[i] = make_feature(r_hat, feature, m0)
-    return TrialSet(labels=labels, num_snapshots=n,
+    return TrialSet(labels=labels, num_snapshots=config.num_snapshots,
                     subarray_size=m0 if "fbss" in feats else None, **feats)
 
 
@@ -224,15 +221,14 @@ def _targets(spec: DetectorSpec, labels: np.ndarray) -> np.ndarray:
 
 
 def write_dataset(path, features: np.ndarray, labels: np.ndarray, *,
-                  config: ExperimentConfig, num_snapshots: int | None = None):
+                  config: ExperimentConfig):
     """One header line (M, N, feature_dim, coherence mode, seed), then
     one comma-separated line per sample: features then integer label."""
-    n = config.num_snapshots if num_snapshots is None else num_snapshots
     mode = "coherent" if config.coherent else "non-coherent"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
-            f"M={config.num_antennas},N={n},feature_dim={features.shape[1]},"
-            f"coherence={mode},seed={config.seed}\n"
+            f"M={config.num_antennas},N={config.num_snapshots},"
+            f"feature_dim={features.shape[1]},coherence={mode},seed={config.seed}\n"
         )
         for row, label in zip(features, labels):
             fh.write(",".join(format(v, ".16e") for v in row) + f",{int(label)}\n")
@@ -276,7 +272,6 @@ def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
         batch_size=config.batch_size,
         epochs=config.epochs,
         seed=_seed_int(config.seed, ROLE_SHUFFLE, axis_index, ordinal),
-        loss=spec.loss,
     )
     history = train(net, features, _targets(spec, labels), train_config)
     return Detector(spec=spec, net=net, train_config=train_config), history
@@ -477,8 +472,8 @@ def _seconds_per_call(call, trials: int) -> float:
     return (time.perf_counter() - start) / trials
 
 
-def bench_complexity(config: ExperimentConfig, *, timing_trials: int = 2000,
-                     hidden: tuple[int, int] = (8, 8)) -> list[ComplexityRow]:
+def bench_complexity(config: ExperimentConfig, *,
+                     timing_trials: int = 2000) -> list[ComplexityRow]:
     """Closed-form counts, instrumented counts, and wall-clock time per
     decision for ERNet, ECNet, AIC and MDL at the configured array size.
 
@@ -487,7 +482,6 @@ def bench_complexity(config: ExperimentConfig, *, timing_trials: int = 2000,
     ``decide_batch`` as a one-row batch.
     """
     m = config.num_antennas
-    n1, n2 = hidden
     rng = _rng(config.seed, ROLE_TEST, 0, 0)
     # Any descending PSD spectrum works; counts and timings do not
     # depend on the values.
@@ -496,12 +490,12 @@ def bench_complexity(config: ExperimentConfig, *, timing_trials: int = 2000,
 
     rows: list[ComplexityRow] = []
     for kind in ("ernet", "ecnet"):
-        spec = DetectorSpec(kind, m, hidden=hidden)
+        spec = DetectorSpec(kind, m)
         det = Detector(spec, build_detector(spec, _rng(config.seed, ROLE_INIT, 0,
                                                        NET_KINDS.index(kind))))
         rows.append(ComplexityRow(
             method=kind,
-            table=table_op_counts_network(kind, m, n1, n2),
+            table=table_op_counts_network(kind, m, *spec.hidden),
             measured=_measured_op_counts_network(det, features),
             seconds_per_decision=_seconds_per_call(lambda: det.decide_batch(row),
                                                    timing_trials),
@@ -511,7 +505,7 @@ def bench_complexity(config: ExperimentConfig, *, timing_trials: int = 2000,
         rows.append(ComplexityRow(
             method=kind,
             table=table_op_counts(m, kind),
-            measured=measured_op_counts(m, kind, config.num_snapshots),
+            measured=measured_op_counts(m, kind),
             seconds_per_decision=_seconds_per_call(
                 lambda: det.decide_batch(row, config.num_snapshots), timing_trials),
         ))

@@ -19,7 +19,6 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 ACTIVATIONS = ("relu", "linear", "softmax")
-LOSSES = ("l2", "cce")
 
 # Probability floor inside the cross-entropy logarithm.
 CCE_FLOOR = 1e-12
@@ -105,7 +104,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
     seed: int = 0
-    loss: str = "l2"
 
     def __post_init__(self):
         if self.learning_rate < 0.0:
@@ -116,8 +114,6 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise ValueError("adam betas must lie in [0, 1)")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -154,15 +150,13 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     raise ValueError("input must be a vector or a (batch, dim) matrix")
 
 
-def _forward_cached(net: Network, x: np.ndarray):
-    """Batch forward pass keeping pre-activations for backprop."""
+def _forward_cached(net: Network, x: np.ndarray) -> list[np.ndarray]:
+    """Batch forward pass keeping every layer's activations for backprop."""
     acts = [x]
-    pre = []
     for layer in net.layers:
         z = acts[-1] @ layer.weights.T + layer.bias
-        pre.append(z)
         acts.append(_activate(z, layer.activation))
-    return pre, acts
+    return acts
 
 
 def forward(net: Network, x) -> np.ndarray:
@@ -173,7 +167,7 @@ def forward(net: Network, x) -> np.ndarray:
             f"input dimension {batch.shape[1]} does not match network input "
             f"{net.input_dim}"
         )
-    out = _forward_cached(net, batch)[1][-1]
+    out = _forward_cached(net, batch)[-1]
     return out[0] if squeeze else out
 
 
@@ -203,51 +197,42 @@ def compute_loss(pred, target, loss: str) -> float:
     raise ValueError(f"unknown loss {loss!r}")
 
 
-def _check_loss_pairing(net: Network, loss: str):
-    final = net.layers[-1].activation
-    if loss == "cce" and final != "softmax":
-        raise ValueError("cce loss requires a softmax output layer")
-    if loss == "l2" and final == "softmax":
-        raise ValueError("l2 loss is paired with a linear output layer")
-
-
-def _backward_from_cache(net: Network, pre, acts, target: np.ndarray, loss: str, grads):
+def _backward_from_cache(net: Network, acts, target: np.ndarray, grads):
     """Analytic gradients given a cached forward pass, written into ``grads``.
 
     Softmax plus cross-entropy is fused, so the output delta is simply
-    (prediction - target) scaled by the batch size in both loss modes.
+    (prediction - target) scaled by the batch size under either loss.
     """
     batch = acts[0].shape[0]
-    if loss == "l2":
-        delta = 2.0 * (acts[-1] - target) / batch
-    else:
+    if net.layers[-1].activation == "softmax":
         delta = (acts[-1] - target) / batch
+    else:
+        delta = 2.0 * (acts[-1] - target) / batch
     for i in range(len(net.layers) - 1, -1, -1):
         np.matmul(delta.T, acts[i], out=grads[i][0])
         delta.sum(axis=0, out=grads[i][1])
         if i > 0:
             delta = delta @ net.layers[i].weights
             if net.layers[i - 1].activation == "relu":
-                # Subgradient 0 at the kink: units with z <= 0 pass nothing.
-                delta = delta * (pre[i - 1] > 0.0)
+                # Subgradient 0 at the kink: relu(z) > 0 exactly when z > 0,
+                # so units with z <= 0 (or NaN) pass nothing.
+                delta = delta * (acts[i] > 0.0)
     return grads
 
 
-def backward(net: Network, x, target, loss: str):
-    """Gradients of the batch loss w.r.t. every weight and bias.
+def backward(net: Network, x, target):
+    """Gradients of the :func:`train` loss w.r.t. every weight and bias.
 
     Returns one ``(d_weights, d_bias)`` pair per layer, shaped like the
     parameters: views of one flat gradient in the layout of ``net.params``.
     """
-    _check_loss_pairing(net, loss)
     xb, _ = _as_batch(x)
     tb, _ = _as_batch(target)
     if xb.shape[1] != net.input_dim:
         raise ValueError("input dimension does not match network input")
     if tb.shape != (xb.shape[0], net.output_dim):
         raise ValueError("target shape does not match network output")
-    pre, acts = _forward_cached(net, xb)
-    return _backward_from_cache(net, pre, acts, tb, loss,
+    return _backward_from_cache(net, _forward_cached(net, xb), tb,
                                 _layer_views(net, np.empty_like(net.params)))
 
 
@@ -295,7 +280,8 @@ def init_truncated_normal(shape, fan_in: int, rng: np.random.Generator) -> np.nd
 
 
 def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
-    """Mini-batch ADAM training, in place; returns per-epoch mean loss.
+    """Mini-batch ADAM training, in place; returns per-epoch mean loss
+    (cross-entropy after a softmax output layer, L2 after a linear one).
 
     Each epoch reshuffles the full dataset with the config-seeded RNG
     and sweeps batches of ``config.batch_size`` (final short batch
@@ -304,7 +290,6 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
     Raises:
         ArithmeticError: If the loss stops being finite.
     """
-    _check_loss_pairing(net, config.loss)
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2 or y.ndim != 2:
@@ -317,6 +302,7 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
         raise ValueError("dataset dimensions do not match the network")
 
     n = x.shape[0]
+    loss = "cce" if net.layers[-1].activation == "softmax" else "l2"
     rng = np.random.default_rng(config.seed)
     state = AdamState.for_network(net)
     grad = np.empty_like(net.params)
@@ -328,14 +314,14 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = x[idx], y[idx]
-            pre, acts = _forward_cached(net, xb)
-            batch_loss = compute_loss(acts[-1], yb, config.loss)
+            acts = _forward_cached(net, xb)
+            batch_loss = compute_loss(acts[-1], yb, loss)
             if not math.isfinite(batch_loss):
                 raise ArithmeticError(
                     f"non-finite loss {batch_loss} at epoch {epoch}, "
                     f"batch starting at {start}"
                 )
-            _backward_from_cache(net, pre, acts, yb, config.loss, grad_views)
+            _backward_from_cache(net, acts, yb, grad_views)
             adam_step(net, grad, state, config)
             total += batch_loss * len(idx)
         history.append(total / n)
@@ -398,7 +384,8 @@ def _reject_constant(name: str):
 
 def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
     """Parses :func:`dumps_network` output back, bit-exact.  NaN and
-    Infinity, which :func:`dumps_network` never writes, are rejected."""
+    Infinity, which :func:`dumps_network` never writes, are rejected.
+    The ``"loss"`` entry older files hold in ``train_config`` is ignored."""
     doc = json.loads(text, parse_constant=_reject_constant)
     if doc.get("format") != FORMAT_NAME:
         raise ValueError("not a serialized network document")
@@ -413,6 +400,7 @@ def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
     net = Network(layers)
     config = None
     if doc.get("train_config") is not None:
+        doc["train_config"].pop("loss", None)  # the output layer sets the loss
         config = TrainConfig(**doc["train_config"])
     return net, config, doc.get("meta", {})
 

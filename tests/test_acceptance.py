@@ -204,7 +204,7 @@ def _battery_gradients(rng):
         checked += 1
         y = np.zeros(10)
         y[int(rng.integers(0, 10))] = 1.0
-        analytic = backward(net, x, y, "cce")
+        analytic = backward(net, x, y)
         for lay, (gw, gb) in zip(net.layers, analytic):
             for arr, grad in ((lay.weights, gw), (lay.bias, gb)):
                 it = np.nditer(arr, flags=["multi_index"])

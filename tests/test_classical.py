@@ -1,6 +1,7 @@
 """Tests for the AIC/MDL criteria and the operation-count report."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sourcecount.classical import (
     table_op_counts,
 )
 from sourcecount.detectors import make_feature_eigen
+from sourcecount.experiments import ClassicalDetector
 from sourcecount.signal_model import Scenario, generate_snapshots, sample_covariance
 
 
@@ -47,6 +49,20 @@ class TestSpectrumValidation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             EigenSpectrum(np.array([1.0, -0.1]), 10)
+
+    @pytest.mark.parametrize("kind", ["aic", "mdl"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_rejects_non_finite(self, kind, bad, position):
+        values = [3.0, 1.0, 0.5]
+        values[position] = bad
+        criterion = aic if kind == "aic" else mdl
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="finite"):
+                criterion(EigenSpectrum(values, 20))
+            with pytest.raises(ValueError, match="finite"):
+                ClassicalDetector(kind).decide_batch([[2.0, 1.0, 0.5], values], 20)
 
 
 class TestCriteria:

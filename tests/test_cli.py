@@ -92,6 +92,44 @@ class TestGenTrainEval:
         assert run("train", "--config", config_file, "--out", tmp_path,
                    "--detector", "aic") == 2
 
+    @pytest.mark.parametrize("field, extra, flags", [
+        ("M", "num_antennas = 8\n", ()),
+        ("N", "num_snapshots = 100\n", ()),
+        ("coherence", "coherent = true\n", ()),
+        ("seed", "", ("--seed", "4")),
+        ("feature_dim", "", ("--fbss", "4")),
+    ], ids=["M", "N", "coherence", "seed", "feature_dim"])
+    def test_train_rejects_dataset_from_another_run(self, tmp_path, config_file, capsys,
+                                                    field, extra, flags):
+        out = tmp_path / "run"
+        fbss = ("--fbss", "5") if field == "feature_dim" else ()
+        assert run("gen-data", "--config", config_file, "--out", out, "--num", 20,
+                   "--detector", "ernet", *fbss) == 0
+        _, _, info = read_dataset(next(out.glob("dataset-*.csv")))
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY_CONFIG + extra, encoding="utf-8")
+        capsys.readouterr()
+        assert run("train", "--config", other, "--out", out, "--detector", "ernet",
+                   *fbss, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset ") and err.count("\n") == 1
+        assert f"has {field}={info[field]}, but this run has {field}=" in err
+        assert not list(out.glob("model-*.json"))
+
+    def test_train_rejects_malformed_dataset_row(self, tmp_path, config_file, capsys):
+        out = tmp_path / "run"
+        assert run("gen-data", "--config", config_file, "--out", out, "--num", 5,
+                   "--detector", "ernet") == 0
+        dataset = out / "dataset-ernet-train.csv"
+        lines = dataset.read_text(encoding="utf-8").splitlines()
+        lines[3] = lines[3].split(",", 1)[1]
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("train", "--config", config_file, "--out", out,
+                   "--detector", "ernet") == 2
+        assert capsys.readouterr().err == f"error: malformed dataset row in {dataset}\n"
+        assert not list(out.glob("model-*.json"))
+
 
 class TestFlagValidation:
     @pytest.mark.parametrize("command, flag", [

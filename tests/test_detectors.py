@@ -19,7 +19,7 @@ from sourcecount.detectors import (
 )
 from sourcecount.experiments import _targets
 from sourcecount.linalg import exchange_conjugate
-from sourcecount.network import Layer, Network
+from sourcecount.network import Layer, Network, TrainConfig
 from sourcecount.signal_model import Scenario, generate_snapshots, sample_covariance
 
 
@@ -252,12 +252,13 @@ class TestDetectorWrapper:
     def test_non_finite_output_rejected(self, kind):
         spec = DetectorSpec(kind, 10)
         det = Detector(spec, build_detector(spec, np.random.default_rng(3)))
-        feats = np.ones((3, spec.feature_size))
-        feats[1, 0] = math.nan
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match="network output is not finite"):
-                det.decide_batch(feats)
+        for bad in (math.nan, math.inf, -math.inf):
+            feats = np.ones((3, spec.feature_size))
+            feats[1, 0] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError, match="network output is not finite"):
+                    det.decide_batch(feats)
 
     def test_covnet_has_no_smoothed_form(self, tmp_path):
         with pytest.raises(ValueError, match="covnet has no smoothed form"):
@@ -278,3 +279,25 @@ class TestDetectorWrapper:
         assert loaded.spec == spec
         for l1, l2 in zip(det.net.layers, loaded.net.layers):
             assert np.array_equal(l1.weights, l2.weights)
+
+    @pytest.mark.parametrize("kind", ["ernet", "ecnet", "covnet"])
+    def test_model_file_with_loss_entry_still_loads(self, tmp_path, kind):
+        # Files written before the loss followed the output layer carry a
+        # "loss" entry in train_config; it is read past and changes nothing.
+        spec = DetectorSpec(kind, 6)
+        config = TrainConfig(learning_rate=0.003, epochs=7, seed=11)
+        det = Detector(spec, build_detector(spec, np.random.default_rng(5)), config)
+        path = tmp_path / "new.json"
+        save_detector(det, path)
+        text = path.read_text(encoding="utf-8")
+        assert '"loss"' not in text
+        old = tmp_path / "old.json"
+        old.write_text(text.replace('  "train_config": {\n',
+                                    '  "train_config": {\n    "loss": "cce",\n'),
+                       encoding="utf-8")
+        feats = np.random.default_rng(6).uniform(0.0, 3.0, (20, spec.feature_size))
+        for loaded in (load_detector(path), load_detector(old)):
+            assert loaded.spec == spec
+            assert loaded.train_config == config
+            assert np.array_equal(loaded.net.params, det.net.params)
+            assert np.array_equal(loaded.decide_batch(feats), det.decide_batch(feats))

@@ -193,7 +193,7 @@ class TestBackward:
     def test_zero_gradient_at_perfect_fit(self):
         net = Network([layer(np.eye(2), np.zeros(2), "linear")])
         x = np.array([0.3, -0.7])
-        grads = backward(net, x, x, "l2")
+        grads = backward(net, x, x)
         for gw, gb in grads:
             assert np.allclose(gw, 0.0)
             assert np.allclose(gb, 0.0)
@@ -203,7 +203,7 @@ class TestBackward:
         net = random_net([10, 8, 8, 1], "linear", rng)
         x = rng.standard_normal(10)
         y = np.array([2.0])
-        analytic = backward(net, x, y, "l2")
+        analytic = backward(net, x, y)
         numeric = finite_difference_grads(net, x, y, "l2")
         assert max_relative_error(analytic, numeric) < 1e-5
 
@@ -213,7 +213,7 @@ class TestBackward:
         x = rng.standard_normal(6)
         y = np.zeros(6)
         y[2] = 1.0
-        analytic = backward(net, x, y, "cce")
+        analytic = backward(net, x, y)
         numeric = finite_difference_grads(net, x, y, "cce")
         assert max_relative_error(analytic, numeric) < 1e-5
 
@@ -223,17 +223,11 @@ class TestBackward:
             layer([[-5.0, -5.0], [1.0, 1.0]], [0.0, 0.0], "relu"),
             layer([[1.0, 1.0]], [0.0], "linear"),
         ])
-        grads = backward(net, np.array([1.0, 1.0]), np.array([0.0]), "l2")
+        grads = backward(net, np.array([1.0, 1.0]), np.array([0.0]))
         gw1, gb1 = grads[0]
         assert np.allclose(gw1[0], 0.0)  # dead unit row
         assert gb1[0] == 0.0
         assert np.any(gw1[1] != 0.0)  # live unit still learns
-
-    def test_loss_pairing_enforced(self):
-        rng = np.random.default_rng(1)
-        net = random_net([3, 4, 2], "softmax", rng)
-        with pytest.raises(ValueError):
-            backward(net, rng.standard_normal(3), np.array([1.0, 0.0]), "l2")
 
 
 class TestAdam:
@@ -339,7 +333,7 @@ class TestTrain:
         net = random_net([2, 4, 2], "softmax", rng)
         before = [(l.weights.copy(), l.bias.copy()) for l in net.layers]
         x, y = self.toy_data(rng)
-        train(net, x, y, TrainConfig(learning_rate=0.0, epochs=5, batch_size=16, loss="cce"))
+        train(net, x, y, TrainConfig(learning_rate=0.0, epochs=5, batch_size=16))
         for (w0, b0), lay in zip(before, net.layers):
             assert np.array_equal(w0, lay.weights)
             assert np.array_equal(b0, lay.bias)
@@ -348,7 +342,7 @@ class TestTrain:
         rng = np.random.default_rng(9)
         net = random_net([2, 8, 2], "softmax", rng)
         x, y = self.toy_data(rng, n=256)
-        history = train(net, x, y, TrainConfig(epochs=50, batch_size=32, seed=1, loss="cce"))
+        history = train(net, x, y, TrainConfig(epochs=50, batch_size=32, seed=1))
         assert history[-1] < history[0]
 
     def test_memorizes_single_sample(self):
@@ -356,7 +350,7 @@ class TestTrain:
         net = random_net([3, 8, 8, 1], "linear", rng)
         x = rng.standard_normal((1, 3))
         y = np.array([[1.5]])
-        history = train(net, x, y, TrainConfig(epochs=2000, batch_size=1, seed=2, loss="l2"))
+        history = train(net, x, y, TrainConfig(epochs=2000, batch_size=1, seed=2))
         assert history[-1] < 1e-4
 
     def test_reproducible_parameters(self):
@@ -365,7 +359,7 @@ class TestTrain:
         nets = []
         for _ in range(2):
             net = random_net([2, 6, 2], "softmax", np.random.default_rng(123))
-            train(net, x, y, TrainConfig(epochs=10, batch_size=16, seed=5, loss="cce"))
+            train(net, x, y, TrainConfig(epochs=10, batch_size=16, seed=5))
             nets.append(net)
         for l1, l2 in zip(nets[0].layers, nets[1].layers):
             assert np.array_equal(l1.weights, l2.weights)
@@ -389,7 +383,7 @@ class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(14)
         net = random_net([5, 8, 3], "softmax", rng)
-        config = TrainConfig(learning_rate=1e-3, epochs=7, seed=99, loss="cce")
+        config = TrainConfig(learning_rate=1e-3, epochs=7, seed=99)
         path = tmp_path / "model.json"
         save_network(net, path, config, meta={"detector": "ecnet"})
         loaded, loaded_config, meta = load_network(path)

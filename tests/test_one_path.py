@@ -3,7 +3,7 @@
 A single covariance through ``Detector.estimate`` must be decided exactly
 as its row in a batch through ``select_features`` + ``decide_batch``, and
 the batched AIC/MDL must select exactly the order the per-spectrum
-criteria select.
+criteria select, and the order the operation-counting pass selects.
 """
 
 import numpy as np
@@ -11,7 +11,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from sourcecount.classical import EigenSpectrum, aic, mdl
+from sourcecount.classical import (
+    EigenSpectrum,
+    OpCounter,
+    _criterion_counted,
+    aic,
+    criterion_values,
+    mdl,
+)
 from sourcecount.detectors import NET_KINDS, Detector, DetectorSpec, build_detector
 from sourcecount.experiments import (
     ClassicalDetector,
@@ -74,6 +81,18 @@ def test_classical_batch_equals_per_spectrum(values, num_snapshots, kind):
     per_row = [criterion(EigenSpectrum(row, num_snapshots)).order for row in values]
     batch = ClassicalDetector(kind).decide_batch(values, num_snapshots)
     assert batch.tolist() == per_row
+
+
+@SETTINGS
+@given(values=spectra(), num_snapshots=st.integers(1, 1000),
+       kind=st.sampled_from(["aic", "mdl"]))
+def test_counted_criterion_equals_batch(values, num_snapshots, kind):
+    # The scalar pass behind measured_op_counts must pick what the batch
+    # core picks, or the counts describe a different decision.
+    batch = np.argmin(criterion_values(values, num_snapshots, kind), axis=1)
+    counted = [_criterion_counted(row.tolist(), num_snapshots, kind, OpCounter())
+               for row in values]
+    assert counted == batch.tolist()
 
 
 @SETTINGS
