@@ -27,13 +27,16 @@ def check_spectra(values, num_snapshots: int) -> np.ndarray:
 
     Raises:
         ValueError: Unless m >= 2, every eigenvalue is finite and non-negative,
-            every row is sorted descending, and ``num_snapshots`` >= 1.
+            every row's sum is finite, every row is sorted descending, and
+            ``num_snapshots`` >= 1.
     """
     values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError("eigenvalues must be finite (no NaN or inf)")
     if values.ndim != 2 or values.shape[1] < 2:
         raise ValueError("spectra must form a (num, m) array with m >= 2")
+    with np.errstate(over="ignore", invalid="ignore"):  # summed as criterion_values sums
+        sums = values[:, ::-1].cumsum(axis=1)[:, -1]
+    if not np.isfinite(sums).all():
+        raise ValueError("eigenvalues and each spectrum's sum must be finite (no NaN or inf)")
     if (values < 0.0).any():
         raise ValueError("eigenvalues must be non-negative")
     if (values[:, 1:] > values[:, :-1]).any():
@@ -57,8 +60,6 @@ class EigenSpectrum:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 2:
-            raise ValueError("spectrum must be a 1-D vector of length >= 2")
         check_spectra(values[np.newaxis], self.num_snapshots)
         object.__setattr__(self, "values", values)
 

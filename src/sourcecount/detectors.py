@@ -11,8 +11,8 @@ Assembles the two proposed networks plus the covariance-input ablation:
 
 With a sub-array size set, ERNet and ECNet read the eigenvalues of the
 forward-backward smoothed covariance instead (coherent-source mode).
-A single covariance is decided as a one-row batch, so ``estimate`` and
-``decide_batch`` share one feature and one decision path.
+A single covariance is a one-matrix stack to :func:`make_features` and
+a one-row batch to ``decide_batch``: one feature and one decision path.
 """
 
 from __future__ import annotations
@@ -105,31 +105,20 @@ class DetectorSpec:
         return detector_name(self.kind, self.subarray_size)
 
 
-def make_feature_eigen(r_hat) -> np.ndarray:
-    """Sorted (descending) eigenvalues of the covariance, raw scale."""
-    return hermitian_eig(r_hat).eigenvalues
-
-
-def make_feature_fbss(r_hat, subarray_size: int) -> np.ndarray:
-    """Sorted eigenvalues of the forward-backward smoothed covariance."""
-    return hermitian_eig(fbss_covariance(r_hat, subarray_size)).eigenvalues
-
-
-def make_feature_cov(r_hat) -> np.ndarray:
-    """Row-major real parts then imaginary parts of all entries."""
-    r_hat = np.asarray(r_hat)
-    if r_hat.ndim != 2 or r_hat.shape[0] != r_hat.shape[1]:
-        raise ValueError("covariance must be a square matrix")
-    return np.concatenate([r_hat.real.ravel(), r_hat.imag.ravel()]).astype(float)
-
-
-def make_feature(r_hat, feature: str, subarray_size: int | None = None) -> np.ndarray:
-    """One covariance's feature row of the given :func:`feature_kind`."""
-    if feature == "eigen":
-        return make_feature_eigen(r_hat)
+def make_features(covs, feature: str, subarray_size: int | None = None) -> np.ndarray:
+    """The (num, dim) feature rows of one :func:`feature_kind` for a
+    (num, M, M) stack of covariances: descending eigenvalues ("eigen"),
+    those of the smoothed covariances ("fbss"), or the row-major real
+    parts then imaginary parts ("cov")."""
+    covs = np.asarray(covs)
+    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
+        raise ValueError(f"covariances must form a (num, M, M) stack, got shape {covs.shape}")
+    if feature == "cov":
+        flat = covs.reshape(len(covs), -1)
+        return np.concatenate([flat.real, flat.imag], axis=1, dtype=float)
     if feature == "fbss":
-        return make_feature_fbss(r_hat, subarray_size)
-    return make_feature_cov(r_hat)
+        covs = fbss_covariance(covs, subarray_size)
+    return hermitian_eig(covs).eigenvalues
 
 
 def normalize_features(feats: np.ndarray, feature: str) -> np.ndarray:
@@ -191,16 +180,20 @@ class Detector:
         return np.argmax(out, axis=1)
 
     def estimate(self, r_hat) -> int:
-        """Source-count estimate for one covariance: its feature row,
-        decided as a one-row batch.
+        """Source-count estimate for one M x M covariance: the one-matrix
+        case of :func:`make_features`, decided as a one-row batch.
 
         Raises:
-            ValueError: If the covariance has a NaN or infinite entry
-                (the eigenvalue features find it in ``hermitian_eig``).
+            ValueError: If the covariance is not M x M or has a NaN or
+                infinite entry.
         """
         spec = self.spec
+        r_hat = np.asarray(r_hat)
+        if r_hat.shape != (spec.num_antennas,) * 2:
+            raise ValueError(f"covariance must be M x M for M={spec.num_antennas}, "
+                             f"got shape {r_hat.shape}")
         feature = feature_kind(spec.kind, spec.subarray_size)
-        row = make_feature(r_hat, feature, spec.subarray_size)[np.newaxis]
+        row = make_features(r_hat[np.newaxis], feature, spec.subarray_size)
         if feature == "cov" and not np.isfinite(row).all():
             raise ValueError("matrix has non-finite entries (NaN or inf)")
         if spec.normalize:

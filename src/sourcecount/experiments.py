@@ -37,7 +37,7 @@ from .detectors import (
     build_detector,
     detector_name,
     feature_kind,
-    make_feature,
+    make_features,
     normalize_features,
 )
 from .network import TrainConfig, train
@@ -53,6 +53,9 @@ DEFAULT_SNR_AXIS_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
 
 # Attempts at drawing pairwise-distinct DOAs before a draw is abandoned.
 _DOA_REDRAW_LIMIT = 100
+
+# Trials per make_features call; a block's temporaries stay near 1 MiB.
+_FEATURE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -186,13 +189,16 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
         raise ValueError(f"unknown feature kinds {sorted(unknown)}")
     labels = np.zeros(num, dtype=int)
     feats = {feature: np.zeros((num, widths[feature])) for feature in set(want)}
-    for i in range(num):
-        rng = _rng(config.seed, role, axis_index, i)
-        scenario = draw_scenario(config, rng, snr_db=snr_db)
-        r_hat = sample_covariance(generate_snapshots(scenario, rng))
-        labels[i] = scenario.num_sources
+    covs = np.zeros((min(num, _FEATURE_BLOCK), m, m), dtype=np.complex128)
+    for start in range(0, num, _FEATURE_BLOCK):
+        stop = min(start + _FEATURE_BLOCK, num)
+        for i in range(start, stop):
+            rng = _rng(config.seed, role, axis_index, i)
+            scenario = draw_scenario(config, rng, snr_db=snr_db)
+            covs[i - start] = sample_covariance(generate_snapshots(scenario, rng))
+            labels[i] = scenario.num_sources
         for feature, rows in feats.items():
-            rows[i] = make_feature(r_hat, feature, m0)
+            rows[start:stop] = make_features(covs[:stop - start], feature, m0)
     return TrialSet(labels=labels, num_snapshots=config.num_snapshots,
                     subarray_size=m0 if "fbss" in feats else None, **feats)
 
@@ -237,7 +243,9 @@ def write_dataset(path, features: np.ndarray, labels: np.ndarray, *,
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        info = dict(part.split("=", 1) for part in header.split(","))
+        info = dict(part.split("=", 1) for part in header.split(",") if "=" in part)
+        if not info.get("feature_dim", "").isdigit():
+            raise ValueError(f"dataset {path} has no key=value header with a feature_dim")
         feature_dim = int(info["feature_dim"])
         feats, labels = [], []
         for line in fh:

@@ -1,9 +1,8 @@
 """Complex linear algebra helpers for covariance processing.
 
-All matrices are dense 2-D ``numpy.ndarray`` objects with dtype
-``complex128`` (row-major).  Matrix sizes in this package are tiny
-(antenna counts of 16 or less), so every routine favours clarity and
-strict validation over throughput.
+Every routine takes a ``complex128`` matrix or an ``(..., M, M)`` stack
+of them and treats each matrix on its own, so a whole stack of this
+package's tiny (M <= 16) covariances goes through one LAPACK call.
 """
 
 from __future__ import annotations
@@ -22,35 +21,28 @@ HERMITIAN_RTOL = 1e-10
 PSD_CLAMP_RTOL = 1e-9
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerces ``a`` to a 2-D complex128 array.
-
-    Raises:
-        ValueError: If the input is not two-dimensional.
-    """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got {m.ndim}-D input")
-    return m
+def _square(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    return a
 
 
-def is_hermitian(a) -> bool:
+def is_hermitian(a):
     """Checks |A[i,j] - conj(A[j,i])| <= HERMITIAN_RTOL * max(1, max|A|)
-    entrywise; a matrix with a NaN or infinite entry is not Hermitian."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    if a.size == 0:
-        return True
-    scale = float(np.max(np.abs(a)))
-    if not math.isfinite(scale):
-        return False
-    return float(np.max(np.abs(a - a.conj().T))) <= HERMITIAN_RTOL * max(1.0, scale)
+    entrywise, per matrix of a square stack (a bool for one matrix); a
+    matrix with a NaN or infinite entry is not Hermitian."""
+    a = _square(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf: not Hermitian
+        asym = np.abs(a - a.swapaxes(-1, -2).conj())
+        bound = HERMITIAN_RTOL * np.abs(a).max(axis=(-2, -1), initial=1.0, keepdims=True)
+    ok = ((asym <= bound) & np.isfinite(a)).all(axis=(-2, -1))
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
     Attributes:
         eigenvalues: Real eigenvalues sorted in descending order.
@@ -63,51 +55,54 @@ class EigenDecomposition:
 
 
 def hermitian_eig(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    stack, eigenvalues descending.
 
     Negative eigenvalues within round-off of zero (``PSD_CLAMP_RTOL``
-    times the Frobenius norm) are clamped to zero, so positive
+    times that matrix's Frobenius norm) are clamped to zero, so positive
     semidefinite inputs always yield non-negative spectra.  Genuinely
     indefinite matrices keep their negative eigenvalues.
 
     Args:
-        a: Square Hermitian matrix.
+        a: Square Hermitian matrix, or an ``(..., M, M)`` stack of them.
 
     Raises:
-        ValueError: If the input is not square, has a NaN or infinite
-            entry, or is not Hermitian within ``HERMITIAN_RTOL``.
+        ValueError: If a matrix is not square, has a NaN or infinite
+            entry, has a squared Frobenius norm that overflows, or is not
+            Hermitian within ``HERMITIAN_RTOL``.
         ArithmeticError: If the underlying iteration fails to converge.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not is_hermitian(a):
+    a = _square(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        # By hypot, so a tiny matrix's norm does not underflow to zero.
+        norm = np.hypot.reduce(np.abs(a.reshape(*a.shape[:-2], -1)), axis=-1, initial=0.0)
+    top = float(norm.max(initial=0.0))
+    if not math.isfinite(top * top):  # a NaN or inf entry, or an overflow
         if not np.isfinite(a).all():
             raise ValueError("matrix has non-finite entries (NaN or inf)")
-        resid = float(np.max(np.abs(a - a.conj().T)))
-        raise ValueError(f"matrix is not Hermitian (max asymmetry {resid:.3e})")
+        raise ValueError("matrix is too large: its squared Frobenius norm overflows")
+    if (a != a.swapaxes(-1, -2).conj()).any() and not np.all(is_hermitian(a)):
+        asym = np.abs(a - a.swapaxes(-1, -2).conj()).max()
+        raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"eigendecomposition did not converge: {exc}") from exc
     # eigh returns ascending order; flip to descending.
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    tiny = PSD_CLAMP_RTOL * float(np.linalg.norm(a))
+    values = values[..., ::-1].copy()
+    vectors = vectors[..., ::-1].copy()
+    tiny = PSD_CLAMP_RTOL * norm[..., np.newaxis]
     values[(values < 0.0) & (values >= -tiny)] = 0.0
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
 def exchange_conjugate(a) -> np.ndarray:
-    """Computes J conj(A) J, with J the anti-identity of matching size.
+    """Computes J conj(A) J per matrix, with J the anti-identity of matching size.
 
     This is the reflection used to form backward sub-array covariances:
-    it reverses both axes and conjugates every entry.
+    it reverses both matrix axes and conjugates every entry.
 
     Raises:
         ValueError: If the input is not square.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    return np.flip(a, axis=(0, 1)).conj()
+    return np.flip(_square(a), axis=(-2, -1)).conj()

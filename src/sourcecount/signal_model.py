@@ -153,30 +153,30 @@ def sample_covariance(snapshots) -> np.ndarray:
 
 
 def fbss_covariance(r_hat, subarray_size: int) -> np.ndarray:
-    """Forward-backward spatially smoothed covariance.
+    """Forward-backward spatially smoothed covariance of each matrix.
 
     Averages the ``T = M - M0 + 1`` forward sub-array covariances (the
     M0 x M0 principal blocks of ``r_hat`` at offsets 0..T-1 along the
     diagonal) together with their exchanged conjugates, over 2T terms.
 
     Args:
-        r_hat: Hermitian M x M covariance estimate.
+        r_hat: Hermitian M x M covariance estimate, or an (..., M, M) stack.
         subarray_size: Sub-array size M0 with 1 <= M0 <= M.
 
     Returns:
-        The M0 x M0 smoothed covariance (Hermitian, PSD-preserving).
+        The M0 x M0 smoothed covariances (Hermitian, PSD-preserving).
     """
     r_hat = np.asarray(r_hat)
-    if r_hat.ndim != 2 or r_hat.shape[0] != r_hat.shape[1]:
+    if r_hat.ndim < 2 or r_hat.shape[-1] != r_hat.shape[-2]:
         raise ValueError("covariance must be a square matrix")
     if not np.isfinite(r_hat).all():
         raise ValueError("matrix has non-finite entries (NaN or inf)")
-    m = r_hat.shape[0]
+    m = r_hat.shape[-1]
     m0 = subarray_size
     if not 1 <= m0 <= m:
         raise ValueError(f"subarray size must be in [1, {m}], got {m0}")
     t = m - m0 + 1
-    forward = np.zeros((m0, m0), dtype=np.complex128)
+    forward = np.zeros(r_hat.shape[:-2] + (m0, m0), dtype=np.complex128)
     for offset in range(t):
-        forward += r_hat[offset:offset + m0, offset:offset + m0]
+        forward += r_hat[..., offset:offset + m0, offset:offset + m0]
     return (forward + exchange_conjugate(forward)) / (2 * t)

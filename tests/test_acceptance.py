@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from sourcecount.classical import EigenSpectrum, aic, mdl
-from sourcecount.detectors import make_feature_eigen
+from sourcecount.detectors import make_features
 from sourcecount.experiments import (
     ExperimentConfig,
     bench_complexity,
@@ -287,7 +287,7 @@ def test_criterion_7_mdl_large_sample_consistency():
         doas = _draw_separated_doas(rng, 3)
         scenario = Scenario(10, 10000, 3, doas, 20.0)
         r = sample_covariance(generate_snapshots(scenario, rng))
-        spectrum = EigenSpectrum(make_feature_eigen(r), 10000)
+        spectrum = EigenSpectrum(make_features(r[np.newaxis], "eigen")[0], 10000)
         correct += mdl(spectrum).order == 3
     accuracy = correct / trials
     ok = accuracy >= 0.99

@@ -13,7 +13,7 @@ from sourcecount.classical import (
     measured_op_counts,
     table_op_counts,
 )
-from sourcecount.detectors import make_feature_eigen
+from sourcecount.detectors import make_features
 from sourcecount.experiments import ClassicalDetector
 from sourcecount.signal_model import Scenario, generate_snapshots, sample_covariance
 
@@ -65,6 +65,44 @@ class TestSpectrumValidation:
                 ClassicalDetector(kind).decide_batch([[2.0, 1.0, 0.5], values], 20)
 
 
+class TestExtremeScales:
+    """Tiny (subnormal) and huge spectra: an order, or a clear error, never
+    a RuntimeWarning."""
+
+    @pytest.mark.parametrize("level", [5e-324, 1e-310, 1e-300, 1e300, 5e307])
+    @pytest.mark.parametrize("kind", ["aic", "mdl"])
+    def test_equal_eigenvalues_give_zero(self, level, kind):
+        criterion = aic if kind == "aic" else mdl
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert criterion(EigenSpectrum([level] * 3, 10)).order == 0
+            assert ClassicalDetector(kind).decide_batch([[level] * 3], 10).tolist() == [0]
+
+    @pytest.mark.parametrize("values", [[1e308] * 3, [1.5e308, 1e308, 0.0], [9e307] * 2])
+    @pytest.mark.parametrize("kind", ["aic", "mdl"])
+    def test_overflowing_sum_rejected(self, values, kind):
+        criterion = aic if kind == "aic" else mdl
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="finite"):
+                criterion(EigenSpectrum(values, 10))
+            with pytest.raises(ValueError, match="finite"):
+                ClassicalDetector(kind).decide_batch([[3.0, 2.0, 1.0][:len(values)], values], 10)
+
+    def test_scaled_spectrum_keeps_its_order(self):
+        # Scaling by a power of two is exact, so the criteria see the same
+        # ratios from just above EIGENVALUE_FLOOR to the edge of overflow.
+        values = np.array([8.0, 4.0, 1.0, 0.5, 0.5, 0.25])
+        for kind, criterion in (("aic", aic), ("mdl", mdl)):
+            base = criterion(EigenSpectrum(values, 50)).order
+            assert base == 3
+            for exponent in (-990, -500, 500, 1000, 1018):
+                scaled = np.ldexp(values, exponent)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    assert criterion(EigenSpectrum(scaled, 50)).order == base
+
+
 class TestCriteria:
     def test_flat_spectrum_selects_zero_and_matches_penalty(self):
         spec = EigenSpectrum(np.ones(10), 500)
@@ -103,7 +141,7 @@ class TestCriteria:
         doas = (-0.9, 0.1, 1.0)
         sc = Scenario(10, 1000, 3, doas, 20.0)
         r = sample_covariance(generate_snapshots(sc, np.random.default_rng(0)))
-        spec = EigenSpectrum(make_feature_eigen(r), 1000)
+        spec = EigenSpectrum(make_features(r[np.newaxis], "eigen")[0], 1000)
         assert aic(spec).order == 3
         assert mdl(spec).order == 3
 

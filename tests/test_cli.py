@@ -130,6 +130,24 @@ class TestGenTrainEval:
         assert capsys.readouterr().err == f"error: malformed dataset row in {dataset}\n"
         assert not list(out.glob("model-*.json"))
 
+    @pytest.mark.parametrize("header", ["not a header", "M=10,N=20,coherence=non-coherent,seed=3",
+                                        "M=10,feature_dim=ten"],
+                             ids=["no-pairs", "no-feature_dim", "bad-feature_dim"])
+    def test_train_rejects_malformed_dataset_header(self, tmp_path, config_file, capsys,
+                                                    header):
+        out = tmp_path / "run"
+        assert run("gen-data", "--config", config_file, "--out", out, "--num", 5,
+                   "--detector", "ernet") == 0
+        dataset = out / "dataset-ernet-train.csv"
+        lines = dataset.read_text(encoding="utf-8").splitlines()
+        dataset.write_text("\n".join([header] + lines[1:]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("train", "--config", config_file, "--out", out,
+                   "--detector", "ernet") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: dataset {dataset} has no key=value header with a feature_dim\n"
+        assert not list(out.glob("model-*.json"))
+
 
 class TestFlagValidation:
     @pytest.mark.parametrize("command, flag", [

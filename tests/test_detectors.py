@@ -11,9 +11,7 @@ from sourcecount.detectors import (
     DetectorSpec,
     build_detector,
     load_detector,
-    make_feature_cov,
-    make_feature_eigen,
-    make_feature_fbss,
+    make_features,
     normalize_features,
     save_detector,
 )
@@ -41,6 +39,11 @@ def one_hot(k, num_classes):
     return _targets(DetectorSpec("ecnet", num_classes), np.array([k]))[0]
 
 
+def one_row(r_hat, feature, subarray_size=None):
+    """The feature row of one covariance: the one-matrix case of make_features."""
+    return make_features(np.asarray(r_hat)[np.newaxis], feature, subarray_size)[0]
+
+
 def random_hermitian_psd(rng, m):
     x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     return (x @ x.conj().T) / m
@@ -48,23 +51,23 @@ def random_hermitian_psd(rng, m):
 
 class TestFeatureEigen:
     def test_identity(self):
-        assert np.allclose(make_feature_eigen(np.eye(6, dtype=complex)), np.ones(6))
+        assert np.allclose(one_row(np.eye(6, dtype=complex), "eigen"), np.ones(6))
 
     def test_diagonal(self):
-        feat = make_feature_eigen(np.diag([5.0, 1.0, 1.0]).astype(complex))
+        feat = one_row(np.diag([5.0, 1.0, 1.0]).astype(complex), "eigen")
         assert np.allclose(feat, [5.0, 1.0, 1.0])
 
     def test_noise_free_rank(self):
         sc = Scenario(10, 5000, 2, (-0.5, 0.8), math.inf)
         r = sample_covariance(generate_snapshots(sc, np.random.default_rng(0)))
-        feat = make_feature_eigen(r)
+        feat = one_row(r, "eigen")
         assert int(np.sum(feat > 1e-6 * feat[0])) == 2
         assert np.all(feat[2:] <= 1e-9 * feat[0])
 
     def test_descending_and_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            feat = make_feature_eigen(random_hermitian_psd(rng, 7))
+            feat = one_row(random_hermitian_psd(rng, 7), "eigen")
             assert np.all(feat >= 0.0)
             assert np.all(np.diff(feat) <= 0.0)
 
@@ -73,26 +76,44 @@ class TestFeatureFbss:
     def test_full_subarray_reduces_to_eigen_path(self):
         rng = np.random.default_rng(2)
         r = random_hermitian_psd(rng, 6).real.astype(complex)  # real symmetric
-        feat = make_feature_fbss(r, 6)
-        expected = make_feature_eigen(0.5 * (r + exchange_conjugate(r)))
+        feat = one_row(r, "fbss", 6)
+        expected = one_row(0.5 * (r + exchange_conjugate(r)), "eigen")
         assert np.allclose(feat, expected)
 
     def test_identity(self):
-        assert np.allclose(make_feature_fbss(np.eye(8, dtype=complex), 5), np.ones(5))
+        assert np.allclose(one_row(np.eye(8, dtype=complex), "fbss", 5), np.ones(5))
 
     def test_coherent_rank_restoration(self):
         sc = Scenario(10, 500, 2, (0.3, 1.1), math.inf, {1: 0})
         r = sample_covariance(generate_snapshots(sc, np.random.default_rng(3)))
-        feat = make_feature_fbss(r, 5)
+        feat = one_row(r, "fbss", 5)
         assert int(np.sum(feat > 1e-6 * feat[0])) >= 2
+
+
+class TestFeatureStack:
+    def test_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(10)
+        covs = np.stack([random_hermitian_psd(rng, 6) for _ in range(5)])
+        for feature, m0, width in (("eigen", None, 6), ("fbss", 3, 3), ("cov", None, 72)):
+            rows = make_features(covs, feature, m0)
+            assert rows.shape == (5, width) and rows.dtype == float
+            for i, r in enumerate(covs):
+                assert np.array_equal(rows[i], one_row(r, feature, m0))
+
+    def test_rejects_a_single_matrix(self):
+        for feature in ("eigen", "fbss", "cov"):
+            with pytest.raises(ValueError, match="stack"):
+                make_features(np.eye(4, dtype=complex), feature, 2)
+            with pytest.raises(ValueError, match="stack"):
+                make_features(np.ones((2, 4, 3), dtype=complex), feature, 2)
 
 
 class TestFeatureCov:
     def test_zero_matrix(self):
-        assert np.array_equal(make_feature_cov(np.zeros((4, 4))), np.zeros(32))
+        assert np.array_equal(one_row(np.zeros((4, 4)), "cov"), np.zeros(32))
 
     def test_identity_layout(self):
-        feat = make_feature_cov(np.eye(3, dtype=complex))
+        feat = one_row(np.eye(3, dtype=complex), "cov")
         real, imag = feat[:9], feat[9:]
         assert real.sum() == 3.0
         assert np.array_equal(real.reshape(3, 3), np.eye(3))
@@ -101,7 +122,7 @@ class TestFeatureCov:
     def test_round_trips_to_matrix(self):
         rng = np.random.default_rng(4)
         r = random_hermitian_psd(rng, 5)
-        feat = make_feature_cov(r)
+        feat = one_row(r, "cov")
         rebuilt = feat[:25].reshape(5, 5) + 1j * feat[25:].reshape(5, 5)
         assert np.allclose(rebuilt, r)
 
@@ -214,15 +235,15 @@ class TestDetectorWrapper:
         sc = Scenario(10, 20, 2, (0.1, 0.8), 10.0)
         r = sample_covariance(generate_snapshots(sc, np.random.default_rng(0)))
         assert det.net.input_dim == 5
-        assert det.estimate(r) == det.decide_batch(make_feature_fbss(r, 5)[np.newaxis])[0]
+        assert det.estimate(r) == det.decide_batch(one_row(r, "fbss", 5)[np.newaxis])[0]
         assert spec.name == "fbss-ernet"
 
     def test_normalized_features_sum_to_one(self):
         rng = np.random.default_rng(8)
-        rows = np.stack([make_feature_eigen(random_hermitian_psd(rng, 10)) for _ in range(3)])
+        rows = np.stack([one_row(random_hermitian_psd(rng, 10), "eigen") for _ in range(3)])
         assert np.allclose(normalize_features(rows, "eigen").sum(axis=1), 1.0)
         r = random_hermitian_psd(rng, 10)
-        cov = normalize_features(make_feature_cov(r)[np.newaxis], "cov")[0]
+        cov = normalize_features(one_row(r, "cov")[np.newaxis], "cov")[0]
         assert np.trace(cov[:100].reshape(10, 10)) == pytest.approx(1.0)
 
     def test_decide_batch_matches_scalar_decide(self):
@@ -247,6 +268,17 @@ class TestDetectorWrapper:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="non-finite entries"):
                 det.estimate(r)
+
+    @pytest.mark.parametrize("kind, subarray_size", [
+        ("ernet", None), ("ecnet", None), ("covnet", None), ("ernet", 2), ("ecnet", 2)])
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_wrong_size_covariance_rejected(self, kind, subarray_size, size):
+        # A smoothed detector would otherwise answer for any matrix of size >= M0.
+        spec = DetectorSpec(kind, 4, subarray_size=subarray_size)
+        det = Detector(spec, build_detector(spec, np.random.default_rng(2)))
+        assert 0 <= det.estimate(np.eye(4, dtype=complex)) <= 3
+        with pytest.raises(ValueError, match="M x M for M=4"):
+            det.estimate(np.eye(size, dtype=complex))
 
     @pytest.mark.parametrize("kind", ["ernet", "ecnet", "covnet"])
     def test_non_finite_output_rejected(self, kind):

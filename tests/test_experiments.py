@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from sourcecount.experiments import (
     write_dataset,
     write_manifest,
 )
-from sourcecount.detectors import DetectorSpec, build_detector
-from sourcecount.experiments import NET_KINDS, ROLE_INIT, _rng
+from sourcecount.detectors import DetectorSpec, build_detector, make_features
+from sourcecount.experiments import _FEATURE_BLOCK, NET_KINDS, ROLE_INIT, ROLE_TEST, _rng
+from sourcecount.signal_model import generate_snapshots, sample_covariance
 
 
 # SHA-256 of TestTrials.test_simulation_bits_pinned's trial sets.
@@ -203,6 +205,37 @@ class TestTrials:
                 digest.update(np.ascontiguousarray(array).tobytes())
         assert all(0 in lab for lab in labels)
         assert digest.hexdigest() == SIMULATION_DIGEST
+
+    def test_blocks_equal_one_row_features(self):
+        # Three feature blocks, the last one short: every row is what
+        # make_features gives for the covariance of that trial's own
+        # stream, drawn one trial at a time.  The noise-free sets are
+        # rank-deficient, so the PSD clamp fires there.
+        config = ExperimentConfig(num_antennas=4, num_snapshots=6, max_sources=3,
+                                  subarray_size=2, seed=3)
+        num = 2 * _FEATURE_BLOCK + 37
+        for ai, (coherent, snr_db) in enumerate(
+                [(False, math.inf), (False, 3.0), (True, math.inf), (True, (0.0, 20.0))]):
+            t = generate_trials(config, phase="test", num=num, snr_db=snr_db,
+                                coherent=coherent, axis_index=ai,
+                                want=("eigen", "fbss", "cov"))
+            one = replace(config, coherent=coherent)
+            for i in range(num):
+                rng = _rng(config.seed, ROLE_TEST, ai, i)
+                scenario = draw_scenario(one, rng, snr_db=snr_db)
+                r = sample_covariance(generate_snapshots(scenario, rng))
+                assert t.labels[i] == scenario.num_sources
+                for feature in ("eigen", "fbss", "cov"):
+                    expected = make_features(r[np.newaxis], feature, 2)[0]
+                    assert np.array_equal(getattr(t, feature)[i], expected)
+            if snr_db == math.inf:
+                assert ((t.eigen[:, 0] > 0.0) & (t.eigen[:, -1] == 0.0)).any()
+
+    def test_empty_trial_set(self):
+        t = generate_trials(tiny_config(), phase="test", num=0, snr_db=5.0,
+                            want=("eigen", "fbss", "cov"))
+        assert t.labels.shape == (0,) and t.eigen.shape == (0, 10)
+        assert t.fbss.shape == (0, 5) and t.cov.shape == (0, 200)
 
 
 def write_trials(config, path, num, feature="eigen"):

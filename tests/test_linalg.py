@@ -99,6 +99,99 @@ class TestHermitianEig:
                 hermitian_eig(a)
 
 
+def random_psd_stack(rng, num, m, rank):
+    """``num`` Hermitian PSD matrices of the given rank: their clamp fires."""
+    x = rng.standard_normal((num, m, rank)) + 1j * rng.standard_normal((num, m, rank))
+    return x @ x.conj().swapaxes(-1, -2)
+
+
+class TestStacks:
+    """A stack of matrices gives, bit for bit, what each matrix gives alone."""
+
+    def test_hermitian_eig_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(23)
+        for m in (1, 2, 5, 10):
+            stack = np.concatenate([
+                np.stack([random_hermitian(rng, m) for _ in range(6)]),
+                random_psd_stack(rng, 6, m, max(1, m // 2)),
+                np.zeros((1, m, m), dtype=complex)])
+            d = hermitian_eig(stack)
+            assert d.eigenvalues.shape == (13, m) and d.eigenvectors.shape == (13, m, m)
+            for i, a in enumerate(stack):
+                one = hermitian_eig(a)
+                assert np.array_equal(d.eigenvalues[i], one.eigenvalues)
+                assert np.array_equal(d.eigenvectors[i], one.eigenvectors)
+
+    def test_stack_of_stacks(self):
+        stack = random_psd_stack(np.random.default_rng(24), 6, 4, 2)
+        d = hermitian_eig(stack.reshape(2, 3, 4, 4))
+        assert np.array_equal(d.eigenvalues.reshape(6, 4), hermitian_eig(stack).eigenvalues)
+
+    def test_one_bad_matrix_rejects_the_stack(self):
+        stack = np.stack([np.eye(3, dtype=complex)] * 4)
+        asymmetric = stack.copy()
+        asymmetric[2, 0, 1] = 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(asymmetric)
+        assert is_hermitian(asymmetric).tolist() == [True, True, False, True]
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            broken = stack.copy()
+            broken[1, 2, 0] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite entries"):
+                    hermitian_eig(broken)
+                assert is_hermitian(broken).tolist() == [True, False, True, True]
+
+    def test_exchange_conjugate_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(25)
+        stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        out = exchange_conjugate(stack)
+        for i, a in enumerate(stack):
+            assert np.array_equal(out[i], exchange_conjugate(a))
+
+    def test_non_square_rejected(self):
+        for f in (hermitian_eig, is_hermitian, exchange_conjugate):
+            with pytest.raises(ValueError, match="square"):
+                f(np.ones((3, 2, 3), dtype=complex))
+            with pytest.raises(ValueError, match="square"):
+                f(np.ones(4, dtype=complex))
+
+
+class TestExtremeScales:
+    """Tiny (subnormal) and huge matrices: a spectrum, or a clear error,
+    never a RuntimeWarning."""
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e-150, 1e150])
+    def test_scaled_psd_spectrum(self, scale):
+        rng = np.random.default_rng(26)
+        stack = random_psd_stack(rng, 4, 5, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = hermitian_eig(scale * stack).eigenvalues
+        assert np.all(w >= 0.0) and np.all(np.diff(w, axis=1) <= 0.0)
+        assert np.all(w[:, 0] > 0.0)
+        if scale >= 1e-150:  # normal range: the spectrum scales with the matrix
+            expected = scale * hermitian_eig(stack).eigenvalues
+            assert np.allclose(w[:, :3], expected[:, :3], rtol=1e-9, atol=0.0)
+
+    def test_identity_at_subnormal_scale(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = hermitian_eig(1e-310 * np.eye(4, dtype=complex)).eigenvalues
+        assert np.allclose(w, 1e-310, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e308])
+    def test_overflowing_norm_rejected(self, scale):
+        single = scale * np.eye(4, dtype=complex)
+        stack = np.stack([np.eye(4, dtype=complex), single])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (single, stack):
+                with pytest.raises(ValueError, match="overflows"):
+                    hermitian_eig(a)
+
+
 class TestExchangeConjugate:
     def test_identity(self):
         assert np.array_equal(exchange_conjugate(np.eye(3, dtype=complex)),

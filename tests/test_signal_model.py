@@ -213,6 +213,22 @@ class TestFbssCovariance:
         out = fbss_covariance(sample_covariance(data), 5)
         assert is_hermitian(out)
 
+    @pytest.mark.parametrize("m0", [1, 3, 6])
+    def test_stack_equals_per_matrix(self, m0):
+        # M0 = 1 and M0 = M are the ends of the allowed range.
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((7, 6, 9)) + 1j * rng.standard_normal((7, 6, 9))
+        stack = np.stack([sample_covariance(snapshots) for snapshots in x])
+        out = fbss_covariance(stack, m0)
+        assert out.shape == (7, m0, m0)
+        for i, r in enumerate(stack):
+            assert np.array_equal(out[i], fbss_covariance(r, m0))
+        smoothed = hermitian_eig(out)
+        for i, r in enumerate(out):
+            one = hermitian_eig(r)
+            assert np.array_equal(smoothed.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(smoothed.eigenvectors[i], one.eigenvectors)
+
     def test_subarray_size_bounds(self):
         r = np.eye(4, dtype=complex)
         with pytest.raises(ValueError):
