@@ -37,6 +37,9 @@ from .experiments import (
 
 ALL_DETECTORS = NET_KINDS + CLASSICAL_KINDS
 
+# Source coherence each sweep runs with, whatever the config says.
+_SWEEP_COHERENCE = {"sweep-snapshots": False, "sweep-snr": False, "sweep-snr-coherent": True}
+
 
 def _count(text: str) -> int:
     """argparse type of the count flags: an integer of at least 1."""
@@ -99,10 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_experiment_config(args) -> ExperimentConfig:
     """The config file (or the defaults) with the flags applied: --seed,
-    and --fbss and --snr-db where the command has them.  Raises
-    ValueError for a flag or file value the config rejects."""
+    and --fbss and --snr-db where the command has them, and a sweep's
+    source coherence.  Raises ValueError for a flag or file value the
+    config rejects."""
     config = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
+    if args.command in _SWEEP_COHERENCE:
+        overrides["coherent"] = _SWEEP_COHERENCE[args.command]
     if args.seed is not None:
         overrides["seed"] = args.seed
     if getattr(args, "fbss", None) is not None:
@@ -275,10 +281,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, _load_experiment_config(args))
+        config = _load_experiment_config(args)
+        status = _COMMANDS[args.command](args, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not config.identifiable:
+        print(f"warning: coherent sources with max_sources={config.max_sources} >= "
+              f"subarray_size={config.subarray_size}: the smoothed covariance resolves "
+              f"at most {config.subarray_size - 1} sources", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

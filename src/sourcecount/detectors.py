@@ -35,6 +35,7 @@ from .network import (
 from .signal_model import fbss_covariance
 
 NET_KINDS = ("ernet", "ecnet", "covnet")
+FEATURES = ("eigen", "fbss", "cov")
 DEFAULT_HIDDEN = (8, 8)
 
 
@@ -110,6 +111,8 @@ def make_features(covs, feature: str, subarray_size: int | None = None) -> np.nd
     (num, M, M) stack of covariances: descending eigenvalues ("eigen"),
     those of the smoothed covariances ("fbss"), or the row-major real
     parts then imaginary parts ("cov")."""
+    if feature not in FEATURES:
+        raise ValueError(f"unknown feature {feature!r}; known kinds are {', '.join(FEATURES)}")
     covs = np.asarray(covs)
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError(f"covariances must form a (num, M, M) stack, got shape {covs.shape}")

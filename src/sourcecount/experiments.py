@@ -41,7 +41,7 @@ from .detectors import (
     normalize_features,
 )
 from .network import TrainConfig, train
-from .signal_model import Scenario, generate_snapshots, sample_covariance
+from .signal_model import Scenario, normal_count, sample_covariance, snapshot_stack
 
 # Seed-stream roles: disjoint substreams of the master seed.
 ROLE_TRAIN, ROLE_TEST, ROLE_INIT, ROLE_SHUFFLE = 0, 1, 2, 3
@@ -56,6 +56,10 @@ _DOA_REDRAW_LIMIT = 100
 
 # Trials per make_features call; a block's temporaries stay near 1 MiB.
 _FEATURE_BLOCK = 256
+
+# Snapshot entries (trials x M x N) per stacked synthesis pass: 64 trials
+# at M=10, N=20, which keeps its temporaries under 1 MiB.
+_SYNTHESIS_ENTRIES = 12800
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,13 @@ class ExperimentConfig:
         for kind in self.detectors or ():
             if kind not in NET_KINDS + CLASSICAL_KINDS:
                 raise ValueError(f"unknown detector {kind!r}")
+
+    @property
+    def identifiable(self) -> bool:
+        """False for coherent draws whose source count can reach the
+        sub-array size: the M0 x M0 smoothed covariance they are counted
+        on resolves at most M0 - 1 sources."""
+        return not self.coherent or self.max_sources < self.subarray_size
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -177,7 +188,8 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     (see :func:`~sourcecount.detectors.feature_kind`).
 
     ``phase`` selects the seed-stream role ("train" or "test"), so the
-    two phases can never share draws.
+    two phases can never share draws.  Snapshots and covariances are
+    computed a block of trials at a time, bit for bit as one by one.
     """
     role = {"train": ROLE_TRAIN, "test": ROLE_TEST}[phase]
     overrides = {"num_snapshots": num_snapshots, "coherent": coherent}
@@ -190,13 +202,24 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     labels = np.zeros(num, dtype=int)
     feats = {feature: np.zeros((num, widths[feature])) for feature in set(want)}
     covs = np.zeros((min(num, _FEATURE_BLOCK), m, m), dtype=np.complex128)
+    n = config.num_snapshots
+    step = max(1, _SYNTHESIS_ENTRIES // (m * n))
+    # Each trial's draws end at the last column, as snapshot_stack reads them.
+    width = 2 * (config.max_sources + m) * n
+    normals = np.empty((min(num, step), width))
     for start in range(0, num, _FEATURE_BLOCK):
         stop = min(start + _FEATURE_BLOCK, num)
-        for i in range(start, stop):
-            rng = _rng(config.seed, role, axis_index, i)
-            scenario = draw_scenario(config, rng, snr_db=snr_db)
-            covs[i - start] = sample_covariance(generate_snapshots(scenario, rng))
-            labels[i] = scenario.num_sources
+        for low in range(start, stop, step):
+            high = min(low + step, stop)
+            scenarios = []
+            for i in range(low, high):
+                rng = _rng(config.seed, role, axis_index, i)
+                scenario = draw_scenario(config, rng, snr_db=snr_db)
+                rng.standard_normal(out=normals[i - low, width - normal_count(scenario):])
+                scenarios.append(scenario)
+                labels[i] = scenario.num_sources
+            covs[low - start:high - start] = sample_covariance(
+                snapshot_stack(scenarios, normals[:high - low]))
         for feature, rows in feats.items():
             rows[start:stop] = make_features(covs[:stop - start], feature, m0)
     return TrialSet(labels=labels, num_snapshots=config.num_snapshots,
@@ -626,7 +649,9 @@ def load_config(path) -> ExperimentConfig:
 
 def write_manifest(out_dir, config: ExperimentConfig, command: str,
                    extra: dict | None = None) -> Path:
-    """Records config hash, seed and versions next to a run's outputs."""
+    """Records config hash, seed, versions and whether every drawn source
+    count is resolvable (``ExperimentConfig.identifiable``) next to a
+    run's outputs."""
     from . import __version__
 
     text = config_to_text(config)
@@ -634,6 +659,7 @@ def write_manifest(out_dir, config: ExperimentConfig, command: str,
         "command": command,
         "config": {f.name: getattr(config, f.name) for f in fields(config)},
         "config_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "identifiable": config.identifiable,
         "seed": config.seed,
         "versions": {
             "python": platform.python_version(),

@@ -26,6 +26,8 @@ import numpy as np
 
 from .linalg import exchange_conjugate
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -86,70 +88,92 @@ class Scenario:
         return 10.0 ** (-self.snr_db / 10.0)
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circular complex Gaussian with unit power per entry."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / math.sqrt(2.0)
-
-
 def steering_matrix(doas, num_antennas: int) -> np.ndarray:
     """M x K array response of a half-wavelength ULA to plane waves at
     ``doas``: entry (m, k) is ``exp(i pi m sin(doas[k]))``, so row 0 is
-    all ones.  No DOAs give an M x 0 matrix."""
-    sines = np.array([math.sin(theta) for theta in doas], dtype=float)
-    return np.exp(1j * np.multiply.outer(np.pi * np.arange(num_antennas), sines))
+    all ones.  No DOAs give an M x 0 matrix; a (g, K) array of DOAs
+    gives the (g, M, K) stack."""
+    doas = np.asarray(doas, dtype=float)
+    sines = np.array([math.sin(theta) for theta in doas.ravel().tolist()]).reshape(doas.shape)
+    return np.exp(1j * (np.pi * np.arange(num_antennas)[:, np.newaxis]
+                        * sines[..., np.newaxis, :]))
 
 
-def generate_sources(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """K x N source waveform matrix for one scenario.
+def normal_count(scenario: Scenario) -> int:
+    """Standard normals one scenario draws, in this order: the real then
+    the imaginary parts of its independent source rows, then those of its
+    M x N noise (none when noise-free)."""
+    independent = scenario.num_sources - len(scenario.coherent_map or {})
+    noise = scenario.num_antennas if scenario.noise_variance > 0.0 else 0
+    return 2 * (independent + noise) * scenario.num_snapshots
 
-    Independent sources are unit-power circular complex Gaussian rows,
-    drawn in ascending index order.  Each coherent source is an exact
-    copy (amplitude and phase) of its mapped independent source.
+
+def snapshot_stack(scenarios, normals) -> np.ndarray:
+    """The (g, M, N) snapshots ``A(theta) S + W`` of scenarios sharing M
+    and N: row ``j`` of ``normals`` ends with the :func:`normal_count`
+    standard normals of scenario ``j``.
+
+    Sources and noise are unit-power circular complex Gaussian, and a
+    coherent source copies the row it maps to.  The trials of each K and
+    noise status take one stacked steering, matmul and noise pass.
     """
-    k, n = scenario.num_sources, scenario.num_snapshots
-    coherent = scenario.coherent_map or {}
-    s = np.zeros((k, n), dtype=np.complex128)
-    independent = [i for i in range(k) if i not in coherent]
-    if independent:
-        s[independent] = _complex_gaussian(rng, (len(independent), n))
-    for copy_idx in sorted(coherent):
-        s[copy_idx] = s[coherent[copy_idx]]
-    return s
+    m, n = scenarios[0].num_antennas, scenarios[0].num_snapshots
+    width = normals.shape[1]
+    out = np.empty((len(scenarios), m, n), dtype=np.complex128)
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for j, scenario in enumerate(scenarios):
+        groups.setdefault((scenario.num_sources, scenario.noise_variance > 0.0), []).append(j)
+    for (k, noisy), rows in groups.items():
+        end = width - 2 * m * n * noisy
+        starts, shifts = [], []
+        for j in rows:
+            coherent = scenarios[j].coherent_map or {}
+            independent = [i for i in range(k) if i not in coherent]
+            first = end - 2 * len(independent) * n
+            starts.append([first + independent.index(coherent.get(i, i)) * n
+                           for i in range(k)])
+            shifts.append(len(independent) * n)
+        cols = np.array(starts, dtype=np.intp).reshape(len(rows), k, 1) + np.arange(n)
+        picked = np.array(rows)[:, np.newaxis, np.newaxis]
+        re = normals[picked, cols]
+        im = normals[picked, cols + np.array(shifts)[:, np.newaxis, np.newaxis]]
+        doas = [scenarios[j].doas for j in rows]
+        data = steering_matrix(doas, m) @ ((re + 1j * im) / math.sqrt(2.0))
+        if noisy:
+            noise = normals[rows, end:].reshape(len(rows), 2, m, n)
+            scale = np.array([math.sqrt(scenarios[j].noise_variance) for j in rows])
+            data = data + scale[:, np.newaxis, np.newaxis] * (
+                (noise[:, 0] + 1j * noise[:, 1]) / math.sqrt(2.0))
+        out[rows] = data
+    return out
 
 
 def generate_snapshots(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Draws the M x N snapshot matrix ``A(theta) S + W`` of one scenario.
+    """Draws the M x N snapshot matrix ``A(theta) S + W`` of one scenario:
+    the one-scenario case of :func:`snapshot_stack`.
 
-    Noise entries are i.i.d. circular complex Gaussian with variance
-    ``scenario.noise_variance`` per antenna.  With ``snr_db = inf`` no
-    noise is drawn at all, leaving the rank-K signal part (the zero
-    matrix for K = 0).
+    With ``snr_db = inf`` no noise is drawn at all, leaving the rank-K
+    signal part (the zero matrix for K = 0).
     """
-    m, n = scenario.num_antennas, scenario.num_snapshots
-    data = steering_matrix(scenario.doas, m) @ generate_sources(scenario, rng)
-    sigma2 = scenario.noise_variance
-    if sigma2 > 0.0:
-        data = data + math.sqrt(sigma2) * _complex_gaussian(rng, (m, n))
-    return data
+    normals = rng.standard_normal((1, normal_count(scenario)))
+    return snapshot_stack([scenario], normals)[0]
 
 
 def sample_covariance(snapshots) -> np.ndarray:
     """Sample covariance ``(1/N) sum_n r(n) r(n)^H`` of an M x N snapshot
-    matrix.
+    matrix, or of each matrix of an (..., M, N) stack.
 
     The result is symmetrized entrywise, so it is exactly Hermitian and
     PSD up to round-off.
     """
     data = np.asarray(snapshots)
-    if data.ndim != 2:
-        raise ValueError("snapshots must be an M x N matrix")
-    n = data.shape[1]
+    if data.ndim < 2:
+        raise ValueError("snapshots must be an M x N matrix or a stack of them")
+    n = data.shape[-1]
     if n == 0:
         raise ValueError("need at least one snapshot")
-    r = (data @ data.conj().T) / n
-    return 0.5 * (r + r.conj().T)
+    r = (data @ data.conj().swapaxes(-1, -2)) / n
+    return 0.5 * (r + r.conj().swapaxes(-1, -2))
 
 
 def fbss_covariance(r_hat, subarray_size: int) -> np.ndarray:
@@ -165,17 +189,27 @@ def fbss_covariance(r_hat, subarray_size: int) -> np.ndarray:
 
     Returns:
         The M0 x M0 smoothed covariances (Hermitian, PSD-preserving).
+
+    Raises:
+        ValueError: If a matrix is not square, ``subarray_size`` is out of
+            range, or an entry is NaN, infinite or so large that the sums
+            overflow.
     """
-    r_hat = np.asarray(r_hat)
+    r_hat = np.ascontiguousarray(r_hat, dtype=np.complex128)
     if r_hat.ndim < 2 or r_hat.shape[-1] != r_hat.shape[-2]:
         raise ValueError("covariance must be a square matrix")
-    if not np.isfinite(r_hat).all():
-        raise ValueError("matrix has non-finite entries (NaN or inf)")
     m = r_hat.shape[-1]
     m0 = subarray_size
     if not 1 <= m0 <= m:
         raise ValueError(f"subarray size must be in [1, {m}], got {m0}")
     t = m - m0 + 1
+    # The 2T-term sums stay finite while every real and imaginary part
+    # is at most max_float / 2T; a NaN fails the comparison too.
+    top = np.maximum.reduce(np.abs(r_hat.view(np.float64)), axis=None, initial=0.0)
+    if not top <= _FLOAT_MAX / (2 * t):
+        if not np.isfinite(r_hat).all():
+            raise ValueError("matrix has non-finite entries (NaN or inf)")
+        raise ValueError("matrix is too large: its smoothed sum overflows")
     forward = np.zeros(r_hat.shape[:-2] + (m0, m0), dtype=np.complex128)
     for offset in range(t):
         forward += r_hat[..., offset:offset + m0, offset:offset + m0]

@@ -243,6 +243,27 @@ class TestSweepCommands:
         result = read_csv(out / "sweep-snr-coherent.csv")
         assert result.detectors == ("fbss-ernet", "fbss-aic")
 
+    def test_unidentifiable_coherent_config_warns(self, tmp_path, config_file, capsys):
+        # The defaults draw K up to 5, but the 5 x 5 smoothed covariance
+        # resolves at most 4 sources; the run still goes ahead.
+        out = tmp_path / "sweep"
+        assert run("sweep-snr-coherent", "--config", config_file, "--out", out) == 0
+        warning = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("warning:")]
+        assert len(warning) == 1 and "resolves at most 4 sources" in warning[0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["identifiable"] is False and manifest["config"]["coherent"] is True
+
+    def test_identifiable_configs_do_not_warn(self, tmp_path, config_file, capsys):
+        assert run("sweep-snr", "--config", config_file, "--out", tmp_path / "a") == 0
+        small = tmp_path / "small.cfg"
+        small.write_text(config_file.read_text() + "max_sources = 4\n", encoding="utf-8")
+        assert run("sweep-snr-coherent", "--config", small, "--out", tmp_path / "b") == 0
+        assert "warning:" not in capsys.readouterr().err
+        for name in ("a", "b"):
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["identifiable"] is True
+
     def test_seed_override_changes_results(self, tmp_path, config_file):
         out_a, out_b, out_c = (tmp_path / n for n in ("a", "b", "c"))
         run("sweep-snr", "--config", config_file, "--out", out_a)

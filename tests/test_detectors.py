@@ -108,6 +108,12 @@ class TestFeatureStack:
                 make_features(np.ones((2, 4, 3), dtype=complex), feature, 2)
 
 
+    @pytest.mark.parametrize("feature", ["eigne", "smoothed", ""])
+    def test_unknown_feature_rejected(self, feature):
+        with pytest.raises(ValueError, match="known kinds are eigen, fbss, cov"):
+            make_features(np.eye(4, dtype=complex)[np.newaxis], feature, 2)
+
+
 class TestFeatureCov:
     def test_zero_matrix(self):
         assert np.array_equal(one_row(np.zeros((4, 4)), "cov"), np.zeros(32))
@@ -268,6 +274,15 @@ class TestDetectorWrapper:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="non-finite entries"):
                 det.estimate(r)
+
+    @pytest.mark.parametrize("kind", ["ernet", "ecnet"])
+    def test_near_overflow_covariance_rejected_by_fbss_detector(self, kind):
+        spec = DetectorSpec(kind, 10, subarray_size=5)
+        det = Detector(spec, build_detector(spec, np.random.default_rng(2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                det.estimate(1e308 * np.eye(10, dtype=complex))
 
     @pytest.mark.parametrize("kind, subarray_size", [
         ("ernet", None), ("ecnet", None), ("covnet", None), ("ernet", 2), ("ecnet", 2)])

@@ -1,6 +1,7 @@
 """Tests for snapshot generation, covariance estimation and smoothing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from sourcecount.signal_model import (
     Scenario,
     fbss_covariance,
     generate_snapshots,
-    generate_sources,
+    normal_count,
     sample_covariance,
+    snapshot_stack,
     steering_matrix,
 )
 
@@ -85,20 +87,30 @@ class TestScenarioValidation:
 
 
 class TestGenerateSources:
+    """Source rows, seen through noise-free snapshots ``A(theta) S``."""
+
     def test_empty_for_zero_sources(self):
-        s = generate_sources(scenario(k=0, doas=()), np.random.default_rng(0))
-        assert s.shape == (0, 20)
+        sc = scenario(k=0, doas=(), snr_db=math.inf)
+        assert normal_count(sc) == 0
+        assert np.array_equal(generate_snapshots(sc, np.random.default_rng(0)),
+                              np.zeros((10, 20)))
 
     def test_coherent_rows_identical(self):
-        sc = scenario(k=2, coherent_map={1: 0})
-        s = generate_sources(sc, np.random.default_rng(0))
-        assert np.array_equal(s[0], s[1])
+        # One independent row is drawn; the copy re-reads it exactly.
+        sc = scenario(k=2, coherent_map={1: 0}, snr_db=math.inf)
+        assert normal_count(sc) == 2 * 20
+        normals = np.random.default_rng(0).standard_normal((1, 40))
+        row = (normals[0, :20] + 1j * normals[0, 20:]) / math.sqrt(2.0)
+        a = steering_matrix(sc.doas, 10)
+        data = snapshot_stack([sc], normals)[0]
+        assert np.array_equal(data, a @ np.stack([row, row]))
 
     def test_unit_power_and_independence(self):
         # Monte-Carlo oracle: empirical source covariance approaches I at
         # large snapshot count.
-        sc = scenario(k=3, n=10000)
-        s = generate_sources(sc, np.random.default_rng(123))
+        sc = scenario(k=3, n=10000, snr_db=math.inf)
+        data = generate_snapshots(sc, np.random.default_rng(123))
+        s = np.linalg.pinv(steering_matrix(sc.doas, sc.num_antennas)) @ data
         emp = (s @ s.conj().T) / sc.num_snapshots
         assert np.linalg.norm(emp - np.eye(3)) <= 0.05
 
@@ -135,7 +147,92 @@ class TestGenerateSnapshots:
         assert np.array_equal(d1, d2)
 
 
+def block_scenarios(m, n, k_max, snr_db, coherent=False, count=40, seed=0):
+    """Scenarios over every K in 0..k_max, with coherent copies of random
+    independent sources when ``coherent``."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for j in range(count):
+        k = j % (k_max + 1)
+        doas = tuple(rng.uniform(0.0, 2.0 * math.pi, size=k).tolist())
+        copies = int(rng.integers(0, k)) if coherent and k else 0
+        coherent_map = {k - copies + c: int(rng.integers(0, k - copies))
+                        for c in range(copies)}
+        out.append(Scenario(m, n, k, doas, snr_db, coherent_map or None))
+    return out
+
+
+def one_by_one_and_stacked(scenarios, width):
+    """Each scenario's snapshots from its own stream, and the same
+    streams' draws laid into one block and synthesized together."""
+    one = [generate_snapshots(sc, np.random.default_rng(j)) for j, sc in enumerate(scenarios)]
+    normals = np.full((len(scenarios), width), np.nan)
+    for j, sc in enumerate(scenarios):
+        np.random.default_rng(j).standard_normal(out=normals[j, width - normal_count(sc):])
+    return one, snapshot_stack(scenarios, normals)
+
+
+class TestSnapshotStack:
+    def test_one_draw_equals_the_per_part_draws(self):
+        # Source re, source im, noise re, noise im: drawn as one block or
+        # one part at a time, a Generator gives the same values.
+        rng = np.random.default_rng(4)
+        parts = [rng.standard_normal(shape) for shape in ((3, 20), (3, 20), (10, 20), (10, 20))]
+        whole = np.random.default_rng(4).standard_normal(2 * (3 + 10) * 20)
+        assert np.array_equal(whole, np.concatenate([p.ravel() for p in parts]))
+        out = np.empty(2 * (3 + 10) * 20 + 7)
+        np.random.default_rng(4).standard_normal(out=out[7:])
+        assert np.array_equal(out[7:], whole)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("snr_db", [math.inf, 3.0])
+    @pytest.mark.parametrize("coherent", [False, True])
+    def test_block_equals_one_scenario_calls(self, n, snr_db, coherent):
+        m, k_max = 6, 5
+        scenarios = block_scenarios(m, n, k_max, snr_db, coherent)
+        assert {sc.num_sources for sc in scenarios} == set(range(k_max + 1))
+        if coherent:
+            assert any(sc.coherent_map for sc in scenarios)
+        one, stacked = one_by_one_and_stacked(scenarios, 2 * (k_max + m) * n)
+        assert stacked.shape == (len(scenarios), m, n)
+        for j, data in enumerate(one):
+            assert np.array_equal(stacked[j], data)
+
+    def test_mixed_noise_and_snr_in_one_block(self):
+        scenarios = [Scenario(4, 5, k, tuple(0.3 + 0.7 * i for i in range(k)), snr, cmap)
+                     for k, snr, cmap in ((2, math.inf, None), (2, 0.0, {1: 0}), (2, 17.5, None),
+                                          (0, 3.0, None), (0, math.inf, None), (3, 1e6, None))]
+        assert normal_count(scenarios[-1]) == 2 * 3 * 5  # 1e6 dB: the variance underflows
+        one, stacked = one_by_one_and_stacked(scenarios, 2 * (3 + 4) * 5)
+        for j, data in enumerate(one):
+            assert np.array_equal(stacked[j], data)
+
+    def test_single_k_group(self):
+        scenarios = [sc for sc in block_scenarios(5, 8, 3, 2.0, count=60, seed=1)
+                     if sc.num_sources == 3]
+        one, stacked = one_by_one_and_stacked(scenarios, 2 * (3 + 5) * 8)
+        for j, data in enumerate(one):
+            assert np.array_equal(stacked[j], data)
+
+    def test_steering_stack_equals_per_scenario_matrices(self):
+        doas = np.random.default_rng(6).uniform(0.0, 2.0 * math.pi, size=(4, 3))
+        stack = steering_matrix(doas, 7)
+        assert stack.shape == (4, 7, 3)
+        for j, row in enumerate(doas):
+            assert np.array_equal(stack[j], steering_matrix(tuple(row), 7))
+
+
 class TestSampleCovariance:
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_stack_equals_per_matrix(self, n):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((2, 5, 6, n)) + 1j * rng.standard_normal((2, 5, 6, n))
+        stack = sample_covariance(x)
+        assert stack.shape == (2, 5, 6, 6)
+        for i in range(2):
+            for j in range(5):
+                assert np.array_equal(stack[i, j], sample_covariance(x[i, j]))
+
     def test_single_snapshot_outer_product(self):
         r_vec = np.array([[1 + 1j], [2 - 1j]])
         r = sample_covariance(r_vec)
@@ -228,6 +325,23 @@ class TestFbssCovariance:
             one = hermitian_eig(r)
             assert np.array_equal(smoothed.eigenvalues[i], one.eigenvalues)
             assert np.array_equal(smoothed.eigenvectors[i], one.eigenvectors)
+
+    @pytest.mark.parametrize("m0", [1, 5, 10])
+    def test_overflowing_sum_rejected(self, m0):
+        # Entries near the float limit would overflow the 2T-term sum.
+        huge = 1e308 * np.eye(10, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in (huge, np.stack([np.eye(10, dtype=complex), huge])):
+                with pytest.raises(ValueError, match="overflows"):
+                    fbss_covariance(r, m0)
+
+    def test_largest_summable_entries_accepted(self):
+        limit = np.finfo(float).max / 12  # 2T = 12 terms at M=10, M0=5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fbss_covariance(limit * np.eye(10, dtype=complex), 5)
+        assert np.isfinite(out).all()
 
     def test_subarray_size_bounds(self):
         r = np.eye(4, dtype=complex)
