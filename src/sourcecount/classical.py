@@ -20,6 +20,10 @@ import numpy as np
 # Floor applied to eigenvalues before logarithms; noise-free simulation
 # produces exact zeros.
 EIGENVALUE_FLOOR = 1e-300
+# A spectrum whose largest eigenvalue lies below this is scaled by an
+# exact power of two before the floor, so that the floor cannot swallow
+# its shape.  Spectra above it keep their bits.
+TINY_SPECTRUM = 2.0 ** -500
 
 
 def check_spectra(values, num_snapshots: int) -> np.ndarray:
@@ -79,7 +83,8 @@ def criterion_values(values: np.ndarray, num_snapshots: int, kind: str) -> np.nd
     Raises:
         ValueError: If a row is all zeros or ``kind`` is unknown.
     """
-    if not (values > 0.0).any(axis=1).all():
+    top = values[:, :1]  # each row's largest eigenvalue
+    if not (top > 0.0).all():
         raise ValueError("degenerate all-zero spectrum")
     m = values.shape[1]
     k = np.arange(m, dtype=float)
@@ -90,6 +95,10 @@ def criterion_values(values: np.ndarray, num_snapshots: int, kind: str) -> np.nd
         scale, penalty = 1.0, 0.5 * k * (2 * m - k) * math.log(num_snapshots)
     else:
         raise ValueError(f"unknown criterion kind {kind!r}")
+    tiny = top < TINY_SPECTRUM
+    if tiny.any():
+        # Exact: brings each tiny row's largest eigenvalue into [0.5, 1).
+        values = np.where(tiny, np.ldexp(values, -np.frexp(top)[1]), values)
     lam = np.maximum(values, EIGENVALUE_FLOOR)
     # Suffix sums: column k aggregates the m-k smallest eigenvalues.
     tail_sum = lam[:, ::-1].cumsum(axis=1)[:, ::-1]
@@ -168,6 +177,8 @@ def _criterion_counted(values, num_snapshots: int, kind: str, ops: OpCounter) ->
     excluded).  Returns the selected order.
     """
     m = len(values)
+    if values[0] < TINY_SPECTRUM:
+        values = [math.ldexp(v, -math.frexp(values[0])[1]) for v in values]
     lam = [max(v, EIGENVALUE_FLOOR) for v in values]
     log_lam = [ops.ln(v) for v in lam]
     if kind == "aic":

@@ -127,18 +127,18 @@ def softmax(z: np.ndarray) -> np.ndarray:
     Works on a single vector or a (batch, dim) matrix; output components
     are positive and sum to 1 along the last axis.
     """
-    z = np.asarray(z, dtype=float)
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    out = np.array(z, dtype=float)
+    _softmax_rows(out.reshape(-1, out.shape[-1]))
+    return out
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return relu(z)
-    if activation == "softmax":
-        return softmax(z)
-    return z
+def _softmax_rows(z: np.ndarray):
+    """Shifted softmax of each row of the 2-D array ``z``, in place.  A max
+    is exact in any order, so the row max is taken over a (faster)
+    transposed copy; the row sums' pairwise order fixes the bits."""
+    z -= np.maximum.reduce(z.T.copy())[:, np.newaxis]
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -150,12 +150,18 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     raise ValueError("input must be a vector or a (batch, dim) matrix")
 
 
-def _forward_cached(net: Network, x: np.ndarray) -> list[np.ndarray]:
-    """Batch forward pass keeping every layer's activations for backprop."""
+def _forward_cached(net: Network, x: np.ndarray, outs=None) -> list[np.ndarray]:
+    """Batch forward pass keeping every layer's activations for backprop:
+    ``x`` and then each layer's output, written into ``outs`` if given."""
     acts = [x]
-    for layer in net.layers:
-        z = acts[-1] @ layer.weights.T + layer.bias
-        acts.append(_activate(z, layer.activation))
+    for layer, z in zip(net.layers, outs or [None] * len(net.layers)):
+        z = np.matmul(acts[-1], layer.weights.T, out=z)
+        z += layer.bias
+        if layer.activation == "relu":
+            np.maximum(0.0, z, out=z)
+        elif layer.activation == "softmax":
+            _softmax_rows(z)
+        acts.append(z)
     return acts
 
 
@@ -173,50 +179,58 @@ def forward(net: Network, x) -> np.ndarray:
 
 def loss_l2(pred, target) -> float:
     """Batch mean of squared Euclidean distance."""
-    pred, _ = _as_batch(pred)
-    target, _ = _as_batch(target)
-    if pred.shape != target.shape:
-        raise ValueError("prediction and target shapes differ")
-    return float(np.mean(np.sum((pred - target) ** 2, axis=1)))
+    return compute_loss(pred, target, "l2")
 
 
 def loss_cce(pred, target) -> float:
     """Batch mean of -sum(target * ln(pred)), with pred floored at 1e-12."""
-    pred, _ = _as_batch(pred)
-    target, _ = _as_batch(target)
-    if pred.shape != target.shape:
-        raise ValueError("prediction and target shapes differ")
-    return float(-np.mean(np.sum(target * np.log(np.maximum(pred, CCE_FLOOR)), axis=1)))
+    return compute_loss(pred, target, "cce")
 
 
 def compute_loss(pred, target, loss: str) -> float:
+    """Batch mean ``"l2"`` or ``"cce"`` loss of (batch, dim) rows or one vector."""
+    pred, target = np.asarray(pred, dtype=float), np.asarray(target, dtype=float)
+    if pred.shape != target.shape:
+        raise ValueError("prediction and target shapes differ")
+    if pred.ndim == 1:
+        pred, target = pred[np.newaxis], target[np.newaxis]
+    elif pred.ndim != 2:
+        raise ValueError("input must be a vector or a (batch, dim) matrix")
     if loss == "l2":
-        return loss_l2(pred, target)
-    if loss == "cce":
-        return loss_cce(pred, target)
-    raise ValueError(f"unknown loss {loss!r}")
+        terms = pred - target
+        terms *= terms
+    elif loss == "cce":
+        terms = np.maximum(pred, CCE_FLOOR)
+        np.log(terms, out=terms)
+        terms *= target
+    else:
+        raise ValueError(f"unknown loss {loss!r}")
+    rows = terms.sum(axis=-1)
+    mean = np.add.reduce(rows) / len(rows)  # np.mean's division, without its overhead
+    return float(-mean if loss == "cce" else mean)
 
 
-def _backward_from_cache(net: Network, acts, target: np.ndarray, grads):
-    """Analytic gradients given a cached forward pass, written into ``grads``.
+def _backward_from_cache(net: Network, acts, target: np.ndarray, grads, deltas=None):
+    """Analytic gradients given a cached forward pass, written into ``grads``;
+    each layer's delta goes into ``deltas`` (shaped like ``acts[1:]``) if given.
 
     Softmax plus cross-entropy is fused, so the output delta is simply
     (prediction - target) scaled by the batch size under either loss.
     """
-    batch = acts[0].shape[0]
-    if net.layers[-1].activation == "softmax":
-        delta = (acts[-1] - target) / batch
-    else:
-        delta = 2.0 * (acts[-1] - target) / batch
+    deltas = deltas or [None] * len(net.layers)
+    delta = np.subtract(acts[-1], target, out=deltas[-1])
+    if net.layers[-1].activation != "softmax":
+        delta *= 2.0
+    delta /= acts[0].shape[0]
     for i in range(len(net.layers) - 1, -1, -1):
         np.matmul(delta.T, acts[i], out=grads[i][0])
         delta.sum(axis=0, out=grads[i][1])
         if i > 0:
-            delta = delta @ net.layers[i].weights
+            delta = np.matmul(delta, net.layers[i].weights, out=deltas[i - 1])
             if net.layers[i - 1].activation == "relu":
                 # Subgradient 0 at the kink: relu(z) > 0 exactly when z > 0,
                 # so units with z <= 0 (or NaN) pass nothing.
-                delta = delta * (acts[i] > 0.0)
+                delta *= acts[i] > 0.0
     return grads
 
 
@@ -238,11 +252,15 @@ def backward(net: Network, x, target):
 
 @dataclass
 class AdamState:
-    """First/second moment vectors in the layout of ``Network.params``."""
+    """ADAM's moment and scratch vectors, in the layout of ``Network.params``."""
 
     moment1: np.ndarray
     moment2: np.ndarray
     step: int = 0
+    scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.moment1), np.empty_like(self.moment1))
 
     @classmethod
     def for_network(cls, net: Network) -> "AdamState":
@@ -258,12 +276,17 @@ def adam_step(net: Network, grad: np.ndarray, state: AdamState, config: TrainCon
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     m1, m2 = state.moment1, state.moment2
-    # Folding a constant such as lr/bc1 would change the trained bits.
+    s1, s2 = state.scratch
+    # One op at a time, into scratch.  Folding a constant such as lr/bc1
+    # would change the trained bits.
     m1 *= b1
-    m1 += (1.0 - b1) * grad
+    m1 += np.multiply(grad, 1.0 - b1, out=s1)
     m2 *= b2
-    m2 += (1.0 - b2) * grad * grad
-    net.params -= config.learning_rate * (m1 / bc1) / (np.sqrt(m2 / bc2) + config.adam_epsilon)
+    m2 += np.multiply(np.multiply(grad, 1.0 - b2, out=s2), grad, out=s2)
+    np.multiply(np.divide(m1, bc1, out=s1), config.learning_rate, out=s1)
+    np.sqrt(np.divide(m2, bc2, out=s2), out=s2)
+    s2 += config.adam_epsilon
+    net.params -= np.divide(s1, s2, out=s1)
 
 
 def init_truncated_normal(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,7 +311,8 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
     kept).  Deterministic given (net, data, config).
 
     Raises:
-        ArithmeticError: If the loss stops being finite.
+        ArithmeticError: If a feature or target is not finite, or the
+            loss stops being finite.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -300,6 +324,8 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
         raise ValueError("dataset is empty")
     if x.shape[1] != net.input_dim or y.shape[1] != net.output_dim:
         raise ValueError("dataset dimensions do not match the network")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ArithmeticError("non-finite value in the features or targets")
 
     n = x.shape[0]
     loss = "cce" if net.layers[-1].activation == "softmax" else "l2"
@@ -307,6 +333,10 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
     state = AdamState.for_network(net)
     grad = np.empty_like(net.params)
     grad_views = _layer_views(net, grad)
+    # Activation and delta buffers for the full batch and the short tail.
+    buffers = {rows: [[np.empty((rows, layer.out_dim)) for layer in net.layers]
+                      for _ in range(2)]
+               for rows in {min(config.batch_size, n), n % config.batch_size} - {0}}
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -314,14 +344,15 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = x[idx], y[idx]
-            acts = _forward_cached(net, xb)
+            outs, deltas = buffers[len(idx)]
+            acts = _forward_cached(net, xb, outs)
             batch_loss = compute_loss(acts[-1], yb, loss)
             if not math.isfinite(batch_loss):
                 raise ArithmeticError(
                     f"non-finite loss {batch_loss} at epoch {epoch}, "
                     f"batch starting at {start}"
                 )
-            _backward_from_cache(net, acts, yb, grad_views)
+            _backward_from_cache(net, acts, yb, grad_views, deltas)
             adam_step(net, grad, state, config)
             total += batch_loss * len(idx)
         history.append(total / n)

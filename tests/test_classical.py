@@ -5,10 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sourcecount.classical import (
     EigenSpectrum,
     aic,
+    criterion_values,
     mdl,
     measured_op_counts,
     table_op_counts,
@@ -91,16 +94,37 @@ class TestExtremeScales:
 
     def test_scaled_spectrum_keeps_its_order(self):
         # Scaling by a power of two is exact, so the criteria see the same
-        # ratios from just above EIGENVALUE_FLOOR to the edge of overflow.
+        # ratios from subnormal scale to the edge of overflow.
         values = np.array([8.0, 4.0, 1.0, 0.5, 0.5, 0.25])
         for kind, criterion in (("aic", aic), ("mdl", mdl)):
             base = criterion(EigenSpectrum(values, 50)).order
             assert base == 3
-            for exponent in (-990, -500, 500, 1000, 1018):
+            for exponent in (-1060, -1040, -1000, -990, -500, 500, 1000, 1018):
                 scaled = np.ldexp(values, exponent)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
                     assert criterion(EigenSpectrum(scaled, 50)).order == base
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=st.lists(st.builds(math.ldexp, st.floats(1.0, 2.0), st.integers(-20, 19)),
+                           min_size=2, max_size=10),
+           num_snapshots=st.integers(2, 1000),
+           # The bottom of the range, where a floor would bite, gets its own draw.
+           exponent=st.integers(-1000, 990) | st.integers(-1000, -960),
+           kind=st.sampled_from(["aic", "mdl"]))
+    def test_order_is_invariant_under_power_of_two_scaling(self, values, num_snapshots,
+                                                           exponent, kind):
+        # Every scaled value stays normal, so the scaling is exact and the
+        # spectrum keeps its shape; only the criterion's rounding moves.
+        # Near-ties, where that rounding (~1e-9 here) can pick either
+        # order, are skipped.
+        values = np.sort(values)[::-1]
+        base = criterion_values(values[np.newaxis], num_snapshots, kind)[0]
+        best, second = np.sort(base)[:2]
+        assume(second - best > 1e-6)
+        scaled = ClassicalDetector(kind).decide_batch([np.ldexp(values, exponent)],
+                                                      num_snapshots)
+        assert scaled.tolist() == [int(base.argmin())]
 
 
 class TestCriteria:

@@ -2,10 +2,14 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sourcecount import network
 from sourcecount.detectors import DetectorSpec, build_detector
 from sourcecount.network import (
     AdamState,
@@ -372,11 +376,128 @@ class TestTrain:
         with pytest.raises(ArithmeticError, match="non-finite"):
             train(net, x, np.array([[0.0]]), TrainConfig(epochs=1, batch_size=1))
 
+    @pytest.mark.parametrize("final", ["linear", "softmax"])
+    @pytest.mark.parametrize("where, bad", [("features", math.inf), ("features", -math.inf),
+                                            ("targets", math.nan)])
+    def test_non_finite_data_aborts_without_warning(self, final, where, bad):
+        net = random_net([2, 4, 2], final, np.random.default_rng(12))
+        data = {"features": np.ones((2, 2)), "targets": np.array([[0.0, 1.0], [1.0, 0.0]])}
+        data[where][1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                train(net, data["features"], data["targets"],
+                      TrainConfig(epochs=1, batch_size=1))
+
+    def test_one_loss_and_one_adam_call_per_step(self, monkeypatch):
+        # A traced run splits training into compute_loss and adam_step by
+        # wrapping these module names, so train must call them per step.
+        calls = {"compute_loss": 0, "adam_step": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(network, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(network, name, counted)
+        rng = np.random.default_rng(13)
+        x, y = self.toy_data(rng, n=50)
+        train(random_net([2, 4, 2], "softmax", rng), x, y,
+              TrainConfig(epochs=3, batch_size=16))
+        assert calls == {"compute_loss": 3 * 4, "adam_step": 3 * 4}
+
     def test_empty_dataset_rejected(self):
         rng = np.random.default_rng(13)
         net = random_net([2, 4, 1], "linear", rng)
         with pytest.raises(ValueError):
             train(net, np.zeros((0, 2)), np.zeros((0, 1)), TrainConfig(epochs=1))
+
+
+def reference_train(net, x, y, config):
+    """The training loop with the original formulas and one fresh array
+    per operation, on copies of ``net``'s per-layer arrays: the bit-level
+    reference that the buffered step in :func:`train` must match."""
+    params = [[lay.weights.copy(), lay.bias.copy()] for lay in net.layers]
+    acts_of = [lay.activation for lay in net.layers]
+    moments = [[np.zeros_like(a) for a in pair] for pair in params]
+    squares = [[np.zeros_like(a) for a in pair] for pair in params]
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    rng = np.random.default_rng(config.seed)
+    n, step, history = len(x), 0, []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            xb, yb = x[idx], y[idx]
+            acts = [xb]
+            for (w, b), act in zip(params, acts_of):
+                z = acts[-1] @ w.T + b
+                if act == "relu":
+                    z = np.maximum(0.0, z)
+                elif act == "softmax":
+                    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+                    z = e / np.sum(e, axis=-1, keepdims=True)
+                acts.append(z)
+            if acts_of[-1] == "softmax":
+                loss = float(-np.mean(np.sum(yb * np.log(np.maximum(acts[-1], 1e-12)),
+                                             axis=1)))
+                delta = (acts[-1] - yb) / len(idx)
+            else:
+                loss = float(np.mean(np.sum((acts[-1] - yb) ** 2, axis=1)))
+                delta = 2.0 * (acts[-1] - yb) / len(idx)
+            grads = [None] * len(params)
+            for i in range(len(params) - 1, -1, -1):
+                grads[i] = [delta.T @ acts[i], delta.sum(axis=0)]
+                if i > 0:
+                    delta = delta @ params[i][0]
+                    if acts_of[i - 1] == "relu":
+                        delta = delta * (acts[i] > 0.0)
+            step += 1
+            bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for i, pair in enumerate(params):
+                for j, g in enumerate(grads[i]):
+                    moments[i][j] = b1 * moments[i][j] + (1.0 - b1) * g
+                    squares[i][j] = b2 * squares[i][j] + (1.0 - b2) * g * g
+                    pair[j] = pair[j] - config.learning_rate * (moments[i][j] / bc1) / (
+                        np.sqrt(squares[i][j] / bc2) + config.adam_epsilon)
+            total += loss * len(idx)
+        history.append(total / n)
+    return params, history
+
+
+class TestStepMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 12), min_size=2, max_size=4),
+           final=st.sampled_from(["linear", "softmax"]), n=st.integers(1, 40),
+           batch_size=st.integers(1, 48), epochs=st.integers(1, 3),
+           learning_rate=st.sampled_from([1e-3, 0.05]), seed=st.integers(0, 2 ** 16))
+    def test_train_is_bit_identical_to_reference(self, sizes, final, n, batch_size,
+                                                 epochs, learning_rate, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(sizes, final, rng)
+        x = rng.standard_normal((n, sizes[0]))
+        if final == "softmax":
+            y = np.eye(sizes[-1])[rng.integers(0, sizes[-1], n)]
+        else:
+            y = rng.standard_normal((n, sizes[-1]))
+        config = TrainConfig(learning_rate=learning_rate, batch_size=batch_size,
+                             epochs=epochs, seed=seed)
+        x0, y0 = x.copy(), y.copy()
+        expected, expected_history = reference_train(net, x, y, config)
+        history = train(net, x, y, config)
+        assert history == expected_history
+        for lay, (w, b) in zip(net.layers, expected):
+            assert np.array_equal(lay.weights, w) and np.array_equal(lay.bias, b)
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+        out = forward(net, x)
+        assert np.array_equal(x, x0)
+        logits = x.copy()
+        softmax(logits)
+        assert np.array_equal(logits, x0)
+        first, second = backward(net, x, y), backward(net, x, y)
+        for (gw1, gb1), (gw2, gb2) in zip(first, second):
+            assert np.array_equal(gw1, gw2) and np.array_equal(gb1, gb2)
+        assert np.array_equal(forward(net, x), out)
 
 
 class TestSerialization:
