@@ -20,25 +20,21 @@ from .experiments import (
     ClassicalDetector,
     ExperimentConfig,
     NET_KINDS,
+    SWEEPS,
     bench_complexity,
     emit_csv,
     evaluate_detectors,
     generate_trials,
     load_config,
     read_dataset,
+    run_sweep,
     train_detector,
-    sweep_snapshots,
-    sweep_snr_coherent,
-    sweep_snr_noncoherent,
     write_dataset,
     write_manifest,
     select_features,
 )
 
 ALL_DETECTORS = NET_KINDS + CLASSICAL_KINDS
-
-# Source coherence each sweep runs with, whatever the config says.
-_SWEEP_COHERENCE = {"sweep-snapshots": False, "sweep-snr": False, "sweep-snr-coherent": True}
 
 
 def _count(text: str) -> int:
@@ -87,12 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshots", type=_count, help="snapshot count (default from config)")
     p.add_argument("--trials", type=_count, help="trial count (default from config)")
 
-    for name, help_text in (
-        ("sweep-snapshots", "accuracy versus snapshot count (non-coherent)"),
-        ("sweep-snr", "accuracy versus SNR (non-coherent)"),
-        ("sweep-snr-coherent", "accuracy versus SNR (coherent, smoothed)"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, sweep in SWEEPS.items():
+        axis = "SNR" if sweep.field == "test_snr_db" else "snapshot count"
+        mode = "coherent, smoothed" if sweep.coherent else "non-coherent"
+        p = sub.add_parser(name, help=f"accuracy versus {axis} ({mode})")
         _add_common(p, detector=False)
 
     p = sub.add_parser("bench-complexity", help="per-decision operation counts and timings")
@@ -107,8 +101,8 @@ def _load_experiment_config(args) -> ExperimentConfig:
     config rejects."""
     config = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    if args.command in _SWEEP_COHERENCE:
-        overrides["coherent"] = _SWEEP_COHERENCE[args.command]
+    if args.command in SWEEPS:
+        overrides["coherent"] = SWEEPS[args.command].coherent
     if args.seed is not None:
         overrides["seed"] = args.seed
     if getattr(args, "fbss", None) is not None:
@@ -217,18 +211,12 @@ def _cmd_eval(args, config: ExperimentConfig) -> int:
 
 
 def _cmd_sweep(args, config: ExperimentConfig) -> int:
-    which = args.command
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    runner = {
-        "sweep-snapshots": sweep_snapshots,
-        "sweep-snr": sweep_snr_noncoherent,
-        "sweep-snr-coherent": sweep_snr_coherent,
-    }[which]
-    result = runner(config)
-    csv_path = out / f"{which}.csv"
+    result = run_sweep(args.command, config)
+    csv_path = out / f"{args.command}.csv"
     emit_csv(result, csv_path)
-    write_manifest(out, config, which, extra={"csv": csv_path.name})
+    write_manifest(out, config, args.command, extra={"csv": csv_path.name})
     print(f"wrote {csv_path}")
     for name in result.detectors:
         cells = " ".join(f"{v:.3f}" for v in result.accuracy[name])
@@ -271,9 +259,7 @@ _COMMANDS = {
     "gen-data": _cmd_gen_data,
     "train": _cmd_train,
     "eval": _cmd_eval,
-    "sweep-snapshots": _cmd_sweep,
-    "sweep-snr": _cmd_sweep,
-    "sweep-snr-coherent": _cmd_sweep,
+    **dict.fromkeys(SWEEPS, _cmd_sweep),
     "bench-complexity": _cmd_bench,
 }
 

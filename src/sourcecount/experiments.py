@@ -375,76 +375,65 @@ def _build_detector_set(config: ExperimentConfig, kinds, trials_train: TrialSet,
     return detectors
 
 
-def _sweep_result(config: ExperimentConfig, axis, points) -> SweepResult:
-    """Gathers the per-point accuracy dicts along ``axis``; every point
-    names the same detectors in the same order."""
-    points = list(points)
+@dataclass(frozen=True)
+class Sweep:
+    """A sweep's axis field, source coherence and default detectors."""
+
+    field: str
+    coherent: bool
+    detectors: tuple[str, ...]
+
+
+SWEEPS = {
+    "sweep-snapshots": Sweep("num_snapshots", False, ("ernet", "ecnet", "aic", "mdl", "covnet")),
+    "sweep-snr": Sweep("test_snr_db", False, ("ernet", "ecnet", "aic", "mdl")),
+    "sweep-snr-coherent": Sweep("test_snr_db", True, ("ernet", "ecnet", "aic", "mdl")),
+}
+
+# The config axis that lists each swept field's values.
+_AXES = {"num_snapshots": "snapshot_axis", "test_snr_db": "snr_axis_db"}
+
+
+def run_sweep(name: str, config: ExperimentConfig) -> SweepResult:
+    """Accuracy of each detector along sweep ``name``'s axis.  The nets
+    train at the first point, and at every point of an axis the training
+    draws read (N); coherent sweeps read smoothed spectra of size M0."""
+    sweep = SWEEPS[name]
+    config = replace(config, coherent=sweep.coherent)
+    kinds = config.detectors or sweep.detectors
+    subarray_size = config.subarray_size if sweep.coherent else None
+    want = _feature_wants(kinds, subarray_size)
+    axis = getattr(config, _AXES[sweep.field])
+    detectors, points = None, []
+    for ai, value in enumerate(axis):
+        config = replace(config, **{sweep.field: value})
+        if detectors is None or sweep.field != "test_snr_db":
+            trials = generate_trials(config, phase="train", num=config.num_train, want=want,
+                                     snr_db=tuple(config.train_snr_db), axis_index=ai)
+            detectors = _build_detector_set(config, kinds, trials,
+                                            subarray_size=subarray_size, axis_index=ai)
+        trials = generate_trials(config, phase="test", num=config.num_test,
+                                 snr_db=config.test_snr_db, axis_index=ai, want=want)
+        points.append(evaluate_detectors(detectors, trials))
     names = tuple(points[0]) if points else ()
-    return SweepResult(
-        axis=tuple(float(a) for a in axis),
-        detectors=names,
-        accuracy={name: tuple(point[name] for point in points) for name in names},
-        num_trials=config.num_test,
-        seed=config.seed,
-    )
+    accuracy = {det: tuple(point[det] for point in points) for det in names}
+    return SweepResult(tuple(float(a) for a in axis), names, accuracy,
+                       num_trials=config.num_test, seed=config.seed)
 
 
 def sweep_snapshots(config: ExperimentConfig) -> SweepResult:
-    """Accuracy versus snapshot count, non-coherent sources.
-
-    Networks are retrained for every snapshot count (the eigenvalue
-    distribution depends on N); tests run at the fixed test SNR.
-    """
-    kinds = config.detectors or ("ernet", "ecnet", "aic", "mdl", "covnet")
-    want = _feature_wants(kinds, None)
-
-    def point(ai: int, n: int) -> dict[str, float]:
-        trials_train = generate_trials(
-            config, phase="train", num=config.num_train, snr_db=tuple(config.train_snr_db),
-            num_snapshots=n, coherent=False, axis_index=ai, want=want)
-        detectors = _build_detector_set(config, kinds, trials_train,
-                                        subarray_size=None, axis_index=ai)
-        trials_test = generate_trials(
-            config, phase="test", num=config.num_test, snr_db=config.test_snr_db,
-            num_snapshots=n, coherent=False, axis_index=ai, want=want)
-        return evaluate_detectors(detectors, trials_test)
-
-    return _sweep_result(config, config.snapshot_axis,
-                         (point(ai, n) for ai, n in enumerate(config.snapshot_axis)))
-
-
-def _sweep_snr(config: ExperimentConfig, kinds, *, coherent: bool,
-               subarray_size: int | None) -> SweepResult:
-    # One mixed-SNR training per detector, shared across the whole axis.
-    want = _feature_wants(kinds, subarray_size)
-    trials_train = generate_trials(
-        config, phase="train", num=config.num_train, snr_db=tuple(config.train_snr_db),
-        coherent=coherent, axis_index=0, want=want)
-    detectors = _build_detector_set(config, kinds, trials_train,
-                                    subarray_size=subarray_size, axis_index=0)
-
-    def point(ai: int, snr: float) -> dict[str, float]:
-        trials_test = generate_trials(
-            config, phase="test", num=config.num_test, snr_db=float(snr),
-            coherent=coherent, axis_index=ai, want=want)
-        return evaluate_detectors(detectors, trials_test)
-
-    return _sweep_result(config, config.snr_axis_db,
-                         (point(ai, snr) for ai, snr in enumerate(config.snr_axis_db)))
+    """Accuracy versus snapshot count, non-coherent sources."""
+    return run_sweep("sweep-snapshots", config)
 
 
 def sweep_snr_noncoherent(config: ExperimentConfig) -> SweepResult:
     """Accuracy versus test SNR, non-coherent sources, N fixed."""
-    kinds = config.detectors or ("ernet", "ecnet", "aic", "mdl")
-    return _sweep_snr(config, kinds, coherent=False, subarray_size=None)
+    return run_sweep("sweep-snr", config)
 
 
 def sweep_snr_coherent(config: ExperimentConfig) -> SweepResult:
-    """Accuracy versus test SNR with coherent sources; every detector
-    runs on the forward-backward smoothed spectrum (size M0), so CovNet
-    is rejected."""
-    kinds = config.detectors or ("ernet", "ecnet", "aic", "mdl")
-    return _sweep_snr(config, kinds, coherent=True, subarray_size=config.subarray_size)
+    """Accuracy versus test SNR, coherent sources, smoothed spectra."""
+    return run_sweep("sweep-snr-coherent", config)
 
 
 # --- Complexity bench ---------------------------------------------------

@@ -23,6 +23,9 @@ ACTIVATIONS = ("relu", "linear", "softmax")
 # Probability floor inside the cross-entropy logarithm.
 CCE_FLOOR = 1e-12
 
+# ADAM's fixed decay rates and denominator offset.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class Layer:
@@ -100,25 +103,16 @@ class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 128
     epochs: int = 400
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be non-negative")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and non-negative, "
+                             f"got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ValueError("adam betas must lie in [0, 1)")
-
-
-def relu(z: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, z)."""
-    return np.maximum(0.0, z)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -175,16 +169,6 @@ def forward(net: Network, x) -> np.ndarray:
         )
     out = _forward_cached(net, batch)[-1]
     return out[0] if squeeze else out
-
-
-def loss_l2(pred, target) -> float:
-    """Batch mean of squared Euclidean distance."""
-    return compute_loss(pred, target, "l2")
-
-
-def loss_cce(pred, target) -> float:
-    """Batch mean of -sum(target * ln(pred)), with pred floored at 1e-12."""
-    return compute_loss(pred, target, "cce")
 
 
 def compute_loss(pred, target, loss: str) -> float:
@@ -272,7 +256,7 @@ def adam_step(net: Network, grad: np.ndarray, state: AdamState, config: TrainCon
     if np.shape(grad) != net.params.shape:
         raise ValueError("gradient does not match the network's parameter vector")
     state.step += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     m1, m2 = state.moment1, state.moment2
@@ -285,7 +269,7 @@ def adam_step(net: Network, grad: np.ndarray, state: AdamState, config: TrainCon
     m2 += np.multiply(np.multiply(grad, 1.0 - b2, out=s2), grad, out=s2)
     np.multiply(np.divide(m1, bc1, out=s1), config.learning_rate, out=s1)
     np.sqrt(np.divide(m2, bc2, out=s2), out=s2)
-    s2 += config.adam_epsilon
+    s2 += ADAM_EPSILON
     net.params -= np.divide(s1, s2, out=s1)
 
 
@@ -311,8 +295,8 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
     kept).  Deterministic given (net, data, config).
 
     Raises:
-        ArithmeticError: If a feature or target is not finite, or the
-            loss stops being finite.
+        ArithmeticError: If a feature or target is not finite, or a step
+            overflows or makes a NaN (the error names the epoch and batch).
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -338,24 +322,28 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
                       for _ in range(2)]
                for rows in {min(config.batch_size, n), n % config.batch_size} - {0}}
     history: list[float] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = x[idx], y[idx]
-            outs, deltas = buffers[len(idx)]
-            acts = _forward_cached(net, xb, outs)
-            batch_loss = compute_loss(acts[-1], yb, loss)
-            if not math.isfinite(batch_loss):
-                raise ArithmeticError(
-                    f"non-finite loss {batch_loss} at epoch {epoch}, "
-                    f"batch starting at {start}"
-                )
-            _backward_from_cache(net, acts, yb, grad_views, deltas)
-            adam_step(net, grad, state, config)
-            total += batch_loss * len(idx)
-        history.append(total / n)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(config.epochs):
+                order = rng.permutation(n)
+                total = 0.0
+                for start in range(0, n, config.batch_size):
+                    idx = order[start:start + config.batch_size]
+                    xb, yb = x[idx], y[idx]
+                    outs, deltas = buffers[len(idx)]
+                    acts = _forward_cached(net, xb, outs)
+                    batch_loss = compute_loss(acts[-1], yb, loss)
+                    if not math.isfinite(batch_loss):
+                        raise ArithmeticError(
+                            f"non-finite loss {batch_loss} at epoch {epoch}, "
+                            f"batch starting at {start}"
+                        )
+                    _backward_from_cache(net, acts, yb, grad_views, deltas)
+                    adam_step(net, grad, state, config)
+                    total += batch_loss * len(idx)
+                history.append(total / n)
+    except FloatingPointError as exc:
+        raise ArithmeticError(f"{exc} at epoch {epoch}, batch starting at {start}") from exc
     return history
 
 
@@ -416,7 +404,8 @@ def _reject_constant(name: str):
 def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
     """Parses :func:`dumps_network` output back, bit-exact.  NaN and
     Infinity, which :func:`dumps_network` never writes, are rejected.
-    The ``"loss"`` entry older files hold in ``train_config`` is ignored."""
+    Older files' ``train_config`` entries are dropped: ``"loss"``, and
+    the ADAM constants if they hold the fixed values."""
     doc = json.loads(text, parse_constant=_reject_constant)
     if doc.get("format") != FORMAT_NAME:
         raise ValueError("not a serialized network document")
@@ -431,8 +420,15 @@ def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
     net = Network(layers)
     config = None
     if doc.get("train_config") is not None:
-        doc["train_config"].pop("loss", None)  # the output layer sets the loss
-        config = TrainConfig(**doc["train_config"])
+        entries = doc["train_config"]
+        entries.pop("loss", None)  # the output layer sets the loss
+        for key, value in (("adam_beta1", ADAM_BETA1), ("adam_beta2", ADAM_BETA2),
+                           ("adam_epsilon", ADAM_EPSILON)):
+            found = entries.pop(key, value)
+            if found != value:
+                raise ValueError(f"model file sets {key} to {found}, "
+                                 f"but training uses the fixed {value}")
+        config = TrainConfig(**entries)
     return net, config, doc.get("meta", {})
 
 

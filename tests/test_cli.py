@@ -130,6 +130,18 @@ class TestGenTrainEval:
         assert capsys.readouterr().err == f"error: malformed dataset row in {dataset}\n"
         assert not list(out.glob("model-*.json"))
 
+    def test_train_rejects_infinite_learning_rate(self, tmp_path, capsys):
+        path = tmp_path / "inf.cfg"
+        path.write_text(TINY_CONFIG + "learning_rate = inf\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("gen-data", "--config", path, "--out", out, "--num", 5,
+                   "--detector", "ernet") == 0
+        capsys.readouterr()
+        assert run("train", "--config", path, "--out", out, "--detector", "ernet") == 2
+        err = capsys.readouterr().err
+        assert err == "error: learning_rate must be finite and non-negative, got inf\n"
+        assert not list(out.glob("model-*.json"))
+
     @pytest.mark.parametrize("header", ["not a header", "M=10,N=20,coherence=non-coherent,seed=3",
                                         "M=10,feature_dim=ten"],
                              ids=["no-pairs", "no-feature_dim", "bad-feature_dim"])
@@ -253,6 +265,15 @@ class TestSweepCommands:
         assert len(warning) == 1 and "resolves at most 4 sources" in warning[0]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["identifiable"] is False and manifest["config"]["coherent"] is True
+
+    @pytest.mark.parametrize("command", ["sweep-snr", "sweep-snapshots"])
+    def test_non_coherent_sweeps_override_the_config(self, tmp_path, command):
+        path = tmp_path / "coherent.cfg"
+        path.write_text(TINY_CONFIG + "coherent = true\n", encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert run(command, "--config", path, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["coherent"] is False
 
     def test_identifiable_configs_do_not_warn(self, tmp_path, config_file, capsys):
         assert run("sweep-snr", "--config", config_file, "--out", tmp_path / "a") == 0

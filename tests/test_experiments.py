@@ -38,6 +38,8 @@ from sourcecount.signal_model import generate_snapshots, sample_covariance
 SIMULATION_DIGEST = "b97c4e00fa97504846b43b7070ff4c3e1a73b725183c5a6b7bc0e6b4e20ec8e2"
 # SHA-256 of TestTrainDetector.test_training_bits_pinned's trained nets.
 TRAINING_DIGEST = "764d2523f0de75be3774c5346e9870a4e576afe507b7fc6caefe084e76894b47"
+# SHA-256 of TestSweeps.test_sweep_bits_pinned's sweep results.
+SWEEP_DIGEST = "1e61c42b8c725836464948b6d95b3a1c2577a38ad4d41a3757acf87d49f2634b"
 
 
 def tiny_config(**overrides):
@@ -367,6 +369,19 @@ class TestSweeps:
         config = tiny_config(coherent=True, detectors=("ernet", "covnet", "mdl"))
         with pytest.raises(ValueError, match="covnet has no smoothed form"):
             sweep_snr_coherent(config)
+
+    def test_sweep_bits_pinned(self):
+        # One SHA-256 over four tiny sweeps: snapshots (retrained per N)
+        # and the coherent SNR sweep with their default detectors, the
+        # non-coherent SNR sweep, and a coherent two-detector subset.
+        digest = hashlib.sha256()
+        for sweep, config in (
+                (sweep_snapshots, tiny_config(detectors=None)),
+                (sweep_snr_noncoherent, tiny_config()),
+                (sweep_snr_coherent, tiny_config(max_sources=4, detectors=None)),
+                (sweep_snr_coherent, tiny_config(max_sources=4, detectors=("ecnet", "mdl")))):
+            digest.update(repr(sweep(config)).encode())
+        assert digest.hexdigest() == SWEEP_DIGEST
 
     def test_paired_evaluation(self):
         # classical detectors see exactly the trials the networks see

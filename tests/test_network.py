@@ -24,9 +24,6 @@ from sourcecount.network import (
     init_truncated_normal,
     load_network,
     loads_network,
-    loss_cce,
-    loss_l2,
-    relu,
     save_network,
     softmax,
     train,
@@ -90,9 +87,12 @@ class TestNetworkValidation:
 
 class TestActivations:
     def test_relu(self):
-        assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-        assert np.array_equal(relu(np.array([-3.0, -0.5])), [0.0, 0.0])
-        assert np.array_equal(relu(np.array([1.0, 0.1])), [1.0, 0.1])
+        # A ReLU identity layer under a linear identity layer gives max(0, z).
+        net = Network([layer(np.eye(3), np.zeros(3), "relu"),
+                       layer(np.eye(3), np.zeros(3), "linear")])
+        z = np.array([[-1.0, 0.0, 2.0], [-3.0, -0.5, 0.0], [1.0, 0.1, 5.0]])
+        assert np.array_equal(forward(net, z), [[0.0, 0.0, 2.0], [0.0, 0.0, 0.0],
+                                                [1.0, 0.1, 5.0]])
 
     def test_softmax_symmetry(self):
         assert np.allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
@@ -123,42 +123,42 @@ class TestActivations:
 
 class TestLosses:
     def test_l2_zero_at_fit(self):
-        assert loss_l2(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        assert compute_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0]), "l2") == 0.0
 
     def test_l2_scalar(self):
-        assert loss_l2(np.array([3.0]), np.array([1.0])) == pytest.approx(4.0)
+        assert compute_loss(np.array([3.0]), np.array([1.0]), "l2") == pytest.approx(4.0)
 
     def test_l2_batch_mean_of_two(self):
         pred = np.array([[1.0, 0.0], [0.0, 2.0]])
         target = np.array([[0.0, 0.0], [0.0, 0.0]])
         # hand sum: (1 + 4) / 2
-        assert loss_l2(pred, target) == pytest.approx(2.5)
+        assert compute_loss(pred, target, "l2") == pytest.approx(2.5)
 
     def test_cce_zero_at_one_hot_fit(self):
         y = np.zeros(5)
         y[2] = 1.0
-        assert loss_cce(y, y) == pytest.approx(0.0, abs=1e-12)
+        assert compute_loss(y, y, "cce") == pytest.approx(0.0, abs=1e-12)
 
     def test_cce_uniform_prediction(self):
         pred = np.full(10, 0.1)
         label = np.zeros(10)
         label[4] = 1.0
-        assert loss_cce(pred, label) == pytest.approx(math.log(10.0), rel=1e-12)
+        assert compute_loss(pred, label, "cce") == pytest.approx(math.log(10.0), rel=1e-12)
 
     def test_cce_scalar_evaluation(self):
         pred = np.array([0.7, 0.2, 0.1])
         label = np.array([1.0, 0.0, 0.0])
-        assert loss_cce(pred, label) == pytest.approx(-math.log(0.7), rel=1e-12)
+        assert compute_loss(pred, label, "cce") == pytest.approx(-math.log(0.7), rel=1e-12)
 
     def test_losses_non_negative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             a, b = rng.standard_normal(4), rng.standard_normal(4)
-            assert loss_l2(a, b) >= 0.0
+            assert compute_loss(a, b, "l2") >= 0.0
             p = softmax(rng.standard_normal(6))
             y = np.zeros(6)
             y[int(rng.integers(0, 6))] = 1.0
-            assert loss_cce(p, y) >= 0.0
+            assert compute_loss(p, y, "cce") >= 0.0
 
 
 def finite_difference_grads(net, x, target, loss, h=1e-6):
@@ -404,6 +404,26 @@ class TestTrain:
               TrainConfig(epochs=3, batch_size=16))
         assert calls == {"compute_loss": 3 * 4, "adam_step": 3 * 4}
 
+    @pytest.mark.parametrize("kind", ["ernet", "ecnet", "covnet"])
+    def test_overflowing_step_aborts_without_warning(self, kind):
+        # Finite features of 1e200 overflow the first step; the error
+        # names where, and ADAM never goes on with infinite moments.
+        spec = DetectorSpec(kind, 10)
+        net = build_detector(spec, np.random.default_rng(0))
+        x = np.full((4, spec.feature_size), 1e200)
+        y = np.zeros((4, spec.output_size))
+        y[:, 0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ArithmeticError, match="overflow .* at epoch 0, batch "
+                                                      "starting at 0"):
+                train(net, x, y, TrainConfig(epochs=2, batch_size=2))
+
+    @pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_bad_learning_rate_rejected(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate must be finite and non-negative"):
+            TrainConfig(learning_rate=learning_rate)
+
     def test_empty_dataset_rejected(self):
         rng = np.random.default_rng(13)
         net = random_net([2, 4, 1], "linear", rng)
@@ -419,7 +439,7 @@ def reference_train(net, x, y, config):
     acts_of = [lay.activation for lay in net.layers]
     moments = [[np.zeros_like(a) for a in pair] for pair in params]
     squares = [[np.zeros_like(a) for a in pair] for pair in params]
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = network.ADAM_BETA1, network.ADAM_BETA2
     rng = np.random.default_rng(config.seed)
     n, step, history = len(x), 0, []
     for _ in range(config.epochs):
@@ -458,7 +478,7 @@ def reference_train(net, x, y, config):
                     moments[i][j] = b1 * moments[i][j] + (1.0 - b1) * g
                     squares[i][j] = b2 * squares[i][j] + (1.0 - b2) * g * g
                     pair[j] = pair[j] - config.learning_rate * (moments[i][j] / bc1) / (
-                        np.sqrt(squares[i][j] / bc2) + config.adam_epsilon)
+                        np.sqrt(squares[i][j] / bc2) + network.ADAM_EPSILON)
             total += loss * len(idx)
         history.append(total / n)
     return params, history
@@ -529,6 +549,25 @@ class TestSerialization:
         assert constant in text
         with pytest.raises(ValueError, match="non-finite number"):
             loads_network(text)
+
+    def test_old_files_adam_constants_dropped(self):
+        net = Network([layer(np.eye(2), np.zeros(2), "linear")])
+        config = TrainConfig(learning_rate=1e-3, epochs=7, seed=99)
+        text = dumps_network(net, config)
+        assert "adam" not in text
+        old = text.replace('"seed": 99', '"seed": 99,\n    "adam_beta1": 9.0000000000000002e-01,'
+                           '\n    "adam_beta2": 9.9900000000000000e-01,'
+                           '\n    "adam_epsilon": 1.0000000000000000e-08')
+        assert old.count("adam") == 3
+        assert loads_network(old)[1] == config
+
+    @pytest.mark.parametrize("key, value", [("adam_beta1", 0.5), ("adam_epsilon", 1e-7)])
+    def test_old_files_other_adam_values_rejected(self, key, value):
+        net = Network([layer(np.eye(2), np.zeros(2), "linear")])
+        text = dumps_network(net, TrainConfig(seed=99))
+        old = text.replace('"seed": 99', f'"seed": 99,\n    "{key}": {value}')
+        with pytest.raises(ValueError, match=f"model file sets {key} to {value}, "):
+            loads_network(old)
 
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError):
