@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train, eval, sweep-snapshots, sweep-snr,
 sweep-snr-coherent, bench-complexity.  Every run writes its outputs plus
-a manifest (config hash, seed, versions) under --out.
+a manifest (config hash, seed, versions) under --out.  Flags that set
+run settings override the config, and the commands read only the config.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .experiments import (
     NET_KINDS,
     SWEEPS,
     bench_complexity,
+    dataset_header,
     emit_csv,
     evaluate_detectors,
     generate_trials,
@@ -71,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--phase", choices=("train", "test"), default="train")
     p.add_argument("--num", type=_count, help="sample count (default from config)")
-    p.add_argument("--snr-db", type=float, help="fixed SNR for test-phase draws")
+    p.add_argument("--snr-db", type=float, dest="test_snr_db", metavar="SNR_DB",
+                   help="fixed SNR for test-phase draws")
 
     p = sub.add_parser("train", help="train a network detector on a dataset file")
     _add_common(p)
@@ -79,9 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="measure a detector's accuracy at one point")
     _add_common(p)
     p.add_argument("--model", type=Path, help="model file (default from --out)")
-    p.add_argument("--snr-db", type=float, help="test SNR in dB (default from config)")
-    p.add_argument("--snapshots", type=_count, help="snapshot count (default from config)")
-    p.add_argument("--trials", type=_count, help="trial count (default from config)")
+    p.add_argument("--snr-db", type=float, dest="test_snr_db", metavar="SNR_DB",
+                   help="test SNR in dB (default from config)")
+    p.add_argument("--snapshots", type=_count, dest="num_snapshots", metavar="SNAPSHOTS",
+                   help="snapshot count (default from config)")
+    p.add_argument("--trials", type=_count, dest="num_test", metavar="TRIALS",
+                   help="trial count (default from config)")
 
     for name, sweep in SWEEPS.items():
         axis = "SNR" if sweep.field == "test_snr_db" else "snapshot count"
@@ -95,39 +101,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
-    """The config file (or the defaults) with the flags applied: --seed,
-    and --fbss and --snr-db where the command has them, and a sweep's
-    source coherence.  Raises ValueError for a flag or file value the
-    config rejects."""
+    """The config file (or the defaults) with the flags applied: each
+    flag whose dest names a config field, --num to the phase's sample
+    count, --fbss to the sub-array size, and a sweep's source coherence.
+    Raises ValueError for a flag or file value the config rejects."""
     config = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.command in SWEEPS:
-        overrides["coherent"] = SWEEPS[args.command].coherent
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(config)
+                 if getattr(args, f.name, None) is not None}
+    if getattr(args, "num", None) is not None:
+        overrides[f"num_{args.phase}"] = args.num
     if getattr(args, "fbss", None) is not None:
         feature_kind(args.detector, args.fbss)
         overrides["subarray_size"] = args.fbss
-    if getattr(args, "snr_db", None) is not None:
-        overrides["test_snr_db"] = args.snr_db
+    if args.command in SWEEPS:
+        overrides["coherent"] = SWEEPS[args.command].coherent
     return dataclasses.replace(config, **overrides)
 
 
 def _cmd_gen_data(args, config: ExperimentConfig) -> int:
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     phase = args.phase
-    num = args.num if args.num is not None else (
-        config.num_train if phase == "train" else config.num_test)
+    num = getattr(config, f"num_{phase}")
     snr = tuple(config.train_snr_db) if phase == "train" else config.test_snr_db
-    sub = args.fbss
+    sub = config.subarray_size if args.fbss else None
     feature = feature_kind(args.detector, sub)
     trials = generate_trials(config, phase=phase, num=num, snr_db=snr, want=(feature,))
     feats = select_features(trials, args.detector, sub)
     name = detector_name(args.detector, sub)
-    path = out / f"dataset-{name}-{phase}.csv"
+    path = args.out / f"dataset-{name}-{phase}.csv"
     write_dataset(path, feats, trials.labels, config=config)
-    write_manifest(out, config, f"gen-data --detector {name} --phase {phase}",
+    write_manifest(args.out, config, f"gen-data --detector {name} --phase {phase}",
                    extra={"dataset": path.name, "num_samples": num})
     print(f"wrote {num} samples to {path}")
     return 0
@@ -136,23 +138,19 @@ def _cmd_gen_data(args, config: ExperimentConfig) -> int:
 def _cmd_train(args, config: ExperimentConfig) -> int:
     if args.detector not in NET_KINDS:
         raise ValueError(f"{args.detector} has no trainable parameters")
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    name = detector_name(args.detector, args.fbss)
+    out, sub = args.out, config.subarray_size if args.fbss else None
+    name = detector_name(args.detector, sub)
     dataset_path = out / f"dataset-{name}-train.csv"
     if not dataset_path.exists():
         raise ValueError(f"{dataset_path} not found; run gen-data first")
     features, labels, info = read_dataset(dataset_path)
-    mode = "coherent" if config.coherent else "non-coherent"
-    width = DetectorSpec(args.detector, config.num_antennas, args.fbss).feature_size
-    expected = {"M": config.num_antennas, "N": config.num_snapshots, "feature_dim": width,
-                "coherence": mode, "seed": config.seed}
-    for key, value in expected.items():
-        if info.get(key) != str(value):
+    width = DetectorSpec(args.detector, config.num_antennas, sub).feature_size
+    for key, value in dataset_header(config, width).items():
+        if info.get(key) != value:
             raise ValueError(f"dataset {dataset_path} has {key}={info.get(key)}, "
                              f"but this run has {key}={value}")
     detector, history = train_detector(config, args.detector, features, labels,
-                                       subarray_size=args.fbss)
+                                       subarray_size=sub)
     model_path = out / f"model-{name}.json"
     save_detector(detector, model_path)
     loss_path = out / f"loss-{name}.csv"
@@ -168,9 +166,7 @@ def _cmd_train(args, config: ExperimentConfig) -> int:
 
 
 def _cmd_eval(args, config: ExperimentConfig) -> int:
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    sub = args.fbss
+    out, sub = args.out, config.subarray_size if args.fbss else None
     name = detector_name(args.detector, sub)
     if args.detector in NET_KINDS:
         model_path = args.model or out / f"model-{name}.json"
@@ -185,38 +181,33 @@ def _cmd_eval(args, config: ExperimentConfig) -> int:
         name = detector.spec.name
     else:
         detector = ClassicalDetector(args.detector, sub)
-    snr = config.test_snr_db
-    n = args.snapshots if args.snapshots is not None else config.num_snapshots
-    trials_count = args.trials if args.trials is not None else config.num_test
     kind = detector.spec.kind if isinstance(detector, Detector) else detector.kind
     feature = feature_kind(kind, sub)
-    trials = generate_trials(config, phase="test", num=trials_count, snr_db=snr,
-                             num_snapshots=n, want=(feature,))
+    trials = generate_trials(config, phase="test", num=config.num_test,
+                             snr_db=config.test_snr_db, want=(feature,))
     accuracy = evaluate_detectors([detector], trials)[name]
     report = {
         "detector": name,
         "accuracy": accuracy,
-        "num_trials": trials_count,
-        "snr_db": snr,
-        "num_snapshots": n,
+        "num_trials": config.num_test,
+        "snr_db": config.test_snr_db,
+        "num_snapshots": config.num_snapshots,
         "seed": config.seed,
     }
     report_path = out / f"eval-{name}.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
     write_manifest(out, config, f"eval --detector {name}", extra={"report": report_path.name})
-    print(f"{name}: accuracy {accuracy:.4f} over {trials_count} trials "
-          f"(SNR {snr} dB, N={n})")
+    print(f"{name}: accuracy {accuracy:.4f} over {config.num_test} trials "
+          f"(SNR {config.test_snr_db} dB, N={config.num_snapshots})")
     return 0
 
 
 def _cmd_sweep(args, config: ExperimentConfig) -> int:
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     result = run_sweep(args.command, config)
-    csv_path = out / f"{args.command}.csv"
+    csv_path = args.out / f"{args.command}.csv"
     emit_csv(result, csv_path)
-    write_manifest(out, config, args.command, extra={"csv": csv_path.name})
+    write_manifest(args.out, config, args.command, extra={"csv": csv_path.name})
     print(f"wrote {csv_path}")
     for name in result.detectors:
         cells = " ".join(f"{v:.3f}" for v in result.accuracy[name])
@@ -225,8 +216,6 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
 
 
 def _cmd_bench(args, config: ExperimentConfig) -> int:
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     rows = bench_complexity(config)
     doc = [
         {
@@ -237,9 +226,9 @@ def _cmd_bench(args, config: ExperimentConfig) -> int:
         }
         for row in rows
     ]
-    path = out / "bench-complexity.json"
+    path = args.out / "bench-complexity.json"
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    write_manifest(out, config, "bench-complexity", extra={"report": path.name})
+    write_manifest(args.out, config, "bench-complexity", extra={"report": path.name})
     print(f"{'method':>8} {'mul/div':>18} {'add/sub':>18} {'log':>14} {'cmp':>14} "
           f"{'us/decision':>12}")
     for row in rows:
@@ -268,6 +257,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_experiment_config(args)
+        args.out.mkdir(parents=True, exist_ok=True)
         status = _COMMANDS[args.command](args, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

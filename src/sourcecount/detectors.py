@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .signal_model import fbss_covariance
 
 NET_KINDS = ("ernet", "ecnet", "covnet")
 FEATURES = ("eigen", "fbss", "cov")
-DEFAULT_HIDDEN = (8, 8)
 
 
 def feature_kind(kind: str, subarray_size: int | None) -> str:
@@ -69,16 +69,16 @@ class DetectorSpec:
             of the classification heads.
         subarray_size: Optional smoothing sub-array size M0; ``None``
             disables smoothing.  Not allowed for CovNet.
-        hidden: Hidden layer widths, (8, 8) unless overridden.
         normalize: Divide features by the covariance trace before the
             network (optional experiment, off by default).
+        hidden: Hidden layer widths, (8, 8) for every detector.
     """
 
     kind: str
     num_antennas: int
     subarray_size: int | None = None
-    hidden: tuple[int, int] = DEFAULT_HIDDEN
     normalize: bool = False
+    hidden: ClassVar[tuple[int, int]] = (8, 8)
 
     def __post_init__(self):
         if self.kind not in NET_KINDS:
@@ -86,8 +86,6 @@ class DetectorSpec:
         feature_kind(self.kind, self.subarray_size)
         if self.num_antennas < 2:
             raise ValueError("need at least two antennas")
-        if any(h < 1 for h in self.hidden):
-            raise ValueError("hidden sizes must be positive")
         if self.subarray_size is not None and not 1 <= self.subarray_size <= self.num_antennas:
             raise ValueError("subarray_size must lie in [1, num_antennas]")
 
@@ -127,37 +125,33 @@ def make_features(covs, feature: str, subarray_size: int | None = None) -> np.nd
 def normalize_features(feats: np.ndarray, feature: str) -> np.ndarray:
     """Divides each row of a (num, dim) feature batch by the trace of
     the covariance it came from; rows with a non-positive trace are
-    left as they are."""
-    if feature == "cov":
-        m = int(round(math.sqrt(feats.shape[1] / 2)))
-        trace = feats[:, np.arange(m) * (m + 1)].sum(axis=1)
-    else:
-        trace = feats.sum(axis=1)
-    trace = np.where(trace > 0.0, trace, 1.0)
-    return feats / trace[:, np.newaxis]
+    left as they are.  Raises ValueError if a trace or quotient overflows."""
+    m = int(round(math.sqrt(feats.shape[1] / 2)))  # M of a "cov" row
+    columns = np.arange(m) * (m + 1) if feature == "cov" else slice(None)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        trace = feats[:, columns].sum(axis=1)
+        rows = feats / np.where(trace > 0.0, trace, 1.0)[:, np.newaxis]
+    if np.isinf(trace).any() or np.isinf(rows).any():
+        raise ValueError("features are too large to normalize: a trace or quotient overflows")
+    return rows
+
+
+def _layer_plan(spec: DetectorSpec) -> list[tuple[int, int, str]]:
+    """(fan_in, fan_out, activation) per layer: input -> hidden (ReLU) ->
+    output (linear for ERNet, softmax otherwise)."""
+    sizes = [spec.feature_size, *spec.hidden, spec.output_size]
+    head = "linear" if spec.kind == "ernet" else "softmax"
+    return [(fan_in, fan_out, "relu" if i < len(spec.hidden) else head)
+            for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:]))]
 
 
 def build_detector(spec: DetectorSpec, rng: np.random.Generator) -> Network:
-    """Untrained 4-layer network for ``spec``: input -> hidden -> output.
-
-    Hidden layers use ReLU; the output layer is linear for ERNet and
-    softmax otherwise.  Weights are truncated-normal with variance
-    1/fan_in; biases start at zero.
-    """
-    sizes = [spec.feature_size, *spec.hidden, spec.output_size]
-    layers = []
-    for i in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        last = i == len(sizes) - 2
-        activation = ("linear" if spec.kind == "ernet" else "softmax") if last else "relu"
-        layers.append(
-            Layer(
-                weights=init_truncated_normal((fan_out, fan_in), fan_in, rng),
-                bias=np.zeros(fan_out),
-                activation=activation,
-            )
-        )
-    return Network(layers)
+    """Untrained network laid out by :func:`_layer_plan`.  Weights are
+    truncated-normal with variance 1/fan_in, drawn layer by layer;
+    biases start at zero."""
+    return Network([Layer(weights=init_truncated_normal((fan_out, fan_in), fan_in, rng),
+                          bias=np.zeros(fan_out), activation=activation)
+                    for fan_in, fan_out, activation in _layer_plan(spec)])
 
 
 @dataclass
@@ -219,15 +213,21 @@ def save_detector(detector: Detector, path):
 
 
 def load_detector(path) -> Detector:
+    """The detector in a :func:`save_detector` file.  Raises ValueError if the
+    metadata is missing or the network is not the one :func:`_layer_plan` lays out."""
     net, train_config, meta = load_network(path)
     try:
         spec = DetectorSpec(
             kind=meta["detector"],
             num_antennas=int(meta["num_antennas"]),
             subarray_size=meta.get("subarray_size"),
-            hidden=tuple(meta.get("hidden", DEFAULT_HIDDEN)),
             normalize=bool(meta.get("normalize", False)),
         )
     except KeyError as exc:
         raise ValueError(f"model file {path} lacks detector metadata: {exc}") from exc
+    layers = [(layer.in_dim, layer.out_dim, layer.activation) for layer in net.layers]
+    hidden = meta.get("hidden", list(spec.hidden))
+    if hidden != list(spec.hidden) or layers != _layer_plan(spec):
+        raise ValueError(f"model file {path} holds layers {layers} and hidden sizes {hidden}, "
+                         f"not the {spec.name} layers {_layer_plan(spec)}")
     return Detector(spec=spec, net=net, train_config=train_config)

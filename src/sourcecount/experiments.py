@@ -66,9 +66,9 @@ _SYNTHESIS_ENTRIES = 12800
 class ExperimentConfig:
     """Simulation and training protocol knobs (defaults mirror the
     reference experiments: M=10 antennas, N=20 snapshots, K in [0,5],
-    8000 training samples drawn at SNRs uniform in [0, 40] dB, (8,8)
-    hidden units, ADAM at 0.001, batch 128, 400 epochs, sub-arrays of
-    size 5 for the coherent case)."""
+    8000 training samples drawn at SNRs uniform in [0, 40] dB, ADAM at
+    0.001, batch 128, 400 epochs, sub-arrays of size 5 for the coherent
+    case)."""
 
     num_antennas: int = 10
     num_snapshots: int = 20
@@ -104,6 +104,7 @@ class ExperimentConfig:
         for kind in self.detectors or ():
             if kind not in NET_KINDS + CLASSICAL_KINDS:
                 raise ValueError(f"unknown detector {kind!r}")
+        TrainConfig(self.learning_rate, self.batch_size, self.epochs)  # checks training settings
 
     @property
     def identifiable(self) -> bool:
@@ -181,8 +182,7 @@ class TrialSet:
 
 
 def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
-                    snr_db, num_snapshots: int | None = None,
-                    coherent: bool | None = None, axis_index: int = 0,
+                    snr_db, coherent: bool | None = None, axis_index: int = 0,
                     want=("eigen",)) -> TrialSet:
     """Draws ``num`` scenarios and extracts the requested feature kinds
     (see :func:`~sourcecount.detectors.feature_kind`).
@@ -192,8 +192,8 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     computed a block of trials at a time, bit for bit as one by one.
     """
     role = {"train": ROLE_TRAIN, "test": ROLE_TEST}[phase]
-    overrides = {"num_snapshots": num_snapshots, "coherent": coherent}
-    config = replace(config, **{key: v for key, v in overrides.items() if v is not None})
+    if coherent is not None:
+        config = replace(config, coherent=coherent)
     m, m0 = config.num_antennas, config.subarray_size
     widths = {"eigen": m, "fbss": m0, "cov": 2 * m * m}
     unknown = set(want) - set(widths)
@@ -249,16 +249,21 @@ def _targets(spec: DetectorSpec, labels: np.ndarray) -> np.ndarray:
     return np.eye(spec.num_antennas)[labels]
 
 
+def dataset_header(config: ExperimentConfig, feature_dim: int) -> dict[str, str]:
+    """The key=value header (M, N, feature_dim, coherence, seed) of a dataset."""
+    return {"M": str(config.num_antennas), "N": str(config.num_snapshots),
+            "feature_dim": str(feature_dim),
+            "coherence": "coherent" if config.coherent else "non-coherent",
+            "seed": str(config.seed)}
+
+
 def write_dataset(path, features: np.ndarray, labels: np.ndarray, *,
                   config: ExperimentConfig):
-    """One header line (M, N, feature_dim, coherence mode, seed), then
-    one comma-separated line per sample: features then integer label."""
-    mode = "coherent" if config.coherent else "non-coherent"
+    """One :func:`dataset_header` line, then one comma-separated line per
+    sample: features then integer label."""
+    header = dataset_header(config, features.shape[1])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            f"M={config.num_antennas},N={config.num_snapshots},"
-            f"feature_dim={features.shape[1]},coherence={mode},seed={config.seed}\n"
-        )
+        fh.write(",".join(f"{key}={value}" for key, value in header.items()) + "\n")
         for row, label in zip(features, labels):
             fh.write(",".join(format(v, ".16e") for v in row) + f",{int(label)}\n")
 
@@ -290,12 +295,8 @@ def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
     """
     if kind not in NET_KINDS:
         raise ValueError(f"{kind!r} is not a trainable detector")
-    spec = DetectorSpec(
-        kind=kind,
-        num_antennas=config.num_antennas,
-        subarray_size=subarray_size,
-        normalize=config.normalize_features,
-    )
+    spec = DetectorSpec(kind, config.num_antennas, subarray_size,
+                        normalize=config.normalize_features)
     ordinal = NET_KINDS.index(kind)
     net = build_detector(spec, _rng(config.seed, ROLE_INIT, axis_index, ordinal))
     train_config = TrainConfig(

@@ -405,7 +405,7 @@ def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
     """Parses :func:`dumps_network` output back, bit-exact.  NaN and
     Infinity, which :func:`dumps_network` never writes, are rejected.
     Older files' ``train_config`` entries are dropped: ``"loss"``, and
-    the ADAM constants if they hold the fixed values."""
+    the ADAM constants if they hold the fixed values; others raise ValueError."""
     doc = json.loads(text, parse_constant=_reject_constant)
     if doc.get("format") != FORMAT_NAME:
         raise ValueError("not a serialized network document")
@@ -428,6 +428,9 @@ def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
             if found != value:
                 raise ValueError(f"model file sets {key} to {found}, "
                                  f"but training uses the fixed {value}")
+        unknown = sorted(set(entries) - {f.name for f in fields(TrainConfig)})
+        if unknown:
+            raise ValueError(f"model file has unknown train_config keys {unknown}")
         config = TrainConfig(**entries)
     return net, config, doc.get("meta", {})
 

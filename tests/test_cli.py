@@ -1,13 +1,19 @@
 """End-to-end CLI tests on a tiny configuration."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sourcecount.cli import main
 from sourcecount.detectors import Detector, DetectorSpec, build_detector, save_detector
-from sourcecount.experiments import read_csv, read_dataset
+from sourcecount.experiments import SWEEPS, read_csv, read_dataset
+from sourcecount.network import TrainConfig
+
+# Each subcommand's --help at COLUMNS=80, as the flags stood before they
+# became config overrides (Python 3.11 argparse).
+HELP_DIR = Path(__file__).parent / "data" / "help"
 
 TINY_CONFIG = """
 # desk-scale settings for fast CLI runs
@@ -134,13 +140,24 @@ class TestGenTrainEval:
         path = tmp_path / "inf.cfg"
         path.write_text(TINY_CONFIG + "learning_rate = inf\n", encoding="utf-8")
         out = tmp_path / "run"
-        assert run("gen-data", "--config", path, "--out", out, "--num", 5,
-                   "--detector", "ernet") == 0
-        capsys.readouterr()
-        assert run("train", "--config", path, "--out", out, "--detector", "ernet") == 2
+        for argv in (("gen-data", "--num", 5), ("train",)):
+            assert run(*argv, "--config", path, "--out", out, "--detector", "ernet") == 2
+            err = capsys.readouterr().err
+            assert err == "error: learning_rate must be finite and non-negative, got inf\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["learning_rate = nan", "batch_size = 0", "epochs = -1"])
+    @pytest.mark.parametrize("command", ["gen-data", "eval", "sweep-snr"])
+    def test_bad_training_settings_rejected_before_any_draw(self, tmp_path, capsys,
+                                                            command, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CONFIG + line + "\n", encoding="utf-8")
+        out = tmp_path / "run"
+        argv = (command,) if command in SWEEPS else (command, "--detector", "mdl")
+        assert run(*argv, "--config", path, "--out", out) == 2
         err = capsys.readouterr().err
-        assert err == "error: learning_rate must be finite and non-negative, got inf\n"
-        assert not list(out.glob("model-*.json"))
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("header", ["not a header", "M=10,N=20,coherence=non-coherent,seed=3",
                                         "M=10,feature_dim=ten"],
@@ -159,6 +176,63 @@ class TestGenTrainEval:
         err = capsys.readouterr().err
         assert err == f"error: dataset {dataset} has no key=value header with a feature_dim\n"
         assert not list(out.glob("model-*.json"))
+
+
+class TestFlagsAreConfigOverrides:
+    def test_eval_manifest_records_the_flags(self, tmp_path, config_file):
+        out = tmp_path / "run"
+        assert run("eval", "--config", config_file, "--out", out, "--detector", "mdl",
+                   "--snapshots", 50, "--trials", 30, "--snr-db", 10) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["num_snapshots"], config["num_test"], config["test_snr_db"]) == (50, 30, 10)
+        report = json.loads((out / "eval-mdl.json").read_text())
+        assert (report["num_snapshots"], report["num_trials"], report["snr_db"]) == (50, 30, 10)
+
+    @pytest.mark.parametrize("phase, field", [("test", "num_test"), ("train", "num_train")])
+    def test_gen_data_manifest_records_num(self, tmp_path, config_file, phase, field):
+        out = tmp_path / "run"
+        assert run("gen-data", "--config", config_file, "--out", out, "--detector", "mdl",
+                   "--phase", phase, "--num", 7) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"][field] == 7 and manifest["num_samples"] == 7
+        assert read_dataset(out / f"dataset-mdl-{phase}.csv")[1].shape == (7,)
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval", *SWEEPS,
+                                         "bench-complexity"])
+    def test_help_is_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (HELP_DIR / f"{command}.txt").read_text(
+            encoding="utf-8")
+
+
+class TestModelFiles:
+    @pytest.fixture()
+    def model(self, tmp_path):
+        spec = DetectorSpec("ecnet", 10)
+        det = Detector(spec, build_detector(spec, np.random.default_rng(0)), TrainConfig())
+        path = tmp_path / "model-ecnet.json"
+        save_detector(det, path)
+        return path
+
+    @pytest.mark.parametrize("old, new", [
+        ('"seed": 0\n', '"seed": 0,\n    "momentum": 0.5\n'),
+        ('"detector": "ecnet"', '"detector": "ernet"'),
+        ('"hidden": [8, 8]', '"hidden": [4, 4]'),
+    ], ids=["unknown-train-key", "other-kind", "other-hidden"])
+    def test_eval_rejects_a_foreign_model(self, tmp_path, config_file, capsys, model,
+                                          old, new):
+        text = model.read_text(encoding="utf-8")
+        assert old in text
+        model.write_text(text.replace(old, new), encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("eval", "--config", config_file, "--out", out, "--detector", "ecnet",
+                   "--model", model) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model file ") and err.count("\n") == 1
+        assert not list(out.glob("eval-*.json"))
 
 
 class TestFlagValidation:

@@ -1,14 +1,18 @@
 """Tests for feature extraction, label encoding and detector assembly."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sourcecount.detectors import (
     Detector,
     DetectorSpec,
+    _layer_plan,
     build_detector,
     load_detector,
     make_features,
@@ -219,6 +223,20 @@ class TestBuildDetector:
             bound = 2.0 / math.sqrt(lay.in_dim)
             assert np.all(np.abs(lay.weights) <= bound)
 
+    @pytest.mark.parametrize("kind, subarray_size", [
+        ("ernet", None), ("ecnet", None), ("covnet", None), ("ernet", 5), ("ecnet", 3)])
+    def test_build_follows_the_layer_plan(self, kind, subarray_size):
+        spec = DetectorSpec(kind, 10, subarray_size)
+        net = build_detector(spec, np.random.default_rng(0))
+        assert [(l.in_dim, l.out_dim, l.activation) for l in net.layers] == _layer_plan(spec)
+
+    def test_hidden_sizes_are_fixed(self):
+        assert DetectorSpec.hidden == (8, 8)
+        assert [f.name for f in dataclasses.fields(DetectorSpec)] == [
+            "kind", "num_antennas", "subarray_size", "normalize"]
+        with pytest.raises(TypeError):
+            DetectorSpec("ernet", 10, hidden=(4, 4))
+
     def test_seeded_build_is_deterministic(self):
         spec = DetectorSpec("ecnet", 10)
         n1 = build_detector(spec, np.random.default_rng(3))
@@ -251,6 +269,16 @@ class TestDetectorWrapper:
         r = random_hermitian_psd(rng, 10)
         cov = normalize_features(one_row(r, "cov")[np.newaxis], "cov")[0]
         assert np.trace(cov[:100].reshape(10, 10)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("feature, row", [
+        ("cov", [1e308] * 4 + [0.0] * 4),  # finite diagonal, overflowing trace
+        ("eigen", [1e300, -1e300, 1e-10]),  # tiny trace, overflowing quotient
+    ], ids=["trace", "quotient"])
+    def test_normalize_overflow_rejected(self, feature, row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large to normalize"):
+                normalize_features(np.array([row]), feature)
 
     def test_decide_batch_matches_scalar_decide(self):
         rng = np.random.default_rng(9)
@@ -322,10 +350,24 @@ class TestDetectorWrapper:
         det = Detector(spec, build_detector(spec, np.random.default_rng(4)))
         path = tmp_path / "det.json"
         save_detector(det, path)
+        assert '"hidden": [8, 8]' in path.read_text()
         loaded = load_detector(path)
         assert loaded.spec == spec
         for l1, l2 in zip(det.net.layers, loaded.net.layers):
             assert np.array_equal(l1.weights, l2.weights)
+
+    @pytest.mark.parametrize("old, new", [
+        ('"detector": "ecnet"', '"detector": "ernet"'),
+        ('"hidden": [8, 8]', '"hidden": [4, 4]'),
+        ('"activation": "softmax"', '"activation": "linear"'),
+    ], ids=["other-kind", "other-hidden", "other-head"])
+    def test_network_other_than_the_spec_rejected(self, tmp_path, old, new):
+        spec = DetectorSpec("ecnet", 10)
+        path = tmp_path / "det.json"
+        save_detector(Detector(spec, build_detector(spec, np.random.default_rng(4))), path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ValueError, match="not the .*layers"):
+            load_detector(path)
 
     @pytest.mark.parametrize("kind", ["ernet", "ecnet", "covnet"])
     def test_model_file_with_loss_entry_still_loads(self, tmp_path, kind):
@@ -348,3 +390,32 @@ class TestDetectorWrapper:
             assert loaded.train_config == config
             assert np.array_equal(loaded.net.params, det.net.params)
             assert np.array_equal(loaded.decide_batch(feats), det.decide_batch(feats))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([("ernet", None), ("ecnet", None), ("covnet", None),
+                             ("ernet", 5), ("ecnet", 5)]),
+       normalize=st.booleans(), exponent=st.floats(-320.0, 308.0),
+       seed=st.integers(0, 2 ** 16))
+@example(kind=("ecnet", 5), normalize=True, exponent=-320.0, seed=0)
+@example(kind=("covnet", None), normalize=True, exponent=308.0, seed=0)
+@example(kind=("covnet", None), normalize=True, exponent=307.3, seed=0)  # finite, trace is not
+def test_estimate_under_covariance_scaling(kind, normalize, exponent, seed):
+    """estimate(s R) for s from 1e-320 to 1e308 is a count in [0, M-1]
+    or a ValueError/ArithmeticError, and never a warning."""
+    kind, subarray_size = kind
+    spec = DetectorSpec(kind, 10, subarray_size, normalize=normalize)
+    det = Detector(spec, build_detector(spec, np.random.default_rng(seed)))
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, 6))
+    scenario = Scenario(10, 20, k, tuple(rng.uniform(-1.5, 1.5, k)), 10.0)
+    r = sample_covariance(generate_snapshots(scenario, rng))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = 10.0 ** exponent * r
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            count = det.estimate(scaled)
+        except (ValueError, ArithmeticError):
+            return
+    assert isinstance(count, int) and 0 <= count <= 9

@@ -15,6 +15,7 @@ from sourcecount.experiments import (
     bench_complexity,
     config_from_text,
     config_to_text,
+    dataset_header,
     draw_scenario,
     emit_csv,
     evaluate_detectors,
@@ -91,6 +92,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="SNRs must be numbers or inf"):
             ExperimentConfig(**{field: value})
         assert ExperimentConfig(test_snr_db=math.inf).test_snr_db == math.inf
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -0.1),
+        ("batch_size", 0), ("epochs", -1)])
+    def test_bad_training_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
 
 
 class TestScenarioDraw:
@@ -249,6 +258,13 @@ def write_trials(config, path, num, feature="eigen"):
 
 
 class TestDataset:
+    @pytest.mark.parametrize("coherent", [False, True])
+    def test_header_parses_back_to_dataset_header(self, tmp_path, coherent):
+        config = tiny_config(coherent=coherent)
+        path = tmp_path / "data.csv"
+        write_trials(config, path, 5)
+        assert read_dataset(path)[2] == dataset_header(config, config.num_antennas)
+
     def test_generate_dataset_counts_and_labels(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "data.csv"

@@ -569,6 +569,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"model file sets {key} to {value}, "):
             loads_network(old)
 
+    def test_unknown_train_config_key_rejected(self):
+        net = Network([layer(np.eye(2), np.zeros(2), "linear")])
+        text = dumps_network(net, TrainConfig(seed=99))
+        with pytest.raises(ValueError, match=r"unknown train_config keys \['momentum'\]"):
+            loads_network(text.replace('"seed": 99', '"seed": 99,\n    "momentum": 0.5'))
+
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError):
             loads_network('{"format": "something-else", "version": 1}')
