@@ -13,15 +13,13 @@ lives in the submodules.
 __version__ = "0.1.0"
 
 from .classical import EigenSpectrum, aic, mdl
-from .detectors import Detector, DetectorSpec, load_detector, save_detector
+from .detectors import ClassicalDetector, Detector, DetectorSpec, load_detector, save_detector
 from .experiments import (
-    ClassicalDetector,
     ExperimentConfig,
     emit_csv,
     evaluate_detectors,
     generate_trials,
     load_config,
-    read_csv,
     select_features,
     sweep_snapshots,
     sweep_snr_coherent,

@@ -14,13 +14,10 @@ import json
 import sys
 from pathlib import Path
 
-from .detectors import (Detector, DetectorSpec, detector_name, feature_kind, load_detector,
-                        save_detector)
+from .detectors import (CLASSICAL_KINDS, NET_KINDS, ClassicalDetector, Detector, DetectorSpec,
+                        detector_name, feature_kind, load_detector, save_detector)
 from .experiments import (
-    CLASSICAL_KINDS,
-    ClassicalDetector,
     ExperimentConfig,
-    NET_KINDS,
     SWEEPS,
     bench_complexity,
     dataset_header,
@@ -217,15 +214,7 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
 
 def _cmd_bench(args, config: ExperimentConfig) -> int:
     rows = bench_complexity(config)
-    doc = [
-        {
-            "method": row.method,
-            "table": dataclasses.asdict(row.table),
-            "measured": dataclasses.asdict(row.measured),
-            "seconds_per_decision": row.seconds_per_decision,
-        }
-        for row in rows
-    ]
+    doc = [dataclasses.asdict(row) for row in rows]
     path = args.out / "bench-complexity.json"
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     write_manifest(args.out, config, "bench-complexity", extra={"report": path.name})

@@ -13,16 +13,20 @@ With a sub-array size set, ERNet and ECNet read the eigenvalues of the
 forward-backward smoothed covariance instead (coherent-source mode).
 A single covariance is a one-matrix stack to :func:`make_features` and
 a one-row batch to ``decide_batch``: one feature and one decision path.
+The classical AIC/MDL criteria decide on the same features through
+:class:`ClassicalDetector`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
+from .classical import check_spectra, criterion_values
 from .linalg import hermitian_eig
 from .network import (
     Layer,
@@ -36,6 +40,7 @@ from .network import (
 from .signal_model import fbss_covariance
 
 NET_KINDS = ("ernet", "ecnet", "covnet")
+CLASSICAL_KINDS = ("aic", "mdl")
 FEATURES = ("eigen", "fbss", "cov")
 
 
@@ -118,6 +123,8 @@ def make_features(covs, feature: str, subarray_size: int | None = None) -> np.nd
         flat = covs.reshape(len(covs), -1)
         return np.concatenate([flat.real, flat.imag], axis=1, dtype=float)
     if feature == "fbss":
+        if subarray_size is None:
+            raise ValueError("the fbss feature needs a sub-array size")
         covs = fbss_covariance(covs, subarray_size)
     return hermitian_eig(covs).eigenvalues
 
@@ -198,36 +205,53 @@ class Detector:
         return int(self.decide_batch(row)[0])
 
 
+@dataclass(frozen=True)
+class ClassicalDetector:
+    """AIC/MDL wrapper evaluated on the same trial features as the nets."""
+
+    kind: str
+    subarray_size: int | None = None
+
+    @property
+    def name(self) -> str:
+        return detector_name(self.kind, self.subarray_size)
+
+    def decide_batch(self, values: np.ndarray, num_snapshots: int) -> np.ndarray:
+        """Selected order for each row of a (num, m) batch of spectra,
+        validated once for the whole batch as ``EigenSpectrum`` validates
+        one spectrum."""
+        values = check_spectra(values, num_snapshots)
+        return np.argmin(criterion_values(values, num_snapshots, self.kind), axis=1)
+
+
+def _meta(spec: DetectorSpec) -> dict:
+    """A model file's metadata block: the spec the detector is rebuilt from."""
+    return {"detector": spec.kind, "num_antennas": spec.num_antennas,
+            "subarray_size": spec.subarray_size, "hidden": list(spec.hidden),
+            "normalize": spec.normalize}
+
+
 def save_detector(detector: Detector, path):
-    """Writes the network in the portable model format, tagging the spec
-    in the metadata block so the detector can be rebuilt on load."""
-    spec = detector.spec
-    meta = {
-        "detector": spec.kind,
-        "num_antennas": spec.num_antennas,
-        "subarray_size": spec.subarray_size,
-        "hidden": list(spec.hidden),
-        "normalize": spec.normalize,
-    }
-    save_network(detector.net, path, detector.train_config, meta)
+    """Writes the network in the portable model format, with :func:`_meta`."""
+    save_network(detector.net, path, detector.train_config, _meta(detector.spec))
 
 
 def load_detector(path) -> Detector:
     """The detector in a :func:`save_detector` file.  Raises ValueError if the
-    metadata is missing or the network is not the one :func:`_layer_plan` lays out."""
+    metadata is missing, differs from :func:`_meta` of the spec it names
+    (JSON types included), or the network is not the one :func:`_layer_plan`
+    lays out."""
     net, train_config, meta = load_network(path)
     try:
-        spec = DetectorSpec(
-            kind=meta["detector"],
-            num_antennas=int(meta["num_antennas"]),
-            subarray_size=meta.get("subarray_size"),
-            normalize=bool(meta.get("normalize", False)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"model file {path} lacks detector metadata: {exc}") from exc
+        sub = meta.get("subarray_size")
+        spec = DetectorSpec(meta["detector"], int(meta["num_antennas"]),
+                            None if sub is None else int(sub), bool(meta.get("normalize")))
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"model file {path} has no usable detector metadata: {exc}") from exc
+    expected = _meta(spec)
+    found = {key: meta.get(key, value) for key, value in expected.items()}
     layers = [(layer.in_dim, layer.out_dim, layer.activation) for layer in net.layers]
-    hidden = meta.get("hidden", list(spec.hidden))
-    if hidden != list(spec.hidden) or layers != _layer_plan(spec):
-        raise ValueError(f"model file {path} holds layers {layers} and hidden sizes {hidden}, "
-                         f"not the {spec.name} layers {_layer_plan(spec)}")
+    if json.dumps(found) != json.dumps(expected) or layers != _layer_plan(spec):
+        raise ValueError(f"model file {path} holds layers {layers} and metadata {found}, "
+                         f"not the {spec.name} layers {_layer_plan(spec)} and metadata {expected}")
     return Detector(spec=spec, net=net, train_config=train_config)

@@ -22,20 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import (
-    OpCounter,
-    OpCounts,
-    check_spectra,
-    criterion_values,
-    measured_op_counts,
-    table_op_counts,
-)
+from .classical import OpCounter, OpCounts, measured_op_counts, table_op_counts
 from .detectors import (
+    CLASSICAL_KINDS,
     NET_KINDS,
+    ClassicalDetector,
     Detector,
     DetectorSpec,
     build_detector,
-    detector_name,
     feature_kind,
     make_features,
     normalize_features,
@@ -46,13 +40,8 @@ from .signal_model import Scenario, normal_count, sample_covariance, snapshot_st
 # Seed-stream roles: disjoint substreams of the master seed.
 ROLE_TRAIN, ROLE_TEST, ROLE_INIT, ROLE_SHUFFLE = 0, 1, 2, 3
 
-CLASSICAL_KINDS = ("aic", "mdl")
-
 DEFAULT_SNAPSHOT_AXIS = (5, 10, 20, 50, 100, 200)
 DEFAULT_SNR_AXIS_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
-
-# Attempts at drawing pairwise-distinct DOAs before a draw is abandoned.
-_DOA_REDRAW_LIMIT = 100
 
 # Trials per make_features call; a block's temporaries stay near 1 MiB.
 _FEATURE_BLOCK = 256
@@ -93,6 +82,12 @@ class ExperimentConfig:
             raise ValueError("need 0 <= max_sources < num_antennas")
         if self.num_train < 1 or self.num_test < 1:
             raise ValueError("num_train and num_test must be positive")
+        for name, counts in (("num_snapshots", (self.num_snapshots,)),
+                             ("snapshot_axis", self.snapshot_axis)):
+            if min(counts, default=1) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.subarray_size <= self.num_antennas:
             raise ValueError(f"subarray_size must lie in [1, {self.num_antennas}], "
                              f"got {self.subarray_size}")
@@ -123,15 +118,6 @@ def _seed_int(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _draw_doas(rng: np.random.Generator, k: int) -> tuple[float, ...]:
-    for _ in range(_DOA_REDRAW_LIMIT):
-        doas = rng.uniform(0.0, 2.0 * math.pi, size=k)
-        if len(set(doas.tolist())) == k:
-            return tuple(doas.tolist())
-    raise RuntimeError(
-        f"failed to draw pairwise-distinct DOAs after {_DOA_REDRAW_LIMIT} attempts")
-
-
 def draw_scenario(config: ExperimentConfig, rng: np.random.Generator, *,
                   snr_db) -> Scenario:
     """One random scenario: K uniform over {0..K_max}, DOAs uniform over
@@ -142,7 +128,7 @@ def draw_scenario(config: ExperimentConfig, rng: np.random.Generator, *,
     each copies a uniformly chosen independent source.
     """
     k = int(rng.integers(0, config.max_sources + 1))
-    doas = _draw_doas(rng, k)
+    doas = tuple(rng.uniform(0.0, 2.0 * math.pi, size=k).tolist())
     if isinstance(snr_db, (tuple, list)):
         snr = float(rng.uniform(snr_db[0], snr_db[1]))
     else:
@@ -307,25 +293,6 @@ def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
     )
     history = train(net, features, _targets(spec, labels), train_config)
     return Detector(spec=spec, net=net, train_config=train_config), history
-
-
-@dataclass(frozen=True)
-class ClassicalDetector:
-    """AIC/MDL wrapper evaluated on the same trial features as the nets."""
-
-    kind: str
-    subarray_size: int | None = None
-
-    @property
-    def name(self) -> str:
-        return detector_name(self.kind, self.subarray_size)
-
-    def decide_batch(self, values: np.ndarray, num_snapshots: int) -> np.ndarray:
-        """Selected order for each row of a (num, m) batch of spectra,
-        validated once for the whole batch as ``EigenSpectrum`` validates
-        one spectrum."""
-        values = check_spectra(values, num_snapshots)
-        return np.argmin(criterion_values(values, num_snapshots, self.kind), axis=1)
 
 
 def evaluate_detectors(detectors, trials: TrialSet) -> dict[str, float]:
@@ -551,37 +518,6 @@ def emit_csv(result: SweepResult, path):
                 )
 
 
-def read_csv(path) -> SweepResult:
-    """Parses :func:`emit_csv` output back into an equal SweepResult."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        axis: list[float] = []
-        names: list[str] = []
-        acc: dict[str, list[float]] = {}
-        num_trials = 0
-        seed = 0
-        for line in fh:
-            a, name, value, n_trials, row_seed = line.strip().split(",")
-            a = float(a)
-            if not axis or a != axis[-1]:
-                axis.append(a)
-            if name not in acc:
-                names.append(name)
-                acc[name] = []
-            acc[name].append(float(value))
-            num_trials = int(n_trials)
-            seed = int(row_seed)
-    return SweepResult(
-        axis=tuple(axis),
-        detectors=tuple(names),
-        accuracy={name: tuple(vals) for name, vals in acc.items()},
-        num_trials=num_trials,
-        seed=seed,
-    )
-
-
 def config_to_text(config: ExperimentConfig) -> str:
     """Canonical flat key=value rendering (also the config file format)."""
     lines = []
@@ -610,27 +546,28 @@ def config_from_text(text: str) -> ExperimentConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _convert_config_value(key, raw)
+        values[key] = _convert_config_value(known[key], raw)
     return ExperimentConfig(**values)
 
 
-def _convert_config_value(key: str, raw: str):
-    if key in ("train_snr_db", "snr_axis_db"):
-        return tuple(float(v) for v in raw.split(","))
-    if key == "snapshot_axis":
-        return tuple(int(v) for v in raw.split(","))
-    if key == "detectors":
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+
+
+def _convert_config_value(field, raw: str):
+    """``raw`` as the type of the field's default: an int, float or bool,
+    or a comma-separated tuple of its first element's type.  The field
+    whose default is None lists names, and may be empty."""
+    default = field.default
+    if default is None:
         return tuple(v.strip() for v in raw.split(",") if v.strip()) or None
-    if key in ("coherent", "normalize_features"):
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean {raw!r} for {key}")
-    if key in ("test_snr_db", "learning_rate"):
-        return float(raw)
-    return int(raw)
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(v) for v in raw.split(","))
+    if isinstance(default, bool):
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"cannot parse boolean {raw!r} for {field.name}")
+        return _BOOLEANS[raw.lower()]
+    return type(default)(raw)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -405,34 +405,44 @@ def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
     """Parses :func:`dumps_network` output back, bit-exact.  NaN and
     Infinity, which :func:`dumps_network` never writes, are rejected.
     Older files' ``train_config`` entries are dropped: ``"loss"``, and
-    the ADAM constants if they hold the fixed values; others raise ValueError."""
+    the ADAM constants if they hold the fixed values; others raise ValueError,
+    as do a missing entry, a value of the wrong JSON type and a
+    ``train_config`` value of another type than its field's."""
     doc = json.loads(text, parse_constant=_reject_constant)
-    if doc.get("format") != FORMAT_NAME:
-        raise ValueError("not a serialized network document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {doc.get('version')}")
-    layers = []
-    for entry in doc["layers"]:
-        rows, cols = int(entry["rows"]), int(entry["cols"])
-        weights = np.array(entry["weights"], dtype=float).reshape(rows, cols)
-        bias = np.array(entry["bias"], dtype=float)
-        layers.append(Layer(weights=weights, bias=bias, activation=entry["activation"]))
-    net = Network(layers)
-    config = None
-    if doc.get("train_config") is not None:
-        entries = doc["train_config"]
-        entries.pop("loss", None)  # the output layer sets the loss
-        for key, value in (("adam_beta1", ADAM_BETA1), ("adam_beta2", ADAM_BETA2),
-                           ("adam_epsilon", ADAM_EPSILON)):
-            found = entries.pop(key, value)
-            if found != value:
-                raise ValueError(f"model file sets {key} to {found}, "
-                                 f"but training uses the fixed {value}")
-        unknown = sorted(set(entries) - {f.name for f in fields(TrainConfig)})
-        if unknown:
-            raise ValueError(f"model file has unknown train_config keys {unknown}")
-        config = TrainConfig(**entries)
-    return net, config, doc.get("meta", {})
+    try:
+        if doc.get("format") != FORMAT_NAME:
+            raise ValueError("not a serialized network document")
+        if doc.get("version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported format version {doc.get('version')}")
+        layers = []
+        for entry in doc["layers"]:
+            rows, cols = int(entry["rows"]), int(entry["cols"])
+            weights = np.array(entry["weights"], dtype=float).reshape(rows, cols)
+            bias = np.array(entry["bias"], dtype=float)
+            layers.append(Layer(weights=weights, bias=bias, activation=entry["activation"]))
+        net = Network(layers)
+        config = None
+        if doc.get("train_config") is not None:
+            entries = doc["train_config"]
+            entries.pop("loss", None)  # the output layer sets the loss
+            for key, value in (("adam_beta1", ADAM_BETA1), ("adam_beta2", ADAM_BETA2),
+                               ("adam_epsilon", ADAM_EPSILON)):
+                found = entries.pop(key, value)
+                if found != value:
+                    raise ValueError(f"model file sets {key} to {found}, "
+                                     f"but training uses the fixed {value}")
+            unknown = sorted(set(entries) - {f.name for f in fields(TrainConfig)})
+            if unknown:
+                raise ValueError(f"model file has unknown train_config keys {unknown}")
+            for f in fields(TrainConfig):  # a float field takes any JSON number
+                value = entries.get(f.name, f.default)
+                if type(value) not in ((int, float) if f.type == "float" else (int,)):
+                    raise ValueError(f"model file has train_config {f.name} = {value!r}, "
+                                     f"not of type {f.type}")
+            config = TrainConfig(**entries)
+        return net, config, doc.get("meta", {})
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"model file is malformed: {type(exc).__name__}: {exc}") from exc
 
 
 def save_network(net: Network, path, train_config: TrainConfig | None = None,

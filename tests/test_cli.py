@@ -1,5 +1,6 @@
 """End-to-end CLI tests on a tiny configuration."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from sourcecount.cli import main
 from sourcecount.detectors import Detector, DetectorSpec, build_detector, save_detector
-from sourcecount.experiments import SWEEPS, read_csv, read_dataset
+from sourcecount.experiments import SWEEPS, read_dataset
 from sourcecount.network import TrainConfig
 
 # Each subcommand's --help at COLUMNS=80, as the flags stood before they
@@ -36,6 +37,14 @@ def config_file(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def sweep_columns(path):
+    """The axis values and detector names of a sweep CSV, in file order."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return (tuple(dict.fromkeys(float(r["axis"]) for r in rows)),
+            tuple(dict.fromkeys(r["detector"] for r in rows)))
 
 
 class TestGenTrainEval:
@@ -146,8 +155,9 @@ class TestGenTrainEval:
             assert err == "error: learning_rate must be finite and non-negative, got inf\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["learning_rate = nan", "batch_size = 0", "epochs = -1"])
-    @pytest.mark.parametrize("command", ["gen-data", "eval", "sweep-snr"])
+    @pytest.mark.parametrize("line", ["learning_rate = nan", "batch_size = 0", "epochs = -1",
+                                      "num_snapshots = 0", "snapshot_axis = 20,0", "seed = -1"])
+    @pytest.mark.parametrize("command", ["gen-data", "eval", "sweep-snr", "sweep-snapshots"])
     def test_bad_training_settings_rejected_before_any_draw(self, tmp_path, capsys,
                                                             command, line):
         path = tmp_path / "bad.cfg"
@@ -156,7 +166,7 @@ class TestGenTrainEval:
         argv = (command,) if command in SWEEPS else (command, "--detector", "mdl")
         assert run(*argv, "--config", path, "--out", out) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {line.split()[0]} must be ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("header", ["not a header", "M=10,N=20,coherence=non-coherent,seed=3",
@@ -227,6 +237,28 @@ class TestModelFiles:
         text = model.read_text(encoding="utf-8")
         assert old in text
         model.write_text(text.replace(old, new), encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("eval", "--config", config_file, "--out", out, "--detector", "ecnet",
+                   "--model", model) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model file ") and err.count("\n") == 1
+        assert not list(out.glob("eval-*.json"))
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["meta"].update(subarray_size="5"),
+        lambda doc: doc["meta"].update(num_antennas=10.7),
+        lambda doc: doc["meta"].update(normalize="no"),
+        lambda doc: doc.update(meta=["ecnet", 10]),
+        lambda doc: doc["train_config"].update(learning_rate="fast"),
+        lambda doc: doc["train_config"].update(epochs=1.5),
+        lambda doc: doc.update(train_config=[0.001, 128]),
+        lambda doc: doc.pop("layers"),
+    ], ids=["subarray-text", "antennas-float", "normalize-text", "meta-list", "rate-text",
+            "epochs-float", "train-config-list", "no-layers"])
+    def test_eval_rejects_a_mistyped_model(self, tmp_path, config_file, capsys, model, edit):
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        edit(doc)
+        model.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "run"
         assert run("eval", "--config", config_file, "--out", out, "--detector", "ecnet",
                    "--model", model) == 2
@@ -313,21 +345,17 @@ class TestSweepCommands:
     def test_sweep_snr(self, tmp_path, config_file):
         out = tmp_path / "sweep"
         assert run("sweep-snr", "--config", config_file, "--out", out) == 0
-        result = read_csv(out / "sweep-snr.csv")
-        assert result.axis == (0.0, 10.0)
-        assert result.detectors == ("ernet", "aic")
+        assert sweep_columns(out / "sweep-snr.csv") == ((0.0, 10.0), ("ernet", "aic"))
 
     def test_sweep_snapshots(self, tmp_path, config_file):
         out = tmp_path / "sweep"
         assert run("sweep-snapshots", "--config", config_file, "--out", out) == 0
-        result = read_csv(out / "sweep-snapshots.csv")
-        assert result.axis == (5.0, 10.0)
+        assert sweep_columns(out / "sweep-snapshots.csv")[0] == (5.0, 10.0)
 
     def test_sweep_snr_coherent(self, tmp_path, config_file):
         out = tmp_path / "sweep"
         assert run("sweep-snr-coherent", "--config", config_file, "--out", out) == 0
-        result = read_csv(out / "sweep-snr-coherent.csv")
-        assert result.detectors == ("fbss-ernet", "fbss-aic")
+        assert sweep_columns(out / "sweep-snr-coherent.csv")[1] == ("fbss-ernet", "fbss-aic")
 
     def test_unidentifiable_coherent_config_warns(self, tmp_path, config_file, capsys):
         # The defaults draw K up to 5, but the 5 x 5 smoothed covariance

@@ -117,6 +117,10 @@ class TestFeatureStack:
         with pytest.raises(ValueError, match="known kinds are eigen, fbss, cov"):
             make_features(np.eye(4, dtype=complex)[np.newaxis], feature, 2)
 
+    def test_fbss_needs_a_subarray_size(self):
+        with pytest.raises(ValueError, match="fbss feature needs a sub-array size"):
+            make_features(np.eye(4, dtype=complex)[np.newaxis], "fbss")
+
 
 class TestFeatureCov:
     def test_zero_matrix(self):

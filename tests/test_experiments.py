@@ -1,9 +1,11 @@
 """Tests for the experiment harness: configs, datasets, sweeps, bench."""
 
+import csv
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from sourcecount.experiments import (
     emit_csv,
     evaluate_detectors,
     generate_trials,
-    read_csv,
     read_dataset,
     select_features,
     sweep_snapshots,
@@ -31,7 +32,8 @@ from sourcecount.experiments import (
     write_manifest,
 )
 from sourcecount.detectors import DetectorSpec, build_detector, make_features
-from sourcecount.experiments import _FEATURE_BLOCK, NET_KINDS, ROLE_INIT, ROLE_TEST, _rng
+from sourcecount.experiments import (_FEATURE_BLOCK, NET_KINDS, ROLE_INIT, ROLE_TEST,
+                                     _convert_config_value, _rng)
 from sourcecount.signal_model import generate_snapshots, sample_covariance
 
 
@@ -69,6 +71,42 @@ class TestConfig:
         c = tiny_config(coherent=True, detectors=("ecnet", "mdl"))
         assert config_from_text(config_to_text(c)) == c
 
+    def test_text_round_trip_of_every_field(self):
+        c = ExperimentConfig(
+            num_antennas=8, num_snapshots=30, max_sources=3, train_snr_db=(-5.0, 35.5),
+            test_snr_db=7.5, num_train=300, num_test=40, coherent=True, subarray_size=4,
+            detectors=("ecnet", "mdl"), snapshot_axis=(7, 70), snr_axis_db=(1.5, 2.5),
+            epochs=3, batch_size=16, learning_rate=0.0025, normalize_features=True, seed=9)
+        defaults = ExperimentConfig()
+        assert all(getattr(c, f.name) != getattr(defaults, f.name) for f in fields(c))
+        parsed = config_from_text(config_to_text(c))
+        assert parsed == c
+        for f in fields(c):
+            value = getattr(parsed, f.name)
+            default = ("ernet",) if f.default is None else f.default
+            assert type(value) is type(default), f.name
+            if isinstance(value, tuple):
+                assert {type(v) for v in value} == {type(default[0])}, f.name
+
+    @pytest.mark.parametrize("default, raw, parsed", [
+        (0.5, "2", 2.0), (3, "2", 2), (False, "on", True), ((1.5,), "2,3", (2.0, 3.0)),
+        ((1,), "2,3", (2, 3)), (None, "a, b,", ("a", "b")), (None, "", None)])
+    def test_values_parse_as_their_defaults_type(self, default, raw, parsed):
+        # a field the converter has never seen parses by its default's type
+        value = _convert_config_value(SimpleNamespace(name="new_field", default=default), raw)
+        assert value == parsed and type(value) is type(parsed)
+        if isinstance(value, tuple):
+            assert [type(v) for v in value] == [type(v) for v in parsed]
+
+    @pytest.mark.parametrize("text, message", [
+        ("coherent = maybe\n", "cannot parse boolean 'maybe' for coherent"),
+        ("num_test = 1.5\n", "invalid literal for int"),
+        ("snapshot_axis = 5,x\n", "invalid literal for int"),
+        ("test_snr_db = loud\n", "could not convert string to float")])
+    def test_unparsable_values_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            config_from_text(text)
+
     def test_comments_and_blanks_ignored(self):
         c = config_from_text("# comment\n\nnum_antennas = 8\nmax_sources=3\n")
         assert c.num_antennas == 8
@@ -96,7 +134,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -0.1),
-        ("batch_size", 0), ("epochs", -1)])
+        ("batch_size", 0), ("epochs", -1), ("num_snapshots", 0), ("num_snapshots", -3),
+        ("snapshot_axis", (20, 0)), ("seed", -1)])
     def test_bad_training_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
@@ -141,7 +180,7 @@ class TestScenarioDraw:
         assert max(snrs) - min(snrs) > 20.0
 
     def test_degenerate_doa_stream_aborts(self):
-        # a generator that can only produce duplicates exhausts the retry cap
+        # duplicate DOAs (about 1e-15 per trial for real draws) are not redrawn
         class ConstantRng:
             def uniform(self, low, high, size=None):
                 return np.zeros(size)
@@ -150,7 +189,7 @@ class TestScenarioDraw:
                 return 2  # forces K = 2, so duplicate DOAs are fatal
 
         config = ExperimentConfig()
-        with pytest.raises(RuntimeError, match="distinct DOAs"):
+        with pytest.raises(ValueError, match="pairwise distinct"):
             draw_scenario(config, ConstantRng(), snr_db=5.0)
 
 
@@ -433,7 +472,13 @@ class TestCsv:
         result = self.synthetic_result()
         path = tmp_path / "sweep.csv"
         emit_csv(result, path)
-        assert read_csv(path) == result
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        cells = [(a, d, result.accuracy[d][i]) for i, a in enumerate(result.axis)
+                 for d in result.detectors]
+        # every float parses back to the exact value written
+        assert [(float(r["axis"]), r["detector"], float(r["accuracy"])) for r in rows] == cells
+        assert {(r["n_trials"], r["seed"]) for r in rows} == {("2000", "42")}
 
     def test_row_count_and_header(self, tmp_path):
         path = tmp_path / "sweep.csv"
