@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from .linalg import is_moderate
 
 # Floor applied to eigenvalues before logarithms; noise-free simulation
 # produces exact zeros.
@@ -32,21 +35,22 @@ def check_spectra(values, num_snapshots: int) -> np.ndarray:
     Raises:
         ValueError: Unless m >= 2, every eigenvalue is finite and non-negative,
             every row's sum is finite, every row is sorted descending, and
-            ``num_snapshots`` >= 1.
+            ``num_snapshots`` is an integer (not a bool) >= 1.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] < 2:
         raise ValueError("spectra must form a (num, m) array with m >= 2")
-    with np.errstate(over="ignore", invalid="ignore"):  # summed as criterion_values sums
-        sums = values[:, ::-1].cumsum(axis=1)[:, -1]
-    if not np.isfinite(sums).all():
-        raise ValueError("eigenvalues and each spectrum's sum must be finite (no NaN or inf)")
-    if (values < 0.0).any():
+    if not is_moderate(values):
+        with np.errstate(over="ignore", invalid="ignore"):  # summed as criterion_values sums
+            sums = values[:, ::-1].cumsum(axis=1)[:, -1]
+        if not np.isfinite(sums).all():
+            raise ValueError("eigenvalues and each spectrum's sum must be finite (no NaN or inf)")
+    if np.count_nonzero(values < 0.0):
         raise ValueError("eigenvalues must be non-negative")
-    if (values[:, 1:] > values[:, :-1]).any():
+    if np.count_nonzero(values[:, 1:] > values[:, :-1]):
         raise ValueError("eigenvalues must be sorted descending")
-    if num_snapshots < 1:
-        raise ValueError("num_snapshots must be at least 1")
+    if not np.issubdtype(type(num_snapshots), np.integer) or num_snapshots < 1:  # rejects bool
+        raise ValueError(f"num_snapshots must be an integer of at least 1, got {num_snapshots!r}")
     return values
 
 
@@ -84,27 +88,34 @@ def criterion_values(values: np.ndarray, num_snapshots: int, kind: str) -> np.nd
         ValueError: If a row is all zeros or ``kind`` is unknown.
     """
     top = values[:, :1]  # each row's largest eigenvalue
-    if not (top > 0.0).all():
+    lowest_top = top.min(initial=math.inf)
+    if not lowest_top > 0.0:
         raise ValueError("degenerate all-zero spectrum")
-    m = values.shape[1]
+    counts, weight, penalty = _criterion_terms(values.shape[1], num_snapshots, kind)
+    if lowest_top < TINY_SPECTRUM:
+        # Exact: brings each tiny row's largest eigenvalue into [0.5, 1).
+        values = np.where(top < TINY_SPECTRUM, np.ldexp(values, -np.frexp(top)[1]), values)
+    lam = np.maximum(values, EIGENVALUE_FLOOR)
+    # Suffix sums: column k aggregates the m-k smallest eigenvalues.
+    tail_sum = lam[:, ::-1].cumsum(axis=1)[:, ::-1]
+    tail_log_sum = np.log(lam)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    log_mean_ratio = tail_log_sum / counts - np.log(tail_sum / counts)  # ln(g_k / a_k)
+    return weight * log_mean_ratio + penalty
+
+
+@lru_cache(maxsize=64)
+def _criterion_terms(m: int, num_snapshots: int, kind: str):
     k = np.arange(m, dtype=float)
-    counts = np.arange(m, 0, -1, dtype=float)  # m-k for k = 0..m-1
+    counts = np.arange(m, 0, -1, dtype=float)
     if kind == "aic":
         scale, penalty = 2.0, 2.0 * k * (2 * m - k)
     elif kind == "mdl":
         scale, penalty = 1.0, 0.5 * k * (2 * m - k) * math.log(num_snapshots)
     else:
         raise ValueError(f"unknown criterion kind {kind!r}")
-    tiny = top < TINY_SPECTRUM
-    if tiny.any():
-        # Exact: brings each tiny row's largest eigenvalue into [0.5, 1).
-        values = np.where(tiny, np.ldexp(values, -np.frexp(top)[1]), values)
-    lam = np.maximum(values, EIGENVALUE_FLOOR)
-    # Suffix sums: column k aggregates the m-k smallest eigenvalues.
-    tail_sum = lam[:, ::-1].cumsum(axis=1)[:, ::-1]
-    tail_log_sum = np.log(lam)[:, ::-1].cumsum(axis=1)[:, ::-1]
-    log_mean_ratio = tail_log_sum / counts - np.log(tail_sum / counts)  # ln(g_k / a_k)
-    return -scale * num_snapshots * counts * log_mean_ratio + penalty
+    terms = np.stack([counts, -scale * num_snapshots * counts, penalty])
+    terms.flags.writeable = False
+    return terms
 
 
 def _trace(spec: EigenSpectrum, kind: str) -> CriterionTrace:

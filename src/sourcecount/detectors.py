@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .classical import check_spectra, criterion_values
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, is_moderate
 from .network import (
     Layer,
     Network,
@@ -120,7 +120,7 @@ def make_features(covs, feature: str, subarray_size: int | None = None) -> np.nd
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError(f"covariances must form a (num, M, M) stack, got shape {covs.shape}")
     if feature == "cov":
-        flat = covs.reshape(len(covs), -1)
+        flat = covs.reshape(len(covs), covs.shape[1] ** 2)
         return np.concatenate([flat.real, flat.imag], axis=1, dtype=float)
     if feature == "fbss":
         if subarray_size is None:
@@ -133,11 +133,15 @@ def normalize_features(feats: np.ndarray, feature: str) -> np.ndarray:
     """Divides each row of a (num, dim) feature batch by the trace of
     the covariance it came from; rows with a non-positive trace are
     left as they are.  Raises ValueError if a trace or quotient overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported in _normalize
+        return _normalize(feats, feature)
+
+
+def _normalize(feats: np.ndarray, feature: str) -> np.ndarray:
     m = int(round(math.sqrt(feats.shape[1] / 2)))  # M of a "cov" row
     columns = np.arange(m) * (m + 1) if feature == "cov" else slice(None)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        trace = feats[:, columns].sum(axis=1)
-        rows = feats / np.where(trace > 0.0, trace, 1.0)[:, np.newaxis]
+    trace = feats[:, columns].sum(axis=1)
+    rows = feats / np.where(trace > 0.0, trace, 1.0)[:, np.newaxis]
     if np.isinf(trace).any() or np.isinf(rows).any():
         raise ValueError("features are too large to normalize: a trace or quotient overflows")
     return rows
@@ -172,15 +176,19 @@ class Detector:
     def decide_batch(self, features: np.ndarray) -> np.ndarray:
         """Decisions for a (num, feature_size) batch: ERNet rounds its
         output half-up and clamps it to [0, M-1]; the softmax heads take
-        the argmax (ties to the smaller index).  A NaN or inf in the
-        network output (say from a NaN or inf feature) raises ValueError."""
-        with np.errstate(invalid="ignore"):  # inf * 0 in the matmul; raised below
-            out = forward(self.net, features)
-        if not np.isfinite(out).all():
+        the argmax (ties to the smaller index).  A batch that is not 2-D, or
+        a NaN or inf network output (say from an inf feature), raises ValueError."""
+        with np.errstate(invalid="ignore"):  # inf * 0 in the matmul; raised in _decide
+            return self._decide(features)
+
+    def _decide(self, features: np.ndarray) -> np.ndarray:
+        if np.ndim(features) != 2:
+            raise ValueError(f"features must form a 2-D batch, got shape {np.shape(features)}")
+        out = forward(self.net, features)
+        if not is_moderate(out) and not np.isfinite(out).all():
             raise ValueError("network output is not finite (NaN or inf)")
         if self.spec.kind == "ernet":
-            raw = np.floor(out[:, 0] + 0.5)
-            return np.minimum(np.maximum(raw, 0), self.spec.num_antennas - 1).astype(int)
+            return np.floor(out[:, 0] + 0.5).clip(0, self.spec.num_antennas - 1).astype(int)
         return np.argmax(out, axis=1)
 
     def estimate(self, r_hat) -> int:
@@ -197,12 +205,13 @@ class Detector:
             raise ValueError(f"covariance must be M x M for M={spec.num_antennas}, "
                              f"got shape {r_hat.shape}")
         feature = feature_kind(spec.kind, spec.subarray_size)
-        row = make_features(r_hat[np.newaxis], feature, spec.subarray_size)
-        if feature == "cov" and not np.isfinite(row).all():
-            raise ValueError("matrix has non-finite entries (NaN or inf)")
-        if spec.normalize:
-            row = normalize_features(row, feature)
-        return int(self.decide_batch(row)[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # each raised as ValueError
+            row = make_features(r_hat[np.newaxis], feature, spec.subarray_size)
+            if feature == "cov" and not is_moderate(row) and not np.isfinite(row).all():
+                raise ValueError("matrix has non-finite entries (NaN or inf)")
+            if spec.normalize:
+                row = _normalize(row, feature)
+            return int(self._decide(row)[0])
 
 
 @dataclass(frozen=True)
@@ -211,6 +220,10 @@ class ClassicalDetector:
 
     kind: str
     subarray_size: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in CLASSICAL_KINDS:
+            raise ValueError(f"unknown criterion kind {self.kind!r}")
 
     @property
     def name(self) -> str:

@@ -7,7 +7,6 @@ package's tiny (M <= 16) covariances goes through one LAPACK call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,11 @@ def _square(a) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     return a
+
+
+def is_moderate(a) -> bool:
+    """Whether ``a``'s squared magnitudes sum below 2**1000 (so no entry or sum overflows)."""
+    return bool(np.vdot(a, a).real < 2.0 ** 1000)
 
 
 def is_hermitian(a):
@@ -47,7 +51,7 @@ class EigenDecomposition:
     Attributes:
         eigenvalues: Real eigenvalues sorted in descending order.
         eigenvectors: Unit-norm eigenvector columns aligned with
-            ``eigenvalues``, so ``A = U diag(w) U^H``.
+            ``eigenvalues``, so ``A = U diag(w) U^H`` (a view, not a copy).
     """
 
     eigenvalues: np.ndarray
@@ -73,15 +77,13 @@ def hermitian_eig(a) -> EigenDecomposition:
         ArithmeticError: If the underlying iteration fails to converge.
     """
     a = _square(a)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        # By hypot, so a tiny matrix's norm does not underflow to zero.
-        norm = np.hypot.reduce(np.abs(a.reshape(*a.shape[:-2], -1)), axis=-1, initial=0.0)
-    top = float(norm.max(initial=0.0))
-    if not math.isfinite(top * top):  # a NaN or inf entry, or an overflow
-        if not np.isfinite(a).all():
-            raise ValueError("matrix has non-finite entries (NaN or inf)")
-        raise ValueError("matrix is too large: its squared Frobenius norm overflows")
-    if (a != a.swapaxes(-1, -2).conj()).any() and not np.all(is_hermitian(a)):
+    if not is_moderate(a):  # the hypot norm tells what is wrong, if anything
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            if not np.isfinite(np.square(_frobenius(a).max(initial=0.0))):  # NaN, inf or overflow
+                if not np.isfinite(a).all():
+                    raise ValueError("matrix has non-finite entries (NaN or inf)")
+                raise ValueError("matrix is too large: its squared Frobenius norm overflows")
+    if np.count_nonzero(a != a.swapaxes(-1, -2).conj()) and not np.all(is_hermitian(a)):
         asym = np.abs(a - a.swapaxes(-1, -2).conj()).max()
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
     try:
@@ -90,10 +92,14 @@ def hermitian_eig(a) -> EigenDecomposition:
         raise ArithmeticError(f"eigendecomposition did not converge: {exc}") from exc
     # eigh returns ascending order; flip to descending.
     values = values[..., ::-1].copy()
-    vectors = vectors[..., ::-1].copy()
-    tiny = PSD_CLAMP_RTOL * norm[..., np.newaxis]
-    values[(values < 0.0) & (values >= -tiny)] = 0.0
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+    if np.count_nonzero(values < 0.0):  # past the checks, hypot cannot overflow
+        values[(values < 0.0) & (values >= -PSD_CLAMP_RTOL * _frobenius(a)[..., np.newaxis])] = 0.0
+    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors[..., ::-1])
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Each matrix's Frobenius norm, by hypot so that a tiny one does not underflow."""
+    return np.hypot.reduce(np.abs(a.reshape(*a.shape[:-2], a.shape[-1] ** 2)), -1, initial=0.0)
 
 
 def exchange_conjugate(a) -> np.ndarray:
@@ -105,4 +111,4 @@ def exchange_conjugate(a) -> np.ndarray:
     Raises:
         ValueError: If the input is not square.
     """
-    return np.flip(_square(a), axis=(-2, -1)).conj()
+    return _square(a)[..., ::-1, ::-1].conj()

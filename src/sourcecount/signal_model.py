@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import exchange_conjugate
+from .linalg import exchange_conjugate, is_moderate
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
@@ -203,14 +203,13 @@ def fbss_covariance(r_hat, subarray_size: int) -> np.ndarray:
     if not 1 <= m0 <= m:
         raise ValueError(f"subarray size must be in [1, {m}], got {m0}")
     t = m - m0 + 1
-    # The 2T-term sums stay finite while every real and imaginary part
-    # is at most max_float / 2T; a NaN fails the comparison too.
-    top = np.maximum.reduce(np.abs(r_hat.view(np.float64)), axis=None, initial=0.0)
-    if not top <= _FLOAT_MAX / (2 * t):
-        if not np.isfinite(r_hat).all():
-            raise ValueError("matrix has non-finite entries (NaN or inf)")
-        raise ValueError("matrix is too large: its smoothed sum overflows")
-    forward = np.zeros(r_hat.shape[:-2] + (m0, m0), dtype=np.complex128)
-    for offset in range(t):
+    if not is_moderate(r_hat):
+        top = np.maximum.reduce(np.abs(r_hat.view(np.float64)), axis=None, initial=0.0)
+        if not top <= _FLOAT_MAX / (2 * t):  # the 2T-term sums stay finite; NaN fails too
+            if not np.isfinite(r_hat).all():
+                raise ValueError("matrix has non-finite entries (NaN or inf)")
+            raise ValueError("matrix is too large: its smoothed sum overflows")
+    forward = r_hat[..., :m0, :m0] + 0.0  # as a sum from zeros: -0.0 becomes 0.0
+    for offset in range(1, t):
         forward += r_hat[..., offset:offset + m0, offset:offset + m0]
     return (forward + exchange_conjugate(forward)) / (2 * t)

@@ -111,6 +111,11 @@ class TestFeatureStack:
             with pytest.raises(ValueError, match="stack"):
                 make_features(np.ones((2, 4, 3), dtype=complex), feature, 2)
 
+    def test_empty_stack_gives_empty_rows(self):
+        for feature, m0, width in (("eigen", None, 10), ("fbss", 5, 5), ("cov", None, 200)):
+            rows = make_features(np.zeros((0, 10, 10), dtype=complex), feature, m0)
+            assert rows.shape == (0, width) and rows.dtype == float
+
 
     @pytest.mark.parametrize("feature", ["eigne", "smoothed", ""])
     def test_unknown_feature_rejected(self, feature):
@@ -338,6 +343,15 @@ class TestDetectorWrapper:
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(ValueError, match="network output is not finite"):
                     det.decide_batch(feats)
+
+    @pytest.mark.parametrize("kind", ["ernet", "ecnet", "covnet"])
+    def test_batch_must_be_2d(self, kind):
+        spec = DetectorSpec(kind, 10)
+        det = Detector(spec, build_detector(spec, np.random.default_rng(3)))
+        for feats in (np.ones(spec.feature_size), np.ones((2, 1, spec.feature_size))):
+            with pytest.raises(ValueError, match="batch, got shape"):
+                det.decide_batch(feats)
+        assert det.decide_batch(np.ones((0, spec.feature_size))).shape == (0,)
 
     def test_covnet_has_no_smoothed_form(self, tmp_path):
         with pytest.raises(ValueError, match="covnet has no smoothed form"):

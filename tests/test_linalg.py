@@ -1,11 +1,20 @@
 """Tests for the complex linear algebra helpers."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sourcecount.linalg import exchange_conjugate, hermitian_eig, is_hermitian
+from sourcecount.linalg import (
+    PSD_CLAMP_RTOL,
+    _frobenius,
+    exchange_conjugate,
+    hermitian_eig,
+    is_hermitian,
+)
 
 
 def random_hermitian(rng, m):
@@ -190,6 +199,64 @@ class TestExtremeScales:
             for a in (single, stack):
                 with pytest.raises(ValueError, match="overflows"):
                     hermitian_eig(a)
+
+
+def hypot_norm_eigenvalues(a):
+    """Oracle: the eigenvalues that hermitian_eig gave when it computed the
+    hypot Frobenius norm of every matrix on every call, or its error."""
+    a = np.asarray(a, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.hypot.reduce(np.abs(a.reshape(*a.shape[:-2], -1)), axis=-1, initial=0.0)
+    top = float(norm.max(initial=0.0))
+    if not math.isfinite(top * top):
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has non-finite entries (NaN or inf)")
+        raise ValueError("matrix is too large: its squared Frobenius norm overflows")
+    if not np.all(is_hermitian(a)):
+        raise ValueError("matrix is not Hermitian")
+    values = np.linalg.eigh(a)[0][..., ::-1].copy()
+    tiny = PSD_CLAMP_RTOL * norm[..., np.newaxis]
+    values[(values < 0.0) & (values >= -tiny)] = 0.0
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num=st.integers(1, 4), m=st.integers(2, 8),
+       rank=st.integers(1, 8), which=st.integers(0, 3), exponent=st.floats(-320.0, 308.0),
+       fault=st.sampled_from(["scale", "nan", "inf"]))
+def test_screened_eig_equals_hypot_norm_eig(seed, num, m, rank, which, exponent, fault):
+    """Screening before eigh gives the same eigenvalue bytes, or the same
+    error, as computing the hypot norm on every call: over a stack where
+    one matrix is scaled by 10**exponent (tiny, huge or overflowing), or
+    has a NaN or inf entry, and low-rank matrices make the clamp fire."""
+    rng = np.random.default_rng(seed)
+    stack = random_psd_stack(rng, num, m, min(rank, m))
+    stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))  # exactly Hermitian
+    which %= num
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fault == "scale":
+            stack[which] *= 10.0 ** exponent
+        else:
+            i, j = rng.integers(0, m, size=2)
+            stack[which, i, j] = math.nan if fault == "nan" else complex(0.0, math.inf)
+    try:
+        expected = hypot_norm_eigenvalues(stack)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            hermitian_eig(stack)
+        assert str(got.value) == str(exc)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = hermitian_eig(stack).eigenvalues
+        assert values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_empty_stack_gives_empty_rows(m):
+    d = hermitian_eig(np.zeros((0, m, m), dtype=complex))
+    assert d.eigenvalues.shape == (0, m) and d.eigenvectors.shape == (0, m, m)
+    assert _frobenius(np.zeros((0, m, m), dtype=complex)).shape == (0,)
 
 
 class TestExchangeConjugate:

@@ -6,6 +6,8 @@ the batched AIC/MDL must select exactly the order the per-spectrum
 criteria select, and the order the operation-counting pass selects.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -15,11 +17,13 @@ from sourcecount.classical import (
     EigenSpectrum,
     OpCounter,
     _criterion_counted,
+    _criterion_terms,
     aic,
     criterion_values,
     mdl,
 )
 from sourcecount.detectors import NET_KINDS, Detector, DetectorSpec, build_detector
+from sourcecount.signal_model import Scenario, generate_snapshots, sample_covariance
 from sourcecount.experiments import (
     ClassicalDetector,
     ExperimentConfig,
@@ -84,6 +88,57 @@ def test_classical_batch_equals_per_spectrum(values, num_snapshots, kind):
 
 
 @SETTINGS
+@given(values=spectra(), num_snapshots=st.integers(1, 100000),
+       kind=st.sampled_from(["aic", "mdl"]))
+def test_cached_criterion_terms_keep_the_bits(values, num_snapshots, kind):
+    # The formula as written before its constants were cached.
+    m = values.shape[1]
+    k = np.arange(m, dtype=float)
+    counts = np.arange(m, 0, -1, dtype=float)
+    if kind == "aic":
+        scale, penalty = 2.0, 2.0 * k * (2 * m - k)
+    else:
+        scale, penalty = 1.0, 0.5 * k * (2 * m - k) * math.log(num_snapshots)
+    lam = np.maximum(values, 1e-300)
+    tail_sum = lam[:, ::-1].cumsum(axis=1)[:, ::-1]
+    tail_log_sum = np.log(lam)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    log_mean_ratio = tail_log_sum / counts - np.log(tail_sum / counts)
+    expected = -scale * num_snapshots * counts * log_mean_ratio + penalty
+    for snapshots in (num_snapshots, np.int64(num_snapshots)):
+        got = criterion_values(values, snapshots, kind)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["aic", "mdl"])
+def test_cached_criterion_terms_are_read_only(kind):
+    for term in _criterion_terms(6, 20, kind):
+        assert not term.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            term[0] = 0.0
+
+
+@pytest.mark.parametrize("kind, subarray_size", [
+    ("ernet", None), ("ecnet", None), ("covnet", None), ("ernet", 5), ("ecnet", 5)])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("num_snapshots", [20, 3])  # 3 < M: the PSD clamp fires
+def test_estimate_enters_errstate_at_most_once(monkeypatch, kind, subarray_size,
+                                                normalize, num_snapshots):
+    spec = DetectorSpec(kind, 10, subarray_size, normalize=normalize)
+    det = Detector(spec, build_detector(spec, np.random.default_rng(4)))
+    rng = np.random.default_rng(5)
+    r = sample_covariance(generate_snapshots(Scenario(10, num_snapshots, 2, (0.3, 1.1), 5.0), rng))
+    errstate, entries = np.errstate, []
+
+    def counting_errstate(**kwargs):
+        entries.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting_errstate)
+    det.estimate(r)
+    assert len(entries) <= 1
+
+
+@SETTINGS
 @given(values=spectra(), num_snapshots=st.integers(1, 1000),
        kind=st.sampled_from(["aic", "mdl"]))
 def test_counted_criterion_equals_batch(values, num_snapshots, kind):
@@ -122,3 +177,26 @@ def test_batch_shape_and_snapshot_count_are_validated():
         ClassicalDetector("aic").decide_batch(good, 0)
     with pytest.raises(ValueError, match="unknown criterion"):
         ClassicalDetector("bic").decide_batch(good, 20)
+
+
+def test_classical_kind_is_checked_when_built():
+    for kind in ("aicc", "MDL", ""):
+        with pytest.raises(ValueError, match="unknown criterion kind"):
+            ClassicalDetector(kind)
+
+
+@pytest.mark.parametrize("num_snapshots", [True, np.bool_(True), 2.5, 20.0, np.float64(20.0), "20"])
+def test_snapshot_count_must_be_an_integer_of_at_least_1(num_snapshots):
+    good = np.array([[3.0, 2.0, 1.0]])
+    with pytest.raises(ValueError, match="num_snapshots must be an integer"):
+        ClassicalDetector("mdl").decide_batch(good, num_snapshots)
+    with pytest.raises(ValueError, match="num_snapshots must be an integer"):
+        EigenSpectrum(good[0], num_snapshots)
+
+
+def test_numpy_integer_snapshot_count_is_accepted():
+    good = np.array([[3.0, 2.0, 1.0]])
+    for kind in ("aic", "mdl"):
+        assert (ClassicalDetector(kind).decide_batch(good, np.int64(20)).tolist()
+                == ClassicalDetector(kind).decide_batch(good, 20).tolist())
+    assert EigenSpectrum(good[0], np.int32(20)).num_snapshots == 20

@@ -343,6 +343,24 @@ class TestFbssCovariance:
             out = fbss_covariance(limit * np.eye(10, dtype=complex), 5)
         assert np.isfinite(out).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), num=st.integers(1, 4), m=st.integers(1, 8),
+           data=st.data())
+    def test_equals_the_sum_from_zeros_bit_for_bit(self, seed, num, m, data):
+        # Entries include signed zeros: 0.0 + -0.0 is 0.0, so the sum must
+        # start as if from zeros.
+        m0 = data.draw(st.integers(1, m))
+        rng = np.random.default_rng(seed)
+        parts = rng.choice([-0.0, 0.0, 1.5, -2.25, 1e-300], size=(2, num, m, m))
+        r = parts[0] + 1j * parts[1]
+        r = np.where(rng.random((num, m, m)) < 0.5, r, r.conj().swapaxes(-1, -2))
+        t = m - m0 + 1
+        expected = np.zeros((num, m0, m0), dtype=complex)
+        for offset in range(t):
+            expected += r[:, offset:offset + m0, offset:offset + m0]
+        expected = (expected + np.flip(expected, axis=(-2, -1)).conj()) / (2 * t)
+        assert fbss_covariance(r, m0).tobytes() == expected.tobytes()
+
     def test_subarray_size_bounds(self):
         r = np.eye(4, dtype=complex)
         with pytest.raises(ValueError):
