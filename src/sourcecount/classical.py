@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import is_moderate
+from .linalg import is_integer, is_moderate
 
 # Floor applied to eigenvalues before logarithms; noise-free simulation
 # produces exact zeros.
@@ -49,7 +49,7 @@ def check_spectra(values, num_snapshots: int) -> np.ndarray:
         raise ValueError("eigenvalues must be non-negative")
     if np.count_nonzero(values[:, 1:] > values[:, :-1]):
         raise ValueError("eigenvalues must be sorted descending")
-    if not np.issubdtype(type(num_snapshots), np.integer) or num_snapshots < 1:  # rejects bool
+    if not is_integer(num_snapshots) or num_snapshots < 1:
         raise ValueError(f"num_snapshots must be an integer of at least 1, got {num_snapshots!r}")
     return values
 

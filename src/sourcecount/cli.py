@@ -163,25 +163,22 @@ def _cmd_train(args, config: ExperimentConfig) -> int:
 
 
 def _cmd_eval(args, config: ExperimentConfig) -> int:
-    out, sub = args.out, config.subarray_size if args.fbss else None
-    name = detector_name(args.detector, sub)
-    if args.detector in NET_KINDS:
-        model_path = args.model or out / f"model-{name}.json"
+    out, kind, sub = args.out, args.detector, config.subarray_size if args.fbss else None
+    if kind in NET_KINDS:
+        model_path = args.model or out / f"model-{detector_name(kind, sub)}.json"
         if not Path(model_path).exists():
             raise ValueError(f"model file {model_path} not found")
         detector: Detector | ClassicalDetector = load_detector(model_path)
-        sub = detector.spec.subarray_size
+        kind, sub = detector.spec.kind, detector.spec.subarray_size
         try:
             config = dataclasses.replace(config, subarray_size=sub or config.subarray_size)
         except ValueError as exc:
             raise ValueError(f"model {model_path}: {exc}") from exc
-        name = detector.spec.name
     else:
-        detector = ClassicalDetector(args.detector, sub)
-    kind = detector.spec.kind if isinstance(detector, Detector) else detector.kind
-    feature = feature_kind(kind, sub)
+        detector = ClassicalDetector(kind, sub)
     trials = generate_trials(config, phase="test", num=config.num_test,
-                             snr_db=config.test_snr_db, want=(feature,))
+                             snr_db=config.test_snr_db, want=(feature_kind(kind, sub),))
+    name = detector.name
     accuracy = evaluate_detectors([detector], trials)[name]
     report = {
         "detector": name,

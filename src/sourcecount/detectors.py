@@ -12,7 +12,8 @@ Assembles the two proposed networks plus the covariance-input ablation:
 With a sub-array size set, ERNet and ECNet read the eigenvalues of the
 forward-backward smoothed covariance instead (coherent-source mode).
 A single covariance is a one-matrix stack to :func:`make_features` and
-a one-row batch to ``decide_batch``: one feature and one decision path.
+a one-row batch to ``decide_batch``: one feature and one decision path,
+on raw rows that a normalizing detector divides by the trace itself.
 The classical AIC/MDL criteria decide on the same features through
 :class:`ClassicalDetector`.
 """
@@ -27,7 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from .classical import check_spectra, criterion_values
-from .linalg import hermitian_eig, is_moderate
+from .linalg import hermitian_eig, is_integer, is_moderate
 from .network import (
     Layer,
     Network,
@@ -64,6 +65,12 @@ def detector_name(kind: str, subarray_size: int | None) -> str:
     return kind if subarray_size is None else f"fbss-{kind}"
 
 
+def _check_count(name: str, value, low: int, high: float = math.inf):
+    """Raises ValueError unless ``value`` is an integer (not a bool) in [low, high]."""
+    if not is_integer(value) or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class DetectorSpec:
     """Architecture and feature choices of one detector.
@@ -74,8 +81,9 @@ class DetectorSpec:
             of the classification heads.
         subarray_size: Optional smoothing sub-array size M0; ``None``
             disables smoothing.  Not allowed for CovNet.
-        normalize: Divide features by the covariance trace before the
-            network (optional experiment, off by default).
+        normalize: Divide the raw features by the covariance trace, in
+            training and in every decision (optional experiment, off by
+            default).
         hidden: Hidden layer widths, (8, 8) for every detector.
     """
 
@@ -89,10 +97,11 @@ class DetectorSpec:
         if self.kind not in NET_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
         feature_kind(self.kind, self.subarray_size)
-        if self.num_antennas < 2:
-            raise ValueError("need at least two antennas")
-        if self.subarray_size is not None and not 1 <= self.subarray_size <= self.num_antennas:
-            raise ValueError("subarray_size must lie in [1, num_antennas]")
+        _check_count("num_antennas", self.num_antennas, 2)
+        if self.subarray_size is not None:
+            _check_count("subarray_size", self.subarray_size, 1, self.num_antennas)
+        if not isinstance(self.normalize, bool):
+            raise ValueError(f"normalize must be a bool, got {self.normalize!r}")
 
     @property
     def feature_size(self) -> int:
@@ -113,13 +122,15 @@ def make_features(covs, feature: str, subarray_size: int | None = None) -> np.nd
     """The (num, dim) feature rows of one :func:`feature_kind` for a
     (num, M, M) stack of covariances: descending eigenvalues ("eigen"),
     those of the smoothed covariances ("fbss"), or the row-major real
-    parts then imaginary parts ("cov")."""
+    parts then imaginary parts ("cov").  A NaN or inf entry raises ValueError."""
     if feature not in FEATURES:
         raise ValueError(f"unknown feature {feature!r}; known kinds are {', '.join(FEATURES)}")
     covs = np.asarray(covs)
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError(f"covariances must form a (num, M, M) stack, got shape {covs.shape}")
     if feature == "cov":
+        if not is_moderate(covs) and not np.isfinite(covs).all():
+            raise ValueError("matrix has non-finite entries (NaN or inf)")
         flat = covs.reshape(len(covs), covs.shape[1] ** 2)
         return np.concatenate([flat.real, flat.imag], axis=1, dtype=float)
     if feature == "fbss":
@@ -138,6 +149,7 @@ def normalize_features(feats: np.ndarray, feature: str) -> np.ndarray:
 
 
 def _normalize(feats: np.ndarray, feature: str) -> np.ndarray:
+    feats = np.asarray(feats)
     m = int(round(math.sqrt(feats.shape[1] / 2)))  # M of a "cov" row
     columns = np.arange(m) * (m + 1) if feature == "cov" else slice(None)
     trace = feats[:, columns].sum(axis=1)
@@ -173,17 +185,24 @@ class Detector:
     net: Network
     train_config: TrainConfig | None = None
 
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
     def decide_batch(self, features: np.ndarray) -> np.ndarray:
-        """Decisions for a (num, feature_size) batch: ERNet rounds its
-        output half-up and clamps it to [0, M-1]; the softmax heads take
-        the argmax (ties to the smaller index).  A batch that is not 2-D, or
-        a NaN or inf network output (say from an inf feature), raises ValueError."""
-        with np.errstate(invalid="ignore"):  # inf * 0 in the matmul; raised in _decide
+        """Decisions for a (num, feature_size) batch of raw features, which a
+        normalizing spec divides by the trace: ERNet rounds its output
+        half-up and clamps it to [0, M-1]; the softmax heads take the argmax
+        (ties to the smaller index).  A batch that is not 2-D, an overflowing
+        trace, or a NaN or inf network output raises ValueError."""
+        with np.errstate(over="ignore", invalid="ignore"):  # each raised as ValueError
             return self._decide(features)
 
     def _decide(self, features: np.ndarray) -> np.ndarray:
         if np.ndim(features) != 2:
             raise ValueError(f"features must form a 2-D batch, got shape {np.shape(features)}")
+        if self.spec.normalize:
+            features = _normalize(features, feature_kind(self.spec.kind, self.spec.subarray_size))
         out = forward(self.net, features)
         if not is_moderate(out) and not np.isfinite(out).all():
             raise ValueError("network output is not finite (NaN or inf)")
@@ -204,13 +223,9 @@ class Detector:
         if r_hat.shape != (spec.num_antennas,) * 2:
             raise ValueError(f"covariance must be M x M for M={spec.num_antennas}, "
                              f"got shape {r_hat.shape}")
-        feature = feature_kind(spec.kind, spec.subarray_size)
         with np.errstate(over="ignore", invalid="ignore"):  # each raised as ValueError
-            row = make_features(r_hat[np.newaxis], feature, spec.subarray_size)
-            if feature == "cov" and not is_moderate(row) and not np.isfinite(row).all():
-                raise ValueError("matrix has non-finite entries (NaN or inf)")
-            if spec.normalize:
-                row = _normalize(row, feature)
+            row = make_features(r_hat[np.newaxis], feature_kind(spec.kind, spec.subarray_size),
+                                spec.subarray_size)
             return int(self._decide(row)[0])
 
 
@@ -224,6 +239,8 @@ class ClassicalDetector:
     def __post_init__(self):
         if self.kind not in CLASSICAL_KINDS:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
+        if self.subarray_size is not None:
+            _check_count("subarray_size", self.subarray_size, 1)
 
     @property
     def name(self) -> str:

@@ -34,6 +34,7 @@ from .detectors import (
     make_features,
     normalize_features,
 )
+from .linalg import is_integer
 from .network import TrainConfig, train
 from .signal_model import Scenario, normal_count, sample_covariance, snapshot_stack
 
@@ -78,6 +79,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # the types _convert_config_value parses into
+            value = getattr(self, f.name)
+            if isinstance(f.default, bool) and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a bool, got {value!r}")
+            if type(f.default) is int and not is_integer(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if not 0 <= self.max_sources < self.num_antennas:
             raise ValueError("need 0 <= max_sources < num_antennas")
         if self.num_train < 1 or self.num_test < 1:
@@ -176,18 +183,21 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     ``phase`` selects the seed-stream role ("train" or "test"), so the
     two phases can never share draws.  Snapshots and covariances are
     computed a block of trials at a time, bit for bit as one by one.
+    Raises ValueError for an unknown phase or feature kind, or a ``num``
+    that is not a non-negative integer, before any draw.
     """
-    role = {"train": ROLE_TRAIN, "test": ROLE_TEST}[phase]
+    role = {"train": ROLE_TRAIN, "test": ROLE_TEST}.get(phase)
+    if role is None:
+        raise ValueError(f"phase must be 'train' or 'test', got {phase!r}")
+    if not is_integer(num) or num < 0:
+        raise ValueError(f"num must be a non-negative integer, got {num!r}")
     if coherent is not None:
         config = replace(config, coherent=coherent)
     m, m0 = config.num_antennas, config.subarray_size
-    widths = {"eigen": m, "fbss": m0, "cov": 2 * m * m}
-    unknown = set(want) - set(widths)
-    if unknown:
-        raise ValueError(f"unknown feature kinds {sorted(unknown)}")
     labels = np.zeros(num, dtype=int)
-    feats = {feature: np.zeros((num, widths[feature])) for feature in set(want)}
     covs = np.zeros((min(num, _FEATURE_BLOCK), m, m), dtype=np.complex128)
+    feats = {feature: np.zeros((num, make_features(covs[:0], feature, m0).shape[1]))
+             for feature in set(want)}
     n = config.num_snapshots
     step = max(1, _SYNTHESIS_ENTRIES // (m * n))
     # Each trial's draws end at the last column, as snapshot_stack reads them.
@@ -212,18 +222,16 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
                     subarray_size=m0 if "fbss" in feats else None, **feats)
 
 
-def select_features(trials: TrialSet, kind: str, subarray_size: int | None,
-                     normalize: bool = False) -> np.ndarray:
-    """The (num, dim) feature batch that detector ``kind`` reads from
-    ``trials``, divided row by row by the covariance trace if
-    ``normalize``."""
+def select_features(trials: TrialSet, kind: str, subarray_size: int | None) -> np.ndarray:
+    """The raw (num, dim) feature batch that detector ``kind`` reads from
+    ``trials``; a detector that normalizes divides it by the trace itself."""
     feature = feature_kind(kind, subarray_size)
     feats = getattr(trials, feature)
     if feature == "fbss" and feats is not None and trials.subarray_size != subarray_size:
         raise ValueError("trial set was smoothed with a different sub-array size")
     if feats is None:
         raise ValueError(f"trial set lacks the features required by {kind!r}")
-    return normalize_features(feats, feature) if normalize else feats
+    return feats
 
 
 def _targets(spec: DetectorSpec, labels: np.ndarray) -> np.ndarray:
@@ -274,7 +282,8 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray, dict]:
 def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
                    labels: np.ndarray, *, subarray_size: int | None = None,
                    axis_index: int = 0) -> tuple[Detector, list[float]]:
-    """Builds and trains one network detector on prepared features.
+    """Builds and trains one network detector on raw features, which it
+    divides by the covariance trace if ``config.normalize_features``.
 
     Initialization and shuffling seeds derive from the master seed, the
     axis point, and the detector kind, so retraining is reproducible.
@@ -283,6 +292,8 @@ def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
         raise ValueError(f"{kind!r} is not a trainable detector")
     spec = DetectorSpec(kind, config.num_antennas, subarray_size,
                         normalize=config.normalize_features)
+    if spec.normalize:
+        features = normalize_features(features, feature_kind(kind, subarray_size))
     ordinal = NET_KINDS.index(kind)
     net = build_detector(spec, _rng(config.seed, ROLE_INIT, axis_index, ordinal))
     train_config = TrainConfig(
@@ -300,15 +311,12 @@ def evaluate_detectors(detectors, trials: TrialSet) -> dict[str, float]:
     results: dict[str, float] = {}
     for det in detectors:
         if isinstance(det, Detector):
-            feats = select_features(trials, det.spec.kind, det.spec.subarray_size,
-                                     det.spec.normalize)
-            predicted = det.decide_batch(feats)
-            name = det.spec.name
+            predicted = det.decide_batch(
+                select_features(trials, det.spec.kind, det.spec.subarray_size))
         else:
-            feats = select_features(trials, det.kind, det.subarray_size)
-            predicted = det.decide_batch(feats, trials.num_snapshots)
-            name = det.name
-        results[name] = float(np.mean(predicted == trials.labels))
+            predicted = det.decide_batch(select_features(trials, det.kind, det.subarray_size),
+                                         trials.num_snapshots)
+        results[det.name] = float(np.mean(predicted == trials.labels))
     return results
 
 
@@ -323,18 +331,13 @@ class SweepResult:
     seed: int
 
 
-def _feature_wants(kinds, subarray_size: int | None) -> tuple[str, ...]:
-    return tuple(sorted({feature_kind(kind, subarray_size) for kind in kinds}))
-
-
 def _build_detector_set(config: ExperimentConfig, kinds, trials_train: TrialSet,
                         *, subarray_size: int | None, axis_index: int):
     """Trains the trainable kinds and wraps the classical ones, in order."""
     detectors = []
     for kind in kinds:
         if kind in NET_KINDS:
-            feats = select_features(trials_train, kind, subarray_size,
-                                     config.normalize_features)
+            feats = select_features(trials_train, kind, subarray_size)
             det, _ = train_detector(config, kind, feats, trials_train.labels,
                                     subarray_size=subarray_size, axis_index=axis_index)
             detectors.append(det)
@@ -370,7 +373,7 @@ def run_sweep(name: str, config: ExperimentConfig) -> SweepResult:
     config = replace(config, coherent=sweep.coherent)
     kinds = config.detectors or sweep.detectors
     subarray_size = config.subarray_size if sweep.coherent else None
-    want = _feature_wants(kinds, subarray_size)
+    want = {feature_kind(kind, subarray_size) for kind in kinds}
     axis = getattr(config, _AXES[sweep.field])
     detectors, points = None, []
     for ai, value in enumerate(axis):

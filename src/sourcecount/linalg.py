@@ -27,6 +27,11 @@ def _square(a) -> np.ndarray:
     return a
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return np.issubdtype(type(value), np.integer)
+
+
 def is_moderate(a) -> bool:
     """Whether ``a``'s squared magnitudes sum below 2**1000 (so no entry or sum overflows)."""
     return bool(np.vdot(a, a).real < 2.0 ** 1000)

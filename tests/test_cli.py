@@ -1,6 +1,7 @@
 """End-to-end CLI tests on a tiny configuration."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from sourcecount.cli import main
-from sourcecount.detectors import Detector, DetectorSpec, build_detector, save_detector
-from sourcecount.experiments import SWEEPS, read_dataset
+from sourcecount.detectors import (Detector, DetectorSpec, build_detector, load_detector,
+                                   normalize_features, save_detector)
+from sourcecount.experiments import (SWEEPS, evaluate_detectors, generate_trials, load_config,
+                                     read_dataset, train_detector)
 from sourcecount.network import TrainConfig
 
 # Each subcommand's --help at COLUMNS=80, as the flags stood before they
@@ -73,6 +76,35 @@ class TestGenTrainEval:
 
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 3
+
+    def test_normalized_cycle_trains_and_scores_as_the_library(self, tmp_path, config_file):
+        # gen-data writes raw rows, and the detector divides them by the
+        # trace in train and in eval, as it does on the library path.
+        path = tmp_path / "normalized.cfg"
+        path.write_text(config_file.read_text() + "normalize_features = true\n")
+        out = tmp_path / "run"
+        for command in ("gen-data", "train", "eval"):
+            assert run(command, "--config", path, "--out", out, "--detector", "ecnet") == 0
+        config = load_config(path)
+        train_set = generate_trials(config, phase="train", num=config.num_train,
+                                    snr_db=tuple(config.train_snr_db))
+        assert np.array_equal(read_dataset(out / "dataset-ecnet-train.csv")[0], train_set.eigen)
+        library, _ = train_detector(config, "ecnet", train_set.eigen, train_set.labels)
+        # the same net trained on rows normalized beforehand
+        by_hand, _ = train_detector(dataclasses.replace(config, normalize_features=False),
+                                    "ecnet", normalize_features(train_set.eigen, "eigen"),
+                                    train_set.labels)
+        model = load_detector(out / "model-ecnet.json")
+        assert model.spec == library.spec and model.spec.normalize
+        for ours, theirs, reference in zip(model.net.layers, library.net.layers,
+                                           by_hand.net.layers):
+            assert np.array_equal(ours.weights, theirs.weights)
+            assert np.array_equal(ours.weights, reference.weights)
+            assert np.array_equal(ours.bias, theirs.bias)
+        test_set = generate_trials(config, phase="test", num=config.num_test,
+                                   snr_db=config.test_snr_db)
+        report = json.loads((out / "eval-ecnet.json").read_text())
+        assert report["accuracy"] == evaluate_detectors([library], test_set)["ecnet"]
 
     def test_classical_eval_needs_no_model(self, tmp_path, config_file):
         out = tmp_path / "run"

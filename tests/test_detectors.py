@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sourcecount.detectors import (
+    ClassicalDetector,
     Detector,
     DetectorSpec,
     _layer_plan,
@@ -145,6 +146,37 @@ class TestFeatureCov:
         rebuilt = feat[:25].reshape(5, 5) + 1j * feat[25:].reshape(5, 5)
         assert np.allclose(rebuilt, r)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_entry_rejected(self, bad):
+        covs = np.stack([np.eye(4, dtype=complex)] * 3)
+        covs[1, 2, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="non-finite entries"):
+                make_features(covs, "cov")
+
+
+class TestCountsAreIntegers:
+    @pytest.mark.parametrize("subarray_size", [-3, 0, 2.5, True])
+    def test_classical_subarray_size_rejected(self, subarray_size):
+        with pytest.raises(ValueError, match="subarray_size"):
+            ClassicalDetector("mdl", subarray_size)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("subarray_size", dict(num_antennas=10, subarray_size=2.5)),
+        ("subarray_size", dict(num_antennas=10, subarray_size=True)),
+        ("num_antennas", dict(num_antennas=10.5)),
+        ("num_antennas", dict(num_antennas=10.0)),
+        ("normalize", dict(num_antennas=10, normalize="no")),
+        ("normalize", dict(num_antennas=10, normalize=1))])
+    def test_spec_rejects_mistyped_fields(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            DetectorSpec("ernet", **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        assert ClassicalDetector("mdl", np.int64(5)).name == "fbss-mdl"
+        assert DetectorSpec("ernet", np.int64(10), np.int32(5)).feature_size == 5
+
 
 class TestOneHot:
     """One-hot training targets of the classification heads."""
@@ -279,15 +311,20 @@ class TestDetectorWrapper:
         cov = normalize_features(one_row(r, "cov")[np.newaxis], "cov")[0]
         assert np.trace(cov[:100].reshape(10, 10)) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("feature, row", [
-        ("cov", [1e308] * 4 + [0.0] * 4),  # finite diagonal, overflowing trace
-        ("eigen", [1e300, -1e300, 1e-10]),  # tiny trace, overflowing quotient
+    @pytest.mark.parametrize("feature, kind, row", [
+        ("cov", "covnet", [1e308] * 4 + [0.0] * 4),  # finite diagonal, overflowing trace
+        ("eigen", "ernet", [1e300, -1e300, 1e-10]),  # tiny trace, overflowing quotient
     ], ids=["trace", "quotient"])
-    def test_normalize_overflow_rejected(self, feature, row):
+    def test_normalize_overflow_rejected(self, feature, kind, row):
+        # a normalizing detector divides raw rows in decide_batch as well
+        spec = DetectorSpec(kind, 2 if kind == "covnet" else 3, normalize=True)
+        det = Detector(spec, build_detector(spec, np.random.default_rng(0)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="too large to normalize"):
                 normalize_features(np.array([row]), feature)
+            with pytest.raises(ValueError, match="too large to normalize"):
+                det.decide_batch(np.array([row]))
 
     def test_decide_batch_matches_scalar_decide(self):
         rng = np.random.default_rng(9)

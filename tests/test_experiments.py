@@ -31,7 +31,7 @@ from sourcecount.experiments import (
     write_dataset,
     write_manifest,
 )
-from sourcecount.detectors import DetectorSpec, build_detector, make_features
+from sourcecount.detectors import DetectorSpec, build_detector, make_features, normalize_features
 from sourcecount.experiments import (_FEATURE_BLOCK, NET_KINDS, ROLE_INIT, ROLE_TEST,
                                      _convert_config_value, _rng)
 from sourcecount.signal_model import generate_snapshots, sample_covariance
@@ -43,6 +43,8 @@ SIMULATION_DIGEST = "b97c4e00fa97504846b43b7070ff4c3e1a73b725183c5a6b7bc0e6b4e20
 TRAINING_DIGEST = "764d2523f0de75be3774c5346e9870a4e576afe507b7fc6caefe084e76894b47"
 # SHA-256 of TestSweeps.test_sweep_bits_pinned's sweep results.
 SWEEP_DIGEST = "1e61c42b8c725836464948b6d95b3a1c2577a38ad4d41a3757acf87d49f2634b"
+# SHA-256 of TestSweeps.test_normalized_sweep_bits_pinned's sweep results.
+NORMALIZED_SWEEP_DIGEST = "1a47fda4bdd03d694b4d1ba8fe6f2d5e19b9eb11567fcb08d56beeda4c4c19d1"
 
 
 def tiny_config(**overrides):
@@ -140,6 +142,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_snapshots", 20.5), ("num_antennas", 10.0), ("max_sources", 2.5),
+        ("subarray_size", 2.5), ("num_snapshots", True), ("seed", "3"),
+        ("coherent", "yes"), ("normalize_features", 1)])
+    def test_mistyped_counts_and_switches_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        assert ExperimentConfig(num_snapshots=np.int64(30)).num_snapshots == 30
+
 
 class TestScenarioDraw:
     def test_source_count_uniform(self):
@@ -216,9 +229,9 @@ class TestTrials:
         config = tiny_config()
         t = generate_trials(config, phase="test", num=10, snr_db=5.0,
                             want=("eigen", "cov"))
-        eig_norm = select_features(t, "ecnet", None, normalize=True)
+        eig_norm = normalize_features(select_features(t, "ecnet", None), "eigen")
         assert np.allclose(eig_norm.sum(axis=1), 1.0)
-        cov_norm = select_features(t, "covnet", None, normalize=True)
+        cov_norm = normalize_features(select_features(t, "covnet", None), "cov")
         m = 10
         diag = np.arange(m) * m + np.arange(m)
         assert np.allclose(cov_norm[:, diag].sum(axis=1), 1.0)
@@ -280,6 +293,21 @@ class TestTrials:
                     assert np.array_equal(getattr(t, feature)[i], expected)
             if snr_db == math.inf:
                 assert ((t.eigen[:, 0] > 0.0) & (t.eigen[:, -1] == 0.0)).any()
+
+    @pytest.mark.parametrize("argument, overrides", [
+        ("num", {"num": 2.5}), ("num", {"num": -1}), ("num", {"num": True}),
+        ("phase", {"phase": "Train"}), ("feature", {"want": ("eigen", "smoothed")})])
+    def test_malformed_arguments_rejected_before_any_draw(self, monkeypatch, argument,
+                                                          overrides):
+        import sourcecount.experiments as experiments
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a scenario was drawn before the arguments were checked")
+
+        monkeypatch.setattr(experiments, "draw_scenario", no_draw)
+        kwargs = dict(phase="test", num=4, snr_db=5.0, want=("eigen",)) | overrides
+        with pytest.raises(ValueError, match=argument):
+            generate_trials(tiny_config(), **kwargs)
 
     def test_empty_trial_set(self):
         t = generate_trials(tiny_config(), phase="test", num=0, snr_db=5.0,
@@ -437,6 +465,19 @@ class TestSweeps:
                 (sweep_snr_coherent, tiny_config(max_sources=4, detectors=("ecnet", "mdl")))):
             digest.update(repr(sweep(config)).encode())
         assert digest.hexdigest() == SWEEP_DIGEST
+
+    def test_normalized_sweep_bits_pinned(self):
+        # The three sweeps on trace-normalized features, with ERNet, ECNet
+        # and CovNet among their detectors: each detector normalizes the
+        # raw rows it trains and decides on, bit for bit as the callers
+        # once normalized them.
+        digest = hashlib.sha256()
+        for sweep, config in (
+                (sweep_snapshots, tiny_config(detectors=None)),
+                (sweep_snr_noncoherent, tiny_config(detectors=("ecnet", "covnet", "mdl"))),
+                (sweep_snr_coherent, tiny_config(max_sources=4, detectors=None))):
+            digest.update(repr(sweep(replace(config, normalize_features=True))).encode())
+        assert digest.hexdigest() == NORMALIZED_SWEEP_DIGEST
 
     def test_paired_evaluation(self):
         # classical detectors see exactly the trials the networks see

@@ -1,7 +1,8 @@
 """Property tests: one feature path and one decision path per detector.
 
 A single covariance through ``Detector.estimate`` must be decided exactly
-as its row in a batch through ``select_features`` + ``decide_batch``, and
+as its raw row in a batch through ``select_features`` + ``decide_batch``
+(a normalizing detector divides both by the trace itself), and
 the batched AIC/MDL must select exactly the order the per-spectrum
 criteria select, and the order the operation-counting pass selects.
 """
@@ -58,8 +59,7 @@ def test_estimate_equals_batch_decision(spec, seed, coherent, snr_db):
     trials = generate_trials(config, phase="test", num=12, snr_db=snr_db,
                              want=("eigen", "fbss", "cov"))
     det = Detector(spec, build_detector(spec, np.random.default_rng(seed)))
-    batch = det.decide_batch(select_features(trials, spec.kind, spec.subarray_size,
-                                             spec.normalize))
+    batch = det.decide_batch(select_features(trials, spec.kind, spec.subarray_size))
     covs = [(row[:m * m] + 1j * row[m * m:]).reshape(m, m) for row in trials.cov]
     assert [det.estimate(r) for r in covs] == batch.tolist()
 
