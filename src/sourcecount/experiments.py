@@ -195,9 +195,12 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
         config = replace(config, coherent=coherent)
     m, m0 = config.num_antennas, config.subarray_size
     labels = np.zeros(num, dtype=int)
-    covs = np.zeros((min(num, _FEATURE_BLOCK), m, m), dtype=np.complex128)
-    feats = {feature: np.zeros((num, make_features(covs[:0], feature, m0).shape[1]))
+    # The kept feature rows are allocated before the per-block scratch, so
+    # freeing the scratch leaves no hole below them in the heap.
+    empty = np.zeros((0, m, m), dtype=np.complex128)
+    feats = {feature: np.zeros((num, make_features(empty, feature, m0).shape[1]))
              for feature in set(want)}
+    covs = np.zeros((min(num, _FEATURE_BLOCK), m, m), dtype=np.complex128)
     n = config.num_snapshots
     step = max(1, _SYNTHESIS_ENTRIES // (m * n))
     # Each trial's draws end at the last column, as snapshot_stack reads them.
