@@ -20,9 +20,7 @@ from .experiments import (
     evaluate_detectors,
     generate_trials,
     load_config,
+    run_sweep,
     select_features,
-    sweep_snapshots,
-    sweep_snr_coherent,
-    sweep_snr_noncoherent,
     train_detector,
 )

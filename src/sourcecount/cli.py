@@ -36,17 +36,6 @@ from .experiments import (
 ALL_DETECTORS = NET_KINDS + CLASSICAL_KINDS
 
 
-def _count(text: str) -> int:
-    """argparse type of the count flags: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
-
-
 def _add_common(parser: argparse.ArgumentParser, detector: bool = True):
     parser.add_argument("--config", type=Path, help="flat key=value config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
@@ -54,7 +43,7 @@ def _add_common(parser: argparse.ArgumentParser, detector: bool = True):
                         help="output directory (default: runs)")
     if detector:
         parser.add_argument("--detector", choices=ALL_DETECTORS, default="ernet")
-        parser.add_argument("--fbss", type=_count, metavar="M0",
+        parser.add_argument("--fbss", type=int, metavar="M0",
                             help="use the smoothed eigenvalue spectrum with this "
                                  "sub-array size (ernet, ecnet, aic, mdl)")
 
@@ -69,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a labelled dataset file")
     _add_common(p)
     p.add_argument("--phase", choices=("train", "test"), default="train")
-    p.add_argument("--num", type=_count, help="sample count (default from config)")
+    p.add_argument("--num", type=int, help="sample count (default from config)")
     p.add_argument("--snr-db", type=float, dest="test_snr_db", metavar="SNR_DB",
                    help="fixed SNR for test-phase draws")
 
@@ -81,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, help="model file (default from --out)")
     p.add_argument("--snr-db", type=float, dest="test_snr_db", metavar="SNR_DB",
                    help="test SNR in dB (default from config)")
-    p.add_argument("--snapshots", type=_count, dest="num_snapshots", metavar="SNAPSHOTS",
+    p.add_argument("--snapshots", type=int, dest="num_snapshots", metavar="SNAPSHOTS",
                    help="snapshot count (default from config)")
-    p.add_argument("--trials", type=_count, dest="num_test", metavar="TRIALS",
+    p.add_argument("--trials", type=int, dest="num_test", metavar="TRIALS",
                    help="trial count (default from config)")
 
     for name, sweep in SWEEPS.items():
@@ -166,8 +155,6 @@ def _cmd_eval(args, config: ExperimentConfig) -> int:
     out, kind, sub = args.out, args.detector, config.subarray_size if args.fbss else None
     if kind in NET_KINDS:
         model_path = args.model or out / f"model-{detector_name(kind, sub)}.json"
-        if not Path(model_path).exists():
-            raise ValueError(f"model file {model_path} not found")
         detector: Detector | ClassicalDetector = load_detector(model_path)
         kind, sub = detector.spec.kind, detector.spec.subarray_size
         try:
@@ -245,7 +232,7 @@ def main(argv=None) -> int:
         config = _load_experiment_config(args)
         args.out.mkdir(parents=True, exist_ok=True)
         status = _COMMANDS[args.command](args, config)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not config.identifiable:

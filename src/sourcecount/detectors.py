@@ -98,8 +98,10 @@ class DetectorSpec:
             raise ValueError(f"unknown detector kind {self.kind!r}")
         feature_kind(self.kind, self.subarray_size)
         _check_count("num_antennas", self.num_antennas, 2)
+        object.__setattr__(self, "num_antennas", int(self.num_antennas))  # JSON has no numpy ints
         if self.subarray_size is not None:
             _check_count("subarray_size", self.subarray_size, 1, self.num_antennas)
+            object.__setattr__(self, "subarray_size", int(self.subarray_size))
         if not isinstance(self.normalize, bool):
             raise ValueError(f"normalize must be a bool, got {self.normalize!r}")
 

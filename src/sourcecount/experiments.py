@@ -83,16 +83,19 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(f.default, bool) and not isinstance(value, bool):
                 raise ValueError(f"{f.name} must be a bool, got {value!r}")
-            if type(f.default) is int and not is_integer(value):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if type(f.default) is int:
+                if not is_integer(value):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                object.__setattr__(self, f.name, int(value))  # JSON has no numpy ints
+        if not all(map(is_integer, self.snapshot_axis)):
+            raise ValueError(f"snapshot_axis must list integers, got {self.snapshot_axis!r}")
+        object.__setattr__(self, "snapshot_axis", tuple(map(int, self.snapshot_axis)))
         if not 0 <= self.max_sources < self.num_antennas:
             raise ValueError("need 0 <= max_sources < num_antennas")
-        if self.num_train < 1 or self.num_test < 1:
-            raise ValueError("num_train and num_test must be positive")
-        for name, counts in (("num_snapshots", (self.num_snapshots,)),
-                             ("snapshot_axis", self.snapshot_axis)):
-            if min(counts, default=1) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("num_train", "num_test", "num_snapshots", "snapshot_axis"):
+            counts = getattr(self, name)
+            if min(counts if name == "snapshot_axis" else (counts,), default=1) < 1:
+                raise ValueError(f"{name} must be at least 1, got {counts}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.subarray_size <= self.num_antennas:
@@ -279,7 +282,8 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray, dict]:
                 raise ValueError(f"malformed dataset row in {path}")
             feats.append([float(v) for v in parts[:-1]])
             labels.append(int(parts[-1]))
-    return np.array(feats), np.array(labels, dtype=int), info
+    return (np.array(feats, dtype=float).reshape(len(labels), feature_dim),
+            np.array(labels, dtype=int), info)
 
 
 def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
@@ -393,21 +397,6 @@ def run_sweep(name: str, config: ExperimentConfig) -> SweepResult:
     accuracy = {det: tuple(point[det] for point in points) for det in names}
     return SweepResult(tuple(float(a) for a in axis), names, accuracy,
                        num_trials=config.num_test, seed=config.seed)
-
-
-def sweep_snapshots(config: ExperimentConfig) -> SweepResult:
-    """Accuracy versus snapshot count, non-coherent sources."""
-    return run_sweep("sweep-snapshots", config)
-
-
-def sweep_snr_noncoherent(config: ExperimentConfig) -> SweepResult:
-    """Accuracy versus test SNR, non-coherent sources, N fixed."""
-    return run_sweep("sweep-snr", config)
-
-
-def sweep_snr_coherent(config: ExperimentConfig) -> SweepResult:
-    """Accuracy versus test SNR, coherent sources, smoothed spectra."""
-    return run_sweep("sweep-snr-coherent", config)
 
 
 # --- Complexity bench ---------------------------------------------------
@@ -603,6 +592,6 @@ def write_manifest(out_dir, config: ExperimentConfig, command: str,
     if extra:
         doc.update(extra)
     path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=list) + "\n",
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path

@@ -18,7 +18,7 @@ from sourcecount.experiments import (
     bench_complexity,
     emit_csv,
     generate_trials,
-    sweep_snr_noncoherent,
+    run_sweep,
 )
 from sourcecount.linalg import hermitian_eig
 from sourcecount.network import (
@@ -236,8 +236,8 @@ def _battery_adam_fixed_point(rng):
 def _battery_mini_sweep_reproducibility(tmp_path):
     config = ExperimentConfig(num_train=150, num_test=40, epochs=4, seed=21,
                               snr_axis_db=(0.0, 20.0), detectors=("ernet", "mdl"))
-    first = sweep_snr_noncoherent(config)
-    second = sweep_snr_noncoherent(config)
+    first = run_sweep("sweep-snr", config)
+    second = run_sweep("sweep-snr", config)
     assert first == second
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     emit_csv(first, paths[0])

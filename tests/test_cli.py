@@ -1,12 +1,18 @@
 """End-to-end CLI tests on a tiny configuration."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sourcecount.cli import main
 from sourcecount.detectors import (Detector, DetectorSpec, build_detector, load_detector,
@@ -131,9 +137,12 @@ class TestGenTrainEval:
                    "--detector", "ernet") == 2
         assert "gen-data" in capsys.readouterr().err
 
-    def test_eval_without_model_fails(self, tmp_path, config_file):
-        assert run("eval", "--config", config_file, "--out", tmp_path / "empty",
-                   "--detector", "ecnet") == 2
+    def test_eval_without_model_fails(self, tmp_path, config_file, capsys):
+        out = tmp_path / "empty"
+        assert run("eval", "--config", config_file, "--out", out, "--detector", "ecnet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out / "model-ecnet.json") in err
 
     def test_train_classical_rejected(self, tmp_path, config_file):
         assert run("train", "--config", config_file, "--out", tmp_path,
@@ -307,12 +316,15 @@ class TestFlagValidation:
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_counts_below_one_rejected(self, tmp_path, config_file, capsys,
                                        command, flag, value):
+        # the config checks each count flag and names the field it sets
+        field = {"--num": "num_train", "--trials": "num_test",
+                 "--snapshots": "num_snapshots", "--fbss": "subarray_size"}[flag]
         out = tmp_path / "run"
-        with pytest.raises(SystemExit) as exc:
-            run(command, "--config", config_file, "--out", out, "--detector", "mdl",
-                flag, value)
-        assert exc.value.code == 2
-        assert "expected an integer >= 1" in capsys.readouterr().err
+        assert run(command, "--config", config_file, "--out", out, "--detector", "mdl",
+                   flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ") and err.count("\n") == 1
+        assert value in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
@@ -371,6 +383,142 @@ class TestFlagValidation:
         assert err.startswith("error: SNRs must be numbers or inf")
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+def assert_one_error_line(status, err):
+    assert status == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def run_quietly(*argv):
+    """``main``'s status and stderr, with every warning it raises recorded."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        status = run(*argv)
+    assert not caught, [str(w.message) for w in caught]
+    return status, stderr.getvalue()
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    """A valid 20-sample ERNet dataset and the config it was drawn with."""
+    root = tmp_path_factory.mktemp("small")
+    config = root / "tiny.cfg"
+    config.write_text(TINY_CONFIG, encoding="utf-8")
+    assert run("gen-data", "--config", config, "--out", root, "--num", 20,
+               "--detector", "ernet") == 0
+    return config, (root / "dataset-ernet-train.csv").read_text(encoding="utf-8")
+
+
+@st.composite
+def broken_datasets(draw, text):
+    """``text`` with one fault: an odd feature or label, a truncated row, an
+    extra column, a header key deleted, or bytes that are not UTF-8."""
+    lines = text.splitlines()
+    row = draw(st.integers(1, len(lines) - 1))
+    cells = lines[row].split(",")
+    fault = draw(st.sampled_from(["feature", "label", "truncate", "extend", "header", "bytes"]))
+    if fault == "feature":
+        cells[draw(st.integers(0, len(cells) - 2))] = draw(
+            st.sampled_from(["nan", "inf", "-inf", "1e200"]))
+    elif fault == "label":
+        cells[-1] = draw(st.sampled_from(["3.5", "-1"]))
+    elif fault == "extend":
+        cells.append(cells[0])
+    lines[row] = ",".join(cells)
+    if fault == "truncate":
+        lines[row] = lines[row][:draw(st.integers(0, len(lines[row]) - 1))]
+    elif fault == "header":
+        keys = lines[0].split(",")
+        del keys[draw(st.integers(0, len(keys) - 1))]
+        lines[0] = ",".join(keys)
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if fault == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff\xfe" + data[at:]
+    return data
+
+
+# Counts up to 64 run in milliseconds, and those from 10**13 up fail at the
+# first allocation; nothing in between is drawn.
+COUNTS = st.one_of(st.sampled_from([0, -3]), st.integers(1, 64),
+                   st.integers(10 ** 13, 10 ** 19))
+COUNT_FLAGS = {"gen-data": ("--num", "--fbss"), "eval": ("--trials", "--snapshots", "--fbss")}
+
+
+class TestEveryFailureIsOneErrorLine:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_dataset_feature(self, tmp_path, small_dataset, value):
+        config, text = small_dataset
+        lines = text.splitlines()
+        lines[2] = f"{value}," + lines[2].split(",", 1)[1]
+        (tmp_path / "dataset-ernet-train.csv").write_text("\n".join(lines) + "\n")
+        status, err = run_quietly("train", "--config", config, "--out", tmp_path,
+                                  "--detector", "ernet")
+        assert_one_error_line(status, err)
+        assert "non-finite value in the features" in err
+
+    def test_header_only_dataset(self, tmp_path, small_dataset, capsys):
+        config, text = small_dataset
+        (tmp_path / "dataset-ernet-train.csv").write_text(text.splitlines()[0] + "\n")
+        assert run("train", "--config", config, "--out", tmp_path, "--detector", "ernet") == 2
+        assert capsys.readouterr().err == "error: dataset is empty\n"
+
+    def test_sample_count_too_large_to_allocate(self, tmp_path, capsys):
+        path = tmp_path / "huge.cfg"
+        path.write_text(TINY_CONFIG + "num_test = 10000000000000\n", encoding="utf-8")
+        assert_one_error_line(run("eval", "--config", path, "--out", tmp_path / "run",
+                                  "--detector", "mdl"), capsys.readouterr().err)
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        status = run("eval", "--config", missing, "--out", tmp_path / "run", "--detector", "mdl")
+        err = capsys.readouterr().err
+        assert_one_error_line(status, err)
+        assert str(missing) in err and not (tmp_path / "run").exists()
+
+    def test_out_names_a_file(self, tmp_path, config_file, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        status = run("eval", "--config", config_file, "--out", out, "--detector", "mdl")
+        err = capsys.readouterr().err
+        assert_one_error_line(status, err)
+        assert str(out) in err
+
+    def test_model_names_a_directory(self, tmp_path, config_file, capsys):
+        status = run("eval", "--config", config_file, "--out", tmp_path / "run",
+                     "--detector", "ecnet", "--model", tmp_path)
+        err = capsys.readouterr().err
+        assert_one_error_line(status, err)
+        assert str(tmp_path) in err
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_dataset(self, small_dataset, data):
+        config, text = small_dataset
+        broken = data.draw(broken_datasets(text))
+        with tempfile.TemporaryDirectory() as out:
+            (Path(out) / "dataset-ernet-train.csv").write_bytes(broken)
+            status, err = run_quietly("train", "--config", config, "--out", out,
+                                      "--detector", "ernet")
+        if status != 0:
+            assert_one_error_line(status, err)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(sorted(COUNT_FLAGS)), data=st.data())
+    def test_count_flags(self, small_dataset, command, data):
+        config, _ = small_dataset
+        flags = data.draw(st.lists(st.sampled_from(COUNT_FLAGS[command]), min_size=1,
+                                   unique=True))
+        argv = [arg for flag in flags for arg in (flag, data.draw(COUNTS))]
+        with tempfile.TemporaryDirectory() as root:
+            status, err = run_quietly(command, "--config", config, "--out", Path(root) / "run",
+                                      "--detector", "mdl", *argv)
+        if status != 0:
+            assert_one_error_line(status, err)
 
 
 class TestSweepCommands:

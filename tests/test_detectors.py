@@ -411,6 +411,13 @@ class TestDetectorWrapper:
         for l1, l2 in zip(det.net.layers, loaded.net.layers):
             assert np.array_equal(l1.weights, l2.weights)
 
+    def test_save_of_numpy_integer_counts(self, tmp_path):
+        spec = DetectorSpec("ernet", np.int64(10), np.int32(5))
+        assert type(spec.num_antennas) is int and type(spec.subarray_size) is int
+        path = tmp_path / "det.json"
+        save_detector(Detector(spec, build_detector(spec, np.random.default_rng(4))), path)
+        assert load_detector(path).spec == spec
+
     @pytest.mark.parametrize("old, new", [
         ('"detector": "ecnet"', '"detector": "ernet"'),
         ('"hidden": [8, 8]', '"hidden": [4, 4]'),

@@ -23,10 +23,8 @@ from sourcecount.experiments import (
     evaluate_detectors,
     generate_trials,
     read_dataset,
+    run_sweep,
     select_features,
-    sweep_snapshots,
-    sweep_snr_coherent,
-    sweep_snr_noncoherent,
     train_detector,
     write_dataset,
     write_manifest,
@@ -137,21 +135,27 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -0.1),
         ("batch_size", 0), ("epochs", -1), ("num_snapshots", 0), ("num_snapshots", -3),
-        ("snapshot_axis", (20, 0)), ("seed", -1)])
+        ("snapshot_axis", (20, 0)), ("seed", -1), ("num_train", 0), ("num_test", -3)])
     def test_bad_training_settings_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=f"^{field} must "):
             ExperimentConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("num_snapshots", 20.5), ("num_antennas", 10.0), ("max_sources", 2.5),
         ("subarray_size", 2.5), ("num_snapshots", True), ("seed", "3"),
-        ("coherent", "yes"), ("normalize_features", 1)])
+        ("coherent", "yes"), ("normalize_features", 1), ("snapshot_axis", (5, 10.5)),
+        ("snapshot_axis", (True, 10))])
     def test_mistyped_counts_and_switches_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
 
     def test_numpy_integer_counts_accepted(self):
-        assert ExperimentConfig(num_snapshots=np.int64(30)).num_snapshots == 30
+        # and stored as Python ints, which JSON can write
+        config = ExperimentConfig(num_snapshots=np.int64(30), seed=np.uint32(7),
+                                  snapshot_axis=(np.int16(5), 10))
+        assert config.num_snapshots == 30 and type(config.num_snapshots) is int
+        assert type(config.seed) is int
+        assert [type(n) for n in config.snapshot_axis] == [int, int]
 
 
 class TestScenarioDraw:
@@ -422,7 +426,7 @@ class TestTrainDetector:
 class TestSweeps:
     def test_snapshot_sweep_structure(self):
         config = tiny_config(detectors=("ernet", "aic", "mdl"))
-        result = sweep_snapshots(config)
+        result = run_sweep("sweep-snapshots", config)
         assert result.axis == (5.0, 10.0)
         assert result.detectors == ("ernet", "aic", "mdl")
         for name in result.detectors:
@@ -433,13 +437,13 @@ class TestSweeps:
 
     def test_snr_sweep_deterministic(self):
         config = tiny_config()
-        r1 = sweep_snr_noncoherent(config)
-        r2 = sweep_snr_noncoherent(config)
+        r1 = run_sweep("sweep-snr", config)
+        r2 = run_sweep("sweep-snr", config)
         assert r1 == r2
 
     def test_coherent_sweep_uses_smoothed_names(self):
         config = tiny_config(coherent=True, detectors=("ecnet", "mdl"))
-        result = sweep_snr_coherent(config)
+        result = run_sweep("sweep-snr-coherent", config)
         assert result.detectors == ("fbss-ecnet", "fbss-mdl")
 
     def test_coherent_sweep_rejects_covnet_before_drawing(self, monkeypatch):
@@ -451,19 +455,19 @@ class TestSweeps:
         monkeypatch.setattr(experiments, "generate_trials", no_trials)
         config = tiny_config(coherent=True, detectors=("ernet", "covnet", "mdl"))
         with pytest.raises(ValueError, match="covnet has no smoothed form"):
-            sweep_snr_coherent(config)
+            run_sweep("sweep-snr-coherent", config)
 
     def test_sweep_bits_pinned(self):
         # One SHA-256 over four tiny sweeps: snapshots (retrained per N)
         # and the coherent SNR sweep with their default detectors, the
         # non-coherent SNR sweep, and a coherent two-detector subset.
         digest = hashlib.sha256()
-        for sweep, config in (
-                (sweep_snapshots, tiny_config(detectors=None)),
-                (sweep_snr_noncoherent, tiny_config()),
-                (sweep_snr_coherent, tiny_config(max_sources=4, detectors=None)),
-                (sweep_snr_coherent, tiny_config(max_sources=4, detectors=("ecnet", "mdl")))):
-            digest.update(repr(sweep(config)).encode())
+        for name, config in (
+                ("sweep-snapshots", tiny_config(detectors=None)),
+                ("sweep-snr", tiny_config()),
+                ("sweep-snr-coherent", tiny_config(max_sources=4, detectors=None)),
+                ("sweep-snr-coherent", tiny_config(max_sources=4, detectors=("ecnet", "mdl")))):
+            digest.update(repr(run_sweep(name, config)).encode())
         assert digest.hexdigest() == SWEEP_DIGEST
 
     def test_normalized_sweep_bits_pinned(self):
@@ -472,11 +476,12 @@ class TestSweeps:
         # raw rows it trains and decides on, bit for bit as the callers
         # once normalized them.
         digest = hashlib.sha256()
-        for sweep, config in (
-                (sweep_snapshots, tiny_config(detectors=None)),
-                (sweep_snr_noncoherent, tiny_config(detectors=("ecnet", "covnet", "mdl"))),
-                (sweep_snr_coherent, tiny_config(max_sources=4, detectors=None))):
-            digest.update(repr(sweep(replace(config, normalize_features=True))).encode())
+        for name, config in (
+                ("sweep-snapshots", tiny_config(detectors=None)),
+                ("sweep-snr", tiny_config(detectors=("ecnet", "covnet", "mdl"))),
+                ("sweep-snr-coherent", tiny_config(max_sources=4, detectors=None))):
+            result = run_sweep(name, replace(config, normalize_features=True))
+            digest.update(repr(result).encode())
         assert digest.hexdigest() == NORMALIZED_SWEEP_DIGEST
 
     def test_paired_evaluation(self):
@@ -493,7 +498,7 @@ class TestSweeps:
         # must not fall below the 0 dB point by more than the Monte-Carlo
         # margin for any detector
         config = ExperimentConfig(seed=4, num_test=1000, snr_axis_db=(0.0, 40.0))
-        result = sweep_snr_noncoherent(config)
+        result = run_sweep("sweep-snr", config)
         for name in result.detectors:
             low, high = result.accuracy[name]
             assert high >= low - 0.02, f"{name}: {high:.3f} at 40dB vs {low:.3f} at 0dB"
@@ -582,3 +587,9 @@ class TestManifest:
         assert "sourcecount" in doc["versions"]
         assert doc["note"] == "x"
         assert doc["config"]["num_train"] == 200
+
+    def test_manifest_of_numpy_integer_counts(self, tmp_path):
+        config = tiny_config(num_snapshots=np.int64(20), snapshot_axis=(np.int64(5), 10))
+        doc = json.loads(write_manifest(tmp_path, config, "unit-test").read_text())
+        assert doc["config"]["num_snapshots"] == 20
+        assert doc["config"]["snapshot_axis"] == [5, 10]
