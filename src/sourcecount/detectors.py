@@ -33,10 +33,10 @@ from .network import (
     Layer,
     Network,
     TrainConfig,
+    dumps_network,
     forward,
     init_truncated_normal,
-    load_network,
-    save_network,
+    loads_network,
 )
 from .signal_model import fbss_covariance
 
@@ -265,7 +265,8 @@ def _meta(spec: DetectorSpec) -> dict:
 
 def save_detector(detector: Detector, path):
     """Writes the network in the portable model format, with :func:`_meta`."""
-    save_network(detector.net, path, detector.train_config, _meta(detector.spec))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_network(detector.net, detector.train_config, _meta(detector.spec)))
 
 
 def load_detector(path) -> Detector:
@@ -273,7 +274,8 @@ def load_detector(path) -> Detector:
     metadata is missing, differs from :func:`_meta` of the spec it names
     (JSON types included), or the network is not the one :func:`_layer_plan`
     lays out."""
-    net, train_config, meta = load_network(path)
+    with open(path, encoding="utf-8") as fh:
+        net, train_config, meta = loads_network(fh.read())
     try:
         sub = meta.get("subarray_size")
         spec = DetectorSpec(meta["detector"], int(meta["num_antennas"]),

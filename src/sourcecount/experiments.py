@@ -44,6 +44,9 @@ ROLE_TRAIN, ROLE_TEST, ROLE_INIT, ROLE_SHUFFLE = 0, 1, 2, 3
 DEFAULT_SNAPSHOT_AXIS = (5, 10, 20, 50, 100, 200)
 DEFAULT_SNR_AXIS_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
 
+# numpy's largest array dimension: the bound on every count that sizes an array.
+MAX_COUNT = int(np.iinfo(np.intp).max)
+
 # Trials per make_features call; a block's temporaries stay near 1 MiB.
 _FEATURE_BLOCK = 256
 
@@ -92,10 +95,12 @@ class ExperimentConfig:
         object.__setattr__(self, "snapshot_axis", tuple(map(int, self.snapshot_axis)))
         if not 0 <= self.max_sources < self.num_antennas:
             raise ValueError("need 0 <= max_sources < num_antennas")
-        for name in ("num_train", "num_test", "num_snapshots", "snapshot_axis"):
+        for name in ("num_antennas", "num_train", "num_test", "num_snapshots", "snapshot_axis"):
             counts = getattr(self, name)
-            if min(counts if name == "snapshot_axis" else (counts,), default=1) < 1:
-                raise ValueError(f"{name} must be at least 1, got {counts}")
+            for count in counts if name == "snapshot_axis" else (counts,):
+                if not 1 <= count <= MAX_COUNT:
+                    bound = "at least 1" if count < 1 else f"at most {MAX_COUNT}"
+                    raise ValueError(f"{name} must be {bound}, got {counts}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.subarray_size <= self.num_antennas:
@@ -187,13 +192,13 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     two phases can never share draws.  Snapshots and covariances are
     computed a block of trials at a time, bit for bit as one by one.
     Raises ValueError for an unknown phase or feature kind, or a ``num``
-    that is not a non-negative integer, before any draw.
+    that is not an integer in [0, ``MAX_COUNT``], before any draw.
     """
     role = {"train": ROLE_TRAIN, "test": ROLE_TEST}.get(phase)
     if role is None:
         raise ValueError(f"phase must be 'train' or 'test', got {phase!r}")
-    if not is_integer(num) or num < 0:
-        raise ValueError(f"num must be a non-negative integer, got {num!r}")
+    if not is_integer(num) or not 0 <= num <= MAX_COUNT:
+        raise ValueError(f"num must be an integer in [0, {MAX_COUNT}], got {num!r}")
     if coherent is not None:
         config = replace(config, coherent=coherent)
     m, m0 = config.num_antennas, config.subarray_size
@@ -269,21 +274,36 @@ def write_dataset(path, features: np.ndarray, labels: np.ndarray, *,
 
 
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        info = dict(part.split("=", 1) for part in header.split(",") if "=" in part)
-        if not info.get("feature_dim", "").isdigit():
-            raise ValueError(f"dataset {path} has no key=value header with a feature_dim")
-        feature_dim = int(info["feature_dim"])
-        feats, labels = [], []
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != feature_dim + 1:
-                raise ValueError(f"malformed dataset row in {path}")
+    """The features, labels and header of a :func:`write_dataset` file.  A
+    line that is not UTF-8, or a value that does not parse as a float
+    feature or an int64 label, raises ValueError naming the file and line."""
+    header, *rows = _read_text(path).splitlines() or [""]
+    info = dict(part.split("=", 1) for part in header.strip().split(",") if "=" in part)
+    if not info.get("feature_dim", "").isdigit():
+        raise ValueError(f"dataset {path} has no key=value header with a feature_dim")
+    feature_dim = int(info["feature_dim"])
+    feats, labels = [], []
+    for lineno, row in enumerate(rows, start=2):
+        parts = row.strip().split(",")
+        if len(parts) != feature_dim + 1:
+            raise ValueError(f"malformed dataset row in {path}")
+        try:
             feats.append([float(v) for v in parts[:-1]])
-            labels.append(int(parts[-1]))
+            labels.append(np.int64(parts[-1]))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"dataset {path}, line {lineno}: {exc}") from exc
     return (np.array(feats, dtype=float).reshape(len(labels), feature_dim),
             np.array(labels, dtype=int), info)
+
+
+def _read_text(path) -> str:
+    """A UTF-8 file's text; a byte that is not UTF-8 raises ValueError naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {lineno}: {exc}") from exc
 
 
 def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
@@ -529,7 +549,8 @@ def config_to_text(config: ExperimentConfig) -> str:
 
 
 def config_from_text(text: str) -> ExperimentConfig:
-    """Parses the flat key=value config format; unknown keys are errors."""
+    """Parses the flat key=value config format; a line without a known key
+    and a value of its field's type raises ValueError naming the line."""
     known = {f.name: f for f in fields(ExperimentConfig)}
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -541,7 +562,10 @@ def config_from_text(text: str) -> ExperimentConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _convert_config_value(known[key], raw)
+        try:
+            values[key] = _convert_config_value(known[key], raw)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from exc
     return ExperimentConfig(**values)
 
 
@@ -566,7 +590,7 @@ def _convert_config_value(field, raw: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    return config_from_text(Path(path).read_text(encoding="utf-8"))
+    return config_from_text(_read_text(path))
 
 
 def write_manifest(out_dir, config: ExperimentConfig, command: str,

@@ -7,7 +7,8 @@ truncated-normal initializer, and a deterministic mini-batch training
 loop.  A network's parameters are views of one float64 vector.
 
 A layer applies ``g(W x + b)`` with ``W`` of shape (out, in).  Batches
-are row-major: an input batch has shape (batch, in).
+are row-major: :func:`forward`, :func:`backward` and :func:`compute_loss`
+take only (batch, dim) arrays, one sample being a one-row batch.
 """
 
 from __future__ import annotations
@@ -135,15 +136,6 @@ def _softmax_rows(z: np.ndarray):
     z /= z.sum(axis=-1, keepdims=True)
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[np.newaxis, :], True
-    if x.ndim == 2:
-        return x, False
-    raise ValueError("input must be a vector or a (batch, dim) matrix")
-
-
 def _forward_cached(net: Network, x: np.ndarray, outs=None) -> list[np.ndarray]:
     """Batch forward pass keeping every layer's activations for backprop:
     ``x`` and then each layer's output, written into ``outs`` if given."""
@@ -160,26 +152,19 @@ def _forward_cached(net: Network, x: np.ndarray, outs=None) -> list[np.ndarray]:
 
 
 def forward(net: Network, x) -> np.ndarray:
-    """Network output for a single vector or a (batch, dim) batch."""
-    batch, squeeze = _as_batch(x)
-    if batch.shape[1] != net.input_dim:
-        raise ValueError(
-            f"input dimension {batch.shape[1]} does not match network input "
-            f"{net.input_dim}"
-        )
-    out = _forward_cached(net, batch)[-1]
-    return out[0] if squeeze else out
+    """Network output for a (batch, input_dim) batch."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise ValueError(f"input must be a (batch, {net.input_dim}) array, got shape {x.shape}")
+    return _forward_cached(net, x)[-1]
 
 
 def compute_loss(pred, target, loss: str) -> float:
-    """Batch mean ``"l2"`` or ``"cce"`` loss of (batch, dim) rows or one vector."""
+    """Batch mean ``"l2"`` or ``"cce"`` loss of (batch, dim) rows."""
     pred, target = np.asarray(pred, dtype=float), np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise ValueError("prediction and target shapes differ")
-    if pred.ndim == 1:
-        pred, target = pred[np.newaxis], target[np.newaxis]
-    elif pred.ndim != 2:
-        raise ValueError("input must be a vector or a (batch, dim) matrix")
+    if pred.ndim != 2 or pred.shape != target.shape:
+        raise ValueError(f"prediction and target must be (batch, dim) arrays of one "
+                         f"shape, got {pred.shape} and {target.shape}")
     if loss == "l2":
         terms = pred - target
         terms *= terms
@@ -224,13 +209,11 @@ def backward(net: Network, x, target):
     Returns one ``(d_weights, d_bias)`` pair per layer, shaped like the
     parameters: views of one flat gradient in the layout of ``net.params``.
     """
-    xb, _ = _as_batch(x)
-    tb, _ = _as_batch(target)
-    if xb.shape[1] != net.input_dim:
-        raise ValueError("input dimension does not match network input")
-    if tb.shape != (xb.shape[0], net.output_dim):
-        raise ValueError("target shape does not match network output")
-    return _backward_from_cache(net, _forward_cached(net, xb), tb,
+    x, target = np.asarray(x, dtype=float), np.asarray(target, dtype=float)
+    if x.ndim != 2 or x.shape[1] != net.input_dim or target.shape != (len(x), net.output_dim):
+        raise ValueError(f"input and target must be (batch, {net.input_dim}) and (batch, "
+                         f"{net.output_dim}) arrays, got shapes {x.shape} and {target.shape}")
+    return _backward_from_cache(net, _forward_cached(net, x), target,
                                 _layer_views(net, np.empty_like(net.params)))
 
 
@@ -403,11 +386,10 @@ def _reject_constant(name: str):
 
 def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
     """Parses :func:`dumps_network` output back, bit-exact.  NaN and
-    Infinity, which :func:`dumps_network` never writes, are rejected.
-    Older files' ``train_config`` entries are dropped: ``"loss"``, and
-    the ADAM constants if they hold the fixed values; others raise ValueError,
-    as do a missing entry, a value of the wrong JSON type and a
-    ``train_config`` value of another type than its field's."""
+    Infinity, which :func:`dumps_network` never writes, are rejected, as
+    are a missing entry, a value of the wrong JSON type, a ``train_config``
+    key that is not a :class:`TrainConfig` field and a ``train_config``
+    value of another type than its field's (each a ValueError)."""
     doc = json.loads(text, parse_constant=_reject_constant)
     try:
         if doc.get("format") != FORMAT_NAME:
@@ -424,14 +406,7 @@ def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
         config = None
         if doc.get("train_config") is not None:
             entries = doc["train_config"]
-            entries.pop("loss", None)  # the output layer sets the loss
-            for key, value in (("adam_beta1", ADAM_BETA1), ("adam_beta2", ADAM_BETA2),
-                               ("adam_epsilon", ADAM_EPSILON)):
-                found = entries.pop(key, value)
-                if found != value:
-                    raise ValueError(f"model file sets {key} to {found}, "
-                                     f"but training uses the fixed {value}")
-            unknown = sorted(set(entries) - {f.name for f in fields(TrainConfig)})
+            unknown = sorted(entries.keys() - {f.name for f in fields(TrainConfig)})
             if unknown:
                 raise ValueError(f"model file has unknown train_config keys {unknown}")
             for f in fields(TrainConfig):  # a float field takes any JSON number
@@ -443,14 +418,3 @@ def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
         return net, config, doc.get("meta", {})
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"model file is malformed: {type(exc).__name__}: {exc}") from exc
-
-
-def save_network(net: Network, path, train_config: TrainConfig | None = None,
-                 meta: dict | None = None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_network(net, train_config, meta))
-
-
-def load_network(path) -> tuple[Network, TrainConfig | None, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_network(fh.read())

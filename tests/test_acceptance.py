@@ -204,7 +204,7 @@ def _battery_gradients(rng):
         checked += 1
         y = np.zeros(10)
         y[int(rng.integers(0, 10))] = 1.0
-        analytic = backward(net, x, y)
+        analytic = backward(net, x[np.newaxis], y[np.newaxis])
         for lay, (gw, gb) in zip(net.layers, analytic):
             for arr, grad in ((lay.weights, gw), (lay.bias, gb)):
                 it = np.nditer(arr, flags=["multi_index"])
@@ -212,9 +212,9 @@ def _battery_gradients(rng):
                     idx = it.multi_index
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    up = compute_loss(forward(net, x), y, "cce")
+                    up = compute_loss(forward(net, x[np.newaxis]), y[np.newaxis], "cce")
                     arr[idx] = orig - h
-                    down = compute_loss(forward(net, x), y, "cce")
+                    down = compute_loss(forward(net, x[np.newaxis]), y[np.newaxis], "cce")
                     arr[idx] = orig
                     fd = (up - down) / (2.0 * h)
                     denom = max(abs(grad[idx]), abs(fd), 1e-4)

@@ -3,8 +3,11 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
+import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -17,8 +20,8 @@ from hypothesis import strategies as st
 from sourcecount.cli import main
 from sourcecount.detectors import (Detector, DetectorSpec, build_detector, load_detector,
                                    normalize_features, save_detector)
-from sourcecount.experiments import (SWEEPS, evaluate_detectors, generate_trials, load_config,
-                                     read_dataset, train_detector)
+from sourcecount.experiments import (SWEEPS, ExperimentConfig, evaluate_detectors,
+                                     generate_trials, load_config, read_dataset, train_detector)
 from sourcecount.network import TrainConfig
 
 # Each subcommand's --help at COLUMNS=80, as the flags stood before they
@@ -35,6 +38,10 @@ snapshot_axis = 5,10
 snr_axis_db = 0,10
 detectors = ernet,aic
 """
+
+# SHA-256 over every file and the stdout of the commands in
+# TestArtefactBits on TINY_CONFIG, less timing and version fields.
+CLI_DIGEST = "9406e1ea15b5f6cee43b774820a224d99fd8441cf4fcf46fbe10ead4b59de16f"
 
 
 @pytest.fixture()
@@ -285,6 +292,22 @@ class TestModelFiles:
         assert err.startswith("error: model file ") and err.count("\n") == 1
         assert not list(out.glob("eval-*.json"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("loss", '"cce"'), ("adam_beta1", "9.0000000000000002e-01"),
+        ("adam_beta2", "9.9900000000000000e-01"), ("adam_epsilon", "1.0000000000000000e-08"),
+    ])
+    def test_eval_rejects_a_legacy_train_config_key(self, tmp_path, config_file, capsys, model,
+                                                    key, value):
+        # Files from before the loss followed the output layer, or before
+        # ADAM's constants were fixed, carry these keys; they are retrained.
+        text = model.read_text(encoding="utf-8")
+        model.write_text(text.replace('"seed": 0\n', f'"seed": 0,\n    "{key}": {value}\n'),
+                         encoding="utf-8")
+        status, err = run_quietly("eval", "--config", config_file, "--out", tmp_path / "run",
+                                  "--detector", "ecnet", "--model", model)
+        assert_one_error_line(status, err)
+        assert f"unknown train_config keys ['{key}']" in err
+
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["meta"].update(subarray_size="5"),
         lambda doc: doc["meta"].update(num_antennas=10.7),
@@ -442,6 +465,92 @@ def broken_datasets(draw, text):
     return data
 
 
+# Config fields, and the values that the config fuzzer writes in place of
+# one: text of each other type, and the special numbers.
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+ODD_CONFIG_VALUES = ["abc", "0.5", "true", "5,10", "", "nan", "Infinity", "-Infinity", "-7",
+                     str(10 ** 400)]
+# What ExperimentConfig says of a value that parses but that it rejects.
+CONFIG_REJECTION = re.compile(r"error: (%s) |error: need 0 <= max_sources|"
+                              r"error: SNRs must|error: unknown detector" % "|".join(CONFIG_FIELDS))
+
+
+@st.composite
+def mutated_configs(draw):
+    """TINY_CONFIG with one fault, which kind it is, and the number of the
+    line it lands on: a key line deleted or duplicated, its key or value
+    replaced, the text truncated, or a byte that is not UTF-8 inserted."""
+    lines = TINY_CONFIG.splitlines()
+    i = draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
+    key, value = (part.strip() for part in lines[i].split("=", 1))
+    fault = draw(st.sampled_from(["delete", "duplicate", "key", "value", "truncate", "bytes"]))
+    if fault == "delete":
+        del lines[i]
+    elif fault == "duplicate":
+        lines.insert(i, lines[i])
+    elif fault == "key":
+        lines[i] = f"{draw(st.sampled_from(CONFIG_FIELDS))} = {value}"
+    elif fault == "value":
+        lines[i] = f"{key} = {draw(st.sampled_from(ODD_CONFIG_VALUES))}"
+    data, lineno = ("\n".join(lines) + "\n").encode("utf-8"), i + 1
+    if fault == "truncate":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+        lineno = data.count(b"\n") + 1
+    elif fault == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data, lineno = data[:at] + b"\xff" + data[at:], data.count(b"\n", 0, at) + 1
+    return data, fault, lineno
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """The text of a saved, untrained ECNet model file, and a config it fits."""
+    root = tmp_path_factory.mktemp("model")
+    config = root / "tiny.cfg"
+    config.write_text(TINY_CONFIG, encoding="utf-8")
+    spec = DetectorSpec("ecnet", 10)
+    det = Detector(spec, build_detector(spec, np.random.default_rng(0)), TrainConfig())
+    save_detector(det, root / "model.json")
+    return config, (root / "model.json").read_text(encoding="utf-8")
+
+
+@st.composite
+def mutated_models(draw, text):
+    """``text``, a saved model, with one fault: an entry of the document, its
+    metadata, its train_config or a layer deleted, retyped or set to a
+    special number (in place of one array entry for an array), a line
+    duplicated, the text truncated, or a byte that is not UTF-8 inserted."""
+    fault = draw(st.sampled_from(["delete", "retype", "number", "duplicate", "truncate",
+                                  "bytes"]))
+    data = text.encode("utf-8")
+    if fault in ("delete", "retype", "number"):
+        doc = json.loads(text)
+        entries = draw(st.sampled_from([doc, doc["meta"], doc["train_config"],
+                                        *doc["layers"]]))
+        key = draw(st.sampled_from(sorted(entries)))
+        if fault == "delete":
+            del entries[key]
+        elif fault == "retype":
+            entries[key] = draw(st.sampled_from(["x", 1.5, -3, True, None, [], {}, [1.0]]))
+        else:
+            number = draw(st.sampled_from([math.nan, math.inf, -math.inf, -3, 10 ** 400]))
+            if isinstance(entries[key], list) and entries[key]:
+                entries[key][draw(st.integers(0, len(entries[key]) - 1))] = number
+            else:
+                entries[key] = number
+        data = json.dumps(doc).encode("utf-8")
+    elif fault == "duplicate":
+        lines = data.splitlines(keepends=True)
+        i = draw(st.integers(0, len(lines) - 1))
+        data = b"".join(lines[:i + 1] + lines[i:])
+    elif fault == "truncate":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    else:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
 # Counts up to 64 run in milliseconds, and those from 10**13 up fail at the
 # first allocation; nothing in between is drawn.
 COUNTS = st.one_of(st.sampled_from([0, -3]), st.integers(1, 64),
@@ -460,6 +569,48 @@ class TestEveryFailureIsOneErrorLine:
                                   "--detector", "ernet")
         assert_one_error_line(status, err)
         assert "non-finite value in the features" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda row: row.rsplit(b",", 1)[0] + b",3.5",
+        lambda row: row.rsplit(b",", 1)[0] + b",99999999999999999999999",
+        lambda row: b"\xff" + row,
+    ], ids=["fractional-label", "label-beyond-int64", "not-utf8"])
+    def test_unparsable_dataset_line_is_named(self, tmp_path, small_dataset, edit):
+        config, text = small_dataset
+        lines = text.encode("utf-8").splitlines()
+        lines[2] = edit(lines[2])
+        path = tmp_path / "dataset-ernet-train.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        status, err = run_quietly("train", "--config", config, "--out", tmp_path,
+                                  "--detector", "ernet")
+        assert_one_error_line(status, err)
+        assert f"{path}, line 3: " in err, err
+
+    @pytest.mark.parametrize("line, message", [
+        (b"num_train = abc", "line {n}: num_train: invalid literal for int() with base 10: 'abc'"),
+        (b"test_snr_db = five", "line {n}: test_snr_db: could not convert string to float: 'five'"),
+        (b"coherent = maybe", "line {n}: coherent: cannot parse boolean 'maybe'"),
+        (b"snapshot_axis = 5,",
+         "line {n}: snapshot_axis: invalid literal for int() with base 10: ''"),
+        (b"num_test = 5\xff", "{path}, line {n}: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["int", "float", "bool", "list", "not-utf8"])
+    def test_unparsable_config_value_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(TINY_CONFIG.encode("utf-8") + line + b"\n")
+        status, err = run_quietly("eval", "--config", path, "--out", tmp_path / "run",
+                                  "--detector", "mdl")
+        assert_one_error_line(status, err)
+        expected = message.format(n=TINY_CONFIG.count("\n") + 1, path=path)
+        assert err.startswith(f"error: {expected}"), err
+
+    def test_count_beyond_numpys_array_limit_names_its_field(self, tmp_path, config_file,
+                                                             capsys):
+        status = run("gen-data", "--config", config_file, "--out", tmp_path / "run",
+                     "--num", 10 ** 19)
+        err = capsys.readouterr().err
+        assert_one_error_line(status, err)
+        limit = np.iinfo(np.intp).max
+        assert err == f"error: num_train must be at most {limit}, got {10 ** 19}\n"
 
     def test_header_only_dataset(self, tmp_path, small_dataset, capsys):
         config, text = small_dataset
@@ -504,6 +655,37 @@ class TestEveryFailureIsOneErrorLine:
             (Path(out) / "dataset-ernet-train.csv").write_bytes(broken)
             status, err = run_quietly("train", "--config", config, "--out", out,
                                       "--detector", "ernet")
+        if status != 0:
+            assert_one_error_line(status, err)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=mutated_configs())
+    def test_mutated_config(self, case):
+        # A deleted or duplicated line changes nothing that eval rejects; a
+        # line that does not decode or parse is named, and any other error
+        # names the setting the config rejects.
+        data, fault, lineno = case
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "fuzz.cfg"
+            path.write_bytes(data)
+            status, err = run_quietly("eval", "--config", path, "--out", Path(root) / "run",
+                                      "--detector", "mdl")
+        if fault in ("delete", "duplicate"):
+            assert status == 0, err
+        if status != 0:
+            assert_one_error_line(status, err)
+            named = (f"error: line {lineno}: ", f"error: {path}, line {lineno}: ")
+            assert err.startswith(named) or CONFIG_REJECTION.match(err), err
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_model(self, saved_model, data):
+        config, text = saved_model
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "model.json"
+            path.write_bytes(data.draw(mutated_models(text)))
+            status, err = run_quietly("eval", "--config", config, "--out", Path(root) / "run",
+                                      "--detector", "ecnet", "--model", path)
         if status != 0:
             assert_one_error_line(status, err)
 
@@ -589,3 +771,43 @@ class TestBenchCommand:
         assert methods["ecnet"]["table"]["mul_div"] == 160
         assert methods["aic"]["table"]["log"] == 20
         assert "us/decision" in capsys.readouterr().out
+
+
+def artefact_bytes(path):
+    """A CLI output file's bytes, less the fields that vary from run to run:
+    a manifest's ``versions`` and each bench row's ``seconds_per_decision``."""
+    if path.name == "manifest.json":
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["versions"]
+        return json.dumps(doc, sort_keys=True).encode()
+    if path.name == "bench-complexity.json":
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for row in doc:
+            del row["seconds_per_decision"]
+        return json.dumps(doc).encode()
+    return path.read_bytes()
+
+
+class TestArtefactBits:
+    def test_cli_bits_pinned(self, tmp_path, config_file, capsys):
+        # gen-data, train and eval for every net (fbss twins too), eval of
+        # both classical criteria, the sweeps and bench-complexity, run into
+        # one directory; after each command, every file there and stdout.
+        nets = [("--detector", kind) for kind in ("ernet", "ecnet", "covnet")]
+        nets += [("--detector", kind, "--fbss", 5) for kind in ("ernet", "ecnet")]
+        commands = [(command, *net) for net in nets for command in ("gen-data", "train", "eval")]
+        commands += [("eval", "--detector", kind) for kind in ("aic", "mdl")]
+        commands += [(name,) for name in SWEEPS] + [("bench-complexity",)]
+        out = tmp_path / "run"
+        digest = hashlib.sha256()
+        for argv in commands:
+            assert run(*argv, "--config", config_file, "--out", out) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "<out>")
+            if argv[0] == "bench-complexity":  # drop the us/decision column
+                lines = stdout.splitlines()
+                stdout = "\n".join([re.sub(r"\s+\S+$", "", line) for line in lines[:-1]]
+                                   + lines[-1:])
+            digest.update(stdout.encode())
+            for path in sorted(out.iterdir()):
+                digest.update(path.name.encode() + b"\0" + artefact_bytes(path))
+        assert digest.hexdigest() == CLI_DIGEST

@@ -432,9 +432,10 @@ class TestDetectorWrapper:
             load_detector(path)
 
     @pytest.mark.parametrize("kind", ["ernet", "ecnet", "covnet"])
-    def test_model_file_with_loss_entry_still_loads(self, tmp_path, kind):
+    def test_model_file_with_loss_entry_rejected(self, tmp_path, kind):
         # Files written before the loss followed the output layer carry a
-        # "loss" entry in train_config; it is read past and changes nothing.
+        # "loss" entry in train_config; it is not a field, so the file must
+        # be retrained.  The same file without it loads bit for bit.
         spec = DetectorSpec(kind, 6)
         config = TrainConfig(learning_rate=0.003, epochs=7, seed=11)
         det = Detector(spec, build_detector(spec, np.random.default_rng(5)), config)
@@ -446,12 +447,14 @@ class TestDetectorWrapper:
         old.write_text(text.replace('  "train_config": {\n',
                                     '  "train_config": {\n    "loss": "cce",\n'),
                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"unknown train_config keys \['loss'\]"):
+            load_detector(old)
         feats = np.random.default_rng(6).uniform(0.0, 3.0, (20, spec.feature_size))
-        for loaded in (load_detector(path), load_detector(old)):
-            assert loaded.spec == spec
-            assert loaded.train_config == config
-            assert np.array_equal(loaded.net.params, det.net.params)
-            assert np.array_equal(loaded.decide_batch(feats), det.decide_batch(feats))
+        loaded = load_detector(path)
+        assert loaded.spec == spec
+        assert loaded.train_config == config
+        assert np.array_equal(loaded.net.params, det.net.params)
+        assert np.array_equal(loaded.decide_batch(feats), det.decide_batch(feats))
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,8 +30,8 @@ from sourcecount.experiments import (
     write_manifest,
 )
 from sourcecount.detectors import DetectorSpec, build_detector, make_features, normalize_features
-from sourcecount.experiments import (_FEATURE_BLOCK, NET_KINDS, ROLE_INIT, ROLE_TEST,
-                                     _convert_config_value, _rng)
+from sourcecount.experiments import (_FEATURE_BLOCK, MAX_COUNT, NET_KINDS, ROLE_INIT,
+                                     ROLE_TEST, _convert_config_value, _rng)
 from sourcecount.signal_model import generate_snapshots, sample_covariance
 
 
@@ -139,6 +139,19 @@ class TestConfig:
     def test_bad_training_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must "):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["num_antennas", "num_snapshots", "num_train",
+                                       "num_test", "snapshot_axis"])
+    def test_counts_beyond_numpys_array_limit_rejected(self, field):
+        # Every count that sizes an array stops at numpy's largest dimension,
+        # which is accepted; the seed sizes nothing and has no upper bound.
+        limit = (5, MAX_COUNT) if field == "snapshot_axis" else MAX_COUNT
+        beyond = (5, MAX_COUNT + 1) if field == "snapshot_axis" else MAX_COUNT + 1
+        assert MAX_COUNT == np.iinfo(np.intp).max
+        assert getattr(ExperimentConfig(**{field: limit}), field) == limit
+        with pytest.raises(ValueError, match=f"^{field} must be at most {MAX_COUNT}, got "):
+            ExperimentConfig(**{field: beyond})
+        assert ExperimentConfig(seed=10 ** 30).seed == 10 ** 30
 
     @pytest.mark.parametrize("field, value", [
         ("num_snapshots", 20.5), ("num_antennas", 10.0), ("max_sources", 2.5),
@@ -300,7 +313,8 @@ class TestTrials:
 
     @pytest.mark.parametrize("argument, overrides", [
         ("num", {"num": 2.5}), ("num", {"num": -1}), ("num", {"num": True}),
-        ("phase", {"phase": "Train"}), ("feature", {"want": ("eigen", "smoothed")})])
+        ("phase", {"phase": "Train"}), ("feature", {"want": ("eigen", "smoothed")}),
+        ("num", {"num": MAX_COUNT + 1})])
     def test_malformed_arguments_rejected_before_any_draw(self, monkeypatch, argument,
                                                           overrides):
         import sourcecount.experiments as experiments

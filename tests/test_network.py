@@ -22,9 +22,7 @@ from sourcecount.network import (
     dumps_network,
     forward,
     init_truncated_normal,
-    load_network,
     loads_network,
-    save_network,
     softmax,
     train,
 )
@@ -46,11 +44,11 @@ def random_net(sizes, final, rng):
 class TestForward:
     def test_zero_network_outputs_zero(self):
         net = Network([layer(np.zeros((3, 2)), np.zeros(3), "linear")])
-        assert np.array_equal(forward(net, [1.0, -2.0]), np.zeros(3))
+        assert np.array_equal(forward(net, [[1.0, -2.0]]), np.zeros((1, 3)))
 
     def test_identity_layer(self):
         net = Network([layer(np.eye(4), np.zeros(4), "linear")])
-        x = np.array([0.5, -1.0, 2.0, 0.0])
+        x = np.array([[0.5, -1.0, 2.0, 0.0]])
         assert np.array_equal(forward(net, x), x)
 
     def test_hand_computed_relu_cascade(self):
@@ -61,12 +59,23 @@ class TestForward:
             layer([[1.0, -1.0], [0.5, 2.0]], [0.0, -1.0], "relu"),
             layer([[1.0, 1.0]], [0.5], "linear"),
         ])
-        assert forward(net, [1.0, 2.0])[0] == pytest.approx(4.0, abs=1e-15)
+        assert forward(net, [[1.0, 2.0]])[0, 0] == pytest.approx(4.0, abs=1e-15)
 
     def test_dimension_check(self):
         net = Network([layer(np.eye(4), np.zeros(4), "linear")])
         with pytest.raises(ValueError):
-            forward(net, [1.0, 2.0])
+            forward(net, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("call", [
+        lambda net, x: forward(net, x),
+        lambda net, x: backward(net, x, x),
+        lambda net, x: compute_loss(x, x, "l2"),
+    ], ids=["forward", "backward", "compute_loss"])
+    @pytest.mark.parametrize("shape", [(2,), (), (1, 1, 2)], ids=["vector", "scalar", "3-D"])
+    def test_only_batches_accepted(self, call, shape):
+        net = Network([layer(np.eye(2), np.zeros(2), "linear")])
+        with pytest.raises(ValueError, match=r"\(batch, "):
+            call(net, np.ones(shape))
 
 
 class TestNetworkValidation:
@@ -123,10 +132,10 @@ class TestActivations:
 
 class TestLosses:
     def test_l2_zero_at_fit(self):
-        assert compute_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0]), "l2") == 0.0
+        assert compute_loss(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]), "l2") == 0.0
 
     def test_l2_scalar(self):
-        assert compute_loss(np.array([3.0]), np.array([1.0]), "l2") == pytest.approx(4.0)
+        assert compute_loss(np.array([[3.0]]), np.array([[1.0]]), "l2") == pytest.approx(4.0)
 
     def test_l2_batch_mean_of_two(self):
         pred = np.array([[1.0, 0.0], [0.0, 2.0]])
@@ -135,29 +144,29 @@ class TestLosses:
         assert compute_loss(pred, target, "l2") == pytest.approx(2.5)
 
     def test_cce_zero_at_one_hot_fit(self):
-        y = np.zeros(5)
-        y[2] = 1.0
+        y = np.zeros((1, 5))
+        y[0, 2] = 1.0
         assert compute_loss(y, y, "cce") == pytest.approx(0.0, abs=1e-12)
 
     def test_cce_uniform_prediction(self):
-        pred = np.full(10, 0.1)
-        label = np.zeros(10)
-        label[4] = 1.0
+        pred = np.full((1, 10), 0.1)
+        label = np.zeros((1, 10))
+        label[0, 4] = 1.0
         assert compute_loss(pred, label, "cce") == pytest.approx(math.log(10.0), rel=1e-12)
 
     def test_cce_scalar_evaluation(self):
-        pred = np.array([0.7, 0.2, 0.1])
-        label = np.array([1.0, 0.0, 0.0])
+        pred = np.array([[0.7, 0.2, 0.1]])
+        label = np.array([[1.0, 0.0, 0.0]])
         assert compute_loss(pred, label, "cce") == pytest.approx(-math.log(0.7), rel=1e-12)
 
     def test_losses_non_negative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            a, b = rng.standard_normal(4), rng.standard_normal(4)
+            a, b = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
             assert compute_loss(a, b, "l2") >= 0.0
-            p = softmax(rng.standard_normal(6))
-            y = np.zeros(6)
-            y[int(rng.integers(0, 6))] = 1.0
+            p = softmax(rng.standard_normal((1, 6)))
+            y = np.zeros((1, 6))
+            y[0, int(rng.integers(0, 6))] = 1.0
             assert compute_loss(p, y, "cce") >= 0.0
 
 
@@ -196,7 +205,7 @@ def max_relative_error(analytic, numeric):
 class TestBackward:
     def test_zero_gradient_at_perfect_fit(self):
         net = Network([layer(np.eye(2), np.zeros(2), "linear")])
-        x = np.array([0.3, -0.7])
+        x = np.array([[0.3, -0.7]])
         grads = backward(net, x, x)
         for gw, gb in grads:
             assert np.allclose(gw, 0.0)
@@ -205,8 +214,8 @@ class TestBackward:
     def test_matches_finite_differences_regression(self):
         rng = np.random.default_rng(12)
         net = random_net([10, 8, 8, 1], "linear", rng)
-        x = rng.standard_normal(10)
-        y = np.array([2.0])
+        x = rng.standard_normal((1, 10))
+        y = np.array([[2.0]])
         analytic = backward(net, x, y)
         numeric = finite_difference_grads(net, x, y, "l2")
         assert max_relative_error(analytic, numeric) < 1e-5
@@ -214,9 +223,9 @@ class TestBackward:
     def test_matches_finite_differences_classification(self):
         rng = np.random.default_rng(15)
         net = random_net([6, 8, 8, 6], "softmax", rng)
-        x = rng.standard_normal(6)
-        y = np.zeros(6)
-        y[2] = 1.0
+        x = rng.standard_normal((1, 6))
+        y = np.zeros((1, 6))
+        y[0, 2] = 1.0
         analytic = backward(net, x, y)
         numeric = finite_difference_grads(net, x, y, "cce")
         assert max_relative_error(analytic, numeric) < 1e-5
@@ -227,7 +236,7 @@ class TestBackward:
             layer([[-5.0, -5.0], [1.0, 1.0]], [0.0, 0.0], "relu"),
             layer([[1.0, 1.0]], [0.0], "linear"),
         ])
-        grads = backward(net, np.array([1.0, 1.0]), np.array([0.0]))
+        grads = backward(net, np.array([[1.0, 1.0]]), np.array([[0.0]]))
         gw1, gb1 = grads[0]
         assert np.allclose(gw1[0], 0.0)  # dead unit row
         assert gb1[0] == 0.0
@@ -521,13 +530,12 @@ class TestStepMatchesReference:
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(14)
         net = random_net([5, 8, 3], "softmax", rng)
         config = TrainConfig(learning_rate=1e-3, epochs=7, seed=99)
-        path = tmp_path / "model.json"
-        save_network(net, path, config, meta={"detector": "ecnet"})
-        loaded, loaded_config, meta = load_network(path)
+        text = dumps_network(net, config, meta={"detector": "ecnet"})
+        loaded, loaded_config, meta = loads_network(text)
         assert loaded_config == config
         assert meta == {"detector": "ecnet"}
         assert [l.activation for l in loaded.layers] == [l.activation for l in net.layers]
@@ -550,23 +558,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="non-finite number"):
             loads_network(text)
 
-    def test_old_files_adam_constants_dropped(self):
-        net = Network([layer(np.eye(2), np.zeros(2), "linear")])
-        config = TrainConfig(learning_rate=1e-3, epochs=7, seed=99)
-        text = dumps_network(net, config)
-        assert "adam" not in text
-        old = text.replace('"seed": 99', '"seed": 99,\n    "adam_beta1": 9.0000000000000002e-01,'
-                           '\n    "adam_beta2": 9.9900000000000000e-01,'
-                           '\n    "adam_epsilon": 1.0000000000000000e-08')
-        assert old.count("adam") == 3
-        assert loads_network(old)[1] == config
-
     @pytest.mark.parametrize("key, value", [("adam_beta1", 0.5), ("adam_epsilon", 1e-7)])
     def test_old_files_other_adam_values_rejected(self, key, value):
+        # Files written before the ADAM constants were fixed carry them in
+        # train_config; like any key that is not a field, each is rejected.
         net = Network([layer(np.eye(2), np.zeros(2), "linear")])
         text = dumps_network(net, TrainConfig(seed=99))
         old = text.replace('"seed": 99', f'"seed": 99,\n    "{key}": {value}')
-        with pytest.raises(ValueError, match=f"model file sets {key} to {value}, "):
+        with pytest.raises(ValueError, match=rf"unknown train_config keys \['{key}'\]"):
             loads_network(old)
 
     def test_unknown_train_config_key_rejected(self):
@@ -579,10 +578,8 @@ class TestSerialization:
         with pytest.raises(ValueError):
             loads_network('{"format": "something-else", "version": 1}')
 
-    def test_untrained_config_is_none(self, tmp_path):
+    def test_untrained_config_is_none(self):
         net = Network([layer(np.eye(2), np.zeros(2), "linear")])
-        path = tmp_path / "m.json"
-        save_network(net, path)
-        _, config, meta = load_network(path)
+        _, config, meta = loads_network(dumps_network(net))
         assert config is None
         assert meta == {}
