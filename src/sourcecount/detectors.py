@@ -273,19 +273,23 @@ def load_detector(path) -> Detector:
     """The detector in a :func:`save_detector` file.  Raises ValueError if the
     metadata is missing, differs from :func:`_meta` of the spec it names
     (JSON types included), or the network is not the one :func:`_layer_plan`
-    lays out."""
-    with open(path, encoding="utf-8") as fh:
-        net, train_config, meta = loads_network(fh.read())
+    lays out.  Each such error, and a file that is not UTF-8 JSON or whose
+    layers do not build, reads ``model file <path>: ...``."""
     try:
-        sub = meta.get("subarray_size")
-        spec = DetectorSpec(meta["detector"], int(meta["num_antennas"]),
-                            None if sub is None else int(sub), bool(meta.get("normalize")))
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ValueError(f"model file {path} has no usable detector metadata: {exc}") from exc
-    expected = _meta(spec)
-    found = {key: meta.get(key, value) for key, value in expected.items()}
-    layers = [(layer.in_dim, layer.out_dim, layer.activation) for layer in net.layers]
-    if json.dumps(found) != json.dumps(expected) or layers != _layer_plan(spec):
-        raise ValueError(f"model file {path} holds layers {layers} and metadata {found}, "
-                         f"not the {spec.name} layers {_layer_plan(spec)} and metadata {expected}")
+        with open(path, encoding="utf-8") as fh:
+            net, train_config, meta = loads_network(fh.read())
+        try:
+            sub = meta.get("subarray_size")
+            spec = DetectorSpec(meta["detector"], int(meta["num_antennas"]),
+                                None if sub is None else int(sub), bool(meta.get("normalize")))
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"no usable detector metadata: {exc}") from exc
+        expected = _meta(spec)
+        found = {key: meta.get(key, value) for key, value in expected.items()}
+        layers = [(layer.in_dim, layer.out_dim, layer.activation) for layer in net.layers]
+        if json.dumps(found) != json.dumps(expected) or layers != _layer_plan(spec):
+            raise ValueError(f"holds layers {layers} and metadata {found}, not the {spec.name} "
+                             f"layers {_layer_plan(spec)} and metadata {expected}")
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"model file {path}: {exc}") from exc
     return Detector(spec=spec, net=net, train_config=train_config)

@@ -13,6 +13,7 @@ share a stream.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import platform
@@ -108,12 +109,14 @@ class ExperimentConfig:
                              f"got {self.subarray_size}")
         if len(self.train_snr_db) != 2 or self.train_snr_db[0] > self.train_snr_db[1]:
             raise ValueError("train_snr_db must be a (low, high) pair")
-        for snr in (*self.train_snr_db, self.test_snr_db, *self.snr_axis_db):
-            if not snr > -math.inf:
-                raise ValueError(f"SNRs must be numbers or inf (noise-free), got {snr}")
+        for name in ("train_snr_db", "test_snr_db", "snr_axis_db"):
+            snrs = getattr(self, name)
+            for snr in (snrs,) if name == "test_snr_db" else snrs:
+                if not snr > -math.inf:
+                    raise ValueError(f"{name} must hold numbers or inf (noise-free), got {snr}")
         for kind in self.detectors or ():
             if kind not in NET_KINDS + CLASSICAL_KINDS:
-                raise ValueError(f"unknown detector {kind!r}")
+                raise ValueError(f"detectors must name known detectors, got {kind!r}")
         TrainConfig(self.learning_rate, self.batch_size, self.epochs)  # checks training settings
 
     @property
@@ -128,9 +131,46 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
-def _seed_int(seed: int, *key: int) -> int:
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+def _stream_states(seed: int, prefix: tuple[int, ...], indices) -> np.ndarray:
+    """Row j is ``SeedSequence(seed, spawn_key=(*prefix, indices[j])).generate_state(4,
+    np.uint64)``, for indices below 2**64: numpy's hash, run on uint32 arrays."""
+    def hashmix(value, mult=0x931E8875):  # `const` is SeedSequence's hash_const
+        value = value ^ const[0]
+        const[0] = const[0] * mult & 0xFFFFFFFF
+        value = value * const[0] & 0xFFFFFFFF
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (x * 0xCA01F9DD & 0xFFFFFFFF) - (y * 0x4973F715 & 0xFFFFFFFF) & 0xFFFFFFFF
+        return x ^ x >> 16
+
+    head, *keys = ([key >> s & 0xFFFFFFFF for s in range(0, key.bit_length() or 1, 32)]
+                   for key in (seed, *prefix))
+    head += [0] * (4 - len(head)) + sum(keys, [])
+    indices = np.asarray(indices, dtype=np.uint64)
+    width = 1 + (indices > 0xFFFFFFFF)  # the 32-bit words of each index in the key
+    out = np.empty((len(indices), 4), dtype=np.uint64)
+    for count in set(width.tolist()):
+        rows = width == count
+        entropy = head + [(indices[rows] >> 32 * k).astype(np.uint32) for k in range(count)]
+        const = [0x43B0D7E5]
+        pool = [hashmix(word) for word in entropy[:4]]
+        for src, dst in itertools.permutations(range(4), 2):
+            pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            pool = [mix(p, hashmix(word)) for p in pool]
+        const = [0x8B51F9DD]
+        words = np.stack([hashmix(pool[i % 4], 0x58F38DED) for i in range(8)], axis=1)
+        out[rows] = words.astype("<u4").view("<u8")
+    return out
+
+
+def _set_stream(rng: np.random.Generator, w0: int, w1: int, w2: int, w3: int):
+    """Puts PCG64 ``rng`` at the start of the stream whose generate_state is w0..w3."""
+    inc = (w2 << 65 | w3 << 1 | 1) % 2**128
+    state = ((inc + (w0 << 64 | w1)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
 
 
 def draw_scenario(config: ExperimentConfig, rng: np.random.Generator, *,
@@ -214,13 +254,15 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     # Each trial's draws end at the last column, as snapshot_stack reads them.
     width = 2 * (config.max_sources + m) * n
     normals = np.empty((min(num, step), width))
+    rng = np.random.default_rng()  # set to each trial's own stream below
     for start in range(0, num, _FEATURE_BLOCK):
         stop = min(start + _FEATURE_BLOCK, num)
+        streams = _stream_states(config.seed, (role, axis_index), range(start, stop)).tolist()
         for low in range(start, stop, step):
             high = min(low + step, stop)
             scenarios = []
             for i in range(low, high):
-                rng = _rng(config.seed, role, axis_index, i)
+                _set_stream(rng, *streams[i - start])
                 scenario = draw_scenario(config, rng, snr_db=snr_db)
                 rng.standard_normal(out=normals[i - low, width - normal_count(scenario):])
                 scenarios.append(scenario)
@@ -327,7 +369,7 @@ def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
         learning_rate=config.learning_rate,
         batch_size=config.batch_size,
         epochs=config.epochs,
-        seed=_seed_int(config.seed, ROLE_SHUFFLE, axis_index, ordinal),
+        seed=int(_stream_states(config.seed, (ROLE_SHUFFLE, axis_index), [ordinal])[0, 0]),
     )
     history = train(net, features, _targets(spec, labels), train_config)
     return Detector(spec=spec, net=net, train_config=train_config), history

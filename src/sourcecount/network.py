@@ -381,12 +381,13 @@ def dumps_network(net: Network, train_config: TrainConfig | None = None,
 
 
 def _reject_constant(name: str):
-    raise ValueError(f"model file holds a non-finite number ({name})")
+    raise ValueError(f"non-finite number {name}")
 
 
 def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
-    """Parses :func:`dumps_network` output back, bit-exact.  NaN and
-    Infinity, which :func:`dumps_network` never writes, are rejected, as
+    """Parses :func:`dumps_network` output back, bit-exact.  NaN, Infinity
+    and a layer number beyond the float range (such as ``1e400``), which
+    :func:`dumps_network` never writes, are rejected, as
     are a missing entry, a value of the wrong JSON type, a ``train_config``
     key that is not a :class:`TrainConfig` field and a ``train_config``
     value of another type than its field's (each a ValueError)."""
@@ -401,6 +402,8 @@ def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
             rows, cols = int(entry["rows"]), int(entry["cols"])
             weights = np.array(entry["weights"], dtype=float).reshape(rows, cols)
             bias = np.array(entry["bias"], dtype=float)
+            if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+                raise ValueError("non-finite number (a literal beyond the float range)")
             layers.append(Layer(weights=weights, bias=bias, activation=entry["activation"]))
         net = Network(layers)
         config = None
@@ -408,13 +411,12 @@ def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
             entries = doc["train_config"]
             unknown = sorted(entries.keys() - {f.name for f in fields(TrainConfig)})
             if unknown:
-                raise ValueError(f"model file has unknown train_config keys {unknown}")
+                raise ValueError(f"unknown train_config keys {unknown}")
             for f in fields(TrainConfig):  # a float field takes any JSON number
                 value = entries.get(f.name, f.default)
                 if type(value) not in ((int, float) if f.type == "float" else (int,)):
-                    raise ValueError(f"model file has train_config {f.name} = {value!r}, "
-                                     f"not of type {f.type}")
+                    raise ValueError(f"train_config {f.name} = {value!r} is not of type {f.type}")
             config = TrainConfig(**entries)
         return net, config, doc.get("meta", {})
     except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"model file is malformed: {type(exc).__name__}: {exc}") from exc
+        raise ValueError(f"malformed document: {type(exc).__name__}: {exc}") from exc

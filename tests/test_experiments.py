@@ -1,5 +1,6 @@
 """Tests for the experiment harness: configs, datasets, sweeps, bench."""
 
+import collections
 import csv
 import hashlib
 import json
@@ -9,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sourcecount.experiments import (
     ClassicalDetector,
@@ -31,7 +34,8 @@ from sourcecount.experiments import (
 )
 from sourcecount.detectors import DetectorSpec, build_detector, make_features, normalize_features
 from sourcecount.experiments import (_FEATURE_BLOCK, MAX_COUNT, NET_KINDS, ROLE_INIT,
-                                     ROLE_TEST, _convert_config_value, _rng)
+                                     ROLE_TEST, _convert_config_value, _rng, _set_stream,
+                                     _stream_states)
 from sourcecount.signal_model import generate_snapshots, sample_covariance
 
 
@@ -127,7 +131,7 @@ class TestConfig:
         ("test_snr_db", math.nan), ("snr_axis_db", (0.0, math.nan)),
         ("test_snr_db", -math.inf)])
     def test_nan_snr_rejected(self, field, value):
-        with pytest.raises(ValueError, match="SNRs must be numbers or inf"):
+        with pytest.raises(ValueError, match=f"^{field} must hold numbers or inf"):
             ExperimentConfig(**{field: value})
         assert ExperimentConfig(test_snr_db=math.inf).test_snr_db == math.inf
 
@@ -135,7 +139,8 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -0.1),
         ("batch_size", 0), ("epochs", -1), ("num_snapshots", 0), ("num_snapshots", -3),
-        ("snapshot_axis", (20, 0)), ("seed", -1), ("num_train", 0), ("num_test", -3)])
+        ("snapshot_axis", (20, 0)), ("seed", -1), ("num_train", 0), ("num_test", -3),
+        ("snr_axis_db", (0.0, math.nan)), ("detectors", ("5",))])
     def test_bad_training_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must "):
             ExperimentConfig(**{field: value})
@@ -332,6 +337,70 @@ class TestTrials:
                             want=("eigen", "fbss", "cov"))
         assert t.labels.shape == (0,) and t.eigen.shape == (0, 10)
         assert t.fbss.shape == (0, 5) and t.cov.shape == (0, 200)
+
+
+# Draws compared between a stream set by _set_stream and the same stream
+# from _rng; the 32-bit ones would read a half-word left over from before.
+FIRST_DRAWS = (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+               lambda g: g.integers(0, 6, size=4), lambda g: g.uniform(0.0, 6.3, size=3),
+               lambda g: g.standard_normal(size=3))
+
+
+class TestStreams:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**200), prefix=st.lists(st.integers(0, 2**64), max_size=3),
+           start=st.one_of(st.integers(0, 2**33), st.integers(2**32 - 40, 2**32),
+                           st.integers(0, 2**64 - 41)),
+           count=st.integers(0, 40))
+    @example(seed=0, prefix=[1, 0], start=2**32 - 3, count=6)
+    @example(seed=2**128, prefix=[], start=0, count=3)
+    def test_states_equal_seed_sequence(self, seed, prefix, start, count):
+        # Seeds of any size, key entries of one to three words, and index
+        # runs that cross 2**32, where numpy's key grows a second word.
+        indices = range(start, start + count)
+        states = _stream_states(seed, tuple(prefix), indices)
+        expected = [np.random.SeedSequence(seed, spawn_key=(*prefix, i)).generate_state(
+            4, np.uint64) for i in indices]
+        assert states.dtype == np.uint64 and states.shape == (count, 4)
+        assert np.array_equal(states, np.reshape(expected, (count, 4)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**70), prefix=st.lists(st.integers(0, 2**40), max_size=2),
+           index=st.integers(0, 2**63), draw=st.sampled_from(range(len(FIRST_DRAWS))))
+    def test_set_stream_draws_as_its_own_generator(self, seed, prefix, index, draw):
+        rng = np.random.default_rng(5)
+        rng.integers(0, 10, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1  # a half-word is buffered
+        _set_stream(rng, *_stream_states(seed, tuple(prefix), [index])[0].tolist())
+        reference = _rng(seed, *prefix, index)
+        for first in FIRST_DRAWS[draw:] + FIRST_DRAWS[:draw]:
+            assert np.array_equal(first(rng), first(reference))
+
+    def test_generators_built_do_not_grow_with_trials(self, monkeypatch):
+        # The block path builds its generator once per call; a clock-free
+        # guard that each trial no longer builds a SeedSequence or Generator.
+        import sourcecount.experiments as experiments
+
+        built = collections.Counter()
+
+        def counting(name, real):
+            def build(*args, **kwargs):
+                built[name] += 1
+                return real(*args, **kwargs)
+            return build
+
+        for name in ("SeedSequence", "default_rng", "Generator"):
+            monkeypatch.setattr(experiments.np.random, name,
+                                counting(name, getattr(experiments.np.random, name)))
+        config = ExperimentConfig(num_antennas=4, num_snapshots=6, max_sources=3,
+                                  subarray_size=2, seed=3)
+        counts = []
+        for num in (37, 2 * _FEATURE_BLOCK + 37):
+            built.clear()
+            generate_trials(config, phase="test", num=num, snr_db=3.0, coherent=True,
+                            want=("eigen", "fbss"))
+            counts.append(dict(built))
+        assert counts[0] == counts[1] and 1 <= sum(counts[0].values()) <= 2, counts
 
 
 def write_trials(config, path, num, feature="eigen"):

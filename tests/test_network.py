@@ -549,7 +549,7 @@ class TestSerialization:
         numbers = re.findall(r"-?\d\.(\d+)e[+-]\d+", text)
         assert numbers and all(len(frac) >= 16 for frac in numbers)
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-2e308"])
     def test_rejects_non_finite_parameters(self, constant):
         net = Network([layer(np.eye(2), np.zeros(2), "linear")])
         text = dumps_network(net).replace('"bias": [0.0000000000000000e+00',
