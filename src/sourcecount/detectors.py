@@ -50,8 +50,12 @@ def feature_kind(kind: str, subarray_size: int | None) -> str:
     "fbss" (smoothed eigenvalues) with a sub-array size, else "eigen".
 
     Smoothing extends only the eigenvalue detectors (the networks and
-    AIC/MDL) to coherent sources; CovNet has no smoothed form.
+    AIC/MDL) to coherent sources; CovNet has no smoothed form, and AIC/MDL
+    need a sub-array size of at least 2 (two eigenvalues).
     """
+    if kind in CLASSICAL_KINDS and subarray_size is not None and subarray_size < 2:
+        raise ValueError(f"subarray_size must be at least 2 for {kind}, which compares "
+                         f"smoothed eigenvalues, got {subarray_size}")
     if kind != "covnet":
         return "eigen" if subarray_size is None else "fbss"
     if subarray_size is not None:
@@ -243,6 +247,7 @@ class ClassicalDetector:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
         if self.subarray_size is not None:
             _check_count("subarray_size", self.subarray_size, 1)
+        feature_kind(self.kind, self.subarray_size)
 
     @property
     def name(self) -> str:

@@ -37,7 +37,7 @@ from .detectors import (
 )
 from .linalg import is_integer
 from .network import TrainConfig, train
-from .signal_model import Scenario, normal_count, sample_covariance, snapshot_stack
+from .signal_model import noise_variance_at, sample_covariance, snapshot_stack
 
 # Seed-stream roles: disjoint substreams of the master seed.
 ROLE_TRAIN, ROLE_TEST, ROLE_INIT, ROLE_SHUFFLE = 0, 1, 2, 3
@@ -114,6 +114,7 @@ class ExperimentConfig:
             for snr in (snrs,) if name == "test_snr_db" else snrs:
                 if not snr > -math.inf:
                     raise ValueError(f"{name} must hold numbers or inf (noise-free), got {snr}")
+                noise_variance_at(snr, name)
         for kind in self.detectors or ():
             if kind not in NET_KINDS + CLASSICAL_KINDS:
                 raise ValueError(f"detectors must name known detectors, got {kind!r}")
@@ -174,35 +175,26 @@ def _set_stream(rng: np.random.Generator, w0: int, w1: int, w2: int, w3: int):
 
 
 def draw_scenario(config: ExperimentConfig, rng: np.random.Generator, *,
-                  snr_db) -> Scenario:
-    """One random scenario: K uniform over {0..K_max}, DOAs uniform over
-    [0, 2pi), SNR fixed or uniform over a (low, high) range.
+                  snr_db) -> tuple[list[float], list[int], float]:
+    """One random scenario as its raw draw ``(doas, targets, snr)``: K
+    uniform over {0..K_max}, K DOAs uniform over [0, 2pi), and the SNR fixed
+    or uniform over a (low, high) range.
 
-    In coherent mode the coherent-source count is uniform over
-    {0..K-1}; the last sources of the draw are the coherent copies and
-    each copies a uniformly chosen independent source.
+    In coherent mode the coherent-source count is uniform over {0..K-1};
+    the last sources of the draw are the coherent copies, and the copy
+    ``c`` of ``targets`` copies independent source ``targets[c]``, drawn
+    uniformly.  Two equal DOAs raise ValueError.
     """
     k = int(rng.integers(0, config.max_sources + 1))
-    doas = tuple(rng.uniform(0.0, 2.0 * math.pi, size=k).tolist())
-    if isinstance(snr_db, (tuple, list)):
-        snr = float(rng.uniform(snr_db[0], snr_db[1]))
-    else:
-        snr = float(snr_db)
-    coherent_map = None
-    if config.coherent and k >= 1:
-        num_coherent = int(rng.integers(0, k))
-        if num_coherent:
-            independent = k - num_coherent
-            targets = rng.integers(0, independent, size=num_coherent)
-            coherent_map = {independent + j: int(t) for j, t in enumerate(targets)}
-    return Scenario(
-        num_antennas=config.num_antennas,
-        num_snapshots=config.num_snapshots,
-        num_sources=k,
-        doas=doas,
-        snr_db=snr,
-        coherent_map=coherent_map,
-    )
+    doas = rng.uniform(0.0, 2.0 * math.pi, size=k).tolist()
+    if len(set(doas)) < k:
+        raise ValueError("doas must be pairwise distinct")
+    snr = float(rng.uniform(snr_db[0], snr_db[1]) if isinstance(snr_db, (tuple, list))
+                else snr_db)
+    copies = int(rng.integers(0, k)) if config.coherent and k else 0
+    if copies <= 1:  # one target: the scalar draw is the size=1 draw, value and state alike
+        return doas, [int(rng.integers(0, k - 1))] if copies else [], snr
+    return doas, rng.integers(0, k - copies, size=copies).tolist(), snr
 
 
 @dataclass
@@ -249,28 +241,36 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     feats = {feature: np.zeros((num, make_features(empty, feature, m0).shape[1]))
              for feature in set(want)}
     covs = np.zeros((min(num, _FEATURE_BLOCK), m, m), dtype=np.complex128)
-    n = config.num_snapshots
+    n, k_max = config.num_snapshots, config.max_sources
     step = max(1, _SYNTHESIS_ENTRIES // (m * n))
-    # Each trial's draws end at the last column, as snapshot_stack reads them.
-    width = 2 * (config.max_sources + m) * n
+    # Each trial's normal_count draws end at the last column, as snapshot_stack reads them.
+    width = 2 * (k_max + m) * n
     normals = np.empty((min(num, step), width))
+    rows, doas = np.empty((len(normals), k_max), dtype=np.intp), np.empty((len(normals), k_max))
+    variances = np.empty(len(normals))
     rng = np.random.default_rng()  # set to each trial's own stream below
     for start in range(0, num, _FEATURE_BLOCK):
         stop = min(start + _FEATURE_BLOCK, num)
         streams = _stream_states(config.seed, (role, axis_index), range(start, stop)).tolist()
         for low in range(start, stop, step):
             high = min(low + step, stop)
-            scenarios = []
-            for i in range(low, high):
-                _set_stream(rng, *streams[i - start])
-                scenario = draw_scenario(config, rng, snr_db=snr_db)
-                rng.standard_normal(out=normals[i - low, width - normal_count(scenario):])
-                scenarios.append(scenario)
-                labels[i] = scenario.num_sources
-            covs[low - start:high - start] = sample_covariance(
-                snapshot_stack(scenarios, normals[:high - low]))
-        for feature, rows in feats.items():
-            rows[start:stop] = make_features(covs[:stop - start], feature, m0)
+            rows[:] = range(k_max)  # every source reads its own row unless it copies
+            for j in range(high - low):
+                _set_stream(rng, *streams[low + j - start])
+                trial_doas, targets, snr = draw_scenario(config, rng, snr_db=snr_db)
+                k = labels[low + j] = len(trial_doas)
+                independent = k - len(targets)
+                if targets:
+                    rows[j, independent:k] = targets
+                doas[j, :k] = trial_doas
+                variances[j] = variance = noise_variance_at(snr)
+                rng.standard_normal(
+                    out=normals[j, width - 2 * (independent + m * (variance > 0.0)) * n:])
+            g = high - low
+            covs[low - start:high - start] = sample_covariance(snapshot_stack(
+                m, n, labels[low:high], rows[:g], doas[:g], variances[:g], normals[:g]))
+        for feature, kept in feats.items():
+            kept[start:stop] = make_features(covs[:stop - start], feature, m0)
     return TrialSet(labels=labels, num_snapshots=config.num_snapshots,
                     subarray_size=m0 if "fbss" in feats else None, **feats)
 

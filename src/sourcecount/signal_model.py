@@ -68,6 +68,7 @@ class Scenario:
             raise ValueError("doas must be pairwise distinct")
         if not self.snr_db > -math.inf:
             raise ValueError(f"snr_db must be a number or inf (noise-free), got {self.snr_db}")
+        noise_variance_at(self.snr_db)
         if self.coherent_map:
             coherent = set(self.coherent_map)
             for copy_idx, src_idx in self.coherent_map.items():
@@ -83,9 +84,19 @@ class Scenario:
 
     @property
     def noise_variance(self) -> float:
-        if self.snr_db == math.inf:
-            return 0.0
-        return 10.0 ** (-self.snr_db / 10.0)
+        return noise_variance_at(self.snr_db)
+
+
+def noise_variance_at(snr_db: float, name: str = "snr_db") -> float:
+    """Per-antenna noise variance ``10^(-snr_db / 10)`` of unit-power sources (0.0 at
+    inf); an SNR below about -3082.5 dB, where it overflows, raises ValueError naming it."""
+    if snr_db == math.inf:
+        return 0.0
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{name} must be above about -3082.5 dB, where the noise variance "
+                         f"10^(-SNR/10) overflows, got {snr_db}") from None
 
 
 def steering_matrix(doas, num_antennas: int) -> np.ndarray:
@@ -108,55 +119,54 @@ def normal_count(scenario: Scenario) -> int:
     return 2 * (independent + noise) * scenario.num_snapshots
 
 
-def snapshot_stack(scenarios, normals) -> np.ndarray:
-    """The (g, M, N) snapshots ``A(theta) S + W`` of scenarios sharing M
-    and N: row ``j`` of ``normals`` ends with the :func:`normal_count`
-    standard normals of scenario ``j``.
+def snapshot_stack(m: int, n: int, counts, rows, doas, variances, normals) -> np.ndarray:
+    """The (g, M, N) snapshots ``A(theta) S + W`` of g trials, from their
+    columns: trial ``j`` has ``counts[j]`` = K sources at DOAs ``doas[j, :K]``
+    (entries past K are not read), source ``i`` reads independent source row
+    ``rows[j, i]`` (a coherent copy its target's), and the noise variance is
+    ``variances[j]`` (0.0 noise-free).  Row ``j`` of ``normals`` ends with
+    the trial's :func:`normal_count` standard normals.
 
-    Sources and noise are unit-power circular complex Gaussian, and a
-    coherent source copies the row it maps to.  The trials of each K and
-    noise status take one stacked steering, matmul and noise pass.
+    Sources and noise are unit-power circular complex Gaussian.  The trials
+    of each K take one stacked steering and matmul, the noisy ones one noise pass.
     """
-    m, n = scenarios[0].num_antennas, scenarios[0].num_snapshots
-    width = normals.shape[1]
-    out = np.empty((len(scenarios), m, n), dtype=np.complex128)
-    groups: dict[tuple[int, bool], list[int]] = {}
-    for j, scenario in enumerate(scenarios):
-        groups.setdefault((scenario.num_sources, scenario.noise_variance > 0.0), []).append(j)
-    for (k, noisy), rows in groups.items():
-        end = width - 2 * m * n * noisy
-        starts, shifts = [], []
-        for j in rows:
-            coherent = scenarios[j].coherent_map or {}
-            independent = [i for i in range(k) if i not in coherent]
-            first = end - 2 * len(independent) * n
-            starts.append([first + independent.index(coherent.get(i, i)) * n
-                           for i in range(k)])
-            shifts.append(len(independent) * n)
-        cols = np.array(starts, dtype=np.intp).reshape(len(rows), k, 1) + np.arange(n)
-        picked = np.array(rows)[:, np.newaxis, np.newaxis]
-        re = normals[picked, cols]
-        im = normals[picked, cols + np.array(shifts)[:, np.newaxis, np.newaxis]]
-        doas = [scenarios[j].doas for j in rows]
-        data = steering_matrix(doas, m) @ ((re + 1j * im) / math.sqrt(2.0))
-        if noisy:
-            noise = normals[rows, end:].reshape(len(rows), 2, m, n)
-            scale = np.array([math.sqrt(scenarios[j].noise_variance) for j in rows])
-            data = data + scale[:, np.newaxis, np.newaxis] * (
-                (noise[:, 0] + 1j * noise[:, 1]) / math.sqrt(2.0))
-        out[rows] = data
+    g, width = normals.shape
+    noisy = variances > 0.0
+    # The noise term comes first, so its gathered normals are freed before `out` is made.
+    noise = normals[noisy, width - 2 * m * n:].reshape(-1, 2, m, n)
+    noise = np.sqrt(variances[noisy])[:, np.newaxis, np.newaxis] * (
+        (noise[:, 0] + 1j * noise[:, 1]) / math.sqrt(2.0))
+    out = np.zeros((g, m, n), dtype=np.complex128)
+    used = np.arange(rows.shape[1]) < counts[:, np.newaxis]
+    independent = rows.max(axis=1, initial=-1, where=used) + 1
+    first = width - 2 * (independent + m * noisy) * n  # each trial's first normal
+    # The first real and imaginary normal of each source's row.
+    starts = first[:, np.newaxis, np.newaxis] + n * np.stack(
+        [rows, rows + independent[:, np.newaxis]], axis=1)
+    for k in set(counts.tolist()) - {0}:
+        trials = np.flatnonzero(counts == k)
+        parts = normals[trials[:, np.newaxis, np.newaxis, np.newaxis],
+                        starts[trials, :, :k, np.newaxis] + np.arange(n)]
+        out[trials] = steering_matrix(doas[trials, :k], m) @ (
+            (parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0))
+    out[noisy] += noise
     return out
 
 
 def generate_snapshots(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     """Draws the M x N snapshot matrix ``A(theta) S + W`` of one scenario:
-    the one-scenario case of :func:`snapshot_stack`.
+    the one-row case of :func:`snapshot_stack`.
 
     With ``snr_db = inf`` no noise is drawn at all, leaving the rank-K
     signal part (the zero matrix for K = 0).
     """
+    k, coherent = scenario.num_sources, scenario.coherent_map or {}
+    independent = [i for i in range(k) if i not in coherent]
+    rows = [independent.index(coherent.get(i, i)) for i in range(k)]
     normals = rng.standard_normal((1, normal_count(scenario)))
-    return snapshot_stack([scenario], normals)[0]
+    return snapshot_stack(scenario.num_antennas, scenario.num_snapshots, np.array([k]),
+                          np.array([rows], dtype=np.intp), np.array([scenario.doas], dtype=float),
+                          np.array([scenario.noise_variance]), normals)[0]
 
 
 def sample_covariance(snapshots) -> np.ndarray:

@@ -397,6 +397,24 @@ class TestFlagValidation:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--snr-db", "-4000"), "test_snr_db must be above about -3082.5 dB"),
+        (("--fbss", "1"), "subarray_size must be at least 2 for mdl")])
+    def test_eval_flag_that_cannot_run_rejected_before_any_draw(
+            self, tmp_path, config_file, capsys, monkeypatch, flags, message):
+        import sourcecount.experiments as experiments
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a trial was drawn before the flags were checked")
+
+        monkeypatch.setattr(experiments, "_set_stream", no_draw)
+        out = tmp_path / "run"
+        assert run("eval", *flags, "--config", config_file, "--out", out,
+                   "--detector", "mdl") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_nan_snr_in_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "nan.cfg"
         path.write_text(TINY_CONFIG + "test_snr_db = nan\n", encoding="utf-8")

@@ -15,6 +15,7 @@ from sourcecount.detectors import (
     DetectorSpec,
     _layer_plan,
     build_detector,
+    feature_kind,
     load_detector,
     make_features,
     normalize_features,
@@ -172,6 +173,16 @@ class TestCountsAreIntegers:
     def test_spec_rejects_mistyped_fields(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
             DetectorSpec("ernet", **kwargs)
+
+    @pytest.mark.parametrize("kind", ["aic", "mdl"])
+    def test_classical_needs_two_smoothed_eigenvalues(self, kind):
+        # A 1 x 1 smoothed covariance leaves AIC/MDL one eigenvalue; the
+        # nets read it as a one-entry feature.
+        for check in (lambda: feature_kind(kind, 1), lambda: ClassicalDetector(kind, 1)):
+            with pytest.raises(ValueError, match=f"^subarray_size must be at least 2 for {kind}"):
+                check()
+        assert feature_kind(kind, 2) == "fbss" and feature_kind(kind, None) == "eigen"
+        assert feature_kind("ernet", 1) == feature_kind("ecnet", 1) == "fbss"
 
     def test_numpy_integers_accepted(self):
         assert ClassicalDetector("mdl", np.int64(5)).name == "fbss-mdl"

@@ -7,6 +7,7 @@ import json
 import math
 from dataclasses import fields, replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,10 +34,10 @@ from sourcecount.experiments import (
     write_manifest,
 )
 from sourcecount.detectors import DetectorSpec, build_detector, make_features, normalize_features
-from sourcecount.experiments import (_FEATURE_BLOCK, MAX_COUNT, NET_KINDS, ROLE_INIT,
-                                     ROLE_TEST, _convert_config_value, _rng, _set_stream,
-                                     _stream_states)
-from sourcecount.signal_model import generate_snapshots, sample_covariance
+from sourcecount.experiments import (_FEATURE_BLOCK, _SYNTHESIS_ENTRIES, MAX_COUNT, NET_KINDS,
+                                     ROLE_INIT, ROLE_TEST, _convert_config_value, _rng,
+                                     _set_stream, _stream_states)
+from sourcecount.signal_model import Scenario, generate_snapshots, sample_covariance
 
 
 # SHA-256 of TestTrials.test_simulation_bits_pinned's trial sets.
@@ -55,6 +56,40 @@ def tiny_config(**overrides):
                 detectors=("ernet", "aic"))
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def drawn_scenario(config, rng, snr_db):
+    """draw_scenario's raw draw as the Scenario that generate_snapshots takes."""
+    doas, targets, snr = draw_scenario(config, rng, snr_db=snr_db)
+    k = len(doas)
+    copies = {k - len(targets) + c: target for c, target in enumerate(targets)}
+    return Scenario(config.num_antennas, config.num_snapshots, k, tuple(doas), snr,
+                    copies or None)
+
+
+def one_trial_reference(config, trials, snr_db, axis_index):
+    """Asserts that every row of ``trials`` is what its own stream gives one
+    trial at a time: draw_scenario, generate_snapshots, sample_covariance
+    and make_features."""
+    for i, label in enumerate(trials.labels):
+        rng = _rng(config.seed, ROLE_TEST, axis_index, i)
+        scenario = drawn_scenario(config, rng, snr_db)
+        r = sample_covariance(generate_snapshots(scenario, rng))
+        assert label == scenario.num_sources
+        for feature in ("eigen", "fbss", "cov"):
+            expected = make_features(r[np.newaxis], feature, config.subarray_size)[0]
+            assert np.array_equal(getattr(trials, feature)[i], expected)
+
+
+class ConstantRng:
+    """A generator stub whose every uniform draw is 0 and integer draw 2:
+    K = 2 with two equal DOAs."""
+
+    def uniform(self, low, high, size=None):
+        return np.zeros(size)
+
+    def integers(self, low, high, size=None):
+        return 2
 
 
 class TestConfig:
@@ -135,6 +170,14 @@ class TestConfig:
             ExperimentConfig(**{field: value})
         assert ExperimentConfig(test_snr_db=math.inf).test_snr_db == math.inf
 
+    @pytest.mark.parametrize("field, value", [
+        ("train_snr_db", (-4000.0, 40.0)), ("test_snr_db", -4000.0),
+        ("snr_axis_db", (0.0, -3082.6))])
+    def test_snr_whose_noise_variance_overflows_rejected(self, field, value):
+        # 10^(-SNR/10) is finite down to about -3082.55 dB
+        with pytest.raises(ValueError, match=f"^{field} must be above about -3082.5 dB"):
+            ExperimentConfig(**{field: value})
+        assert ExperimentConfig(test_snr_db=-3082.5).test_snr_db == -3082.5
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -0.1),
@@ -182,8 +225,8 @@ class TestScenarioDraw:
         config = ExperimentConfig()
         counts = np.zeros(6)
         for i in range(60000):
-            sc = draw_scenario(config, _rng(0, 7, 0, i), snr_db=5.0)
-            counts[sc.num_sources] += 1
+            doas, _, _ = draw_scenario(config, _rng(0, 7, 0, i), snr_db=5.0)
+            counts[len(doas)] += 1
         freq = counts / counts.sum()
         assert np.all(np.abs(freq - 1.0 / 6.0) <= 0.01)
 
@@ -191,7 +234,7 @@ class TestScenarioDraw:
         config = ExperimentConfig(coherent=True)
         saw_fully_coherent = False
         for i in range(2000):
-            sc = draw_scenario(config, _rng(1, 7, 0, i), snr_db=0.0)
+            sc = drawn_scenario(config, _rng(1, 7, 0, i), snr_db=0.0)
             num_coherent = len(sc.coherent_map or {})
             if sc.num_sources == 0:
                 assert num_coherent == 0
@@ -209,23 +252,37 @@ class TestScenarioDraw:
 
     def test_train_snr_sampled_from_range(self):
         config = ExperimentConfig()
-        snrs = [draw_scenario(config, _rng(2, 7, 0, i), snr_db=(0.0, 40.0)).snr_db
+        snrs = [draw_scenario(config, _rng(2, 7, 0, i), snr_db=(0.0, 40.0))[2]
                 for i in range(500)]
         assert min(snrs) >= 0.0 and max(snrs) <= 40.0
         assert max(snrs) - min(snrs) > 20.0
 
     def test_degenerate_doa_stream_aborts(self):
         # duplicate DOAs (about 1e-15 per trial for real draws) are not redrawn
-        class ConstantRng:
-            def uniform(self, low, high, size=None):
-                return np.zeros(size)
-
-            def integers(self, low, high, size=None):
-                return 2  # forces K = 2, so duplicate DOAs are fatal
-
         config = ExperimentConfig()
         with pytest.raises(ValueError, match="pairwise distinct"):
             draw_scenario(config, ConstantRng(), snr_db=5.0)
+
+    def test_degenerate_doa_stream_aborts_the_block_path(self, monkeypatch):
+        import sourcecount.experiments as experiments
+
+        monkeypatch.setattr(experiments.np.random, "default_rng", lambda *args: ConstantRng())
+        monkeypatch.setattr(experiments, "_set_stream", lambda rng, *words: None)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            generate_trials(tiny_config(), phase="test", num=4, snr_db=5.0)
+
+    @pytest.mark.parametrize("high", [1, 2, 3, 4, 5])
+    def test_scalar_integer_draw_equals_size_one_draw(self, high):
+        # draw_scenario draws a single copy target as a scalar, which must
+        # give the size=1 draw's value and leave the same generator state,
+        # with or without a buffered 32-bit half-word.
+        for seed in range(400):
+            scalar, sized = np.random.default_rng(seed), np.random.default_rng(seed)
+            if seed % 2:
+                for rng in (scalar, sized):
+                    rng.integers(0, 10, dtype=np.uint32)
+            assert scalar.integers(0, high) == sized.integers(0, high, size=1)[0]
+            assert scalar.bit_generator.state == sized.bit_generator.state
 
 
 class TestTrials:
@@ -304,17 +361,28 @@ class TestTrials:
             t = generate_trials(config, phase="test", num=num, snr_db=snr_db,
                                 coherent=coherent, axis_index=ai,
                                 want=("eigen", "fbss", "cov"))
-            one = replace(config, coherent=coherent)
-            for i in range(num):
-                rng = _rng(config.seed, ROLE_TEST, ai, i)
-                scenario = draw_scenario(one, rng, snr_db=snr_db)
-                r = sample_covariance(generate_snapshots(scenario, rng))
-                assert t.labels[i] == scenario.num_sources
-                for feature in ("eigen", "fbss", "cov"):
-                    expected = make_features(r[np.newaxis], feature, 2)[0]
-                    assert np.array_equal(getattr(t, feature)[i], expected)
+            one_trial_reference(replace(config, coherent=coherent), t, snr_db, ai)
             if snr_db == math.inf:
                 assert ((t.eigen[:, 0] > 0.0) & (t.eigen[:, -1] == 0.0)).any()
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(2, 6), n=st.integers(1, 5), data=st.data(), coherent=st.booleans(),
+           snr_db=st.one_of(st.just(math.inf), st.floats(-20.0, 60.0),
+                            st.tuples(st.floats(-20.0, 20.0), st.floats(20.0, 60.0))),
+           num=st.one_of(st.integers(0, 40), st.integers(_FEATURE_BLOCK, _FEATURE_BLOCK + 40)),
+           entries=st.one_of(st.just(_SYNTHESIS_ENTRIES), st.integers(1, 400)),
+           seed=st.integers(0, 2**32))
+    def test_blocks_equal_one_row_features_over_configs(self, m, n, data, coherent, snr_db,
+                                                        num, entries, seed):
+        # Small synthesis blocks split each feature block into several,
+        # with a short last one; the production size gives one per block.
+        config = ExperimentConfig(num_antennas=m, num_snapshots=n, coherent=coherent,
+                                  max_sources=data.draw(st.integers(0, m - 1)),
+                                  subarray_size=data.draw(st.integers(1, m)), seed=seed)
+        with mock.patch("sourcecount.experiments._SYNTHESIS_ENTRIES", entries):
+            t = generate_trials(config, phase="test", num=num, snr_db=snr_db, axis_index=2,
+                                want=("eigen", "fbss", "cov"))
+        one_trial_reference(config, t, snr_db, 2)
 
     @pytest.mark.parametrize("argument, overrides", [
         ("num", {"num": 2.5}), ("num", {"num": -1}), ("num", {"num": True}),
@@ -325,12 +393,31 @@ class TestTrials:
         import sourcecount.experiments as experiments
 
         def no_draw(*args, **kwargs):
-            raise AssertionError("a scenario was drawn before the arguments were checked")
+            raise AssertionError("a trial was drawn before the arguments were checked")
 
-        monkeypatch.setattr(experiments, "draw_scenario", no_draw)
-        kwargs = dict(phase="test", num=4, snr_db=5.0, want=("eigen",)) | overrides
-        with pytest.raises(ValueError, match=argument):
+        # Every trial's draws start by setting its stream.
+        monkeypatch.setattr(experiments, "_set_stream", no_draw)
+        kwargs = dict(phase="test", num=4, snr_db=5.0, want=("eigen",))
+        with pytest.raises(AssertionError, match="a trial was drawn"):
             generate_trials(tiny_config(), **kwargs)
+        with pytest.raises(ValueError, match=argument):
+            generate_trials(tiny_config(), **kwargs | overrides)
+
+    def test_scenarios_built_do_not_grow_with_trials(self, monkeypatch):
+        # A clock-free guard that the block path builds no Scenario per trial.
+        built = []
+        check = Scenario.__post_init__
+        monkeypatch.setattr(Scenario, "__post_init__",
+                            lambda self: (built.append(self), check(self)))
+        config = ExperimentConfig(num_antennas=4, num_snapshots=6, max_sources=3,
+                                  subarray_size=2, seed=3)
+        counts = []
+        for num in (37, 2 * _FEATURE_BLOCK + 37):
+            built.clear()
+            generate_trials(config, phase="test", num=num, snr_db=(0.0, 20.0), coherent=True,
+                            want=("eigen", "fbss"))
+            counts.append(len(built))
+        assert counts[0] == counts[1], counts
 
     def test_empty_trial_set(self):
         t = generate_trials(tiny_config(), phase="test", num=0, snr_db=5.0,
@@ -539,6 +626,17 @@ class TestSweeps:
         config = tiny_config(coherent=True, detectors=("ernet", "covnet", "mdl"))
         with pytest.raises(ValueError, match="covnet has no smoothed form"):
             run_sweep("sweep-snr-coherent", config)
+
+    def test_coherent_sweep_rejects_classical_at_subarray_size_one_before_drawing(
+            self, monkeypatch):
+        import sourcecount.experiments as experiments
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials drawn before the detector set was checked")
+
+        monkeypatch.setattr(experiments, "generate_trials", no_trials)
+        with pytest.raises(ValueError, match="^subarray_size must be at least 2 for aic"):
+            run_sweep("sweep-snr-coherent", ExperimentConfig(subarray_size=1))
 
     def test_sweep_bits_pinned(self):
         # One SHA-256 over four tiny sweeps: snapshots (retrained per N)

@@ -79,6 +79,12 @@ class TestScenarioValidation:
         assert scenario(snr_db=10.0).noise_variance == pytest.approx(0.1)
         assert scenario(snr_db=math.inf).noise_variance == 0.0
 
+    def test_rejects_snr_whose_noise_variance_overflows(self):
+        # 10^(-SNR/10) is finite down to about -3082.55 dB
+        assert scenario(snr_db=-3082.5).noise_variance == pytest.approx(10.0 ** 308.25)
+        with pytest.raises(ValueError, match="^snr_db must be above about -3082.5 dB"):
+            Scenario(10, 20, 1, (0.3,), -4000.0)
+
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
     def test_rejects_nan_and_minus_inf_snr(self, snr_db):
         # NaN would fail the noise test and simulate a noise-free array.
@@ -102,8 +108,10 @@ class TestGenerateSources:
         normals = np.random.default_rng(0).standard_normal((1, 40))
         row = (normals[0, :20] + 1j * normals[0, 20:]) / math.sqrt(2.0)
         a = steering_matrix(sc.doas, 10)
-        data = snapshot_stack([sc], normals)[0]
+        data = snapshot_stack(10, 20, np.array([2]), np.array([[0, 0]]), np.array([sc.doas]),
+                              np.array([0.0]), normals)[0]
         assert np.array_equal(data, a @ np.stack([row, row]))
+        assert np.array_equal(generate_snapshots(sc, np.random.default_rng(0)), data)
 
     def test_unit_power_and_independence(self):
         # Monte-Carlo oracle: empirical source covariance approaches I at
@@ -162,6 +170,22 @@ def block_scenarios(m, n, k_max, snr_db, coherent=False, count=40, seed=0):
     return out
 
 
+def columns(scenarios):
+    """snapshot_stack's (counts, rows, doas, variances) columns of scenarios
+    that share M and N.  The entries past each K are never read: NaN DOAs
+    and out-of-range rows there would show."""
+    k_max = max(sc.num_sources for sc in scenarios)
+    rows = np.full((len(scenarios), k_max), 10**6, dtype=np.intp)
+    doas = np.full((len(scenarios), k_max), np.nan)
+    for j, sc in enumerate(scenarios):
+        k, coherent = sc.num_sources, sc.coherent_map or {}
+        independent = [i for i in range(k) if i not in coherent]
+        rows[j, :k] = [independent.index(coherent.get(i, i)) for i in range(k)]
+        doas[j, :k] = sc.doas
+    return (np.array([sc.num_sources for sc in scenarios]), rows, doas,
+            np.array([sc.noise_variance for sc in scenarios]))
+
+
 def one_by_one_and_stacked(scenarios, width):
     """Each scenario's snapshots from its own stream, and the same
     streams' draws laid into one block and synthesized together."""
@@ -169,7 +193,8 @@ def one_by_one_and_stacked(scenarios, width):
     normals = np.full((len(scenarios), width), np.nan)
     for j, sc in enumerate(scenarios):
         np.random.default_rng(j).standard_normal(out=normals[j, width - normal_count(sc):])
-    return one, snapshot_stack(scenarios, normals)
+    m, n = scenarios[0].num_antennas, scenarios[0].num_snapshots
+    return one, snapshot_stack(m, n, *columns(scenarios), normals)
 
 
 class TestSnapshotStack:
