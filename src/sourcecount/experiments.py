@@ -107,14 +107,10 @@ class ExperimentConfig:
         if not 1 <= self.subarray_size <= self.num_antennas:
             raise ValueError(f"subarray_size must lie in [1, {self.num_antennas}], "
                              f"got {self.subarray_size}")
-        if len(self.train_snr_db) != 2 or self.train_snr_db[0] > self.train_snr_db[1]:
-            raise ValueError("train_snr_db must be a (low, high) pair")
-        for name in ("train_snr_db", "test_snr_db", "snr_axis_db"):
-            snrs = getattr(self, name)
-            for snr in (snrs,) if name == "test_snr_db" else snrs:
-                if not snr > -math.inf:
-                    raise ValueError(f"{name} must hold numbers or inf (noise-free), got {snr}")
-                noise_variance_at(snr, name)
+        _check_snr(self.train_snr_db, "train_snr_db")
+        noise_variance_at(self.test_snr_db, "test_snr_db")
+        for snr in self.snr_axis_db:
+            noise_variance_at(snr, "snr_axis_db")
         for kind in self.detectors or ():
             if kind not in NET_KINDS + CLASSICAL_KINDS:
                 raise ValueError(f"detectors must name known detectors, got {kind!r}")
@@ -126,6 +122,15 @@ class ExperimentConfig:
         sub-array size: the M0 x M0 smoothed covariance they are counted
         on resolves at most M0 - 1 sources."""
         return not self.coherent or self.max_sources < self.subarray_size
+
+
+def _check_snr(snr_db, name: str):
+    """Raises ValueError naming ``name`` unless ``snr_db`` is an SNR or a (low, high) range."""
+    ranged = isinstance(snr_db, (tuple, list))
+    for snr in snr_db if ranged else (snr_db,):
+        noise_variance_at(snr, name)
+    if ranged and not (len(snr_db) == 2 and snr_db[0] <= snr_db[1] < math.inf):
+        raise ValueError(f"{name} must be a (low, high) pair with low <= high < inf, got {snr_db}")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -223,14 +228,17 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     ``phase`` selects the seed-stream role ("train" or "test"), so the
     two phases can never share draws.  Snapshots and covariances are
     computed a block of trials at a time, bit for bit as one by one.
-    Raises ValueError for an unknown phase or feature kind, or a ``num``
-    that is not an integer in [0, ``MAX_COUNT``], before any draw.
+    Raises ValueError, before any draw, for an unknown phase or feature kind, a ``num`` not in
+    [0, ``MAX_COUNT``], a negative or non-integer ``axis_index`` or a bad ``snr_db``.
     """
     role = {"train": ROLE_TRAIN, "test": ROLE_TEST}.get(phase)
     if role is None:
         raise ValueError(f"phase must be 'train' or 'test', got {phase!r}")
     if not is_integer(num) or not 0 <= num <= MAX_COUNT:
         raise ValueError(f"num must be an integer in [0, {MAX_COUNT}], got {num!r}")
+    if not is_integer(axis_index) or axis_index < 0:
+        raise ValueError(f"axis_index must be a non-negative integer, got {axis_index!r}")
+    _check_snr(snr_db, "snr_db")
     if coherent is not None:
         config = replace(config, coherent=coherent)
     m, m0 = config.num_antennas, config.subarray_size
@@ -243,7 +251,7 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     covs = np.zeros((min(num, _FEATURE_BLOCK), m, m), dtype=np.complex128)
     n, k_max = config.num_snapshots, config.max_sources
     step = max(1, _SYNTHESIS_ENTRIES // (m * n))
-    # Each trial's normal_count draws end at the last column, as snapshot_stack reads them.
+    # Each trial's standard normals end at the last column, as snapshot_stack reads them.
     width = 2 * (k_max + m) * n
     normals = np.empty((min(num, step), width))
     rows, doas = np.empty((len(normals), k_max), dtype=np.intp), np.empty((len(normals), k_max))
@@ -251,7 +259,7 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     rng = np.random.default_rng()  # set to each trial's own stream below
     for start in range(0, num, _FEATURE_BLOCK):
         stop = min(start + _FEATURE_BLOCK, num)
-        streams = _stream_states(config.seed, (role, axis_index), range(start, stop)).tolist()
+        streams = _stream_states(config.seed, (role, int(axis_index)), range(start, stop)).tolist()
         for low in range(start, stop, step):
             high = min(low + step, stop)
             rows[:] = range(k_max)  # every source reads its own row unless it copies
@@ -376,7 +384,9 @@ def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
 
 
 def evaluate_detectors(detectors, trials: TrialSet) -> dict[str, float]:
-    """Accuracy of each detector over the (paired) trials."""
+    """Accuracy of each detector over the (paired) trials, of which there must be some."""
+    if not trials.labels.size:
+        raise ValueError("trials must hold at least one trial to measure accuracy")
     results: dict[str, float] = {}
     for det in detectors:
         if isinstance(det, Detector):

@@ -20,83 +20,28 @@ parallel workers can use independently seeded streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import exchange_conjugate, is_moderate
+from .linalg import exchange_conjugate, is_integer, is_moderate
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One simulation draw.
-
-    Attributes:
-        num_antennas: Array size M.
-        num_snapshots: Snapshot count N.
-        num_sources: Source count K, with 0 <= K < M.
-        doas: K distinct arrival angles in radians.
-        snr_db: Per-source SNR in dB (``math.inf`` means noise-free;
-            NaN and ``-math.inf`` are rejected).
-        coherent_map: Optional mapping from coherent source index to the
-            independent source index it duplicates; ``None`` or empty
-            means all sources are independent.
-    """
-
-    num_antennas: int
-    num_snapshots: int
-    num_sources: int
-    doas: tuple[float, ...]
-    snr_db: float
-    coherent_map: dict[int, int] | None = None
-
-    def __post_init__(self):
-        if self.num_antennas < 1:
-            raise ValueError("num_antennas must be at least 1")
-        if self.num_snapshots < 1:
-            raise ValueError("num_snapshots must be at least 1")
-        if not 0 <= self.num_sources < self.num_antennas:
-            raise ValueError(
-                f"need 0 <= num_sources < num_antennas, got K={self.num_sources}, "
-                f"M={self.num_antennas}"
-            )
-        if len(self.doas) != self.num_sources:
-            raise ValueError("doas length must equal num_sources")
-        if len(set(self.doas)) != len(self.doas):
-            raise ValueError("doas must be pairwise distinct")
-        if not self.snr_db > -math.inf:
-            raise ValueError(f"snr_db must be a number or inf (noise-free), got {self.snr_db}")
-        noise_variance_at(self.snr_db)
-        if self.coherent_map:
-            coherent = set(self.coherent_map)
-            for copy_idx, src_idx in self.coherent_map.items():
-                if not 0 <= copy_idx < self.num_sources:
-                    raise ValueError(f"coherent index {copy_idx} out of range")
-                if not 0 <= src_idx < self.num_sources:
-                    raise ValueError(f"copy target {src_idx} out of range")
-                if src_idx in coherent:
-                    raise ValueError(
-                        f"copy target {src_idx} is itself coherent; targets must be "
-                        "independent sources"
-                    )
-
-    @property
-    def noise_variance(self) -> float:
-        return noise_variance_at(self.snr_db)
-
-
-def noise_variance_at(snr_db: float, name: str = "snr_db") -> float:
-    """Per-antenna noise variance ``10^(-snr_db / 10)`` of unit-power sources (0.0 at
-    inf); an SNR below about -3082.5 dB, where it overflows, raises ValueError naming it."""
+def noise_variance_at(snr_db, name: str = "snr_db") -> float:
+    """Per-antenna noise variance ``10^(-snr_db / 10)`` of unit-power sources, 0.0 at inf.  NaN,
+    -inf, a non-number and an SNR below about -3082.5 dB raise ValueError naming ``name``."""
     if snr_db == math.inf:
         return 0.0
     try:
-        return 10.0 ** (-snr_db / 10.0)
+        if snr_db > -math.inf:
+            return 10.0 ** (-snr_db / 10.0)
     except OverflowError:
         raise ValueError(f"{name} must be above about -3082.5 dB, where the noise variance "
                          f"10^(-SNR/10) overflows, got {snr_db}") from None
+    except TypeError:  # not a real number
+        pass
+    raise ValueError(f"{name} must hold numbers or inf (noise-free), got {snr_db}")
 
 
 def steering_matrix(doas, num_antennas: int) -> np.ndarray:
@@ -110,22 +55,13 @@ def steering_matrix(doas, num_antennas: int) -> np.ndarray:
                         * sines[..., np.newaxis, :]))
 
 
-def normal_count(scenario: Scenario) -> int:
-    """Standard normals one scenario draws, in this order: the real then
-    the imaginary parts of its independent source rows, then those of its
-    M x N noise (none when noise-free)."""
-    independent = scenario.num_sources - len(scenario.coherent_map or {})
-    noise = scenario.num_antennas if scenario.noise_variance > 0.0 else 0
-    return 2 * (independent + noise) * scenario.num_snapshots
-
-
 def snapshot_stack(m: int, n: int, counts, rows, doas, variances, normals) -> np.ndarray:
     """The (g, M, N) snapshots ``A(theta) S + W`` of g trials, from their
     columns: trial ``j`` has ``counts[j]`` = K sources at DOAs ``doas[j, :K]``
     (entries past K are not read), source ``i`` reads independent source row
     ``rows[j, i]`` (a coherent copy its target's), and the noise variance is
-    ``variances[j]`` (0.0 noise-free).  Row ``j`` of ``normals`` ends with
-    the trial's :func:`normal_count` standard normals.
+    ``variances[j]`` (0.0 noise-free).  Row ``j`` of ``normals`` ends with the
+    real then imaginary parts of its independent source rows, then of its M x N noise (if any).
 
     Sources and noise are unit-power circular complex Gaussian.  The trials
     of each K take one stacked steering and matmul, the noisy ones one noise pass.
@@ -153,20 +89,27 @@ def snapshot_stack(m: int, n: int, counts, rows, doas, variances, normals) -> np
     return out
 
 
-def generate_snapshots(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Draws the M x N snapshot matrix ``A(theta) S + W`` of one scenario:
-    the one-row case of :func:`snapshot_stack`.
-
-    With ``snr_db = inf`` no noise is drawn at all, leaving the rank-K
-    signal part (the zero matrix for K = 0).
-    """
-    k, coherent = scenario.num_sources, scenario.coherent_map or {}
-    independent = [i for i in range(k) if i not in coherent]
-    rows = [independent.index(coherent.get(i, i)) for i in range(k)]
-    normals = rng.standard_normal((1, normal_count(scenario)))
-    return snapshot_stack(scenario.num_antennas, scenario.num_snapshots, np.array([k]),
-                          np.array([rows], dtype=np.intp), np.array([scenario.doas], dtype=float),
-                          np.array([scenario.noise_variance]), normals)[0]
+def generate_snapshots(num_antennas: int, num_snapshots: int, doas, targets, snr_db,
+                       rng: np.random.Generator) -> np.ndarray:
+    """The M x N snapshots ``A(theta) S + W`` of one raw draw of ``experiments.draw_scenario``:
+    the last ``len(targets)`` of the K = ``len(doas)`` sources are coherent copies, copy ``c``
+    of independent source ``targets[c]``; at ``snr_db = inf`` no noise is drawn.  Raises
+    ValueError naming the argument, before any draw, unless M and N are integers with
+    0 <= K < M and N >= 1, the DOAs are distinct, each target is an independent source
+    and :func:`noise_variance_at` takes the SNR.  The one-row case of :func:`snapshot_stack`."""
+    k, independent = len(doas), len(doas) - len(targets)
+    m, n = num_antennas, num_snapshots
+    for name, count, low in (("num_antennas", m, k + 1), ("num_snapshots", n, 1)):
+        if not is_integer(count) or count < low:
+            raise ValueError(f"{name} must be an integer of at least {low}, got {count!r}")
+    if len(set(doas)) < k:
+        raise ValueError("doas must be pairwise distinct")
+    if not all(is_integer(t) and 0 <= t < independent for t in targets):
+        raise ValueError(f"targets must lie in [0, {independent}), got {targets}")
+    variance = noise_variance_at(snr_db)
+    normals = rng.standard_normal((1, 2 * (independent + m * (variance > 0.0)) * n))
+    return snapshot_stack(m, n, np.array([k]), np.array([[*range(independent), *targets]], int),
+                          np.array([doas], dtype=float), np.array([variance]), normals)[0]
 
 
 def sample_covariance(snapshots) -> np.ndarray:

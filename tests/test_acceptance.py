@@ -33,7 +33,6 @@ from sourcecount.network import (
     softmax,
 )
 from sourcecount.signal_model import (
-    Scenario,
     fbss_covariance,
     generate_snapshots,
     sample_covariance,
@@ -152,8 +151,8 @@ def _battery_fbss(rng):
         w = hermitian_eig(fbss_covariance(r, 4)).eigenvalues
         assert np.all(w >= -1e-9 * np.trace(r).real)
     # coherent-pair rank restoration
-    sc = Scenario(10, 200, 2, (0.3, 1.1), math.inf, {1: 0})
-    r = sample_covariance(generate_snapshots(sc, np.random.default_rng(7)))
+    r = sample_covariance(generate_snapshots(10, 200, (0.3, 1.1), (0,), math.inf,
+                                             np.random.default_rng(7)))
     w = hermitian_eig(fbss_covariance(r, 5)).eigenvalues
     assert w[1] > 1e-6 * w[0]
 
@@ -285,8 +284,7 @@ def test_criterion_7_mdl_large_sample_consistency():
     for i in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(9, 0, i)))
         doas = _draw_separated_doas(rng, 3)
-        scenario = Scenario(10, 10000, 3, doas, 20.0)
-        r = sample_covariance(generate_snapshots(scenario, rng))
+        r = sample_covariance(generate_snapshots(10, 10000, doas, (), 20.0, rng))
         spectrum = EigenSpectrum(make_features(r[np.newaxis], "eigen")[0], 10000)
         correct += mdl(spectrum).order == 3
     accuracy = correct / trials

@@ -18,7 +18,7 @@ from sourcecount.classical import (
 )
 from sourcecount.detectors import make_features
 from sourcecount.experiments import ClassicalDetector
-from sourcecount.signal_model import Scenario, generate_snapshots, sample_covariance
+from sourcecount.signal_model import generate_snapshots, sample_covariance
 
 
 def scripted_criterion(values, n, kind):
@@ -163,8 +163,8 @@ class TestCriteria:
         # (its known inconsistency); this frozen draw shows the typical
         # outcome where both criteria recover K.
         doas = (-0.9, 0.1, 1.0)
-        sc = Scenario(10, 1000, 3, doas, 20.0)
-        r = sample_covariance(generate_snapshots(sc, np.random.default_rng(0)))
+        r = sample_covariance(generate_snapshots(10, 1000, doas, (), 20.0,
+                                                 np.random.default_rng(0)))
         spec = EigenSpectrum(make_features(r[np.newaxis], "eigen")[0], 1000)
         assert aic(spec).order == 3
         assert mdl(spec).order == 3

@@ -425,6 +425,19 @@ class TestFlagValidation:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "sweep-snr"])
+    def test_infinite_train_snr_end_in_config_rejected(self, tmp_path, capsys, command):
+        # inf is noise-free, but no training SNR can be drawn up to it.
+        path = tmp_path / "inf.cfg"
+        path.write_text(TINY_CONFIG + "train_snr_db = 0,inf\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert run(command, "--config", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: train_snr_db must be a (low, high) pair with low <= high < inf")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 def assert_one_error_line(status, err):
     assert status == 2, err

@@ -24,7 +24,7 @@ from sourcecount.detectors import (
 from sourcecount.experiments import _targets
 from sourcecount.linalg import exchange_conjugate
 from sourcecount.network import Layer, Network, TrainConfig
-from sourcecount.signal_model import Scenario, generate_snapshots, sample_covariance
+from sourcecount.signal_model import generate_snapshots, sample_covariance
 
 
 def constant_output_net(values, activation="linear", in_dim=4):
@@ -64,8 +64,8 @@ class TestFeatureEigen:
         assert np.allclose(feat, [5.0, 1.0, 1.0])
 
     def test_noise_free_rank(self):
-        sc = Scenario(10, 5000, 2, (-0.5, 0.8), math.inf)
-        r = sample_covariance(generate_snapshots(sc, np.random.default_rng(0)))
+        r = sample_covariance(generate_snapshots(10, 5000, (-0.5, 0.8), (), math.inf,
+                                                 np.random.default_rng(0)))
         feat = one_row(r, "eigen")
         assert int(np.sum(feat > 1e-6 * feat[0])) == 2
         assert np.all(feat[2:] <= 1e-9 * feat[0])
@@ -90,8 +90,8 @@ class TestFeatureFbss:
         assert np.allclose(one_row(np.eye(8, dtype=complex), "fbss", 5), np.ones(5))
 
     def test_coherent_rank_restoration(self):
-        sc = Scenario(10, 500, 2, (0.3, 1.1), math.inf, {1: 0})
-        r = sample_covariance(generate_snapshots(sc, np.random.default_rng(3)))
+        r = sample_covariance(generate_snapshots(10, 500, (0.3, 1.1), (0,), math.inf,
+                                                 np.random.default_rng(3)))
         feat = one_row(r, "fbss", 5)
         assert int(np.sum(feat > 1e-6 * feat[0])) >= 2
 
@@ -301,15 +301,15 @@ class TestDetectorWrapper:
     def test_estimate_pipeline_runs(self):
         spec = DetectorSpec("ecnet", 10)
         det = Detector(spec, build_detector(spec, np.random.default_rng(2)))
-        sc = Scenario(10, 20, 3, (0.1, 0.8, -1.2), 10.0)
-        r = sample_covariance(generate_snapshots(sc, np.random.default_rng(0)))
+        r = sample_covariance(generate_snapshots(10, 20, (0.1, 0.8, -1.2), (), 10.0,
+                                                 np.random.default_rng(0)))
         assert 0 <= det.estimate(r) <= 9
 
     def test_fbss_detector_uses_smoothed_features(self):
         spec = DetectorSpec("ernet", 10, subarray_size=5)
         det = Detector(spec, build_detector(spec, np.random.default_rng(2)))
-        sc = Scenario(10, 20, 2, (0.1, 0.8), 10.0)
-        r = sample_covariance(generate_snapshots(sc, np.random.default_rng(0)))
+        r = sample_covariance(generate_snapshots(10, 20, (0.1, 0.8), (), 10.0,
+                                                 np.random.default_rng(0)))
         assert det.net.input_dim == 5
         assert det.estimate(r) == det.decide_batch(one_row(r, "fbss", 5)[np.newaxis])[0]
         assert spec.name == "fbss-ernet"
@@ -484,8 +484,8 @@ def test_estimate_under_covariance_scaling(kind, normalize, exponent, seed):
     det = Detector(spec, build_detector(spec, np.random.default_rng(seed)))
     rng = np.random.default_rng(seed)
     k = int(rng.integers(0, 6))
-    scenario = Scenario(10, 20, k, tuple(rng.uniform(-1.5, 1.5, k)), 10.0)
-    r = sample_covariance(generate_snapshots(scenario, rng))
+    r = sample_covariance(generate_snapshots(10, 20, tuple(rng.uniform(-1.5, 1.5, k)), (),
+                                             10.0, rng))
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = 10.0 ** exponent * r
     with warnings.catch_warnings():

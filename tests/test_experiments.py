@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
 from unittest import mock
@@ -37,7 +38,7 @@ from sourcecount.detectors import DetectorSpec, build_detector, make_features, n
 from sourcecount.experiments import (_FEATURE_BLOCK, _SYNTHESIS_ENTRIES, MAX_COUNT, NET_KINDS,
                                      ROLE_INIT, ROLE_TEST, _convert_config_value, _rng,
                                      _set_stream, _stream_states)
-from sourcecount.signal_model import Scenario, generate_snapshots, sample_covariance
+from sourcecount.signal_model import generate_snapshots, sample_covariance
 
 
 # SHA-256 of TestTrials.test_simulation_bits_pinned's trial sets.
@@ -58,24 +59,16 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def drawn_scenario(config, rng, snr_db):
-    """draw_scenario's raw draw as the Scenario that generate_snapshots takes."""
-    doas, targets, snr = draw_scenario(config, rng, snr_db=snr_db)
-    k = len(doas)
-    copies = {k - len(targets) + c: target for c, target in enumerate(targets)}
-    return Scenario(config.num_antennas, config.num_snapshots, k, tuple(doas), snr,
-                    copies or None)
-
-
 def one_trial_reference(config, trials, snr_db, axis_index):
     """Asserts that every row of ``trials`` is what its own stream gives one
     trial at a time: draw_scenario, generate_snapshots, sample_covariance
     and make_features."""
     for i, label in enumerate(trials.labels):
         rng = _rng(config.seed, ROLE_TEST, axis_index, i)
-        scenario = drawn_scenario(config, rng, snr_db)
-        r = sample_covariance(generate_snapshots(scenario, rng))
-        assert label == scenario.num_sources
+        draw = draw_scenario(config, rng, snr_db=snr_db)
+        r = sample_covariance(generate_snapshots(config.num_antennas, config.num_snapshots,
+                                                 *draw, rng))
+        assert label == len(draw[0])
         for feature in ("eigen", "fbss", "cov"):
             expected = make_features(r[np.newaxis], feature, config.subarray_size)[0]
             assert np.array_equal(getattr(trials, feature)[i], expected)
@@ -170,6 +163,14 @@ class TestConfig:
             ExperimentConfig(**{field: value})
         assert ExperimentConfig(test_snr_db=math.inf).test_snr_db == math.inf
 
+    @pytest.mark.parametrize("value", [(0.0, math.inf), (40.0, 0.0), (0.0,), (0.0, 10.0, 20.0),
+                                       (math.inf, math.inf)])
+    def test_train_snr_range_must_be_finite_and_ordered(self, value):
+        # An infinite end cannot be drawn from; numpy's error named no field.
+        with pytest.raises(ValueError, match=r"^train_snr_db must be a \(low, high\) pair"):
+            ExperimentConfig(train_snr_db=value)
+        assert ExperimentConfig(train_snr_db=(5.0, 5.0)).train_snr_db == (5.0, 5.0)
+
     @pytest.mark.parametrize("field, value", [
         ("train_snr_db", (-4000.0, 40.0)), ("test_snr_db", -4000.0),
         ("snr_axis_db", (0.0, -3082.6))])
@@ -234,19 +235,16 @@ class TestScenarioDraw:
         config = ExperimentConfig(coherent=True)
         saw_fully_coherent = False
         for i in range(2000):
-            sc = drawn_scenario(config, _rng(1, 7, 0, i), snr_db=0.0)
-            num_coherent = len(sc.coherent_map or {})
-            if sc.num_sources == 0:
+            doas, targets, _ = draw_scenario(config, _rng(1, 7, 0, i), snr_db=0.0)
+            k, num_coherent = len(doas), len(targets)
+            if k == 0:
                 assert num_coherent == 0
                 continue
-            assert 0 <= num_coherent <= sc.num_sources - 1
-            if sc.coherent_map:
-                independent = sc.num_sources - num_coherent
-                for copy_idx, src_idx in sc.coherent_map.items():
-                    assert copy_idx >= independent
-                    assert 0 <= src_idx < independent
+            assert 0 <= num_coherent <= k - 1
+            # The copies are the last sources, and each reads an independent one.
+            assert all(0 <= target < k - num_coherent for target in targets)
             # boundary case: K-1 coherent copies leaves one independent row
-            if sc.num_sources >= 2 and num_coherent == sc.num_sources - 1:
+            if k >= 2 and num_coherent == k - 1:
                 saw_fully_coherent = True
         assert saw_fully_coherent
 
@@ -283,6 +281,19 @@ class TestScenarioDraw:
                     rng.integers(0, 10, dtype=np.uint32)
             assert scalar.integers(0, high) == sized.integers(0, high, size=1)[0]
             assert scalar.bit_generator.state == sized.bit_generator.state
+
+
+# SNRs as a caller might pass them: numbers, inf, NaN, below the variance
+# overflow floor, too large for a float, and values that are no SNR.
+SNRS = st.one_of(st.floats(), st.integers(-10**400, 10**400), st.sampled_from([None, "5", 1j]))
+# The same for generate_trials, less the finite SNRs from the overflow floor
+# (about -3082.5 dB) up to -1500 dB: they pass the check, but their trials'
+# eigenvalue features (below about -1540 dB) or covariances (below about
+# -3080 dB) overflow after the draw, an open fault.
+TRIAL_SNRS = st.one_of(st.floats(min_value=-1500.0), st.floats(max_value=-3082.6),
+                       st.just(math.nan), st.integers(-1500, 10**400),
+                       st.integers(max_value=-3083), st.sampled_from([None, "5", 1j]))
+COUNTS = st.one_of(st.integers(-1, 5), st.floats(0.0, 5.0), st.booleans())
 
 
 class TestTrials:
@@ -387,7 +398,11 @@ class TestTrials:
     @pytest.mark.parametrize("argument, overrides", [
         ("num", {"num": 2.5}), ("num", {"num": -1}), ("num", {"num": True}),
         ("phase", {"phase": "Train"}), ("feature", {"want": ("eigen", "smoothed")}),
-        ("num", {"num": MAX_COUNT + 1})])
+        ("num", {"num": MAX_COUNT + 1}), ("axis_index", {"axis_index": -1}),
+        ("axis_index", {"axis_index": 1.5}), ("snr_db", {"snr_db": math.nan}),
+        ("snr_db", {"snr_db": -math.inf}), ("snr_db", {"snr_db": (0.0, math.inf)}),
+        ("snr_db", {"snr_db": (40.0, 0.0)}), ("snr_db", {"snr_db": (0.0, math.nan)}),
+        ("snr_db", {"snr_db": (0.0,)}), ("snr_db", {"snr_db": "5"})])
     def test_malformed_arguments_rejected_before_any_draw(self, monkeypatch, argument,
                                                           overrides):
         import sourcecount.experiments as experiments
@@ -403,27 +418,58 @@ class TestTrials:
         with pytest.raises(ValueError, match=argument):
             generate_trials(tiny_config(), **kwargs | overrides)
 
-    def test_scenarios_built_do_not_grow_with_trials(self, monkeypatch):
-        # A clock-free guard that the block path builds no Scenario per trial.
-        built = []
-        check = Scenario.__post_init__
-        monkeypatch.setattr(Scenario, "__post_init__",
-                            lambda self: (built.append(self), check(self)))
-        config = ExperimentConfig(num_antennas=4, num_snapshots=6, max_sources=3,
-                                  subarray_size=2, seed=3)
-        counts = []
-        for num in (37, 2 * _FEATURE_BLOCK + 37):
-            built.clear()
-            generate_trials(config, phase="test", num=num, snr_db=(0.0, 20.0), coherent=True,
-                            want=("eigen", "fbss"))
-            counts.append(len(built))
-        assert counts[0] == counts[1], counts
-
     def test_empty_trial_set(self):
         t = generate_trials(tiny_config(), phase="test", num=0, snr_db=5.0,
                             want=("eigen", "fbss", "cov"))
         assert t.labels.shape == (0,) and t.eigen.shape == (0, 10)
         assert t.fbss.shape == (0, 5) and t.cov.shape == (0, 200)
+
+    def test_no_accuracy_on_an_empty_trial_set(self):
+        t = generate_trials(tiny_config(), phase="test", num=0, snr_db=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^trials must hold at least one trial"):
+                evaluate_detectors([ClassicalDetector("mdl")], t)
+
+    @settings(max_examples=80, deadline=None)
+    @given(snr_db=st.one_of(TRIAL_SNRS, st.lists(TRIAL_SNRS, max_size=3),
+                            st.lists(TRIAL_SNRS, max_size=3).map(tuple)),
+           axis_index=st.one_of(st.integers(-3, 2**70), st.floats(), st.booleans(),
+                                st.just(np.uint8(3))),
+           num=st.one_of(st.integers(-1, 3), st.floats(-1.0, 3.0), st.booleans(),
+                         st.just(np.int64(2))),
+           coherent=st.booleans(), m=COUNTS, n=COUNTS,
+           doas=st.lists(st.sampled_from([0.1, 0.5, 2.0, 4.0]), max_size=4),
+           targets=st.lists(st.one_of(st.integers(-1, 3), st.floats(0.0, 3.0)), max_size=3),
+           snapshot_snr=SNRS)
+    def test_library_arguments_return_or_are_named_before_any_draw(
+            self, snr_db, axis_index, num, coherent, m, n, doas, targets, snapshot_snr):
+        # Each call returns, or raises ValueError naming the argument before
+        # its first draw; no TypeError, OverflowError or RuntimeWarning.
+        import sourcecount.experiments as experiments
+
+        config = ExperimentConfig(num_antennas=4, num_snapshots=3, max_sources=3,
+                                  subarray_size=2)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(experiments, "_set_stream",
+                                   wraps=experiments._set_stream) as stream:
+                try:
+                    t = generate_trials(config, phase="test", num=num, snr_db=snr_db,
+                                        coherent=coherent, axis_index=axis_index)
+                    assert len(t.labels) == num
+                except ValueError as exc:
+                    assert str(exc).split()[0] in ("num", "axis_index", "snr_db"), exc
+                    assert stream.call_count == 0
+            try:
+                data = generate_snapshots(m, n, doas, targets, snapshot_snr, rng)
+                assert data.shape == (m, n)
+            except ValueError as exc:
+                assert str(exc).split()[0] in ("num_antennas", "num_snapshots", "doas",
+                                               "targets", "snr_db"), exc
+                assert rng.bit_generator.state == state
 
 
 # Draws compared between a stream set by _set_stream and the same stream

@@ -24,7 +24,7 @@ from sourcecount.classical import (
     mdl,
 )
 from sourcecount.detectors import NET_KINDS, Detector, DetectorSpec, build_detector
-from sourcecount.signal_model import Scenario, generate_snapshots, sample_covariance
+from sourcecount.signal_model import generate_snapshots, sample_covariance
 from sourcecount.experiments import (
     ClassicalDetector,
     ExperimentConfig,
@@ -126,7 +126,7 @@ def test_estimate_enters_errstate_at_most_once(monkeypatch, kind, subarray_size,
     spec = DetectorSpec(kind, 10, subarray_size, normalize=normalize)
     det = Detector(spec, build_detector(spec, np.random.default_rng(4)))
     rng = np.random.default_rng(5)
-    r = sample_covariance(generate_snapshots(Scenario(10, num_snapshots, 2, (0.3, 1.1), 5.0), rng))
+    r = sample_covariance(generate_snapshots(10, num_snapshots, (0.3, 1.1), (), 5.0, rng))
     errstate, entries = np.errstate, []
 
     def counting_errstate(**kwargs):

@@ -10,20 +10,24 @@ from hypothesis import strategies as st
 
 from sourcecount.linalg import hermitian_eig, is_hermitian, exchange_conjugate
 from sourcecount.signal_model import (
-    Scenario,
     fbss_covariance,
     generate_snapshots,
-    normal_count,
+    noise_variance_at,
     sample_covariance,
     snapshot_stack,
     steering_matrix,
 )
 
+# Three well-separated DOAs, the default trial of these tests.
+DOAS = (0.2, 0.7, 1.2)
 
-def scenario(m=10, n=20, k=3, doas=None, snr_db=5.0, coherent_map=None):
-    if doas is None:
-        doas = tuple(0.2 + 0.5 * i for i in range(k))
-    return Scenario(m, n, k, tuple(doas), snr_db, coherent_map)
+
+def normal_count(m, n, doas, targets, snr_db):
+    """The standard normals one trial draws: the real then the imaginary
+    parts of its independent source rows, then those of its M x N noise
+    (none when noise-free)."""
+    noisy = noise_variance_at(snr_db) > 0.0
+    return 2 * (len(doas) - len(targets) + m * noisy) * n
 
 
 class TestSteeringVector:
@@ -61,140 +65,161 @@ class TestSteeringMatrix:
         assert np.array_equal(a @ np.zeros((0, 7), dtype=complex), np.zeros((5, 7)))
 
 
+def assert_rejected_before_any_draw(match, m=10, n=20, doas=DOAS, targets=(), snr_db=5.0):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        generate_snapshots(m, n, doas, targets, snr_db, rng)
+    assert rng.bit_generator.state == state
+
+
 class TestScenarioValidation:
+    """generate_snapshots' checks of one trial's arguments."""
+
     def test_rejects_too_many_sources(self):
-        with pytest.raises(ValueError):
-            scenario(m=4, k=4, doas=(0.1, 0.2, 0.3, 0.4))
+        assert_rejected_before_any_draw("^num_antennas", m=4, doas=(0.1, 0.2, 0.3, 0.4))
+
+    @pytest.mark.parametrize("argument, m, n", [
+        ("num_antennas", 10.0, 20), ("num_antennas", True, 20), ("num_antennas", 0, 20),
+        ("num_snapshots", 10, 20.5), ("num_snapshots", 10, 0), ("num_snapshots", 10, -1)])
+    def test_rejects_counts_that_are_not_integers_in_range(self, argument, m, n):
+        assert_rejected_before_any_draw(f"^{argument}", m=m, n=n, doas=())
+
+    def test_numpy_integer_counts_accepted(self):
+        data = generate_snapshots(np.int64(10), np.int32(20), DOAS, (), 5.0,
+                                  np.random.default_rng(1))
+        assert np.array_equal(data, generate_snapshots(10, 20, DOAS, (), 5.0,
+                                                       np.random.default_rng(1)))
 
     def test_rejects_duplicate_doas(self):
-        with pytest.raises(ValueError):
-            scenario(k=2, doas=(0.5, 0.5))
+        assert_rejected_before_any_draw("^doas must be pairwise distinct", doas=(0.5, 0.5))
 
-    def test_rejects_copy_of_a_coherent_source(self):
-        with pytest.raises(ValueError):
-            scenario(k=3, coherent_map={1: 0, 2: 1})
+    @pytest.mark.parametrize("targets", [(0, 1), (2,), (1,) * 3, (-1,), (0.0,), (True,)])
+    def test_rejects_copy_of_a_coherent_source(self, targets):
+        # Or of any source that is not independent: (0, 1) has copy 2 read
+        # copy 1, (2,) has the copy read itself.
+        assert_rejected_before_any_draw("^targets", targets=targets)
 
     def test_noise_variance(self):
-        assert scenario(snr_db=0.0).noise_variance == 1.0
-        assert scenario(snr_db=10.0).noise_variance == pytest.approx(0.1)
-        assert scenario(snr_db=math.inf).noise_variance == 0.0
+        assert noise_variance_at(0.0) == 1.0
+        assert noise_variance_at(10.0) == pytest.approx(0.1)
+        assert noise_variance_at(math.inf) == 0.0
 
     def test_rejects_snr_whose_noise_variance_overflows(self):
         # 10^(-SNR/10) is finite down to about -3082.55 dB
-        assert scenario(snr_db=-3082.5).noise_variance == pytest.approx(10.0 ** 308.25)
-        with pytest.raises(ValueError, match="^snr_db must be above about -3082.5 dB"):
-            Scenario(10, 20, 1, (0.3,), -4000.0)
+        assert noise_variance_at(-3082.5) == pytest.approx(10.0 ** 308.25)
+        assert_rejected_before_any_draw("^snr_db must be above about -3082.5 dB", snr_db=-4000.0)
 
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
     def test_rejects_nan_and_minus_inf_snr(self, snr_db):
         # NaN would fail the noise test and simulate a noise-free array.
-        with pytest.raises(ValueError, match="snr_db must be a number or inf"):
-            scenario(snr_db=snr_db)
+        assert_rejected_before_any_draw("^snr_db must hold numbers or inf", snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", ["5", None, 1j, (5.0,)])
+    def test_rejects_snr_that_is_no_number(self, snr_db):
+        assert_rejected_before_any_draw("^snr_db must hold numbers or inf", snr_db=snr_db)
 
 
 class TestGenerateSources:
     """Source rows, seen through noise-free snapshots ``A(theta) S``."""
 
     def test_empty_for_zero_sources(self):
-        sc = scenario(k=0, doas=(), snr_db=math.inf)
-        assert normal_count(sc) == 0
-        assert np.array_equal(generate_snapshots(sc, np.random.default_rng(0)),
+        assert normal_count(10, 20, (), (), math.inf) == 0
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert np.array_equal(generate_snapshots(10, 20, (), (), math.inf, rng),
                               np.zeros((10, 20)))
+        assert rng.bit_generator.state == state
 
     def test_coherent_rows_identical(self):
         # One independent row is drawn; the copy re-reads it exactly.
-        sc = scenario(k=2, coherent_map={1: 0}, snr_db=math.inf)
-        assert normal_count(sc) == 2 * 20
+        doas = (0.2, 0.7)
+        assert normal_count(10, 20, doas, (0,), math.inf) == 2 * 20
         normals = np.random.default_rng(0).standard_normal((1, 40))
         row = (normals[0, :20] + 1j * normals[0, 20:]) / math.sqrt(2.0)
-        a = steering_matrix(sc.doas, 10)
-        data = snapshot_stack(10, 20, np.array([2]), np.array([[0, 0]]), np.array([sc.doas]),
+        a = steering_matrix(doas, 10)
+        data = snapshot_stack(10, 20, np.array([2]), np.array([[0, 0]]), np.array([doas]),
                               np.array([0.0]), normals)[0]
         assert np.array_equal(data, a @ np.stack([row, row]))
-        assert np.array_equal(generate_snapshots(sc, np.random.default_rng(0)), data)
+        assert np.array_equal(
+            generate_snapshots(10, 20, doas, (0,), math.inf, np.random.default_rng(0)), data)
 
     def test_unit_power_and_independence(self):
         # Monte-Carlo oracle: empirical source covariance approaches I at
         # large snapshot count.
-        sc = scenario(k=3, n=10000, snr_db=math.inf)
-        data = generate_snapshots(sc, np.random.default_rng(123))
-        s = np.linalg.pinv(steering_matrix(sc.doas, sc.num_antennas)) @ data
-        emp = (s @ s.conj().T) / sc.num_snapshots
+        data = generate_snapshots(10, 10000, DOAS, (), math.inf, np.random.default_rng(123))
+        s = np.linalg.pinv(steering_matrix(DOAS, 10)) @ data
+        emp = (s @ s.conj().T) / 10000
         assert np.linalg.norm(emp - np.eye(3)) <= 0.05
 
 
 class TestGenerateSnapshots:
     def test_noise_free_single_source_is_rank_one(self):
-        sc = scenario(k=1, doas=(0.7,), snr_db=math.inf)
-        data = generate_snapshots(sc, np.random.default_rng(0))
-        a = steering_matrix((0.7,), sc.num_antennas)[:, 0]
+        data = generate_snapshots(10, 20, (0.7,), (), math.inf, np.random.default_rng(0))
+        a = steering_matrix((0.7,), 10)[:, 0]
         # every snapshot column must be proportional to the steering vector
         coeff = data[0, :] / a[0]
         assert np.allclose(data, np.outer(a, coeff), atol=1e-12)
 
     def test_pure_noise_power(self):
-        sc = scenario(k=0, doas=(), n=10000, snr_db=0.0)
-        data = generate_snapshots(sc, np.random.default_rng(5))
+        data = generate_snapshots(10, 10000, (), (), 0.0, np.random.default_rng(5))
         power = np.mean(np.abs(data) ** 2)
         assert abs(power - 1.0) <= 0.05
 
     def test_shape(self):
-        data = generate_snapshots(scenario(m=10, n=20, k=3), np.random.default_rng(1))
+        data = generate_snapshots(10, 20, DOAS, (), 5.0, np.random.default_rng(1))
         assert data.shape == (10, 20)
         assert data.dtype == np.complex128
 
     def test_noise_free_without_sources_is_zero(self):
-        sc = scenario(k=0, doas=(), snr_db=math.inf)
-        assert np.array_equal(generate_snapshots(sc, np.random.default_rng(1)),
-                              np.zeros((10, 20)))
+        assert np.array_equal(
+            generate_snapshots(10, 20, (), (), math.inf, np.random.default_rng(1)),
+            np.zeros((10, 20)))
 
     def test_seeded_determinism(self):
-        sc = scenario()
-        d1 = generate_snapshots(sc, np.random.default_rng(99))
-        d2 = generate_snapshots(sc, np.random.default_rng(99))
+        d1 = generate_snapshots(10, 20, DOAS, (), 5.0, np.random.default_rng(99))
+        d2 = generate_snapshots(10, 20, DOAS, (), 5.0, np.random.default_rng(99))
         assert np.array_equal(d1, d2)
 
 
-def block_scenarios(m, n, k_max, snr_db, coherent=False, count=40, seed=0):
-    """Scenarios over every K in 0..k_max, with coherent copies of random
-    independent sources when ``coherent``."""
+def block_draws(k_max, snr_db, coherent=False, count=40, seed=0):
+    """Raw draws ``(doas, targets, snr_db)`` over every K in 0..k_max, with
+    coherent copies of random independent sources when ``coherent``."""
     rng = np.random.default_rng(seed)
     out = []
     for j in range(count):
         k = j % (k_max + 1)
-        doas = tuple(rng.uniform(0.0, 2.0 * math.pi, size=k).tolist())
+        doas = rng.uniform(0.0, 2.0 * math.pi, size=k).tolist()
         copies = int(rng.integers(0, k)) if coherent and k else 0
-        coherent_map = {k - copies + c: int(rng.integers(0, k - copies))
-                        for c in range(copies)}
-        out.append(Scenario(m, n, k, doas, snr_db, coherent_map or None))
+        out.append((doas, rng.integers(0, k - copies, size=copies).tolist(), snr_db))
     return out
 
 
-def columns(scenarios):
-    """snapshot_stack's (counts, rows, doas, variances) columns of scenarios
-    that share M and N.  The entries past each K are never read: NaN DOAs
-    and out-of-range rows there would show."""
-    k_max = max(sc.num_sources for sc in scenarios)
-    rows = np.full((len(scenarios), k_max), 10**6, dtype=np.intp)
-    doas = np.full((len(scenarios), k_max), np.nan)
-    for j, sc in enumerate(scenarios):
-        k, coherent = sc.num_sources, sc.coherent_map or {}
-        independent = [i for i in range(k) if i not in coherent]
-        rows[j, :k] = [independent.index(coherent.get(i, i)) for i in range(k)]
-        doas[j, :k] = sc.doas
-    return (np.array([sc.num_sources for sc in scenarios]), rows, doas,
-            np.array([sc.noise_variance for sc in scenarios]))
+def columns(draws):
+    """snapshot_stack's (counts, rows, doas, variances) columns of raw draws.
+    The entries past each K are never read: NaN DOAs and out-of-range rows
+    there would show."""
+    k_max = max(len(doas) for doas, _, _ in draws)
+    rows = np.full((len(draws), k_max), 10**6, dtype=np.intp)
+    doas = np.full((len(draws), k_max), np.nan)
+    for j, (trial_doas, targets, _) in enumerate(draws):
+        k = len(trial_doas)
+        rows[j, :k] = [*range(k - len(targets)), *targets]
+        doas[j, :k] = trial_doas
+    return (np.array([len(doas) for doas, _, _ in draws]), rows, doas,
+            np.array([noise_variance_at(snr) for _, _, snr in draws]))
 
 
-def one_by_one_and_stacked(scenarios, width):
-    """Each scenario's snapshots from its own stream, and the same
-    streams' draws laid into one block and synthesized together."""
-    one = [generate_snapshots(sc, np.random.default_rng(j)) for j, sc in enumerate(scenarios)]
-    normals = np.full((len(scenarios), width), np.nan)
-    for j, sc in enumerate(scenarios):
-        np.random.default_rng(j).standard_normal(out=normals[j, width - normal_count(sc):])
-    m, n = scenarios[0].num_antennas, scenarios[0].num_snapshots
-    return one, snapshot_stack(m, n, *columns(scenarios), normals)
+def one_by_one_and_stacked(m, n, draws, width):
+    """Each draw's snapshots from its own stream, and the same streams'
+    draws laid into one block and synthesized together."""
+    one = [generate_snapshots(m, n, *draw, np.random.default_rng(j))
+           for j, draw in enumerate(draws)]
+    normals = np.full((len(draws), width), np.nan)
+    for j, draw in enumerate(draws):
+        np.random.default_rng(j).standard_normal(
+            out=normals[j, width - normal_count(m, n, *draw):])
+    return one, snapshot_stack(m, n, *columns(draws), normals)
 
 
 class TestSnapshotStack:
@@ -214,28 +239,29 @@ class TestSnapshotStack:
     @pytest.mark.parametrize("coherent", [False, True])
     def test_block_equals_one_scenario_calls(self, n, snr_db, coherent):
         m, k_max = 6, 5
-        scenarios = block_scenarios(m, n, k_max, snr_db, coherent)
-        assert {sc.num_sources for sc in scenarios} == set(range(k_max + 1))
+        draws = block_draws(k_max, snr_db, coherent)
+        assert {len(doas) for doas, _, _ in draws} == set(range(k_max + 1))
         if coherent:
-            assert any(sc.coherent_map for sc in scenarios)
-        one, stacked = one_by_one_and_stacked(scenarios, 2 * (k_max + m) * n)
-        assert stacked.shape == (len(scenarios), m, n)
+            assert any(targets for _, targets, _ in draws)
+        one, stacked = one_by_one_and_stacked(m, n, draws, 2 * (k_max + m) * n)
+        assert stacked.shape == (len(draws), m, n)
         for j, data in enumerate(one):
             assert np.array_equal(stacked[j], data)
 
     def test_mixed_noise_and_snr_in_one_block(self):
-        scenarios = [Scenario(4, 5, k, tuple(0.3 + 0.7 * i for i in range(k)), snr, cmap)
-                     for k, snr, cmap in ((2, math.inf, None), (2, 0.0, {1: 0}), (2, 17.5, None),
-                                          (0, 3.0, None), (0, math.inf, None), (3, 1e6, None))]
-        assert normal_count(scenarios[-1]) == 2 * 3 * 5  # 1e6 dB: the variance underflows
-        one, stacked = one_by_one_and_stacked(scenarios, 2 * (3 + 4) * 5)
+        draws = [([0.3 + 0.7 * i for i in range(k)], targets, snr)
+                 for k, snr, targets in ((2, math.inf, []), (2, 0.0, [0]), (2, 17.5, []),
+                                         (0, 3.0, []), (0, math.inf, []), (3, 1e6, []))]
+        # 1e6 dB: the variance underflows, so no noise is drawn.
+        assert noise_variance_at(1e6) == 0.0
+        assert normal_count(4, 5, *draws[-1]) == 2 * 3 * 5
+        one, stacked = one_by_one_and_stacked(4, 5, draws, 2 * (3 + 4) * 5)
         for j, data in enumerate(one):
             assert np.array_equal(stacked[j], data)
 
     def test_single_k_group(self):
-        scenarios = [sc for sc in block_scenarios(5, 8, 3, 2.0, count=60, seed=1)
-                     if sc.num_sources == 3]
-        one, stacked = one_by_one_and_stacked(scenarios, 2 * (3 + 5) * 8)
+        draws = [draw for draw in block_draws(3, 2.0, count=60, seed=1) if len(draw[0]) == 3]
+        one, stacked = one_by_one_and_stacked(5, 8, draws, 2 * (3 + 5) * 8)
         for j, data in enumerate(one):
             assert np.array_equal(stacked[j], data)
 
@@ -264,10 +290,10 @@ class TestSampleCovariance:
         assert np.allclose(r, r_vec @ r_vec.conj().T)
 
     def test_noise_free_rank_one_limit(self):
-        sc = scenario(k=1, doas=(0.4,), n=5000, snr_db=math.inf)
-        r = sample_covariance(generate_snapshots(sc, np.random.default_rng(2)))
+        r = sample_covariance(generate_snapshots(10, 5000, (0.4,), (), math.inf,
+                                                 np.random.default_rng(2)))
         w = hermitian_eig(r).eigenvalues
-        assert w[0] == pytest.approx(sc.num_antennas, rel=0.1)
+        assert w[0] == pytest.approx(10, rel=0.1)
         assert np.all(w[1:] <= 1e-9 * w[0])
 
     def test_zero_snapshots_give_zero_matrix(self):
@@ -276,14 +302,15 @@ class TestSampleCovariance:
 
     def test_hermitian_and_psd(self):
         for seed in range(5):
-            r = sample_covariance(generate_snapshots(scenario(), np.random.default_rng(seed)))
+            r = sample_covariance(generate_snapshots(10, 20, DOAS, (), 5.0,
+                                                     np.random.default_rng(seed)))
             assert is_hermitian(r)
             assert np.all(hermitian_eig(r).eigenvalues >= 0.0)
 
     def test_trace_tracks_signal_plus_noise_power(self):
-        sc = scenario(k=1, doas=(0.9,), n=10000, snr_db=0.0)
-        r = sample_covariance(generate_snapshots(sc, np.random.default_rng(4)))
-        level = np.trace(r).real / sc.num_antennas
+        r = sample_covariance(generate_snapshots(10, 10000, (0.9,), (), 0.0,
+                                                 np.random.default_rng(4)))
+        level = np.trace(r).real / 10
         assert level == pytest.approx(2.0, rel=0.05)  # unit source + unit noise
 
     def test_statistical_rank_equals_source_count(self):
@@ -291,8 +318,8 @@ class TestSampleCovariance:
         # 1e-3 of the top one
         for k, seed in ((1, 0), (2, 1), (4, 2)):
             doas = tuple(-1.0 + 2.0 * i / k for i in range(k))
-            sc = scenario(k=k, doas=doas, n=10000, snr_db=math.inf)
-            r = sample_covariance(generate_snapshots(sc, np.random.default_rng(seed)))
+            r = sample_covariance(generate_snapshots(10, 10000, doas, (), math.inf,
+                                                     np.random.default_rng(seed)))
             w = hermitian_eig(r).eigenvalues
             assert int(np.sum(w > 1e-3 * w[0])) == k
 
@@ -315,8 +342,8 @@ class TestFbssCovariance:
             assert np.allclose(out, np.eye(m0))
 
     def test_decorrelates_coherent_pair(self):
-        sc = Scenario(10, 200, 2, (0.3, 1.1), math.inf, {1: 0})
-        r = sample_covariance(generate_snapshots(sc, np.random.default_rng(7)))
+        r = sample_covariance(generate_snapshots(10, 200, (0.3, 1.1), (0,), math.inf,
+                                                 np.random.default_rng(7)))
         w_full = hermitian_eig(r).eigenvalues
         assert int(np.sum(w_full > 1e-6 * w_full[0])) == 1  # rank-deficient
         w_smooth = hermitian_eig(fbss_covariance(r, 5)).eigenvalues
@@ -331,7 +358,7 @@ class TestFbssCovariance:
             assert np.all(w >= -1e-9 * np.trace(r).real)
 
     def test_output_is_hermitian(self):
-        data = generate_snapshots(scenario(), np.random.default_rng(3))
+        data = generate_snapshots(10, 20, DOAS, (), 5.0, np.random.default_rng(3))
         out = fbss_covariance(sample_covariance(data), 5)
         assert is_hermitian(out)
 
