@@ -229,7 +229,8 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     two phases can never share draws.  Snapshots and covariances are
     computed a block of trials at a time, bit for bit as one by one.
     Raises ValueError, before any draw, for an unknown phase or feature kind, a ``num`` not in
-    [0, ``MAX_COUNT``], a negative or non-integer ``axis_index`` or a bad ``snr_db``.
+    [0, ``MAX_COUNT``], a negative or non-integer ``axis_index`` or a bad ``snr_db``, and
+    after it, naming ``snr_db``, when the noise overflows a covariance or its features.
     """
     role = {"train": ROLE_TRAIN, "test": ROLE_TEST}.get(phase)
     if role is None:
@@ -257,28 +258,35 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     rows, doas = np.empty((len(normals), k_max), dtype=np.intp), np.empty((len(normals), k_max))
     variances = np.empty(len(normals))
     rng = np.random.default_rng()  # set to each trial's own stream below
-    for start in range(0, num, _FEATURE_BLOCK):
-        stop = min(start + _FEATURE_BLOCK, num)
-        streams = _stream_states(config.seed, (role, int(axis_index)), range(start, stop)).tolist()
-        for low in range(start, stop, step):
-            high = min(low + step, stop)
-            rows[:] = range(k_max)  # every source reads its own row unless it copies
-            for j in range(high - low):
-                _set_stream(rng, *streams[low + j - start])
-                trial_doas, targets, snr = draw_scenario(config, rng, snr_db=snr_db)
-                k = labels[low + j] = len(trial_doas)
-                independent = k - len(targets)
-                if targets:
-                    rows[j, independent:k] = targets
-                doas[j, :k] = trial_doas
-                variances[j] = variance = noise_variance_at(snr)
-                rng.standard_normal(
-                    out=normals[j, width - 2 * (independent + m * (variance > 0.0)) * n:])
-            g = high - low
-            covs[low - start:high - start] = sample_covariance(snapshot_stack(
-                m, n, labels[low:high], rows[:g], doas[:g], variances[:g], normals[:g]))
-        for feature, kept in feats.items():
-            kept[start:stop] = make_features(covs[:stop - start], feature, m0)
+    # A covariance or feature that the noise overflows fails make_features, named below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, num, _FEATURE_BLOCK):
+            stop = min(start + _FEATURE_BLOCK, num)
+            streams = _stream_states(config.seed, (role, int(axis_index)),
+                                     range(start, stop)).tolist()
+            for low in range(start, stop, step):
+                high = min(low + step, stop)
+                rows[:] = range(k_max)  # every source reads its own row unless it copies
+                for j in range(high - low):
+                    _set_stream(rng, *streams[low + j - start])
+                    trial_doas, targets, snr = draw_scenario(config, rng, snr_db=snr_db)
+                    k = labels[low + j] = len(trial_doas)
+                    independent = k - len(targets)
+                    if targets:
+                        rows[j, independent:k] = targets
+                    doas[j, :k] = trial_doas
+                    variances[j] = variance = noise_variance_at(snr)
+                    rng.standard_normal(
+                        out=normals[j, width - 2 * (independent + m * (variance > 0.0)) * n:])
+                g = high - low
+                covs[low - start:high - start] = sample_covariance(snapshot_stack(
+                    m, n, labels[low:high], rows[:g], doas[:g], variances[:g], normals[:g]))
+            for feature, kept in feats.items():
+                try:
+                    kept[start:stop] = make_features(covs[:stop - start], feature, m0)
+                except ValueError as exc:
+                    raise ValueError(f"snr_db {snr_db} is too low: the noise overflows the "
+                                     f"{feature} features ({exc})") from None
     return TrialSet(labels=labels, num_snapshots=config.num_snapshots,
                     subarray_size=m0 if "fbss" in feats else None, **feats)
 

@@ -133,7 +133,7 @@ def _softmax_rows(z: np.ndarray):
     transposed copy; the row sums' pairwise order fixes the bits."""
     z -= np.maximum.reduce(z.T.copy())[:, np.newaxis]
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
 
 
 def _forward_cached(net: Network, x: np.ndarray, outs=None) -> list[np.ndarray]:
@@ -141,7 +141,7 @@ def _forward_cached(net: Network, x: np.ndarray, outs=None) -> list[np.ndarray]:
     ``x`` and then each layer's output, written into ``outs`` if given."""
     acts = [x]
     for layer, z in zip(net.layers, outs or [None] * len(net.layers)):
-        z = np.matmul(acts[-1], layer.weights.T, out=z)
+        z = np.dot(acts[-1], layer.weights.T, out=z)
         z += layer.bias
         if layer.activation == "relu":
             np.maximum(0.0, z, out=z)
@@ -152,8 +152,9 @@ def _forward_cached(net: Network, x: np.ndarray, outs=None) -> list[np.ndarray]:
 
 
 def forward(net: Network, x) -> np.ndarray:
-    """Network output for a (batch, input_dim) batch."""
-    x = np.asarray(x, dtype=float)
+    """Network output for a (batch, input_dim) batch, taken in C order so that
+    any layout of ``x`` gives the same bits."""
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"input must be a (batch, {net.input_dim}) array, got shape {x.shape}")
     return _forward_cached(net, x)[-1]
@@ -174,7 +175,7 @@ def compute_loss(pred, target, loss: str) -> float:
         terms *= target
     else:
         raise ValueError(f"unknown loss {loss!r}")
-    rows = terms.sum(axis=-1)
+    rows = np.add.reduce(terms, axis=-1)
     mean = np.add.reduce(rows) / len(rows)  # np.mean's division, without its overhead
     return float(-mean if loss == "cce" else mean)
 
@@ -192,10 +193,10 @@ def _backward_from_cache(net: Network, acts, target: np.ndarray, grads, deltas=N
         delta *= 2.0
     delta /= acts[0].shape[0]
     for i in range(len(net.layers) - 1, -1, -1):
-        np.matmul(delta.T, acts[i], out=grads[i][0])
-        delta.sum(axis=0, out=grads[i][1])
+        np.dot(delta.T, acts[i], out=grads[i][0])
+        np.add.reduce(delta, axis=0, out=grads[i][1])
         if i > 0:
-            delta = np.matmul(delta, net.layers[i].weights, out=deltas[i - 1])
+            delta = np.dot(delta, net.layers[i].weights, out=deltas[i - 1])
             if net.layers[i - 1].activation == "relu":
                 # Subgradient 0 at the kink: relu(z) > 0 exactly when z > 0,
                 # so units with z <= 0 (or NaN) pass nothing.
@@ -312,7 +313,7 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
                 total = 0.0
                 for start in range(0, n, config.batch_size):
                     idx = order[start:start + config.batch_size]
-                    xb, yb = x[idx], y[idx]
+                    xb, yb = x.take(idx, axis=0), y.take(idx, axis=0)
                     outs, deltas = buffers[len(idx)]
                     acts = _forward_cached(net, xb, outs)
                     batch_loss = compute_loss(acts[-1], yb, loss)

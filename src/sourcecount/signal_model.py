@@ -30,18 +30,22 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 def noise_variance_at(snr_db, name: str = "snr_db") -> float:
     """Per-antenna noise variance ``10^(-snr_db / 10)`` of unit-power sources, 0.0 at inf.  NaN,
-    -inf, a non-number and an SNR below about -3082.5 dB raise ValueError naming ``name``."""
-    if snr_db == math.inf:
-        return 0.0
+    -inf, a non-number, an integer past the float range and an SNR below about -3082.5 dB
+    raise ValueError naming ``name``."""
     try:
-        if snr_db > -math.inf:
-            return 10.0 ** (-snr_db / 10.0)
+        snr = float(snr_db) if snr_db > -math.inf else math.nan
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"{name} does not fit a float: its magnitude is past "
+                         f"{_FLOAT_MAX:.4e}") from None
+    except TypeError:  # not a real number
+        snr = math.nan
+    if not snr > -math.inf:
+        raise ValueError(f"{name} must hold numbers or inf (noise-free), got {snr_db}")
+    try:
+        return 10.0 ** (-snr / 10.0)
     except OverflowError:
         raise ValueError(f"{name} must be above about -3082.5 dB, where the noise variance "
                          f"10^(-SNR/10) overflows, got {snr_db}") from None
-    except TypeError:  # not a real number
-        pass
-    raise ValueError(f"{name} must hold numbers or inf (noise-free), got {snr_db}")
 
 
 def steering_matrix(doas, num_antennas: int) -> np.ndarray:

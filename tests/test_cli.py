@@ -415,6 +415,15 @@ class TestFlagValidation:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_eval_snr_whose_features_overflow_rejected(self, tmp_path, config_file, capsys):
+        # -2000 dB passes the config check; the trials' eigenvalues overflow.
+        out = tmp_path / "run"
+        assert run("eval", "--snr-db", "-2000", "--config", config_file, "--out", out,
+                   "--detector", "mdl") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snr_db -2000.0 is too low") and err.count("\n") == 1
+        assert not list(out.glob("*"))
+
     def test_nan_snr_in_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "nan.cfg"
         path.write_text(TINY_CONFIG + "test_snr_db = nan\n", encoding="utf-8")

@@ -289,7 +289,7 @@ SNRS = st.one_of(st.floats(), st.integers(-10**400, 10**400), st.sampled_from([N
 # The same for generate_trials, less the finite SNRs from the overflow floor
 # (about -3082.5 dB) up to -1500 dB: they pass the check, but their trials'
 # eigenvalue features (below about -1540 dB) or covariances (below about
-# -3080 dB) overflow after the draw, an open fault.
+# -3080 dB) overflow after the draw (see TestOverflowingNoise).
 TRIAL_SNRS = st.one_of(st.floats(min_value=-1500.0), st.floats(max_value=-3082.6),
                        st.just(math.nan), st.integers(-1500, 10**400),
                        st.integers(max_value=-3083), st.sampled_from([None, "5", 1j]))
@@ -477,6 +477,44 @@ class TestTrials:
 FIRST_DRAWS = (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
                lambda g: g.integers(0, 6, size=4), lambda g: g.uniform(0.0, 6.3, size=3),
                lambda g: g.standard_normal(size=3))
+
+
+class TestOverflowingNoise:
+    # Past about -1540 dB the eigenvalue features overflow, past about
+    # -3080 dB the covariances themselves; no bound is guessed up front.
+    @pytest.mark.parametrize("feature", ["eigen", "fbss", "cov"])
+    @pytest.mark.parametrize("snr_db", [-1540.0, -2000.0, -3080.0])
+    def test_overflow_after_the_draw_names_the_snr(self, feature, snr_db):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                trials = generate_trials(ExperimentConfig(), phase="test", num=20,
+                                         snr_db=snr_db, want=(feature,))
+            except ValueError as exc:
+                assert str(exc).startswith(f"snr_db {snr_db} is too low: the noise "
+                                           f"overflows the {feature} features"), exc
+                assert (feature, snr_db) not in (("cov", -1540.0), ("cov", -2000.0))
+            else:  # the covariance entries themselves stay finite
+                assert (feature, snr_db) in (("cov", -1540.0), ("cov", -2000.0))
+                assert np.isfinite(trials.cov).all()
+
+    @pytest.mark.parametrize("num", [20, 600])
+    def test_errstate_entered_once_per_call(self, monkeypatch, num):
+        # coherent-sweep's hot path: one errstate per call, none per trial or block.
+        errstate, entries = np.errstate, []
+
+        def counting_errstate(**kwargs):
+            entries.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting_errstate)
+        generate_trials(tiny_config(coherent=True), phase="test", num=num, snr_db=5.0,
+                        want=("eigen", "fbss", "cov"))
+        assert len(entries) == 1
+
+    def test_overflow_in_a_drawn_range_names_the_snr(self):
+        with pytest.raises(ValueError, match=r"^snr_db \(-3080.0, 40.0\) is too low"):
+            generate_trials(tiny_config(), phase="train", num=50, snr_db=(-3080.0, 40.0))
 
 
 class TestStreams:

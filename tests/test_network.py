@@ -1,12 +1,18 @@
 """Tests for the from-scratch network engine."""
 
+import ctypes
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sourcecount import network
@@ -39,6 +45,15 @@ def random_net(sizes, final, rng):
         layers.append(Layer(rng.standard_normal((sizes[i + 1], sizes[i])) * 0.5,
                             rng.standard_normal(sizes[i + 1]) * 0.1, act))
     return Network(layers)
+
+
+def random_data(sizes, final, rng, n=150):
+    """``n`` normal feature rows and matching targets: one-hot rows for a
+    softmax output, normal rows for a linear one."""
+    x = rng.standard_normal((n, sizes[0]))
+    if final == "softmax":
+        return x, np.eye(sizes[-1])[rng.integers(0, sizes[-1], n)]
+    return x, rng.standard_normal((n, sizes[-1]))
 
 
 class TestForward:
@@ -76,6 +91,19 @@ class TestForward:
         net = Network([layer(np.eye(2), np.zeros(2), "linear")])
         with pytest.raises(ValueError, match=r"\(batch, "):
             call(net, np.ones(shape))
+
+    @pytest.mark.parametrize("layout", ["strided columns", "fortran", "reversed rows"])
+    @pytest.mark.parametrize("kind", ["ernet", "covnet"])
+    def test_any_input_layout_gives_the_contiguous_bits(self, kind, layout):
+        # BLAS sums a Fortran-ordered batch in another order (CovNet's 200-wide
+        # layer shows it), so forward takes the rows in C order first.
+        spec = DetectorSpec(kind, 10)
+        net = build_detector(spec, np.random.default_rng(0))
+        wide = np.random.default_rng(1).standard_normal((64, 2 * spec.feature_size))
+        x = {"strided columns": wide[:, ::2],
+             "fortran": np.asfortranarray(wide[:, :spec.feature_size]),
+             "reversed rows": wide[::-1, :spec.feature_size]}[layout]
+        assert np.array_equal(forward(net, x), forward(net, np.ascontiguousarray(x)))
 
 
 class TestNetworkValidation:
@@ -399,9 +427,10 @@ class TestTrain:
                       TrainConfig(epochs=1, batch_size=1))
 
     def test_one_loss_and_one_adam_call_per_step(self, monkeypatch):
-        # A traced run splits training into compute_loss and adam_step by
-        # wrapping these module names, so train must call them per step.
-        calls = {"compute_loss": 0, "adam_step": 0}
+        # A traced run splits training into forward, loss, backward and ADAM
+        # by wrapping these module names, so train must call them per step.
+        calls = {"_forward_cached": 0, "compute_loss": 0, "_backward_from_cache": 0,
+                 "adam_step": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(network, name)):
                 calls[_name] += 1
@@ -411,7 +440,19 @@ class TestTrain:
         x, y = self.toy_data(rng, n=50)
         train(random_net([2, 4, 2], "softmax", rng), x, y,
               TrainConfig(epochs=3, batch_size=16))
-        assert calls == {"compute_loss": 3 * 4, "adam_step": 3 * 4}
+        assert calls == dict.fromkeys(calls, 3 * 4)
+
+    def test_fortran_ordered_data_trains_as_c_ordered(self):
+        # The batch gather copies rows into C order, so the GEMMs see the
+        # same layout (and sum in the same order) whatever the data's.
+        rng = np.random.default_rng(17)
+        for sizes, final in (([10, 8, 8, 1], "linear"), ([200, 8, 8, 10], "softmax")):
+            x, y = random_data(sizes, final, rng)
+            nets = [random_net(sizes, final, np.random.default_rng(3)) for _ in range(2)]
+            config = TrainConfig(batch_size=64, epochs=2, seed=4)
+            history = train(nets[0], x, y, config)
+            assert train(nets[1], np.asfortranarray(x), np.asfortranarray(y), config) == history
+            assert np.array_equal(nets[0].params, nets[1].params)
 
     @pytest.mark.parametrize("kind", ["ernet", "ecnet", "covnet"])
     def test_overflowing_step_aborts_without_warning(self, kind):
@@ -495,6 +536,8 @@ def reference_train(net, x, y, config):
 
 class TestStepMatchesReference:
     @settings(max_examples=60, deadline=None)
+    @example(sizes=[200, 8, 8, 10], final="softmax", n=150, batch_size=64, epochs=2,
+             learning_rate=1e-3, seed=7)  # CovNet's width, with a short tail batch
     @given(sizes=st.lists(st.integers(1, 12), min_size=2, max_size=4),
            final=st.sampled_from(["linear", "softmax"]), n=st.integers(1, 40),
            batch_size=st.integers(1, 48), epochs=st.integers(1, 3),
@@ -527,6 +570,83 @@ class TestStepMatchesReference:
         for (gw1, gb1), (gw2, gb2) in zip(first, second):
             assert np.array_equal(gw1, gw2) and np.array_equal(gb1, gb2)
         assert np.array_equal(forward(net, x), out)
+
+
+# Every (fan_in, fan_out) layer shape of the detectors: the 10 -> 8 -> 8 trunk
+# and its ERNet and ECNet heads, CovNet's 200-wide and FBSS's 5-wide inputs.
+LAYER_SHAPES = [(10, 8), (8, 8), (8, 1), (8, 10), (200, 8), (5, 8)]
+# The shortest batches, the 64-row tail of 8000 rows in batches of 128, and a full batch.
+BATCHES = [1, 2, 64, 128]
+
+
+def check_dot_matches_matmul(fan_in, fan_out, rows):
+    """Asserts that each GEMM of a training step gives ``np.matmul``'s bits
+    through ``np.dot(..., out=)``, on C-ordered and row-strided activations."""
+    rng = np.random.default_rng(fan_in * 1000 + fan_out * 10 + rows)
+    w = rng.standard_normal((fan_out, fan_in))
+    delta = rng.standard_normal((rows, fan_out))
+    every_other = rng.standard_normal((2 * rows, fan_in))[::2]
+    for acts in (np.ascontiguousarray(every_other), every_other):
+        assert np.array_equal(np.dot(acts, w.T, out=np.empty((rows, fan_out))),
+                              np.matmul(acts, w.T))
+        assert np.array_equal(np.dot(delta.T, acts, out=np.empty((fan_out, fan_in))),
+                              np.matmul(delta.T, acts))
+    assert np.array_equal(np.dot(delta, w, out=np.empty((rows, fan_in))), np.matmul(delta, w))
+
+
+def check_train_matches_reference():
+    """Asserts that :func:`train` gives :func:`reference_train`'s params and
+    history for an ERNet-shaped and a CovNet-shaped net, tail batch included."""
+    rng = np.random.default_rng(11)
+    for sizes, final in (([10, 8, 8, 1], "linear"), ([200, 8, 8, 10], "softmax")):
+        net = random_net(sizes, final, rng)
+        x, y = random_data(sizes, final, rng)
+        config = TrainConfig(batch_size=64, epochs=2, seed=5)
+        expected, expected_history = reference_train(net, x, y, config)
+        assert train(net, x, y, config) == expected_history
+        for lay, (w, b) in zip(net.layers, expected):
+            assert np.array_equal(lay.weights, w) and np.array_equal(lay.bias, b)
+
+
+def blas_core() -> str | None:
+    """The core that numpy's bundled OpenBLAS runs, or None if unknown."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    try:
+        get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
+
+
+class TestKernels:
+    @pytest.mark.parametrize("rows", BATCHES)
+    @pytest.mark.parametrize("fan_in, fan_out", LAYER_SHAPES)
+    def test_dot_gives_the_matmul_bits(self, fan_in, fan_out, rows):
+        # The step's GEMMs run through np.dot, which makes the same BLAS
+        # call as np.matmul without the gufunc dispatch.
+        check_dot_matches_matmul(fan_in, fan_out, rows)
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE names x86-64 cores")
+    @pytest.mark.parametrize("core", ["Prescott"])
+    def test_kernels_hold_on_a_second_blas_core(self, core):
+        # The same checks in a process whose OpenBLAS runs another core's
+        # kernels, so that the np.dot swap is pinned beyond the host's core.
+        script = ("import test_network as t\n"
+                  "for shape in t.LAYER_SHAPES:\n"
+                  "    for rows in t.BATCHES:\n"
+                  "        t.check_dot_matches_matmul(*shape, rows)\n"
+                  "t.check_train_matches_reference()\n"
+                  "print(t.blas_core())\n")
+        here = Path(__file__).resolve().parent
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=here,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, f"under OPENBLAS_CORETYPE={core}:\n{done.stderr}"
+        if done.stdout.strip() == blas_core():  # e.g. the suite itself runs under Prescott
+            pytest.skip(f"{core} runs the host's own core, which the other tests cover")
 
 
 class TestSerialization:

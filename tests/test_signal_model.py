@@ -110,6 +110,17 @@ class TestScenarioValidation:
         assert noise_variance_at(-3082.5) == pytest.approx(10.0 ** 308.25)
         assert_rejected_before_any_draw("^snr_db must be above about -3082.5 dB", snr_db=-4000.0)
 
+    @pytest.mark.parametrize("snr_db", [10**400, -10**400], ids=["10**400", "-10**400"])
+    def test_rejects_integer_snr_past_the_float_range(self, snr_db):
+        # Neither sign is called too low: the number does not fit a float.
+        with pytest.raises(ValueError, match="^test_snr_db does not fit a float"):
+            noise_variance_at(snr_db, "test_snr_db")
+        assert_rejected_before_any_draw("^snr_db does not fit a float", snr_db=snr_db)
+
+    def test_extreme_snrs_that_fit_a_float(self):
+        assert noise_variance_at(1e308) == 0.0
+        assert noise_variance_at(-3082) == pytest.approx(10.0 ** 308.2)
+
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
     def test_rejects_nan_and_minus_inf_snr(self, snr_db):
         # NaN would fail the noise test and simulate a noise-free array.
