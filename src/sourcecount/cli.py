@@ -104,6 +104,13 @@ def _load_experiment_config(args) -> ExperimentConfig:
     return dataclasses.replace(config, **overrides)
 
 
+def _out_file(args, name: str) -> Path:
+    """``--out``/``name``, making ``--out`` first: a run that fails before it
+    writes its first file leaves no directory behind."""
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out / name
+
+
 def _cmd_gen_data(args, config: ExperimentConfig) -> int:
     phase = args.phase
     num = getattr(config, f"num_{phase}")
@@ -113,7 +120,7 @@ def _cmd_gen_data(args, config: ExperimentConfig) -> int:
     trials = generate_trials(config, phase=phase, num=num, snr_db=snr, want=(feature,))
     feats = select_features(trials, args.detector, sub)
     name = detector_name(args.detector, sub)
-    path = args.out / f"dataset-{name}-{phase}.csv"
+    path = _out_file(args, f"dataset-{name}-{phase}.csv")
     write_dataset(path, feats, trials.labels, config=config)
     write_manifest(args.out, config, f"gen-data --detector {name} --phase {phase}",
                    extra={"dataset": path.name, "num_samples": num})
@@ -137,7 +144,7 @@ def _cmd_train(args, config: ExperimentConfig) -> int:
                              f"but this run has {key}={value}")
     detector, history = train_detector(config, args.detector, features, labels,
                                        subarray_size=sub)
-    model_path = out / f"model-{name}.json"
+    model_path = _out_file(args, f"model-{name}.json")
     save_detector(detector, model_path)
     loss_path = out / f"loss-{name}.csv"
     with open(loss_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -175,7 +182,7 @@ def _cmd_eval(args, config: ExperimentConfig) -> int:
         "num_snapshots": config.num_snapshots,
         "seed": config.seed,
     }
-    report_path = out / f"eval-{name}.json"
+    report_path = _out_file(args, f"eval-{name}.json")
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
     write_manifest(out, config, f"eval --detector {name}", extra={"report": report_path.name})
@@ -186,7 +193,7 @@ def _cmd_eval(args, config: ExperimentConfig) -> int:
 
 def _cmd_sweep(args, config: ExperimentConfig) -> int:
     result = run_sweep(args.command, config)
-    csv_path = args.out / f"{args.command}.csv"
+    csv_path = _out_file(args, f"{args.command}.csv")
     emit_csv(result, csv_path)
     write_manifest(args.out, config, args.command, extra={"csv": csv_path.name})
     print(f"wrote {csv_path}")
@@ -199,7 +206,7 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
 def _cmd_bench(args, config: ExperimentConfig) -> int:
     rows = bench_complexity(config)
     doc = [dataclasses.asdict(row) for row in rows]
-    path = args.out / "bench-complexity.json"
+    path = _out_file(args, "bench-complexity.json")
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     write_manifest(args.out, config, "bench-complexity", extra={"report": path.name})
     print(f"{'method':>8} {'mul/div':>18} {'add/sub':>18} {'log':>14} {'cmp':>14} "
@@ -230,7 +237,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_experiment_config(args)
-        args.out.mkdir(parents=True, exist_ok=True)
         status = _COMMANDS[args.command](args, config)
     except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ share a stream.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import itertools
 import json
@@ -653,9 +654,21 @@ def load_config(path) -> ExperimentConfig:
     return config_from_text(_read_text(path))
 
 
+def _blas_core() -> str | None:
+    """The core that numpy's bundled OpenBLAS runs (``OPENBLAS_CORETYPE`` can set it),
+    or None where that library is not found."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"))
+    try:
+        get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
+
+
 def write_manifest(out_dir, config: ExperimentConfig, command: str,
                    extra: dict | None = None) -> Path:
-    """Records config hash, seed, versions and whether every drawn source
+    """Records config hash, seed, versions (the BLAS core too) and whether every drawn source
     count is resolvable (``ExperimentConfig.identifiable``) next to a
     run's outputs."""
     from . import __version__
@@ -671,6 +684,7 @@ def write_manifest(out_dir, config: ExperimentConfig, command: str,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "sourcecount": __version__,
+            "blas_core": _blas_core(),
         },
     }
     if extra:

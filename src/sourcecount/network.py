@@ -209,8 +209,9 @@ def backward(net: Network, x, target):
 
     Returns one ``(d_weights, d_bias)`` pair per layer, shaped like the
     parameters: views of one flat gradient in the layout of ``net.params``.
+    Like :func:`forward`, it takes ``x`` in C order, so any layout gives the same bits.
     """
-    x, target = np.asarray(x, dtype=float), np.asarray(target, dtype=float)
+    x, target = np.ascontiguousarray(x, dtype=float), np.asarray(target, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.input_dim or target.shape != (len(x), net.output_dim):
         raise ValueError(f"input and target must be (batch, {net.input_dim}) and (batch, "
                          f"{net.output_dim}) arrays, got shapes {x.shape} and {target.shape}")

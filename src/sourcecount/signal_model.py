@@ -26,6 +26,7 @@ import numpy as np
 from .linalg import exchange_conjugate, is_integer, is_moderate
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+_HALF_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def noise_variance_at(snr_db, name: str = "snr_db") -> float:
@@ -72,24 +73,28 @@ def snapshot_stack(m: int, n: int, counts, rows, doas, variances, normals) -> np
     """
     g, width = normals.shape
     noisy = variances > 0.0
-    # The noise term comes first, so its gathered normals are freed before `out` is made.
-    noise = normals[noisy, width - 2 * m * n:].reshape(-1, 2, m, n)
-    noise = np.sqrt(variances[noisy])[:, np.newaxis, np.newaxis] * (
-        (noise[:, 0] + 1j * noise[:, 1]) / math.sqrt(2.0))
+    # Each part goes onto the float64 view of `out` as its normal times 1/sqrt(2): the bits
+    # of the complex (re + 1j * im) / sqrt(2), whose Smith division is that product.
     out = np.zeros((g, m, n), dtype=np.complex128)
+    if noisy.any():  # a noise-free row may be narrower than M x N noise
+        parts = out.view(np.float64).reshape(g, m, n, 2)
+        noise = normals[:, width - 2 * m * n:].reshape(g, 2, m, n).transpose(0, 2, 3, 1)
+        # Masking the rows triples the product's cost, so only a mixed block pays it.
+        where = True if noisy.all() else noisy.reshape(-1, 1, 1, 1)
+        np.multiply(noise, _HALF_SQRT2, out=parts, where=where)
+        parts *= np.sqrt(variances).reshape(-1, 1, 1, 1)
     used = np.arange(rows.shape[1]) < counts[:, np.newaxis]
     independent = rows.max(axis=1, initial=-1, where=used) + 1
-    first = width - 2 * (independent + m * noisy) * n  # each trial's first normal
+    # Each trial's first normal, as an index into the flattened normals.
+    first = width * np.arange(1, g + 1) - 2 * (independent + m * noisy) * n
     # The first real and imaginary normal of each source's row.
     starts = first[:, np.newaxis, np.newaxis] + n * np.stack(
-        [rows, rows + independent[:, np.newaxis]], axis=1)
+        [rows, rows + independent[:, np.newaxis]], axis=-1)
     for k in set(counts.tolist()) - {0}:
         trials = np.flatnonzero(counts == k)
-        parts = normals[trials[:, np.newaxis, np.newaxis, np.newaxis],
-                        starts[trials, :, :k, np.newaxis] + np.arange(n)]
-        out[trials] = steering_matrix(doas[trials, :k], m) @ (
-            (parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0))
-    out[noisy] += noise
+        sources = normals.take(starts[trials, :k, np.newaxis] + np.arange(n)[:, np.newaxis])
+        sources *= _HALF_SQRT2
+        out[trials] += steering_matrix(doas[trials, :k], m) @ sources.view(np.complex128)[..., 0]
     return out
 
 
@@ -129,7 +134,16 @@ def sample_covariance(snapshots) -> np.ndarray:
     n = data.shape[-1]
     if n == 0:
         raise ValueError("need at least one snapshot")
-    r = (data @ data.conj().swapaxes(-1, -2)) / n
+    r = data @ data.conj().swapaxes(-1, -2)
+    if r.dtype != np.complex128:
+        r = r / n
+    else:  # Smith's division by n + 0j is the product with 1/n on each part, except where a
+        # part is non-finite or -0.0; those entries keep numpy's own division.
+        parts = r.view(np.float64)
+        scaled = (parts * (1.0 / n)).view(np.complex128)
+        if not np.isfinite(parts).all() or np.signbit(parts[parts == 0.0]).any():
+            np.divide(r, n, out=scaled, where=~np.isfinite(r) | (r.real * r.imag == 0.0))
+        r = scaled
     return 0.5 * (r + r.conj().swapaxes(-1, -2))
 
 

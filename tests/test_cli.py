@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sourcecount.cli import main
+from sourcecount.cli import ALL_DETECTORS, main
 from sourcecount.detectors import (Detector, DetectorSpec, build_detector, load_detector,
                                    normalize_features, save_detector)
 from sourcecount.experiments import (SWEEPS, ExperimentConfig, evaluate_detectors,
@@ -424,6 +424,14 @@ class TestFlagValidation:
         assert err.startswith("error: snr_db -2000.0 is too low") and err.count("\n") == 1
         assert not list(out.glob("*"))
 
+    def test_run_failing_after_the_draw_leaves_no_out_directory(self, tmp_path, config_file,
+                                                                capsys):
+        out = tmp_path / "run"
+        status = run("eval", "--snr-db", "-2000", "--config", config_file, "--out", out,
+                     "--detector", "mdl")
+        assert_one_error_line(status, capsys.readouterr().err)
+        assert not out.exists()
+
     def test_nan_snr_in_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "nan.cfg"
         path.write_text(TINY_CONFIG + "test_snr_db = nan\n", encoding="utf-8")
@@ -598,6 +606,17 @@ COUNTS = st.one_of(st.sampled_from([0, -3]), st.integers(1, 64),
 COUNT_FLAGS = {"gen-data": ("--num", "--fbss"), "eval": ("--trials", "--snapshots", "--fbss")}
 
 
+# Values of the flags that are not counts.  For --model, "model" stands for a
+# saved model file, "missing" for a path with no file and "directory" for a directory.
+SNR_VALUES = ["nan", "inf", "-inf", "-2000", "1e400", "5", "-30"]
+MIXED_FLAGS = {
+    "gen-data": {"--snr-db": SNR_VALUES, "--fbss": ["1", "4", "5", "10"],
+                 "--detector": list(ALL_DETECTORS), "--phase": ["train", "test"]},
+    "eval": {"--snr-db": SNR_VALUES, "--fbss": ["1", "4", "5", "10"],
+             "--detector": list(ALL_DETECTORS), "--model": ["model", "missing", "directory"]},
+}
+
+
 class TestEveryFailureIsOneErrorLine:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_dataset_feature(self, tmp_path, small_dataset, value):
@@ -740,6 +759,24 @@ class TestEveryFailureIsOneErrorLine:
         with tempfile.TemporaryDirectory() as root:
             status, err = run_quietly(command, "--config", config, "--out", Path(root) / "run",
                                       "--detector", "mdl", *argv)
+        if status != 0:
+            assert_one_error_line(status, err)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(sorted(MIXED_FLAGS)), data=st.data())
+    def test_mixed_flags(self, saved_model, command, data):
+        config, text = saved_model
+        choices = MIXED_FLAGS[command]
+        flags = data.draw(st.lists(st.sampled_from(sorted(choices)), min_size=1, unique=True))
+        values = [data.draw(st.sampled_from(choices[flag])) for flag in flags]
+        with tempfile.TemporaryDirectory() as root:
+            paths = {"model": Path(root) / "model.json", "missing": Path(root) / "missing.json",
+                     "directory": Path(root)}
+            paths["model"].write_text(text, encoding="utf-8")
+            # --flag=value, so that argparse takes "-inf" as a value and not as a flag
+            argv = [f"{flag}={paths.get(value, value)}" for flag, value in zip(flags, values)]
+            status, err = run_quietly(command, "--config", config, "--out", Path(root) / "run",
+                                      *argv)
         if status != 0:
             assert_one_error_line(status, err)
 

@@ -5,8 +5,13 @@ import csv
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -36,8 +41,8 @@ from sourcecount.experiments import (
 )
 from sourcecount.detectors import DetectorSpec, build_detector, make_features, normalize_features
 from sourcecount.experiments import (_FEATURE_BLOCK, _SYNTHESIS_ENTRIES, MAX_COUNT, NET_KINDS,
-                                     ROLE_INIT, ROLE_TEST, _convert_config_value, _rng,
-                                     _set_stream, _stream_states)
+                                     ROLE_INIT, ROLE_TEST, _blas_core, _convert_config_value,
+                                     _rng, _set_stream, _stream_states)
 from sourcecount.signal_model import generate_snapshots, sample_covariance
 
 
@@ -852,6 +857,22 @@ class TestManifest:
         assert "sourcecount" in doc["versions"]
         assert doc["note"] == "x"
         assert doc["config"]["num_train"] == 200
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE names x86-64 cores")
+    def test_manifest_records_the_blas_core_that_runs(self, tmp_path):
+        if _blas_core() is None:
+            pytest.skip("numpy's bundled OpenBLAS is not found")
+        script = ("import sys\n"
+                  "from sourcecount.experiments import ExperimentConfig, write_manifest\n"
+                  "write_manifest(sys.argv[1], ExperimentConfig(), 'core')\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        doc = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert doc["versions"]["blas_core"] == "Haswell"
 
     def test_manifest_of_numpy_integer_counts(self, tmp_path):
         config = tiny_config(num_snapshots=np.int64(20), snapshot_axis=(np.int64(5), 10))

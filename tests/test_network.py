@@ -1,6 +1,5 @@
 """Tests for the from-scratch network engine."""
 
-import ctypes
 import math
 import os
 import platform
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 
 from sourcecount import network
 from sourcecount.detectors import DetectorSpec, build_detector
+from sourcecount.experiments import _blas_core
 from sourcecount.network import (
     AdamState,
     Layer,
@@ -104,6 +104,16 @@ class TestForward:
              "fortran": np.asfortranarray(wide[:, :spec.feature_size]),
              "reversed rows": wide[::-1, :spec.feature_size]}[layout]
         assert np.array_equal(forward(net, x), forward(net, np.ascontiguousarray(x)))
+
+    @pytest.mark.parametrize("kind", ["ernet", "covnet"])
+    def test_backward_of_a_fortran_batch_gives_the_contiguous_bits(self, kind):
+        spec = DetectorSpec(kind, 10)
+        net = build_detector(spec, np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((64, spec.feature_size))
+        target = np.random.default_rng(2).standard_normal((64, net.output_dim))
+        for (w, b), (w_f, b_f) in zip(backward(net, x, target),
+                                      backward(net, np.asfortranarray(x), target)):
+            assert np.array_equal(w, w_f) and np.array_equal(b, b_f)
 
 
 class TestNetworkValidation:
@@ -608,17 +618,6 @@ def check_train_matches_reference():
             assert np.array_equal(lay.weights, w) and np.array_equal(lay.bias, b)
 
 
-def blas_core() -> str | None:
-    """The core that numpy's bundled OpenBLAS runs, or None if unknown."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
-    try:
-        get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_char_p
-    return get().decode()
-
-
 class TestKernels:
     @pytest.mark.parametrize("rows", BATCHES)
     @pytest.mark.parametrize("fan_in, fan_out", LAYER_SHAPES)
@@ -638,14 +637,14 @@ class TestKernels:
                   "    for rows in t.BATCHES:\n"
                   "        t.check_dot_matches_matmul(*shape, rows)\n"
                   "t.check_train_matches_reference()\n"
-                  "print(t.blas_core())\n")
+                  "print(t._blas_core())\n")
         here = Path(__file__).resolve().parent
         env = {**os.environ, "OPENBLAS_CORETYPE": core,
                "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
         done = subprocess.run([sys.executable, "-c", script], env=env, cwd=here,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, f"under OPENBLAS_CORETYPE={core}:\n{done.stderr}"
-        if done.stdout.strip() == blas_core():  # e.g. the suite itself runs under Prescott
+        if done.stdout.strip() == _blas_core():  # e.g. the suite itself runs under Prescott
             pytest.skip(f"{core} runs the host's own core, which the other tests cover")
 
 

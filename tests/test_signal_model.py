@@ -233,7 +233,43 @@ def one_by_one_and_stacked(m, n, draws, width):
     return one, snapshot_stack(m, n, *columns(draws), normals)
 
 
+def complex_formula(m, n, counts, rows, doas, variances, normals):
+    """snapshot_stack's trials one at a time in complex arithmetic: ``A S``,
+    plus ``sqrt(variance) W`` when noisy, with S and W as (re + 1j * im) / sqrt(2)."""
+    width, out = normals.shape[1], []
+    for j, k in enumerate(counts):
+        independent = max(rows[j, :k], default=-1) + 1
+        noisy = variances[j] > 0.0
+        row = normals[j, width - 2 * (independent + m * noisy) * n:]
+        s = row[:2 * independent * n].reshape(2, independent, n)
+        data = steering_matrix(doas[j, :k], m) @ ((s[0] + 1j * s[1]) / math.sqrt(2.0))[rows[j, :k]]
+        if noisy:
+            w = row[2 * independent * n:].reshape(2, m, n)
+            data = data + np.sqrt(variances[j]) * ((w[0] + 1j * w[1]) / math.sqrt(2.0))
+        out.append(data)
+    return np.array(out)
+
+
 class TestSnapshotStack:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 6), n=st.integers(1, 5),
+           count=st.integers(1, 9), snr_db=st.floats(-30.0, 60.0), coherent=st.booleans(),
+           block=st.sampled_from(["noisy", "noise-free", "mixed"]))
+    def test_equals_the_complex_formula_bit_for_bit(self, seed, m, n, count, snr_db, coherent,
+                                                   block):
+        # The parts are built on the float64 view; a block mixing noisy and
+        # noise-free rows masks the noise-free ones, whose unread normals are NaN.
+        snrs = {"noisy": [snr_db], "noise-free": [math.inf], "mixed": [snr_db, math.inf]}[block]
+        draws = [(doas, targets, snrs[j % len(snrs)]) for j, (doas, targets, _)
+                 in enumerate(block_draws(m - 1, snr_db, coherent, count, seed))]
+        width = 2 * (m - 1 + m) * n
+        normals = np.full((count, width), np.nan)
+        rng = np.random.default_rng(seed)
+        for j, draw in enumerate(draws):
+            rng.standard_normal(out=normals[j, width - normal_count(m, n, *draw):])
+        stacked = snapshot_stack(m, n, *columns(draws), normals)
+        assert stacked.tobytes() == complex_formula(m, n, *columns(draws), normals).tobytes()
+
     def test_one_draw_equals_the_per_part_draws(self):
         # Source re, source im, noise re, noise im: drawn as one block or
         # one part at a time, a Generator gives the same values.
@@ -284,7 +320,43 @@ class TestSnapshotStack:
             assert np.array_equal(stack[j], steering_matrix(tuple(row), 7))
 
 
+# Parts whose products give signed zeros (1e-300 squared underflows), then
+# those that overflow or are not finite.
+SIGNED_ZERO_PARTS = [-0.0, 0.0, 1.5, -2.25, 1e-300]
+SPECIAL_PARTS = SIGNED_ZERO_PARTS + [1e200, math.inf, -math.inf, math.nan]
+
+
+def literal_covariance(x):
+    """sample_covariance as written: ``(x @ x^H) / N``, then ``0.5 (r + r^H)``."""
+    r = (x @ x.conj().swapaxes(-1, -2)) / x.shape[-1]
+    return 0.5 * (r + r.conj().swapaxes(-1, -2))
+
+
 class TestSampleCovariance:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), stack=st.integers(1, 3), m=st.integers(1, 4),
+           n=st.integers(1, 4), pool=st.sampled_from([SIGNED_ZERO_PARTS, SPECIAL_PARTS]),
+           share=st.sampled_from([0.0, 0.1, 0.5, 1.0]), complex_input=st.booleans())
+    def test_equals_the_literal_formula_byte_for_byte(self, seed, stack, m, n, pool, share,
+                                                      complex_input):
+        # Complex input is scaled by the product with 1/N on its float64 view,
+        # except where that differs from Smith's division by N + 0j (a part
+        # non-finite or -0.0); real input keeps its true division.
+        rng = np.random.default_rng(seed)
+        shape = (stack, m, n, 2)
+        parts = np.where(rng.random(shape) < share, rng.choice(pool, size=shape),
+                         rng.standard_normal(shape))
+        x = parts.view(np.complex128)[..., 0] if complex_input else parts[..., 0]
+        with np.errstate(all="ignore"):
+            assert sample_covariance(x).tobytes() == literal_covariance(x).tobytes()
+
+    def test_negative_zero_part_keeps_numpys_division(self):
+        # (x @ x^H) has an entry -0.0 + 0.0j here, whose Smith quotient is +0.0
+        # in the real part; the product with 1/N would keep -0.0.
+        parts = np.array([[[-0.0, -2.25], [0.0, -0.0]], [[0.0, 0.0], [-2.25, 1.5]]])
+        x = parts.view(np.complex128)[..., 0]
+        assert sample_covariance(x).tobytes() == literal_covariance(x).tobytes()
+
     @pytest.mark.parametrize("n", [1, 20])
     def test_stack_equals_per_matrix(self, n):
         rng = np.random.default_rng(15)
