@@ -234,6 +234,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # argparse reads "-1e3" or "-inf" after a space as a flag, so --snr-db (or a prefix
+    # of it, which argparse expands) is joined to it.
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if len(argv[i]) > 2 and "--snr-db".startswith(argv[i]) and argv[i + 1][:2] != "--":
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         config = _load_experiment_config(args)

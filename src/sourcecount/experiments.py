@@ -419,38 +419,23 @@ class SweepResult:
     seed: int
 
 
-def _build_detector_set(config: ExperimentConfig, kinds, trials_train: TrialSet,
-                        *, subarray_size: int | None, axis_index: int):
-    """Trains the trainable kinds and wraps the classical ones, in order."""
-    detectors = []
-    for kind in kinds:
-        if kind in NET_KINDS:
-            feats = select_features(trials_train, kind, subarray_size)
-            det, _ = train_detector(config, kind, feats, trials_train.labels,
-                                    subarray_size=subarray_size, axis_index=axis_index)
-            detectors.append(det)
-        else:
-            detectors.append(ClassicalDetector(kind, subarray_size))
-    return detectors
-
-
 @dataclass(frozen=True)
 class Sweep:
-    """A sweep's axis field, source coherence and default detectors."""
+    """A sweep's axis field, the config field listing its values, coherence and detectors."""
 
     field: str
+    axis: str
     coherent: bool
     detectors: tuple[str, ...]
 
 
 SWEEPS = {
-    "sweep-snapshots": Sweep("num_snapshots", False, ("ernet", "ecnet", "aic", "mdl", "covnet")),
-    "sweep-snr": Sweep("test_snr_db", False, ("ernet", "ecnet", "aic", "mdl")),
-    "sweep-snr-coherent": Sweep("test_snr_db", True, ("ernet", "ecnet", "aic", "mdl")),
+    "sweep-snapshots": Sweep("num_snapshots", "snapshot_axis", False,
+                             ("ernet", "ecnet", "aic", "mdl", "covnet")),
+    "sweep-snr": Sweep("test_snr_db", "snr_axis_db", False, ("ernet", "ecnet", "aic", "mdl")),
+    "sweep-snr-coherent": Sweep("test_snr_db", "snr_axis_db", True,
+                                ("ernet", "ecnet", "aic", "mdl")),
 }
-
-# The config axis that lists each swept field's values.
-_AXES = {"num_snapshots": "snapshot_axis", "test_snr_db": "snr_axis_db"}
 
 
 def run_sweep(name: str, config: ExperimentConfig) -> SweepResult:
@@ -462,15 +447,18 @@ def run_sweep(name: str, config: ExperimentConfig) -> SweepResult:
     kinds = config.detectors or sweep.detectors
     subarray_size = config.subarray_size if sweep.coherent else None
     want = {feature_kind(kind, subarray_size) for kind in kinds}
-    axis = getattr(config, _AXES[sweep.field])
+    axis = getattr(config, sweep.axis)
     detectors, points = None, []
     for ai, value in enumerate(axis):
         config = replace(config, **{sweep.field: value})
         if detectors is None or sweep.field != "test_snr_db":
             trials = generate_trials(config, phase="train", num=config.num_train, want=want,
                                      snr_db=tuple(config.train_snr_db), axis_index=ai)
-            detectors = _build_detector_set(config, kinds, trials,
-                                            subarray_size=subarray_size, axis_index=ai)
+            detectors = [train_detector(config, kind, select_features(trials, kind, subarray_size),
+                                        trials.labels, subarray_size=subarray_size,
+                                        axis_index=ai)[0]
+                         if kind in NET_KINDS else ClassicalDetector(kind, subarray_size)
+                         for kind in kinds]
         trials = generate_trials(config, phase="test", num=config.num_test,
                                  snr_db=config.test_snr_db, axis_index=ai, want=want)
         points.append(evaluate_detectors(detectors, trials))

@@ -7,8 +7,8 @@ truncated-normal initializer, and a deterministic mini-batch training
 loop.  A network's parameters are views of one float64 vector.
 
 A layer applies ``g(W x + b)`` with ``W`` of shape (out, in).  Batches
-are row-major: :func:`forward`, :func:`backward` and :func:`compute_loss`
-take only (batch, dim) arrays, one sample being a one-row batch.
+are row-major: :func:`forward` and :func:`compute_loss` take only
+(batch, dim) arrays, one sample being a one-row batch.
 """
 
 from __future__ import annotations
@@ -116,17 +116,6 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-shift overflow guard.
-
-    Works on a single vector or a (batch, dim) matrix; output components
-    are positive and sum to 1 along the last axis.
-    """
-    out = np.array(z, dtype=float)
-    _softmax_rows(out.reshape(-1, out.shape[-1]))
-    return out
-
-
 def _softmax_rows(z: np.ndarray):
     """Shifted softmax of each row of the 2-D array ``z``, in place.  A max
     is exact in any order, so the row max is taken over a (faster)
@@ -202,21 +191,6 @@ def _backward_from_cache(net: Network, acts, target: np.ndarray, grads, deltas=N
                 # so units with z <= 0 (or NaN) pass nothing.
                 delta *= acts[i] > 0.0
     return grads
-
-
-def backward(net: Network, x, target):
-    """Gradients of the :func:`train` loss w.r.t. every weight and bias.
-
-    Returns one ``(d_weights, d_bias)`` pair per layer, shaped like the
-    parameters: views of one flat gradient in the layout of ``net.params``.
-    Like :func:`forward`, it takes ``x`` in C order, so any layout gives the same bits.
-    """
-    x, target = np.ascontiguousarray(x, dtype=float), np.asarray(target, dtype=float)
-    if x.ndim != 2 or x.shape[1] != net.input_dim or target.shape != (len(x), net.output_dim):
-        raise ValueError(f"input and target must be (batch, {net.input_dim}) and (batch, "
-                         f"{net.output_dim}) arrays, got shapes {x.shape} and {target.shape}")
-    return _backward_from_cache(net, _forward_cached(net, x), target,
-                                _layer_views(net, np.empty_like(net.params)))
 
 
 @dataclass

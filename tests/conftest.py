@@ -2,7 +2,9 @@
 
 The acceptance criteria and a few operation-level claims need networks
 trained at the real protocol scale (8000 samples, 400 epochs).  Each
-configuration is trained once per session and shared.
+configuration is trained once per session and shared.  The bit-pinning
+digests hold one entry per OpenBLAS core family, and the report names the
+core that runs.
 """
 
 import time
@@ -13,11 +15,36 @@ import pytest
 from sourcecount.experiments import (
     ClassicalDetector,
     ExperimentConfig,
+    _blas_core,
     evaluate_detectors,
     generate_trials,
     select_features,
     train_detector,
 )
+
+
+def pytest_report_header(config):
+    return f"openblas core: {_blas_core() or 'unknown'}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if terminalreporter.verbosity < 0:  # -q prints no header, so the core goes last
+        terminalreporter.write_line(pytest_report_header(config))
+
+
+@pytest.fixture(scope="session")
+def assert_pinned():
+    """Asserts a digest against its entry in ``digests``, which is keyed by
+    OpenBLAS core family: the entry of ``core``, by default the core that
+    runs.  A core with no entry fails with a message that names it."""
+    def check(name, digests, actual, core=_blas_core()):
+        if digests.get(core) is None:
+            pytest.fail(f"{name} has no entry for OpenBLAS core {core or 'unknown'}. To record "
+                        f"one, run this test under that core (OPENBLAS_CORETYPE selects it on "
+                        f"x86-64) at a commit whose bits are trusted, and add the digest it "
+                        f"computes there under {core!r}; here it computed {actual}.")
+        assert actual == digests[core], f"{name} on OpenBLAS core {core}"
+    return check
 
 
 def _train_point(config, kinds, *, subarray_size, coherent, test_snr_db, want):

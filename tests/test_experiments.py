@@ -46,10 +46,22 @@ from sourcecount.experiments import (_FEATURE_BLOCK, _SYNTHESIS_ENTRIES, MAX_COU
 from sourcecount.signal_model import generate_snapshots, sample_covariance
 
 
-# SHA-256 of TestTrials.test_simulation_bits_pinned's trial sets.
-SIMULATION_DIGEST = "b97c4e00fa97504846b43b7070ff4c3e1a73b725183c5a6b7bc0e6b4e20ec8e2"
-# SHA-256 of TestTrainDetector.test_training_bits_pinned's trained nets.
-TRAINING_DIGEST = "764d2523f0de75be3774c5346e9870a4e576afe507b7fc6caefe084e76894b47"
+# SHA-256 of simulation_digest's trial sets, per OpenBLAS core family.
+SIMULATION_DIGEST = {
+    "SkylakeX": "b97c4e00fa97504846b43b7070ff4c3e1a73b725183c5a6b7bc0e6b4e20ec8e2",
+    "Haswell": "874a47bff59e3390d9598fc6ca7f67ea866c0c0279b8296fa4fcbbf68ef98d8a",
+    "Sandybridge": "03199f1571101031c8514240a7cd2385a6ee02c7cc979db0b8c1941a1535cfd0",
+    "Nehalem": "0e409ab366c1e054c77cd389e636908b6b129a5dcec4e299102cda7bb74167b6",
+    "Katmai": "0e409ab366c1e054c77cd389e636908b6b129a5dcec4e299102cda7bb74167b6",
+}
+# SHA-256 of training_digest's trained nets, per OpenBLAS core family.
+TRAINING_DIGEST = {
+    "SkylakeX": "764d2523f0de75be3774c5346e9870a4e576afe507b7fc6caefe084e76894b47",
+    "Haswell": "71d869d16c87640bf418141d05f94a6d82610d2c93d5024a6464f211df29cf05",
+    "Sandybridge": "ca3e95cc40aefee84f2c59dc1b0d350dda1c370c98e071e20e613279a1a422e1",
+    "Nehalem": "4939ae38222bca288b59e454b5757cade5b06c73277ccd06ab935a5464aa6737",
+    "Katmai": "77eaf54e4312af1dc50fe7cdee2e9084f59918c2ded9adf0b5e49725808c587f",
+}
 # SHA-256 of TestSweeps.test_sweep_bits_pinned's sweep results.
 SWEEP_DIGEST = "1e61c42b8c725836464948b6d95b3a1c2577a38ad4d41a3757acf87d49f2634b"
 # SHA-256 of TestSweeps.test_normalized_sweep_bits_pinned's sweep results.
@@ -62,6 +74,47 @@ def tiny_config(**overrides):
                 detectors=("ernet", "aic"))
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def simulation_digest():
+    """One SHA-256 over labels and eigen/fbss/cov bytes of small trial sets:
+    non-coherent and coherent draws, noise-free and finite SNR, K=0 included."""
+    config = ExperimentConfig(num_antennas=6, num_snapshots=8, max_sources=3,
+                              subarray_size=4, seed=7)
+    digest = hashlib.sha256()
+    labels = []
+    for ai, (coherent, snr_db) in enumerate(
+            [(False, math.inf), (False, 3.0), (True, math.inf), (True, 3.0),
+             (True, (0.0, 20.0))]):
+        t = generate_trials(config, phase="test", num=24, snr_db=snr_db,
+                            coherent=coherent, axis_index=ai,
+                            want=("eigen", "fbss", "cov"))
+        labels.append(t.labels)
+        for array in (t.labels, t.eigen, t.fbss, t.cov):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    assert all(0 in lab for lab in labels)
+    return digest.hexdigest()
+
+
+def training_digest():
+    """One SHA-256 over the trained weight/bias bytes and loss histories of
+    ERNet, ECNet, CovNet and fbss-ERNet.  300 trials at batch 128 end each
+    epoch in a short 44-row batch."""
+    config = tiny_config(num_train=300, epochs=3, seed=5)
+    trials = generate_trials(config, phase="train", num=300,
+                             snr_db=tuple(config.train_snr_db),
+                             want=("eigen", "fbss", "cov"))
+    digest = hashlib.sha256()
+    for kind, m0 in (("ernet", None), ("ecnet", None), ("covnet", None),
+                     ("ernet", config.subarray_size)):
+        feats = select_features(trials, kind, m0)
+        det, history = train_detector(config, kind, feats, trials.labels,
+                                      subarray_size=m0)
+        for lay in det.net.layers:
+            digest.update(lay.weights.tobytes())
+            digest.update(lay.bias.tobytes())
+        digest.update(np.array(history).tobytes())
+    return digest.hexdigest()
 
 
 def one_trial_reference(config, trials, snr_db, axis_index):
@@ -343,26 +396,9 @@ class TestTrials:
         with pytest.raises(ValueError):
             select_features(t, "covnet", None)
 
-    def test_simulation_bits_pinned(self):
-        # One SHA-256 over labels and eigen/fbss/cov bytes of small trial
-        # sets: non-coherent and coherent draws, noise-free and finite SNR,
-        # K=0 included.  A refactor of the seed -> covariance path must
-        # leave every bit in place.
-        config = ExperimentConfig(num_antennas=6, num_snapshots=8, max_sources=3,
-                                  subarray_size=4, seed=7)
-        digest = hashlib.sha256()
-        labels = []
-        for ai, (coherent, snr_db) in enumerate(
-                [(False, math.inf), (False, 3.0), (True, math.inf), (True, 3.0),
-                 (True, (0.0, 20.0))]):
-            t = generate_trials(config, phase="test", num=24, snr_db=snr_db,
-                                coherent=coherent, axis_index=ai,
-                                want=("eigen", "fbss", "cov"))
-            labels.append(t.labels)
-            for array in (t.labels, t.eigen, t.fbss, t.cov):
-                digest.update(np.ascontiguousarray(array).tobytes())
-        assert all(0 in lab for lab in labels)
-        assert digest.hexdigest() == SIMULATION_DIGEST
+    def test_simulation_bits_pinned(self, assert_pinned):
+        # A refactor of the seed -> covariance path must leave every bit in place.
+        assert_pinned("SIMULATION_DIGEST", SIMULATION_DIGEST, simulation_digest())
 
     def test_blocks_equal_one_row_features(self):
         # Three feature blocks, the last one short: every row is what
@@ -641,26 +677,32 @@ class TestTrainDetector:
             assert np.array_equal(trained.weights, fresh.weights)
             assert np.array_equal(trained.bias, fresh.bias)
 
-    def test_training_bits_pinned(self):
-        # One SHA-256 over the trained weight/bias bytes and loss histories
-        # of ERNet, ECNet, CovNet and fbss-ERNet.  300 trials at batch 128
-        # end each epoch in a short 44-row batch.  A refactor of the
-        # training core must leave every bit in place.
-        config = tiny_config(num_train=300, epochs=3, seed=5)
-        trials = generate_trials(config, phase="train", num=300,
-                                 snr_db=tuple(config.train_snr_db),
-                                 want=("eigen", "fbss", "cov"))
-        digest = hashlib.sha256()
-        for kind, m0 in (("ernet", None), ("ecnet", None), ("covnet", None),
-                         ("ernet", config.subarray_size)):
-            feats = select_features(trials, kind, m0)
-            det, history = train_detector(config, kind, feats, trials.labels,
-                                          subarray_size=m0)
-            for lay in det.net.layers:
-                digest.update(lay.weights.tobytes())
-                digest.update(lay.bias.tobytes())
-            digest.update(np.array(history).tobytes())
-        assert digest.hexdigest() == TRAINING_DIGEST
+    def test_training_bits_pinned(self, assert_pinned):
+        # A refactor of the training core must leave every bit in place.
+        assert_pinned("TRAINING_DIGEST", TRAINING_DIGEST, training_digest())
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE names x86-64 cores")
+    def test_bits_pinned_on_a_second_blas_core(self, assert_pinned):
+        # Both digests in a process whose OpenBLAS runs Haswell's kernels, so
+        # that an entry beyond the host's own core is checked too.
+        script = ("import test_experiments as t\n"
+                  "print(t._blas_core(), t.simulation_digest(), t.training_digest())\n")
+        here = Path(__file__).resolve().parent
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=here,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        core, simulation, training = done.stdout.split()
+        assert_pinned("SIMULATION_DIGEST", SIMULATION_DIGEST, simulation, core)
+        assert_pinned("TRAINING_DIGEST", TRAINING_DIGEST, training, core)
+
+    @pytest.mark.parametrize("core, named", [("Zen9", "Zen9"), (None, "unknown")])
+    def test_a_core_with_no_entry_fails_naming_it(self, assert_pinned, core, named):
+        with pytest.raises(pytest.fail.Exception,
+                           match=f"TRAINING_DIGEST has no entry for OpenBLAS core {named}"):
+            assert_pinned("TRAINING_DIGEST", TRAINING_DIGEST, "0" * 64, core)
 
     def test_smoothed_covnet_rejected_before_training(self):
         config = tiny_config()

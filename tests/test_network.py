@@ -23,19 +23,31 @@ from sourcecount.network import (
     Network,
     TrainConfig,
     adam_step,
-    backward,
     compute_loss,
     dumps_network,
     forward,
     init_truncated_normal,
     loads_network,
-    softmax,
     train,
 )
+from sourcecount.network import _backward_from_cache, _forward_cached, _layer_views, _softmax_rows
 
 
 def layer(w, b, activation):
     return Layer(np.array(w, dtype=float), np.array(b, dtype=float), activation)
+
+
+def gradients(net, x, target):
+    """The gradients that a training step takes, one (d_weights, d_bias) pair per layer."""
+    return _backward_from_cache(net, _forward_cached(net, x), target,
+                                _layer_views(net, np.empty_like(net.params)))
+
+
+def softmax_rows(z):
+    """The forward pass's softmax kernel, run on a 2-D copy of ``z``."""
+    out = np.array(z, dtype=float, ndmin=2)
+    _softmax_rows(out)
+    return out
 
 
 def random_net(sizes, final, rng):
@@ -83,9 +95,8 @@ class TestForward:
 
     @pytest.mark.parametrize("call", [
         lambda net, x: forward(net, x),
-        lambda net, x: backward(net, x, x),
         lambda net, x: compute_loss(x, x, "l2"),
-    ], ids=["forward", "backward", "compute_loss"])
+    ], ids=["forward", "compute_loss"])
     @pytest.mark.parametrize("shape", [(2,), (), (1, 1, 2)], ids=["vector", "scalar", "3-D"])
     def test_only_batches_accepted(self, call, shape):
         net = Network([layer(np.eye(2), np.zeros(2), "linear")])
@@ -104,16 +115,6 @@ class TestForward:
              "fortran": np.asfortranarray(wide[:, :spec.feature_size]),
              "reversed rows": wide[::-1, :spec.feature_size]}[layout]
         assert np.array_equal(forward(net, x), forward(net, np.ascontiguousarray(x)))
-
-    @pytest.mark.parametrize("kind", ["ernet", "covnet"])
-    def test_backward_of_a_fortran_batch_gives_the_contiguous_bits(self, kind):
-        spec = DetectorSpec(kind, 10)
-        net = build_detector(spec, np.random.default_rng(0))
-        x = np.random.default_rng(1).standard_normal((64, spec.feature_size))
-        target = np.random.default_rng(2).standard_normal((64, net.output_dim))
-        for (w, b), (w_f, b_f) in zip(backward(net, x, target),
-                                      backward(net, np.asfortranarray(x), target)):
-            assert np.array_equal(w, w_f) and np.array_equal(b, b_f)
 
 
 class TestNetworkValidation:
@@ -142,30 +143,30 @@ class TestActivations:
                                                 [1.0, 0.1, 5.0]])
 
     def test_softmax_symmetry(self):
-        assert np.allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
+        assert np.allclose(softmax_rows(np.array([0.0, 0.0])), [0.5, 0.5])
 
     def test_softmax_shift_invariance(self):
         for c in (-50.0, 0.0, 123.0):
-            assert np.allclose(softmax(np.full(4, c)), 0.25)
+            assert np.allclose(softmax_rows(np.full(4, c)), 0.25)
         z = np.array([0.3, -1.2, 4.0])
-        assert np.allclose(softmax(z), softmax(z + 77.7))
+        assert np.allclose(softmax_rows(z), softmax_rows(z + 77.7))
 
     def test_softmax_matches_direct_evaluation(self):
         z = np.array([1.0, 2.0, 3.0])
         denom = sum(math.exp(v) for v in z)
-        assert np.allclose(softmax(z), [math.exp(v) / denom for v in z], rtol=1e-14)
+        assert np.allclose(softmax_rows(z), [math.exp(v) / denom for v in z], rtol=1e-14)
 
     def test_softmax_normalized_on_random_inputs(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            out = softmax(rng.standard_normal(9) * 100)
+            out = softmax_rows(rng.standard_normal(9) * 100)
             assert abs(out.sum() - 1.0) <= 1e-12
             assert np.all(out > 0.0)
 
     def test_softmax_overflow_guard(self):
-        out = softmax(np.array([1000.0, 0.0]))
+        out = softmax_rows(np.array([1000.0, 0.0]))
         assert np.isfinite(out).all()
-        assert out[0] == pytest.approx(1.0)
+        assert out[0, 0] == pytest.approx(1.0)
 
 
 class TestLosses:
@@ -202,7 +203,7 @@ class TestLosses:
         for _ in range(50):
             a, b = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
             assert compute_loss(a, b, "l2") >= 0.0
-            p = softmax(rng.standard_normal((1, 6)))
+            p = softmax_rows(rng.standard_normal((1, 6)))
             y = np.zeros((1, 6))
             y[0, int(rng.integers(0, 6))] = 1.0
             assert compute_loss(p, y, "cce") >= 0.0
@@ -244,7 +245,7 @@ class TestBackward:
     def test_zero_gradient_at_perfect_fit(self):
         net = Network([layer(np.eye(2), np.zeros(2), "linear")])
         x = np.array([[0.3, -0.7]])
-        grads = backward(net, x, x)
+        grads = gradients(net, x, x)
         for gw, gb in grads:
             assert np.allclose(gw, 0.0)
             assert np.allclose(gb, 0.0)
@@ -254,7 +255,7 @@ class TestBackward:
         net = random_net([10, 8, 8, 1], "linear", rng)
         x = rng.standard_normal((1, 10))
         y = np.array([[2.0]])
-        analytic = backward(net, x, y)
+        analytic = gradients(net, x, y)
         numeric = finite_difference_grads(net, x, y, "l2")
         assert max_relative_error(analytic, numeric) < 1e-5
 
@@ -264,7 +265,7 @@ class TestBackward:
         x = rng.standard_normal((1, 6))
         y = np.zeros((1, 6))
         y[0, 2] = 1.0
-        analytic = backward(net, x, y)
+        analytic = gradients(net, x, y)
         numeric = finite_difference_grads(net, x, y, "cce")
         assert max_relative_error(analytic, numeric) < 1e-5
 
@@ -274,7 +275,7 @@ class TestBackward:
             layer([[-5.0, -5.0], [1.0, 1.0]], [0.0, 0.0], "relu"),
             layer([[1.0, 1.0]], [0.0], "linear"),
         ])
-        grads = backward(net, np.array([[1.0, 1.0]]), np.array([[0.0]]))
+        grads = gradients(net, np.array([[1.0, 1.0]]), np.array([[0.0]]))
         gw1, gb1 = grads[0]
         assert np.allclose(gw1[0], 0.0)  # dead unit row
         assert gb1[0] == 0.0
@@ -573,10 +574,7 @@ class TestStepMatchesReference:
 
         out = forward(net, x)
         assert np.array_equal(x, x0)
-        logits = x.copy()
-        softmax(logits)
-        assert np.array_equal(logits, x0)
-        first, second = backward(net, x, y), backward(net, x, y)
+        first, second = gradients(net, x, y), gradients(net, x, y)
         for (gw1, gb1), (gw2, gb2) in zip(first, second):
             assert np.array_equal(gw1, gw2) and np.array_equal(gb1, gb2)
         assert np.array_equal(forward(net, x), out)

@@ -502,3 +502,49 @@ class TestFbssCovariance:
             fbss_covariance(r, 0)
         with pytest.raises(ValueError):
             fbss_covariance(r, 5)
+
+
+# Seeded Monte Carlo against the closed forms: TRIALS trials of M=6, N=8 at 3 dB from
+# four fixed DOAs, each real and imaginary part of a mean within SIGMAS standard errors
+# of its closed form (plus 1e-12 of round-off, for the parts that are 0 in every trial).
+TRIALS, SIGMAS = 4000, 5.0
+MC_M, MC_N, MC_M0, MC_SNR_DB, MC_DOAS = 6, 8, 4, 3.0, (0.3, 1.1, 2.0, 4.0)
+
+
+def closed_form_covariance(targets):
+    """``A P A^H + sigma^2 I`` at the Monte-Carlo point, with ``A`` written out
+    and ``P[i, j]`` 1 where sources i and j carry one waveform, else 0: the
+    identity for independent unit-power sources, and ``P[c, t] = P[t, c] = 1``
+    for each coherent copy ``c`` of target ``t`` (and between copies of one target)."""
+    waveform = [*range(len(MC_DOAS) - len(targets)), *targets]
+    p = np.equal.outer(waveform, waveform).astype(float)
+    a = np.exp(1j * math.pi * np.outer(np.arange(MC_M), np.sin(MC_DOAS)))
+    return a @ p @ a.conj().T + 10.0 ** (-MC_SNR_DB / 10.0) * np.eye(MC_M)
+
+
+def assert_mean_within_sigmas(samples, expected):
+    parts = samples.reshape(len(samples), -1).view(np.float64)
+    error = SIGMAS * parts.std(axis=0, ddof=1) / math.sqrt(len(parts)) + 1e-12
+    miss = np.abs(parts.mean(axis=0) - expected.ravel().view(np.float64))
+    assert np.all(miss <= error), f"worst miss {np.max(miss / error):.2f} of the tolerance"
+
+
+@pytest.fixture(scope="module", params=[(), (0,), (0, 0), (1, 0)],
+                ids=["independent", "one-copy", "two-copies-of-one", "copies-of-two"])
+def monte_carlo_covariances(request):
+    """The coherent targets and TRIALS sample covariances drawn with them."""
+    rng = np.random.default_rng(31)
+    snapshots = [generate_snapshots(MC_M, MC_N, MC_DOAS, request.param, MC_SNR_DB, rng)
+                 for _ in range(TRIALS)]
+    return request.param, sample_covariance(np.stack(snapshots))
+
+
+class TestClosedForm:
+    def test_mean_sample_covariance(self, monte_carlo_covariances):
+        targets, r = monte_carlo_covariances
+        assert_mean_within_sigmas(r, closed_form_covariance(targets))
+
+    def test_mean_fbss_covariance(self, monte_carlo_covariances):
+        targets, r = monte_carlo_covariances
+        assert_mean_within_sigmas(fbss_covariance(r, MC_M0),
+                                  fbss_covariance(closed_form_covariance(targets), MC_M0))
