@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import is_integer, is_moderate
+from .linalg import check_count, is_moderate
 
 # Floor applied to eigenvalues before logarithms; noise-free simulation
 # produces exact zeros.
@@ -49,8 +49,7 @@ def check_spectra(values, num_snapshots: int) -> np.ndarray:
         raise ValueError("eigenvalues must be non-negative")
     if np.count_nonzero(values[:, 1:] > values[:, :-1]):
         raise ValueError("eigenvalues must be sorted descending")
-    if not is_integer(num_snapshots) or num_snapshots < 1:
-        raise ValueError(f"num_snapshots must be an integer of at least 1, got {num_snapshots!r}")
+    check_count("num_snapshots", num_snapshots, 1)
     return values
 
 
@@ -229,8 +228,7 @@ def table_op_counts(m: int, kind: str) -> OpCounts:
     additions/subtractions, ``2m`` (AIC) or ``m`` (MDL) logarithms, and
     ``m`` comparisons.
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    m = check_count("m", m, 2)
     if kind not in ("aic", "mdl"):
         raise ValueError(f"unknown criterion kind {kind!r}")
     return OpCounts(
@@ -248,8 +246,7 @@ def measured_op_counts(m: int, kind: str) -> OpCounts:
     count are used.  Reported side by side with :func:`table_op_counts`;
     the two are not asserted to agree.
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    m = check_count("m", m, 2)
     ops = OpCounter()
     values = [float(m - i) for i in range(m)]
     _criterion_counted(values, 1000, kind, ops)

@@ -28,7 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from .classical import check_spectra, criterion_values
-from .linalg import hermitian_eig, is_integer, is_moderate
+from .linalg import check_count, hermitian_eig, is_moderate
 from .network import (
     Layer,
     Network,
@@ -69,12 +69,6 @@ def detector_name(kind: str, subarray_size: int | None) -> str:
     return kind if subarray_size is None else f"fbss-{kind}"
 
 
-def _check_count(name: str, value, low: int, high: float = math.inf):
-    """Raises ValueError unless ``value`` is an integer (not a bool) in [low, high]."""
-    if not is_integer(value) or not low <= value <= high:
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-
-
 @dataclass(frozen=True)
 class DetectorSpec:
     """Architecture and feature choices of one detector.
@@ -101,11 +95,10 @@ class DetectorSpec:
         if self.kind not in NET_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
         feature_kind(self.kind, self.subarray_size)
-        _check_count("num_antennas", self.num_antennas, 2)
-        object.__setattr__(self, "num_antennas", int(self.num_antennas))  # JSON has no numpy ints
-        if self.subarray_size is not None:
-            _check_count("subarray_size", self.subarray_size, 1, self.num_antennas)
-            object.__setattr__(self, "subarray_size", int(self.subarray_size))
+        object.__setattr__(self, "num_antennas", check_count("num_antennas", self.num_antennas, 2))
+        if self.subarray_size is not None:  # both stored as Python ints: JSON has no numpy ints
+            m0 = check_count("subarray_size", self.subarray_size, 1, self.num_antennas)
+            object.__setattr__(self, "subarray_size", m0)
         if not isinstance(self.normalize, bool):
             raise ValueError(f"normalize must be a bool, got {self.normalize!r}")
 
@@ -246,7 +239,7 @@ class ClassicalDetector:
         if self.kind not in CLASSICAL_KINDS:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
         if self.subarray_size is not None:
-            _check_count("subarray_size", self.subarray_size, 1)
+            check_count("subarray_size", self.subarray_size, 1)
         feature_kind(self.kind, self.subarray_size)
 
     @property
@@ -284,9 +277,8 @@ def load_detector(path) -> Detector:
         with open(path, encoding="utf-8") as fh:
             net, train_config, meta = loads_network(fh.read())
         try:
-            sub = meta.get("subarray_size")
-            spec = DetectorSpec(meta["detector"], int(meta["num_antennas"]),
-                                None if sub is None else int(sub), bool(meta.get("normalize")))
+            spec = DetectorSpec(meta["detector"], meta["num_antennas"],
+                                meta.get("subarray_size"), meta.get("normalize", False))
         except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ValueError(f"no usable detector metadata: {exc}") from exc
         expected = _meta(spec)

@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import platform
 import time
 from dataclasses import dataclass, fields, replace
@@ -36,7 +37,7 @@ from .detectors import (
     make_features,
     normalize_features,
 )
-from .linalg import is_integer
+from .linalg import check_count
 from .network import TrainConfig, train
 from .signal_model import noise_variance_at, sample_covariance, snapshot_stack
 
@@ -84,30 +85,29 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):  # the types _convert_config_value parses into
-            value = getattr(self, f.name)
-            if isinstance(f.default, bool) and not isinstance(value, bool):
-                raise ValueError(f"{f.name} must be a bool, got {value!r}")
-            if type(f.default) is int:
-                if not is_integer(value):
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
-                object.__setattr__(self, f.name, int(value))  # JSON has no numpy ints
-        if not all(map(is_integer, self.snapshot_axis)):
-            raise ValueError(f"snapshot_axis must list integers, got {self.snapshot_axis!r}")
-        object.__setattr__(self, "snapshot_axis", tuple(map(int, self.snapshot_axis)))
-        if not 0 <= self.max_sources < self.num_antennas:
-            raise ValueError("need 0 <= max_sources < num_antennas")
-        for name in ("num_antennas", "num_train", "num_test", "num_snapshots", "snapshot_axis"):
-            counts = getattr(self, name)
-            for count in counts if name == "snapshot_axis" else (counts,):
-                if not 1 <= count <= MAX_COUNT:
-                    bound = "at least 1" if count < 1 else f"at most {MAX_COUNT}"
-                    raise ValueError(f"{name} must be {bound}, got {counts}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 1 <= self.subarray_size <= self.num_antennas:
-            raise ValueError(f"subarray_size must lie in [1, {self.num_antennas}], "
-                             f"got {self.subarray_size}")
+        for f in fields(self):  # the types _convert_config_value parses into; counts below
+            value, default = getattr(self, f.name), f.default
+            if isinstance(default, tuple) or default is None and value is not None:
+                if not isinstance(value, (tuple, list)):
+                    raise ValueError(f"{f.name} must be a tuple or list, got {value!r}")
+                object.__setattr__(self, f.name, tuple(value))
+            elif type(default) in (bool, float) and (
+                    not isinstance(value, numbers.Real)
+                    or isinstance(default, bool) != isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be a {type(default).__name__}, got {value!r}")
+
+        def count(name, low, high):  # stored as a Python int: JSON has no numpy ints
+            object.__setattr__(self, name, check_count(name, getattr(self, name), low, high))
+            return getattr(self, name)
+
+        m = count("num_antennas", 1, MAX_COUNT)
+        # Every count that sizes an array stops at numpy's largest dimension.
+        for name, low, high in (("num_snapshots", 1, MAX_COUNT), ("num_train", 1, MAX_COUNT),
+                                ("num_test", 1, MAX_COUNT), ("max_sources", 0, m - 1),
+                                ("subarray_size", 1, m), ("seed", 0, math.inf)):
+            count(name, low, high)
+        object.__setattr__(self, "snapshot_axis", tuple(
+            check_count("snapshot_axis", n, 1, MAX_COUNT) for n in self.snapshot_axis))
         _check_snr(self.train_snr_db, "train_snr_db")
         noise_variance_at(self.test_snr_db, "test_snr_db")
         for snr in self.snr_axis_db:
@@ -115,7 +115,9 @@ class ExperimentConfig:
         for kind in self.detectors or ():
             if kind not in NET_KINDS + CLASSICAL_KINDS:
                 raise ValueError(f"detectors must name known detectors, got {kind!r}")
-        TrainConfig(self.learning_rate, self.batch_size, self.epochs)  # checks training settings
+        training = TrainConfig(self.learning_rate, self.batch_size, self.epochs)  # checks all three
+        for name in ("batch_size", "epochs"):
+            object.__setattr__(self, name, getattr(training, name))
 
     @property
     def identifiable(self) -> bool:
@@ -236,10 +238,8 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     role = {"train": ROLE_TRAIN, "test": ROLE_TEST}.get(phase)
     if role is None:
         raise ValueError(f"phase must be 'train' or 'test', got {phase!r}")
-    if not is_integer(num) or not 0 <= num <= MAX_COUNT:
-        raise ValueError(f"num must be an integer in [0, {MAX_COUNT}], got {num!r}")
-    if not is_integer(axis_index) or axis_index < 0:
-        raise ValueError(f"axis_index must be a non-negative integer, got {axis_index!r}")
+    num = check_count("num", num, 0, MAX_COUNT)
+    axis_index = check_count("axis_index", axis_index, 0)
     _check_snr(snr_db, "snr_db")
     if coherent is not None:
         config = replace(config, coherent=coherent)
@@ -263,8 +263,7 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, num, _FEATURE_BLOCK):
             stop = min(start + _FEATURE_BLOCK, num)
-            streams = _stream_states(config.seed, (role, int(axis_index)),
-                                     range(start, stop)).tolist()
+            streams = _stream_states(config.seed, (role, axis_index), range(start, stop)).tolist()
             for low in range(start, stop, step):
                 high = min(low + step, stop)
                 rows[:] = range(k_max)  # every source reads its own row unless it copies
@@ -376,6 +375,7 @@ def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
     """
     if kind not in NET_KINDS:
         raise ValueError(f"{kind!r} is not a trainable detector")
+    axis_index = check_count("axis_index", axis_index, 0)
     spec = DetectorSpec(kind, config.num_antennas, subarray_size,
                         normalize=config.normalize_features)
     if spec.normalize:

@@ -7,6 +7,7 @@ package's tiny (M <= 16) covariances goes through one LAPACK call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,12 @@ def _square(a) -> np.ndarray:
     return a
 
 
-def is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not."""
-    return np.issubdtype(type(value), np.integer)
+def check_count(name: str, value, low: int, high: float = math.inf) -> int:
+    """``value`` as an int.  Raises ValueError naming ``name`` unless it is a Python or
+    numpy integer (a bool is not) in [low, high]: the one rule for every count."""
+    if not np.issubdtype(type(value), np.integer) or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
 
 
 def is_moderate(a) -> bool:

@@ -19,6 +19,8 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
+from .linalg import check_count
+
 ACTIVATIONS = ("relu", "linear", "softmax")
 
 # Probability floor inside the cross-entropy logarithm.
@@ -110,10 +112,8 @@ class TrainConfig:
         if not 0.0 <= self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and non-negative, "
                              f"got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+        for name, low in (("batch_size", 1), ("epochs", 0), ("seed", 0)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), low))
 
 
 def _softmax_rows(z: np.ndarray):
@@ -234,9 +234,7 @@ def adam_step(net: Network, grad: np.ndarray, state: AdamState, config: TrainCon
 
 def init_truncated_normal(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
     """Normal draws with variance 1/fan_in, redrawn beyond two sigma."""
-    if fan_in < 1:
-        raise ValueError("fan_in must be at least 1")
-    sigma = 1.0 / math.sqrt(fan_in)
+    sigma = 1.0 / math.sqrt(check_count("fan_in", fan_in, 1))
     w = sigma * rng.standard_normal(shape)
     out_of_bounds = np.abs(w) > 2.0 * sigma
     while np.any(out_of_bounds):
@@ -388,10 +386,9 @@ def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
             unknown = sorted(entries.keys() - {f.name for f in fields(TrainConfig)})
             if unknown:
                 raise ValueError(f"unknown train_config keys {unknown}")
-            for f in fields(TrainConfig):  # a float field takes any JSON number
-                value = entries.get(f.name, f.default)
-                if type(value) not in ((int, float) if f.type == "float" else (int,)):
-                    raise ValueError(f"train_config {f.name} = {value!r} is not of type {f.type}")
+            rate = entries.get("learning_rate", 0.0)  # TrainConfig checks the counts
+            if type(rate) not in (int, float):  # any JSON number, and no bool
+                raise ValueError(f"train_config learning_rate = {rate!r} is not a number")
             config = TrainConfig(**entries)
         return net, config, doc.get("meta", {})
     except (KeyError, TypeError, AttributeError) as exc:

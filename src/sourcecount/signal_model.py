@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .linalg import exchange_conjugate, is_integer, is_moderate
+from .linalg import check_count, exchange_conjugate, is_moderate
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 _HALF_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -107,14 +107,11 @@ def generate_snapshots(num_antennas: int, num_snapshots: int, doas, targets, snr
     0 <= K < M and N >= 1, the DOAs are distinct, each target is an independent source
     and :func:`noise_variance_at` takes the SNR.  The one-row case of :func:`snapshot_stack`."""
     k, independent = len(doas), len(doas) - len(targets)
-    m, n = num_antennas, num_snapshots
-    for name, count, low in (("num_antennas", m, k + 1), ("num_snapshots", n, 1)):
-        if not is_integer(count) or count < low:
-            raise ValueError(f"{name} must be an integer of at least {low}, got {count!r}")
+    m = check_count("num_antennas", num_antennas, k + 1)
+    n = check_count("num_snapshots", num_snapshots, 1)
     if len(set(doas)) < k:
         raise ValueError("doas must be pairwise distinct")
-    if not all(is_integer(t) and 0 <= t < independent for t in targets):
-        raise ValueError(f"targets must lie in [0, {independent}), got {targets}")
+    targets = [check_count("targets", t, 0, independent - 1) for t in targets]
     variance = noise_variance_at(snr_db)
     normals = rng.standard_normal((1, 2 * (independent + m * (variance > 0.0)) * n))
     return snapshot_stack(m, n, np.array([k]), np.array([[*range(independent), *targets]], int),
@@ -170,9 +167,7 @@ def fbss_covariance(r_hat, subarray_size: int) -> np.ndarray:
     if r_hat.ndim < 2 or r_hat.shape[-1] != r_hat.shape[-2]:
         raise ValueError("covariance must be a square matrix")
     m = r_hat.shape[-1]
-    m0 = subarray_size
-    if not 1 <= m0 <= m:
-        raise ValueError(f"subarray size must be in [1, {m}], got {m0}")
+    m0 = check_count("subarray_size", subarray_size, 1, m)
     t = m - m0 + 1
     if not is_moderate(r_hat):
         top = np.maximum.reduce(np.abs(r_hat.view(np.float64)), axis=None, initial=0.0)

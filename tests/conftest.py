@@ -4,10 +4,11 @@ The acceptance criteria and a few operation-level claims need networks
 trained at the real protocol scale (8000 samples, 400 epochs).  Each
 configuration is trained once per session and shared.  The bit-pinning
 digests hold one entry per OpenBLAS core family, and the report names the
-core that runs.
+core that runs and the package's source line count.
 """
 
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -23,12 +24,17 @@ from sourcecount.experiments import (
 )
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "sourcecount"
+
+
 def pytest_report_header(config):
-    return f"openblas core: {_blas_core() or 'unknown'}"
+    # src LOC counts lines as `wc -l src/sourcecount/*.py` does.
+    loc = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    return f"openblas core: {_blas_core() or 'unknown'}, src LOC: {loc}"
 
 
 def pytest_terminal_summary(terminalreporter, config):
-    if terminalreporter.verbosity < 0:  # -q prints no header, so the core goes last
+    if terminalreporter.verbosity < 0:  # -q prints no header, so both go last
         terminalreporter.write_line(pytest_report_header(config))
 
 

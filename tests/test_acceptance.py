@@ -8,15 +8,21 @@ fixtures in conftest; criterion 6 is the no-training property battery.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from sourcecount.classical import EigenSpectrum, aic, mdl
 from sourcecount.detectors import make_features
 from sourcecount.experiments import (
+    ROLE_TEST,
+    ClassicalDetector,
     ExperimentConfig,
+    _rng,
     bench_complexity,
+    draw_scenario,
     emit_csv,
+    evaluate_detectors,
     generate_trials,
     run_sweep,
 )
@@ -85,23 +91,39 @@ def test_criterion_4_coherent_low_snr(coherent_point):
     accs = coherent_point.accuracy
     config = coherent_point.config
     m0 = config.subarray_size
+    # Each trial draws from its own seed stream, so drawing the fixture's
+    # test phase again gives the very trials it was scored on.
+    trials = generate_trials(config, phase="test", num=config.num_test, snr_db=0.0,
+                             coherent=True, want=("fbss",))
+    labels = trials.labels
     # An M0 x M0 smoothed covariance resolves at most M0 - 1 sources.
-    # K is each trial's first draw from its own seed stream, so drawing
-    # the fixture's test phase again gives the very labels it was scored on.
-    labels = generate_trials(config, phase="test", num=config.num_test, snr_db=0.0,
-                             coherent=True, want=()).labels
     unresolvable = float(np.mean(labels >= m0))
+    detectors = [*coherent_point.detectors.values(),
+                 ClassicalDetector("aic", m0), ClassicalDetector("mdl", m0)]
+    by_k = [evaluate_detectors(detectors, replace(trials, labels=labels[labels == k],
+                                                  fbss=trials.fbss[labels == k]))
+            for k in range(config.max_sources + 1)]
+    per_k = ", ".join(f"{det.name} " + "/".join(f"{acc[det.name]:.2f}" for acc in by_k)
+                      for det in detectors)
+    # Two sources closer than about the 2/M Rayleigh width in sin(theta); the
+    # DOAs are redrawn from each trial's own stream, as generate_trials drew them.
+    close = 0
+    for i, label in enumerate(labels):
+        doas, _, _ = draw_scenario(config, _rng(config.seed, ROLE_TEST, 0, i), snr_db=0.0)
+        assert len(doas) == label
+        close += bool(np.any(np.diff(np.sort(np.sin(doas))) < 0.2))
     ok = (0.6 <= accs["fbss-aic"] <= 0.8
           and 0.6 <= accs["fbss-mdl"] <= 0.8
           and accs["fbss-ernet"] >= 0.9
           and accs["fbss-ecnet"] >= 0.9)
     _criterion(4, ok,
                f"coherent, SNR=0dB, N={config.num_snapshots}, M0={m0}, "
-               f"K_max={config.max_sources} (K>=M0 in {unresolvable:.3f} of test trials): "
+               f"K_max={config.max_sources} (K>=M0 in {unresolvable:.3f} of test trials, "
+               f"a pair within 0.2 in sin(theta) in {close / len(labels):.3f}): "
                f"fbss-ernet={accs['fbss-ernet']:.4f}, "
                f"fbss-ecnet={accs['fbss-ecnet']:.4f} (>= 0.9), "
                f"fbss-aic={accs['fbss-aic']:.4f}, fbss-mdl={accs['fbss-mdl']:.4f} "
-               f"(in [0.6, 0.8])")
+               f"(in [0.6, 0.8]); accuracy per true K=0..{config.max_sources}: {per_k}")
 
 
 def test_criterion_5_complexity_closed_forms():

@@ -374,7 +374,7 @@ class TestFlagValidation:
         assert run(command, "--config", config_file, "--out", out,
                    "--detector", "ernet", "--fbss", "11") == 2
         err = capsys.readouterr().err
-        assert err == "error: subarray_size must lie in [1, 10], got 11\n"
+        assert err == "error: subarray_size must be an integer in [1, 10], got 11\n"
         assert not out.exists()
 
     def test_fbss_model_from_larger_array_rejected(self, tmp_path, capsys):
@@ -388,7 +388,7 @@ class TestFlagValidation:
                    "--model", model) == 2
         err = capsys.readouterr().err
         assert err == (f"error: model {model}: "
-                       "subarray_size must lie in [1, 6], got 8\n")
+                       "subarray_size must be an integer in [1, 6], got 8\n")
         assert not list(out.glob("eval-*.json"))
 
     @pytest.mark.parametrize("argv", [
@@ -539,8 +539,7 @@ CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
 ODD_CONFIG_VALUES = ["abc", "0.5", "true", "5,10", "", "nan", "Infinity", "-Infinity", "-7",
                      str(10 ** 400)]
 # What ExperimentConfig says of a value that parses but that it rejects.
-CONFIG_REJECTION = re.compile(r"error: (%s) |error: need 0 <= max_sources"
-                              % "|".join(CONFIG_FIELDS))
+CONFIG_REJECTION = re.compile(r"error: (%s) " % "|".join(CONFIG_FIELDS))
 
 
 @st.composite
@@ -689,7 +688,7 @@ class TestEveryFailureIsOneErrorLine:
         err = capsys.readouterr().err
         assert_one_error_line(status, err)
         limit = np.iinfo(np.intp).max
-        assert err == f"error: num_train must be at most {limit}, got {10 ** 19}\n"
+        assert err == f"error: num_train must be an integer in [1, {limit}], got {10 ** 19}\n"
 
     def test_header_only_dataset(self, tmp_path, small_dataset, capsys):
         config, text = small_dataset

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -62,9 +63,9 @@ TRAINING_DIGEST = {
     "Nehalem": "4939ae38222bca288b59e454b5757cade5b06c73277ccd06ab935a5464aa6737",
     "Katmai": "77eaf54e4312af1dc50fe7cdee2e9084f59918c2ded9adf0b5e49725808c587f",
 }
-# SHA-256 of TestSweeps.test_sweep_bits_pinned's sweep results.
+# SHA-256 of sweep_digest's sweep results: one value on every core family tried.
 SWEEP_DIGEST = "1e61c42b8c725836464948b6d95b3a1c2577a38ad4d41a3757acf87d49f2634b"
-# SHA-256 of TestSweeps.test_normalized_sweep_bits_pinned's sweep results.
+# SHA-256 of normalized_sweep_digest's sweep results, likewise one value.
 NORMALIZED_SWEEP_DIGEST = "1a47fda4bdd03d694b4d1ba8fe6f2d5e19b9eb11567fcb08d56beeda4c4c19d1"
 
 
@@ -114,6 +115,33 @@ def training_digest():
             digest.update(lay.weights.tobytes())
             digest.update(lay.bias.tobytes())
         digest.update(np.array(history).tobytes())
+    return digest.hexdigest()
+
+
+def sweep_digest():
+    """One SHA-256 over four tiny sweeps: snapshots (retrained per N) and the
+    coherent SNR sweep with their default detectors, the non-coherent SNR
+    sweep, and a coherent two-detector subset."""
+    digest = hashlib.sha256()
+    for name, config in (
+            ("sweep-snapshots", tiny_config(detectors=None)),
+            ("sweep-snr", tiny_config()),
+            ("sweep-snr-coherent", tiny_config(max_sources=4, detectors=None)),
+            ("sweep-snr-coherent", tiny_config(max_sources=4, detectors=("ecnet", "mdl")))):
+        digest.update(repr(run_sweep(name, config)).encode())
+    return digest.hexdigest()
+
+
+def normalized_sweep_digest():
+    """The three sweeps on trace-normalized features, with ERNet, ECNet and
+    CovNet among their detectors: each detector normalizes the raw rows it
+    trains and decides on, bit for bit as the callers once normalized them."""
+    digest = hashlib.sha256()
+    for name, config in (
+            ("sweep-snapshots", tiny_config(detectors=None)),
+            ("sweep-snr", tiny_config(detectors=("ecnet", "covnet", "mdl"))),
+            ("sweep-snr-coherent", tiny_config(max_sources=4, detectors=None))):
+        digest.update(repr(run_sweep(name, replace(config, normalize_features=True))).encode())
     return digest.hexdigest()
 
 
@@ -256,7 +284,8 @@ class TestConfig:
         beyond = (5, MAX_COUNT + 1) if field == "snapshot_axis" else MAX_COUNT + 1
         assert MAX_COUNT == np.iinfo(np.intp).max
         assert getattr(ExperimentConfig(**{field: limit}), field) == limit
-        with pytest.raises(ValueError, match=f"^{field} must be at most {MAX_COUNT}, got "):
+        with pytest.raises(ValueError,
+                           match=fr"^{field} must be an integer in \[1, {MAX_COUNT}\], got "):
             ExperimentConfig(**{field: beyond})
         assert ExperimentConfig(seed=10 ** 30).seed == 10 ** 30
 
@@ -268,6 +297,22 @@ class TestConfig:
     def test_mistyped_counts_and_switches_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("train_snr_db", 5.0), ("snapshot_axis", 5), ("snr_axis_db", 5.0),
+        ("detectors", "ernet"), ("learning_rate", "0.1"), ("learning_rate", True)])
+    def test_field_of_the_wrong_shape_or_type_is_named(self, field, value):
+        # Each used to be accepted, fail later or elsewhere, or name one character.
+        named = fr"^{field} must be a .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=named):
+            ExperimentConfig(**{field: value})
+
+    def test_tuple_fields_are_stored_as_tuples(self):
+        config = ExperimentConfig(train_snr_db=[0.0, 40.0], snapshot_axis=[5, 10],
+                                  snr_axis_db=[0.0, 5.0], detectors=["ernet", "mdl"])
+        assert config.train_snr_db == (0.0, 40.0) and config.snapshot_axis == (5, 10)
+        assert config.snr_axis_db == (0.0, 5.0) and config.detectors == ("ernet", "mdl")
+        assert ExperimentConfig(detectors=None).detectors is None
 
     def test_numpy_integer_counts_accepted(self):
         # and stored as Python ints, which JSON can write
@@ -684,25 +729,36 @@ class TestTrainDetector:
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                         reason="OPENBLAS_CORETYPE names x86-64 cores")
     def test_bits_pinned_on_a_second_blas_core(self, assert_pinned):
-        # Both digests in a process whose OpenBLAS runs Haswell's kernels, so
-        # that an entry beyond the host's own core is checked too.
+        # The digests in a process whose OpenBLAS runs Haswell's kernels, so
+        # that an entry beyond the host's own core is checked too, and the
+        # sweep accuracies, the portable part of the contract, keep their one value.
         script = ("import test_experiments as t\n"
-                  "print(t._blas_core(), t.simulation_digest(), t.training_digest())\n")
+                  "print(t._blas_core(), t.simulation_digest(), t.training_digest(),\n"
+                  "      t.sweep_digest(), t.normalized_sweep_digest())\n")
         here = Path(__file__).resolve().parent
         env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
                "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
         done = subprocess.run([sys.executable, "-c", script], env=env, cwd=here,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        core, simulation, training = done.stdout.split()
+        core, simulation, training, sweep, normalized = done.stdout.split()
         assert_pinned("SIMULATION_DIGEST", SIMULATION_DIGEST, simulation, core)
         assert_pinned("TRAINING_DIGEST", TRAINING_DIGEST, training, core)
+        assert (sweep, normalized) == (SWEEP_DIGEST, NORMALIZED_SWEEP_DIGEST), core
 
     @pytest.mark.parametrize("core, named", [("Zen9", "Zen9"), (None, "unknown")])
     def test_a_core_with_no_entry_fails_naming_it(self, assert_pinned, core, named):
         with pytest.raises(pytest.fail.Exception,
                            match=f"TRAINING_DIGEST has no entry for OpenBLAS core {named}"):
             assert_pinned("TRAINING_DIGEST", TRAINING_DIGEST, "0" * 64, core)
+
+    def test_numpy_integer_axis_index_trains_as_its_int(self):
+        config = tiny_config(epochs=2)
+        trials = generate_trials(config, phase="train", num=40, snr_db=5.0)
+        nets = [train_detector(config, "ecnet", trials.eigen, trials.labels,
+                               axis_index=axis_index)[0].net.params
+                for axis_index in (2, np.int64(2), np.uint8(2))]
+        assert all(np.array_equal(nets[0], net) for net in nets[1:])
 
     def test_smoothed_covnet_rejected_before_training(self):
         config = tiny_config()
@@ -770,31 +826,10 @@ class TestSweeps:
             run_sweep("sweep-snr-coherent", ExperimentConfig(subarray_size=1))
 
     def test_sweep_bits_pinned(self):
-        # One SHA-256 over four tiny sweeps: snapshots (retrained per N)
-        # and the coherent SNR sweep with their default detectors, the
-        # non-coherent SNR sweep, and a coherent two-detector subset.
-        digest = hashlib.sha256()
-        for name, config in (
-                ("sweep-snapshots", tiny_config(detectors=None)),
-                ("sweep-snr", tiny_config()),
-                ("sweep-snr-coherent", tiny_config(max_sources=4, detectors=None)),
-                ("sweep-snr-coherent", tiny_config(max_sources=4, detectors=("ecnet", "mdl")))):
-            digest.update(repr(run_sweep(name, config)).encode())
-        assert digest.hexdigest() == SWEEP_DIGEST
+        assert sweep_digest() == SWEEP_DIGEST
 
     def test_normalized_sweep_bits_pinned(self):
-        # The three sweeps on trace-normalized features, with ERNet, ECNet
-        # and CovNet among their detectors: each detector normalizes the
-        # raw rows it trains and decides on, bit for bit as the callers
-        # once normalized them.
-        digest = hashlib.sha256()
-        for name, config in (
-                ("sweep-snapshots", tiny_config(detectors=None)),
-                ("sweep-snr", tiny_config(detectors=("ecnet", "covnet", "mdl"))),
-                ("sweep-snr-coherent", tiny_config(max_sources=4, detectors=None))):
-            result = run_sweep(name, replace(config, normalize_features=True))
-            digest.update(repr(result).encode())
-        assert digest.hexdigest() == NORMALIZED_SWEEP_DIGEST
+        assert normalized_sweep_digest() == NORMALIZED_SWEEP_DIGEST
 
     def test_paired_evaluation(self):
         # classical detectors see exactly the trials the networks see

@@ -11,10 +11,30 @@ from hypothesis import strategies as st
 from sourcecount.linalg import (
     PSD_CLAMP_RTOL,
     _frobenius,
+    check_count,
     exchange_conjugate,
     hermitian_eig,
     is_hermitian,
 )
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [0, 3, np.int64(3), np.uint8(2), np.int8(0)])
+    def test_an_integer_in_range_comes_back_as_a_python_int(self, value):
+        count = check_count("k", value, 0, 3)
+        assert count == value and type(count) is int
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(2.0), True, np.bool_(False), "3",
+                                       None, [1], -1, 4, np.int64(4)])
+    def test_one_message_for_every_rejection(self, value):
+        with pytest.raises(ValueError) as info:
+            check_count("k", value, 0, 3)
+        assert str(info.value) == f"k must be an integer in [0, 3], got {value!r}"
+
+    def test_unbounded_above_by_default(self):
+        assert check_count("seed", 10 ** 30, 0) == 10 ** 30
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, inf\], got -1$"):
+            check_count("seed", -1, 0)
 
 
 def random_hermitian(rng, m):

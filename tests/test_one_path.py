@@ -5,6 +5,7 @@ as its raw row in a batch through ``select_features`` + ``decide_batch``
 (a normalizing detector divides both by the trace itself), and
 the batched AIC/MDL must select exactly the order the per-spectrum
 criteria select, and the order the operation-counting pass selects.
+Every count argument follows one rule, with one message.
 """
 
 import math
@@ -22,14 +23,19 @@ from sourcecount.classical import (
     aic,
     criterion_values,
     mdl,
+    measured_op_counts,
+    table_op_counts,
 )
-from sourcecount.detectors import NET_KINDS, Detector, DetectorSpec, build_detector
-from sourcecount.signal_model import generate_snapshots, sample_covariance
+from sourcecount.detectors import NET_KINDS, Detector, DetectorSpec, build_detector, make_features
+from sourcecount.network import TrainConfig, init_truncated_normal
+from sourcecount.signal_model import fbss_covariance, generate_snapshots, sample_covariance
 from sourcecount.experiments import (
+    MAX_COUNT,
     ClassicalDetector,
     ExperimentConfig,
     generate_trials,
     select_features,
+    train_detector,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -200,3 +206,78 @@ def test_numpy_integer_snapshot_count_is_accepted():
         assert (ClassicalDetector(kind).decide_batch(good, np.int64(20)).tolist()
                 == ClassicalDetector(kind).decide_batch(good, 20).tolist())
     assert EigenSpectrum(good[0], np.int32(20)).num_snapshots == 20
+
+
+def _snapshots(**kwargs):
+    """generate_snapshots with K=2 sources, the second a copy of the first."""
+    args = dict(num_antennas=4, num_snapshots=3, doas=(0.1, 0.7), targets=(0,), snr_db=5.0,
+                rng=np.random.default_rng(0))
+    return generate_snapshots(**args | kwargs)
+
+
+# Every count argument of the package: the call that passes it, its name, and
+# its bounds [low, high] (high None: unbounded).  Each goes through check_count.
+COUNT_SITES = {
+    "DetectorSpec.num_antennas": (lambda v: DetectorSpec("ernet", v), "num_antennas", 2, None),
+    "DetectorSpec.subarray_size": (lambda v: DetectorSpec("ernet", 6, v), "subarray_size", 1, 6),
+    "ClassicalDetector.subarray_size": (lambda v: ClassicalDetector("mdl", v),
+                                        "subarray_size", 1, None),
+    "ExperimentConfig.num_antennas": (
+        lambda v: ExperimentConfig(num_antennas=v, max_sources=0, subarray_size=1),
+        "num_antennas", 1, MAX_COUNT),
+    **{f"ExperimentConfig.{name}": (lambda v, name=name: ExperimentConfig(**{name: v}),
+                                    name, low, high)
+       for name, low, high in [("num_snapshots", 1, MAX_COUNT), ("num_train", 1, MAX_COUNT),
+                               ("num_test", 1, MAX_COUNT), ("max_sources", 0, 9),
+                               ("subarray_size", 1, 10), ("seed", 0, None),
+                               ("epochs", 0, None), ("batch_size", 1, None)]},
+    "ExperimentConfig.snapshot_axis": (lambda v: ExperimentConfig(snapshot_axis=(5, v)),
+                                       "snapshot_axis", 1, MAX_COUNT),
+    "generate_trials.num": (lambda v: generate_trials(ExperimentConfig(), phase="test", num=v,
+                                                      snr_db=5.0), "num", 0, MAX_COUNT),
+    "generate_trials.axis_index": (
+        lambda v: generate_trials(ExperimentConfig(), phase="test", num=2, snr_db=5.0,
+                                  axis_index=v), "axis_index", 0, None),
+    "train_detector.axis_index": (
+        lambda v: train_detector(ExperimentConfig(epochs=1), "ernet", np.ones((2, 10)),
+                                 np.zeros(2, dtype=int), axis_index=v), "axis_index", 0, None),
+    "generate_snapshots.num_antennas": (lambda v: _snapshots(num_antennas=v),
+                                        "num_antennas", 3, None),
+    "generate_snapshots.num_snapshots": (lambda v: _snapshots(num_snapshots=v),
+                                         "num_snapshots", 1, None),
+    "generate_snapshots.targets": (lambda v: _snapshots(targets=(v,)), "targets", 0, 0),
+    "fbss_covariance.subarray_size": (lambda v: fbss_covariance(np.eye(4), v),
+                                      "subarray_size", 1, 4),
+    "make_features.subarray_size": (lambda v: make_features(np.eye(4)[np.newaxis], "fbss", v),
+                                    "subarray_size", 1, 4),
+    "EigenSpectrum.num_snapshots": (lambda v: EigenSpectrum([3.0, 1.0], v),
+                                    "num_snapshots", 1, None),
+    "ClassicalDetector.decide_batch.num_snapshots": (
+        lambda v: ClassicalDetector("aic").decide_batch(np.array([[3.0, 1.0]]), v),
+        "num_snapshots", 1, None),
+    "table_op_counts.m": (lambda v: table_op_counts(v, "aic"), "m", 2, None),
+    "measured_op_counts.m": (lambda v: measured_op_counts(v, "mdl"), "m", 2, None),
+    **{f"TrainConfig.{name}": (lambda v, name=name: TrainConfig(**{name: v}), name, low, None)
+       for name, low in [("batch_size", 1), ("epochs", 0), ("seed", 0)]},
+    "init_truncated_normal.fan_in": (
+        lambda v: init_truncated_normal((2, 3), v, np.random.default_rng(0)), "fan_in", 1, None),
+}
+# AIC and MDL compare at least two smoothed eigenvalues, a rule of their own
+# (feature_kind), so a sub-array size of 1 passes the count check and fails that.
+LOWEST_ACCEPTED = {"ClassicalDetector.subarray_size": 2}
+
+
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_count_rejects_non_integers_and_values_out_of_range(site):
+    call, name, low, high = COUNT_SITES[site]
+    for value in [2.5, True, np.bool_(True), "3", low - 1] + ([] if high is None else [high + 1]):
+        with pytest.raises(ValueError, match=fr"^{name} must be an integer in \["):
+            call(value)
+
+
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_count_accepts_a_numpy_integer_at_its_bounds(site):
+    call, _, low, high = COUNT_SITES[site]
+    for bound in [LOWEST_ACCEPTED.get(site, low)] + ([] if high is None else [high]):
+        if bound <= 64 or site.startswith("ExperimentConfig"):  # no larger array is allocated
+            call(np.int64(bound))
