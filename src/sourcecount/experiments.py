@@ -17,7 +17,6 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import platform
 import time
 from dataclasses import dataclass, fields, replace
@@ -37,9 +36,9 @@ from .detectors import (
     make_features,
     normalize_features,
 )
-from .linalg import check_count
+from .linalg import FLOAT_MAX, check_count, check_real
 from .network import TrainConfig, train
-from .signal_model import noise_variance_at, sample_covariance, snapshot_stack
+from .signal_model import MIN_SNR_DB, noise_variance_at, sample_covariance, snapshot_stack
 
 # Seed-stream roles: disjoint substreams of the master seed.
 ROLE_TRAIN, ROLE_TEST, ROLE_INIT, ROLE_SHUFFLE = 0, 1, 2, 3
@@ -85,39 +84,37 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):  # the types _convert_config_value parses into; counts below
+        for f in fields(self):  # the types _convert_config_value parses into; numbers below
             value, default = getattr(self, f.name), f.default
             if isinstance(default, tuple) or default is None and value is not None:
                 if not isinstance(value, (tuple, list)):
                     raise ValueError(f"{f.name} must be a tuple or list, got {value!r}")
                 object.__setattr__(self, f.name, tuple(value))
-            elif type(default) in (bool, float) and (
-                    not isinstance(value, numbers.Real)
-                    or isinstance(default, bool) != isinstance(value, bool)):
-                raise ValueError(f"{f.name} must be a {type(default).__name__}, got {value!r}")
+            elif isinstance(default, bool) and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a bool, got {value!r}")
 
-        def count(name, low, high):  # stored as a Python int: JSON has no numpy ints
-            object.__setattr__(self, name, check_count(name, getattr(self, name), low, high))
-            return getattr(self, name)
+        def store(name, value):  # a Python int or float: JSON has no numpy scalars
+            object.__setattr__(self, name, value)
+            return value
 
-        m = count("num_antennas", 1, MAX_COUNT)
+        m = store("num_antennas", check_count("num_antennas", self.num_antennas, 1, MAX_COUNT))
         # Every count that sizes an array stops at numpy's largest dimension.
         for name, low, high in (("num_snapshots", 1, MAX_COUNT), ("num_train", 1, MAX_COUNT),
                                 ("num_test", 1, MAX_COUNT), ("max_sources", 0, m - 1),
                                 ("subarray_size", 1, m), ("seed", 0, math.inf)):
-            count(name, low, high)
-        object.__setattr__(self, "snapshot_axis", tuple(
-            check_count("snapshot_axis", n, 1, MAX_COUNT) for n in self.snapshot_axis))
-        _check_snr(self.train_snr_db, "train_snr_db")
-        noise_variance_at(self.test_snr_db, "test_snr_db")
-        for snr in self.snr_axis_db:
-            noise_variance_at(snr, "snr_axis_db")
+            store(name, check_count(name, getattr(self, name), low, high))
+        store("snapshot_axis", tuple(check_count("snapshot_axis", n, 1, MAX_COUNT)
+                                     for n in self.snapshot_axis))
+        store("train_snr_db", _check_snr(self.train_snr_db, "train_snr_db"))
+        store("test_snr_db", check_real("test_snr_db", self.test_snr_db, MIN_SNR_DB, math.inf))
+        store("snr_axis_db", tuple(check_real("snr_axis_db", snr, MIN_SNR_DB, math.inf)
+                                   for snr in self.snr_axis_db))
         for kind in self.detectors or ():
             if kind not in NET_KINDS + CLASSICAL_KINDS:
                 raise ValueError(f"detectors must name known detectors, got {kind!r}")
         training = TrainConfig(self.learning_rate, self.batch_size, self.epochs)  # checks all three
-        for name in ("batch_size", "epochs"):
-            object.__setattr__(self, name, getattr(training, name))
+        for name in ("learning_rate", "batch_size", "epochs"):
+            store(name, getattr(training, name))
 
     @property
     def identifiable(self) -> bool:
@@ -128,12 +125,13 @@ class ExperimentConfig:
 
 
 def _check_snr(snr_db, name: str):
-    """Raises ValueError naming ``name`` unless ``snr_db`` is an SNR or a (low, high) range."""
-    ranged = isinstance(snr_db, (tuple, list))
-    for snr in snr_db if ranged else (snr_db,):
-        noise_variance_at(snr, name)
-    if ranged and not (len(snr_db) == 2 and snr_db[0] <= snr_db[1] < math.inf):
-        raise ValueError(f"{name} must be a (low, high) pair with low <= high < inf, got {snr_db}")
+    """``snr_db`` as a float SNR or (low, high) range of floats; else ValueError naming ``name``."""
+    if not isinstance(snr_db, (tuple, list)):
+        return check_real(name, snr_db, MIN_SNR_DB, math.inf)
+    if len(snr_db) != 2:
+        raise ValueError(f"{name} must be a (low, high) pair, got {snr_db}")
+    low = check_real(name, snr_db[0], MIN_SNR_DB, FLOAT_MAX)
+    return low, check_real(name, snr_db[1], low, FLOAT_MAX)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -197,8 +195,7 @@ def draw_scenario(config: ExperimentConfig, rng: np.random.Generator, *,
     doas = rng.uniform(0.0, 2.0 * math.pi, size=k).tolist()
     if len(set(doas)) < k:
         raise ValueError("doas must be pairwise distinct")
-    snr = float(rng.uniform(snr_db[0], snr_db[1]) if isinstance(snr_db, (tuple, list))
-                else snr_db)
+    snr = rng.uniform(snr_db[0], snr_db[1]) if isinstance(snr_db, (tuple, list)) else float(snr_db)
     copies = int(rng.integers(0, k)) if config.coherent and k else 0
     if copies <= 1:  # one target: the scalar draw is the size=1 draw, value and state alike
         return doas, [int(rng.integers(0, k - 1))] if copies else [], snr
@@ -240,7 +237,7 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
         raise ValueError(f"phase must be 'train' or 'test', got {phase!r}")
     num = check_count("num", num, 0, MAX_COUNT)
     axis_index = check_count("axis_index", axis_index, 0)
-    _check_snr(snr_db, "snr_db")
+    snr_db = _check_snr(snr_db, "snr_db")
     if coherent is not None:
         config = replace(config, coherent=coherent)
     m, m0 = config.num_antennas, config.subarray_size

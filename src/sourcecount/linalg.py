@@ -8,6 +8,7 @@ package's tiny (M <= 16) covariances goes through one LAPACK call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ HERMITIAN_RTOL = 1e-10
 # Negative eigenvalues closer to zero than this (relative to the
 # Frobenius norm) are treated as round-off from a PSD input.
 PSD_CLAMP_RTOL = 1e-9
+
+FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _square(a) -> np.ndarray:
@@ -34,6 +37,20 @@ def check_count(name: str, value, low: int, high: float = math.inf) -> int:
     if not np.issubdtype(type(value), np.integer) or not low <= value <= high:
         raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value, low: float, high: float) -> float:
+    """``value`` as a float.  Raises ValueError naming ``name`` unless it is a Python or numpy
+    real (a bool is not) in [low, high]: the one rule for every real-valued setting."""
+    # A float skips the ABC check, which triples this check's cost: it runs once per trial.
+    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an integer past the float range
+        x = math.nan
+    if not low <= x <= high:  # NaN never is
+        raise ValueError(f"{name} must be a real number in [{low}, {high}], got {value!r}")
+    return x
 
 
 def is_moderate(a) -> bool:

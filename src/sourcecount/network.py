@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .linalg import check_count
+from .linalg import FLOAT_MAX, check_count, check_real
 
 ACTIVATIONS = ("relu", "linear", "softmax")
 
@@ -109,9 +109,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and non-negative, "
-                             f"got {self.learning_rate}")
+        object.__setattr__(self, "learning_rate",
+                           check_real("learning_rate", self.learning_rate, 0.0, FLOAT_MAX))
         for name, low in (("batch_size", 1), ("epochs", 0), ("seed", 0)):
             object.__setattr__(self, name, check_count(name, getattr(self, name), low))
 
@@ -386,10 +385,7 @@ def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
             unknown = sorted(entries.keys() - {f.name for f in fields(TrainConfig)})
             if unknown:
                 raise ValueError(f"unknown train_config keys {unknown}")
-            rate = entries.get("learning_rate", 0.0)  # TrainConfig checks the counts
-            if type(rate) not in (int, float):  # any JSON number, and no bool
-                raise ValueError(f"train_config learning_rate = {rate!r} is not a number")
-            config = TrainConfig(**entries)
+            config = TrainConfig(**entries)  # which checks each value
         return net, config, doc.get("meta", {})
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed document: {type(exc).__name__}: {exc}") from exc

@@ -23,30 +23,18 @@ import math
 
 import numpy as np
 
-from .linalg import check_count, exchange_conjugate, is_moderate
+from .linalg import FLOAT_MAX, check_count, check_real, exchange_conjugate, is_moderate
 
-_FLOAT_MAX = float(np.finfo(np.float64).max)
 _HALF_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# The lowest SNR whose noise variance 10^(-SNR/10) does not overflow (found by bisection).
+MIN_SNR_DB = -3082.547155599167
 
 
 def noise_variance_at(snr_db, name: str = "snr_db") -> float:
-    """Per-antenna noise variance ``10^(-snr_db / 10)`` of unit-power sources, 0.0 at inf.  NaN,
-    -inf, a non-number, an integer past the float range and an SNR below about -3082.5 dB
-    raise ValueError naming ``name``."""
-    try:
-        snr = float(snr_db) if snr_db > -math.inf else math.nan
-    except OverflowError:  # an integer past the float range
-        raise ValueError(f"{name} does not fit a float: its magnitude is past "
-                         f"{_FLOAT_MAX:.4e}") from None
-    except TypeError:  # not a real number
-        snr = math.nan
-    if not snr > -math.inf:
-        raise ValueError(f"{name} must hold numbers or inf (noise-free), got {snr_db}")
-    try:
-        return 10.0 ** (-snr / 10.0)
-    except OverflowError:
-        raise ValueError(f"{name} must be above about -3082.5 dB, where the noise variance "
-                         f"10^(-SNR/10) overflows, got {snr_db}") from None
+    """Per-antenna noise variance ``10^(-snr_db / 10)`` of unit-power sources, 0.0 at inf.
+    Raises ValueError naming ``name`` unless ``snr_db`` is a real in [``MIN_SNR_DB``, inf]."""
+    return 10.0 ** (-check_real(name, snr_db, MIN_SNR_DB, math.inf) / 10.0)
 
 
 def steering_matrix(doas, num_antennas: int) -> np.ndarray:
@@ -103,12 +91,13 @@ def generate_snapshots(num_antennas: int, num_snapshots: int, doas, targets, snr
     """The M x N snapshots ``A(theta) S + W`` of one raw draw of ``experiments.draw_scenario``:
     the last ``len(targets)`` of the K = ``len(doas)`` sources are coherent copies, copy ``c``
     of independent source ``targets[c]``; at ``snr_db = inf`` no noise is drawn.  Raises
-    ValueError naming the argument, before any draw, unless M and N are integers with
-    0 <= K < M and N >= 1, the DOAs are distinct, each target is an independent source
-    and :func:`noise_variance_at` takes the SNR.  The one-row case of :func:`snapshot_stack`."""
+    ValueError naming the argument, before any draw, unless M and N are integers with 0 <= K < M
+    and N >= 1, the DOAs are distinct finite reals, each target is an independent source and
+    :func:`noise_variance_at` takes the SNR.  The one-row case of :func:`snapshot_stack`."""
     k, independent = len(doas), len(doas) - len(targets)
     m = check_count("num_antennas", num_antennas, k + 1)
     n = check_count("num_snapshots", num_snapshots, 1)
+    doas = [check_real("doas", theta, -FLOAT_MAX, FLOAT_MAX) for theta in doas]
     if len(set(doas)) < k:
         raise ValueError("doas must be pairwise distinct")
     targets = [check_count("targets", t, 0, independent - 1) for t in targets]
@@ -171,7 +160,7 @@ def fbss_covariance(r_hat, subarray_size: int) -> np.ndarray:
     t = m - m0 + 1
     if not is_moderate(r_hat):
         top = np.maximum.reduce(np.abs(r_hat.view(np.float64)), axis=None, initial=0.0)
-        if not top <= _FLOAT_MAX / (2 * t):  # the 2T-term sums stay finite; NaN fails too
+        if not top <= FLOAT_MAX / (2 * t):  # the 2T-term sums stay finite; NaN fails too
             if not np.isfinite(r_hat).all():
                 raise ValueError("matrix has non-finite entries (NaN or inf)")
             raise ValueError("matrix is too large: its smoothed sum overflows")

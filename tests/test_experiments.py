@@ -245,15 +245,17 @@ class TestConfig:
         ("test_snr_db", math.nan), ("snr_axis_db", (0.0, math.nan)),
         ("test_snr_db", -math.inf)])
     def test_nan_snr_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must hold numbers or inf"):
+        with pytest.raises(ValueError, match=fr"^{field} must be a real number in \["):
             ExperimentConfig(**{field: value})
         assert ExperimentConfig(test_snr_db=math.inf).test_snr_db == math.inf
 
     @pytest.mark.parametrize("value", [(0.0, math.inf), (40.0, 0.0), (0.0,), (0.0, 10.0, 20.0),
                                        (math.inf, math.inf)])
     def test_train_snr_range_must_be_finite_and_ordered(self, value):
-        # An infinite end cannot be drawn from; numpy's error named no field.
-        with pytest.raises(ValueError, match=r"^train_snr_db must be a \(low, high\) pair"):
+        # An infinite end cannot be drawn from; numpy's error named no field.  The high end
+        # lies in [low, FLOAT_MAX], and the low end in [MIN_SNR_DB, FLOAT_MAX].
+        rule = r"\(low, high\) pair" if len(value) != 2 else r"real number in \["
+        with pytest.raises(ValueError, match=r"^train_snr_db must be a " + rule):
             ExperimentConfig(train_snr_db=value)
         assert ExperimentConfig(train_snr_db=(5.0, 5.0)).train_snr_db == (5.0, 5.0)
 
@@ -262,7 +264,7 @@ class TestConfig:
         ("snr_axis_db", (0.0, -3082.6))])
     def test_snr_whose_noise_variance_overflows_rejected(self, field, value):
         # 10^(-SNR/10) is finite down to about -3082.55 dB
-        with pytest.raises(ValueError, match=f"^{field} must be above about -3082.5 dB"):
+        with pytest.raises(ValueError, match=fr"^{field} must be a real number in \[-3082.547"):
             ExperimentConfig(**{field: value})
         assert ExperimentConfig(test_snr_db=-3082.5).test_snr_db == -3082.5
 
@@ -956,3 +958,12 @@ class TestManifest:
         doc = json.loads(write_manifest(tmp_path, config, "unit-test").read_text())
         assert doc["config"]["num_snapshots"] == 20
         assert doc["config"]["snapshot_axis"] == [5, 10]
+
+    def test_manifest_of_numpy_float_settings(self, tmp_path):
+        # stored back as Python floats, which JSON can write
+        config = tiny_config(test_snr_db=np.float32(5), learning_rate=np.float32(0.5),
+                             snr_axis_db=(np.float32(10), 20.0), train_snr_db=(np.int64(0), 40))
+        doc = json.loads(write_manifest(tmp_path, config, "unit-test").read_text())
+        assert doc["config"]["test_snr_db"] == 5.0 and doc["config"]["learning_rate"] == 0.5
+        assert doc["config"]["snr_axis_db"] == [10.0, 20.0]
+        assert doc["config"]["train_snr_db"] == [0.0, 40.0]

@@ -5,10 +5,13 @@ as its raw row in a batch through ``select_features`` + ``decide_batch``
 (a normalizing detector divides both by the trace itself), and
 the batched AIC/MDL must select exactly the order the per-spectrum
 criteria select, and the order the operation-counting pass selects.
-Every count argument follows one rule, with one message.
+Every count argument follows one rule, with one message, and so does
+every real-valued argument.
 """
 
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,8 +30,15 @@ from sourcecount.classical import (
     table_op_counts,
 )
 from sourcecount.detectors import NET_KINDS, Detector, DetectorSpec, build_detector, make_features
-from sourcecount.network import TrainConfig, init_truncated_normal
-from sourcecount.signal_model import fbss_covariance, generate_snapshots, sample_covariance
+from sourcecount.linalg import FLOAT_MAX
+from sourcecount.network import TrainConfig, dumps_network, init_truncated_normal, loads_network
+from sourcecount.signal_model import (
+    MIN_SNR_DB,
+    fbss_covariance,
+    generate_snapshots,
+    noise_variance_at,
+    sample_covariance,
+)
 from sourcecount.experiments import (
     MAX_COUNT,
     ClassicalDetector,
@@ -281,3 +291,110 @@ def test_count_accepts_a_numpy_integer_at_its_bounds(site):
     for bound in [LOWEST_ACCEPTED.get(site, low)] + ([] if high is None else [high]):
         if bound <= 64 or site.startswith("ExperimentConfig"):  # no larger array is allocated
             call(np.int64(bound))
+
+
+def _model_text(learning_rate) -> str:
+    """A model file whose train_config carries ``learning_rate``.  JSON has no form for a
+    numpy bool or a complex, written as the string of its repr, nor for inf, written as
+    1e400, which the reader parses as inf."""
+    text = dumps_network(build_detector(DetectorSpec("ernet", 3), np.random.default_rng(0)),
+                         TrainConfig())
+    doc = json.loads(text)
+    doc["train_config"]["learning_rate"] = learning_rate
+    text = json.dumps(doc, default=lambda v: float(v) if isinstance(v, np.floating) else repr(v))
+    return text.replace("Infinity", "1e400")
+
+
+# Every real-valued argument of the package: the call that passes it, its name, its
+# bounds [low, high], and where the call stores the value (None: it keeps nothing).
+# Each goes through check_real.
+REAL_SITES = {
+    "noise_variance_at.snr_db": (noise_variance_at, "snr_db", MIN_SNR_DB, math.inf, None),
+    "generate_snapshots.snr_db": (lambda v: _snapshots(snr_db=v), "snr_db", MIN_SNR_DB,
+                                  math.inf, None),
+    "generate_snapshots.doas": (lambda v: _snapshots(doas=(0.1, v)), "doas", -FLOAT_MAX,
+                                FLOAT_MAX, None),
+    "generate_trials.snr_db": (lambda v: generate_trials(ExperimentConfig(), phase="test", num=2,
+                                                         snr_db=v), "snr_db", MIN_SNR_DB,
+                               math.inf, None),
+    "generate_trials.snr_db low": (
+        lambda v: generate_trials(ExperimentConfig(), phase="train", num=2,
+                                  snr_db=(v, FLOAT_MAX)), "snr_db", MIN_SNR_DB, FLOAT_MAX, None),
+    "generate_trials.snr_db high": (
+        lambda v: generate_trials(ExperimentConfig(), phase="train", num=2, snr_db=(0.0, v)),
+        "snr_db", 0.0, FLOAT_MAX, None),
+    "ExperimentConfig.test_snr_db": (lambda v: ExperimentConfig(test_snr_db=v), "test_snr_db",
+                                     MIN_SNR_DB, math.inf, lambda c: c.test_snr_db),
+    "ExperimentConfig.train_snr_db low": (
+        lambda v: ExperimentConfig(train_snr_db=(v, FLOAT_MAX)), "train_snr_db", MIN_SNR_DB,
+        FLOAT_MAX, lambda c: c.train_snr_db[0]),
+    "ExperimentConfig.train_snr_db high": (
+        lambda v: ExperimentConfig(train_snr_db=(0.0, v)), "train_snr_db", 0.0, FLOAT_MAX,
+        lambda c: c.train_snr_db[1]),
+    "ExperimentConfig.snr_axis_db": (lambda v: ExperimentConfig(snr_axis_db=(5.0, v)),
+                                     "snr_axis_db", MIN_SNR_DB, math.inf,
+                                     lambda c: c.snr_axis_db[1]),
+    "ExperimentConfig.learning_rate": (lambda v: ExperimentConfig(learning_rate=v),
+                                       "learning_rate", 0.0, FLOAT_MAX,
+                                       lambda c: c.learning_rate),
+    "TrainConfig.learning_rate": (lambda v: TrainConfig(learning_rate=v), "learning_rate", 0.0,
+                                  FLOAT_MAX, lambda c: c.learning_rate),
+    "loads_network.learning_rate": (lambda v: loads_network(_model_text(v)), "learning_rate",
+                                    0.0, FLOAT_MAX, lambda loaded: loaded[1].learning_rate),
+}
+# At the lowest SNR the noise variance is finite, but a covariance of that noise is not:
+# the value passes the rule, and the draw then fails naming snr_db.
+OVERFLOWS_AFTER_THE_DRAW = {"generate_trials.snr_db"}
+# JSON has no NaN: a model file that writes one is refused by its reader, before any field.
+NO_NAN = {"loads_network.learning_rate"}
+
+
+def _float32_within(bound, low, high):
+    """The float32 nearest ``bound`` inside [low, high]."""
+    with np.errstate(over="ignore"):  # a bound past the float32 range
+        value = np.float32(bound)
+    return value if low <= float(value) <= high else np.nextafter(value, np.float32(0.0))
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_real_rejects_non_reals_and_values_out_of_range(site):
+    call, name, low, high, _ = REAL_SITES[site]
+    past = [math.nextafter(low, -math.inf)] + ([] if high == math.inf else [math.inf])
+    for value in [True, np.bool_(True), "5", None, 1j, 10**400, math.nan, *past]:
+        if value is math.nan and site in NO_NAN:
+            with pytest.raises(ValueError, match="^non-finite number NaN"):
+                call(value)
+            continue
+        with pytest.raises(ValueError, match=fr"^{name} must be a real number in \["):
+            call(value)
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_real_accepts_a_float32_at_its_bounds(site):
+    call, name, low, high, stored = REAL_SITES[site]
+    for bound in (low, high):
+        value = _float32_within(bound, low, high)
+        if bound == low and site in OVERFLOWS_AFTER_THE_DRAW:
+            with pytest.raises(ValueError, match=fr"^{name} -3082.5\d* is too low"):
+                call(value)
+            continue
+        result = call(value)
+        if stored is not None:
+            assert type(stored(result)) is float and stored(result) == float(value)
+
+
+def test_min_snr_db_is_the_lowest_snr_whose_noise_variance_is_finite():
+    assert math.isfinite(noise_variance_at(MIN_SNR_DB))
+    with pytest.raises(ValueError, match=r"^snr_db must be a real number in \["):
+        noise_variance_at(math.nextafter(MIN_SNR_DB, -math.inf))
+    with pytest.raises(OverflowError):  # the formula itself, one float lower
+        10.0 ** (-math.nextafter(MIN_SNR_DB, -math.inf) / 10.0)
+
+
+def test_every_config_field_follows_a_checked_rule():
+    # A new field must join a rule: a count, a real, or one of the fields checked by type.
+    by_type = {"coherent", "normalize_features", "detectors"}
+    sites = [site.split()[0] for site in [*COUNT_SITES, *REAL_SITES]]
+    ruled = {site.split(".", 1)[1] for site in sites if site.startswith("ExperimentConfig.")}
+    assert {f.name for f in fields(ExperimentConfig)} == ruled | by_type
+    assert not ruled & by_type

@@ -108,14 +108,15 @@ class TestScenarioValidation:
     def test_rejects_snr_whose_noise_variance_overflows(self):
         # 10^(-SNR/10) is finite down to about -3082.55 dB
         assert noise_variance_at(-3082.5) == pytest.approx(10.0 ** 308.25)
-        assert_rejected_before_any_draw("^snr_db must be above about -3082.5 dB", snr_db=-4000.0)
+        assert_rejected_before_any_draw(r"^snr_db must be a real number in \[-3082.547",
+                                        snr_db=-4000.0)
 
     @pytest.mark.parametrize("snr_db", [10**400, -10**400], ids=["10**400", "-10**400"])
     def test_rejects_integer_snr_past_the_float_range(self, snr_db):
-        # Neither sign is called too low: the number does not fit a float.
-        with pytest.raises(ValueError, match="^test_snr_db does not fit a float"):
+        # Neither sign escapes as OverflowError: the number does not fit a float.
+        with pytest.raises(ValueError, match=r"^test_snr_db must be a real number in \["):
             noise_variance_at(snr_db, "test_snr_db")
-        assert_rejected_before_any_draw("^snr_db does not fit a float", snr_db=snr_db)
+        assert_rejected_before_any_draw(r"^snr_db must be a real number in \[", snr_db=snr_db)
 
     def test_extreme_snrs_that_fit_a_float(self):
         assert noise_variance_at(1e308) == 0.0
@@ -124,11 +125,16 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
     def test_rejects_nan_and_minus_inf_snr(self, snr_db):
         # NaN would fail the noise test and simulate a noise-free array.
-        assert_rejected_before_any_draw("^snr_db must hold numbers or inf", snr_db=snr_db)
+        assert_rejected_before_any_draw(r"^snr_db must be a real number in \[", snr_db=snr_db)
 
     @pytest.mark.parametrize("snr_db", ["5", None, 1j, (5.0,)])
     def test_rejects_snr_that_is_no_number(self, snr_db):
-        assert_rejected_before_any_draw("^snr_db must hold numbers or inf", snr_db=snr_db)
+        assert_rejected_before_any_draw(r"^snr_db must be a real number in \[", snr_db=snr_db)
+
+    @pytest.mark.parametrize("doa", [math.nan, math.inf, "a", True])
+    def test_rejects_a_doa_that_is_no_finite_real(self, doa):
+        # NaN gave NaN snapshots, inf and "a" raised errors naming no argument, True ran as 1 rad.
+        assert_rejected_before_any_draw(r"^doas must be a real number in \[", doas=(0.1, doa))
 
 
 class TestGenerateSources:
