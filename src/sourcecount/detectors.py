@@ -28,7 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from .classical import check_spectra, criterion_values
-from .linalg import check_count, hermitian_eig, is_moderate
+from .linalg import check_count, check_hermitian, hermitian_eig, is_moderate
 from .network import (
     Layer,
     Network,
@@ -121,15 +121,18 @@ def make_features(covs, feature: str, subarray_size: int | None = None) -> np.nd
     """The (num, dim) feature rows of one :func:`feature_kind` for a
     (num, M, M) stack of covariances: descending eigenvalues ("eigen"),
     those of the smoothed covariances ("fbss"), or the row-major real
-    parts then imaginary parts ("cov").  A NaN or inf entry raises ValueError."""
+    parts then imaginary parts ("cov").  A NaN or inf entry, or a matrix
+    that is not Hermitian, raises ValueError."""
     if feature not in FEATURES:
         raise ValueError(f"unknown feature {feature!r}; known kinds are {', '.join(FEATURES)}")
     covs = np.asarray(covs)
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError(f"covariances must form a (num, M, M) stack, got shape {covs.shape}")
-    if feature == "cov":
+    if feature != "eigen":  # hermitian_eig screens the eigen features' covariances itself
         if not is_moderate(covs) and not np.isfinite(covs).all():
             raise ValueError("matrix has non-finite entries (NaN or inf)")
+        check_hermitian(covs)
+    if feature == "cov":
         flat = covs.reshape(len(covs), covs.shape[1] ** 2)
         return np.concatenate([flat.real, flat.imag], axis=1, dtype=float)
     if feature == "fbss":

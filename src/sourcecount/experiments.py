@@ -329,8 +329,8 @@ def write_dataset(path, features: np.ndarray, labels: np.ndarray, *,
 
 
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The features, labels and header of a :func:`write_dataset` file.  A
-    line that is not UTF-8, or a value that does not parse as a float
+    """The features, labels and header of a :func:`write_dataset` file.  A line that is
+    not UTF-8 or not ``feature_dim`` + 1 fields, or a value that does not parse as a float
     feature or an int64 label, raises ValueError naming the file and line."""
     header, *rows = _read_text(path).splitlines() or [""]
     info = dict(part.split("=", 1) for part in header.strip().split(",") if "=" in part)
@@ -341,7 +341,8 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray, dict]:
     for lineno, row in enumerate(rows, start=2):
         parts = row.strip().split(",")
         if len(parts) != feature_dim + 1:
-            raise ValueError(f"malformed dataset row in {path}")
+            raise ValueError(f"dataset {path}, line {lineno}: expected {feature_dim} features "
+                             f"and a label, got {len(parts)} fields")
         try:
             feats.append([float(v) for v in parts[:-1]])
             labels.append(np.int64(parts[-1]))

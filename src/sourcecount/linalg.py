@@ -70,6 +70,14 @@ def is_hermitian(a):
     return bool(ok) if ok.ndim == 0 else ok
 
 
+def check_hermitian(a):
+    """Raises ValueError unless :func:`is_hermitian` holds for each matrix of the stack ``a``."""
+    if np.count_nonzero(a != a.swapaxes(-1, -2).conj()) and not np.all(is_hermitian(a)):
+        with np.errstate(over="ignore"):  # cov and fbss inputs may hold entries past 1e154
+            asym = np.abs(a - a.swapaxes(-1, -2).conj()).max()
+        raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
@@ -109,9 +117,7 @@ def hermitian_eig(a) -> EigenDecomposition:
                 if not np.isfinite(a).all():
                     raise ValueError("matrix has non-finite entries (NaN or inf)")
                 raise ValueError("matrix is too large: its squared Frobenius norm overflows")
-    if np.count_nonzero(a != a.swapaxes(-1, -2).conj()) and not np.all(is_hermitian(a)):
-        asym = np.abs(a - a.swapaxes(-1, -2).conj()).max()
-        raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
+    check_hermitian(a)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

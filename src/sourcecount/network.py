@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -85,10 +85,6 @@ class Network:
     @property
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.input_dim] + [layer.out_dim for layer in self.layers]
 
 
 def _layer_views(net: Network, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -303,54 +299,24 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
     return history
 
 
-# --- Serialization -----------------------------------------------------
-#
-# Portable text format: a JSON document whose floats are written with 17
-# significant digits, which round-trips float64 exactly.
+# --- Serialization: a JSON document whose floats are written as their
+# shortest repr, which reads back to the same float64.
 
 FORMAT_NAME = "sourcecount-network"
 FORMAT_VERSION = 1
 
 
-def _fmt(value: float) -> str:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError("cannot serialize non-finite parameter values")
-    return format(value, ".16e")
-
-
-def _fmt_array(arr: np.ndarray) -> str:
-    return "[" + ", ".join(_fmt(v) for v in np.asarray(arr, dtype=float).ravel()) + "]"
-
-
 def dumps_network(net: Network, train_config: TrainConfig | None = None,
                   meta: dict | None = None) -> str:
-    """Serializes a network (plus optional training config and metadata)."""
-    lines = [
-        "{",
-        f'  "format": {json.dumps(FORMAT_NAME)},',
-        f'  "version": {FORMAT_VERSION},',
-        f'  "layer_sizes": {json.dumps(net.layer_sizes)},',
-        '  "layers": [',
-    ]
-    for i, layer in enumerate(net.layers):
-        comma = "," if i < len(net.layers) - 1 else ""
-        lines.append("    {")
-        lines.append(f'      "activation": {json.dumps(layer.activation)},')
-        lines.append(f'      "rows": {layer.out_dim}, "cols": {layer.in_dim},')
-        lines.append(f'      "weights": {_fmt_array(layer.weights)},')
-        lines.append(f'      "bias": {_fmt_array(layer.bias)}')
-        lines.append(f"    }}{comma}")
-    lines.append("  ],")
-    if train_config is None:
-        lines.append('  "train_config": null,')
-    else:
-        cells = [f'    "{f.name}": {_fmt(v) if f.type == "float" else json.dumps(v)}'
-                 for f, v in zip(fields(train_config), astuple(train_config))]
-        lines += ['  "train_config": {', ",\n".join(cells), "  },"]
-    lines.append(f'  "meta": {json.dumps(meta if meta is not None else {}, sort_keys=True)}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Serializes a network (plus optional training config and metadata).
+    A non-finite parameter raises ValueError."""
+    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
+           "layers": [{"activation": layer.activation, "rows": layer.out_dim,
+                       "cols": layer.in_dim, "weights": layer.weights.ravel().tolist(),
+                       "bias": layer.bias.tolist()} for layer in net.layers],
+           "train_config": None if train_config is None else asdict(train_config),
+           "meta": meta or {}}
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _reject_constant(name: str):
@@ -358,12 +324,10 @@ def _reject_constant(name: str):
 
 
 def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
-    """Parses :func:`dumps_network` output back, bit-exact.  NaN, Infinity
-    and a layer number beyond the float range (such as ``1e400``), which
-    :func:`dumps_network` never writes, are rejected, as
-    are a missing entry, a value of the wrong JSON type, a ``train_config``
-    key that is not a :class:`TrainConfig` field and a ``train_config``
-    value of another type than its field's (each a ValueError)."""
+    """Parses :func:`dumps_network` output back, bit-exact.  Raises ValueError for NaN,
+    Infinity or a layer number past the float range (such as ``1e400``), a missing entry,
+    a value of the wrong JSON type, and a ``train_config`` key that is not a
+    :class:`TrainConfig` field or holds a value of another type than its field's."""
     doc = json.loads(text, parse_constant=_reject_constant)
     try:
         if doc.get("format") != FORMAT_NAME:

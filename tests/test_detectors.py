@@ -1,7 +1,9 @@
 """Tests for feature extraction, label encoding and detector assembly."""
 
 import dataclasses
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -157,6 +159,17 @@ class TestFeatureCov:
                 make_features(covs, "cov")
 
 
+    @pytest.mark.parametrize("asym", [1e-3, 1e300])
+    def test_non_hermitian_entry_rejected(self, asym):
+        covs = np.stack([np.eye(4, dtype=complex)] * 3)
+        covs[1, 0, 2] = asym
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"matrix is not Hermitian (max asymmetry {asym:.3e})") + "$"):
+                make_features(covs, "cov")
+
+
 class TestCountsAreIntegers:
     @pytest.mark.parametrize("subarray_size", [-3, 0, 2.5, True])
     def test_classical_subarray_size_rejected(self, subarray_size):
@@ -247,26 +260,30 @@ class TestDecisions:
                 assert mapped == base
 
 
+def layer_sizes(net):
+    return [net.input_dim] + [lay.out_dim for lay in net.layers]
+
+
 class TestBuildDetector:
     def test_ernet_architecture(self):
         spec = DetectorSpec("ernet", 10)
         net = build_detector(spec, np.random.default_rng(0))
-        assert net.layer_sizes == [10, 8, 8, 1]
+        assert layer_sizes(net) == [10, 8, 8, 1]
         assert [l.activation for l in net.layers] == ["relu", "relu", "linear"]
 
     def test_ecnet_architecture(self):
         net = build_detector(DetectorSpec("ecnet", 10), np.random.default_rng(0))
-        assert net.layer_sizes == [10, 8, 8, 10]
+        assert layer_sizes(net) == [10, 8, 8, 10]
         assert net.layers[-1].activation == "softmax"
 
     def test_covnet_architecture(self):
         net = build_detector(DetectorSpec("covnet", 10), np.random.default_rng(0))
-        assert net.layer_sizes == [200, 8, 8, 10]
+        assert layer_sizes(net) == [200, 8, 8, 10]
 
     def test_fbss_input_dimension(self):
         net = build_detector(DetectorSpec("ernet", 10, subarray_size=5),
                              np.random.default_rng(0))
-        assert net.layer_sizes == [5, 8, 8, 1]
+        assert layer_sizes(net) == [5, 8, 8, 1]
 
     def test_initialization_contract(self):
         net = build_detector(DetectorSpec("ecnet", 10), np.random.default_rng(1))
@@ -304,6 +321,19 @@ class TestDetectorWrapper:
         r = sample_covariance(generate_snapshots(10, 20, (0.1, 0.8, -1.2), (), 10.0,
                                                  np.random.default_rng(0)))
         assert 0 <= det.estimate(r) <= 9
+
+    @pytest.mark.parametrize("kind, subarray_size", [
+        ("ernet", None), ("ecnet", None), ("covnet", None), ("ernet", 2), ("ecnet", 2)])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_estimate_rejects_a_non_hermitian_covariance(self, kind, subarray_size, normalize):
+        # Every kind screens the covariance as hermitian_eig does, CovNet too,
+        # though its features are the entries themselves.
+        r = np.eye(4, dtype=complex)
+        r[0, 1] = 5.0
+        spec = DetectorSpec(kind, 4, subarray_size, normalize)
+        det = Detector(spec, build_detector(spec, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(max asymmetry "):
+            det.estimate(r)
 
     def test_fbss_detector_uses_smoothed_features(self):
         spec = DetectorSpec("ernet", 10, subarray_size=5)
@@ -416,7 +446,7 @@ class TestDetectorWrapper:
         det = Detector(spec, build_detector(spec, np.random.default_rng(4)))
         path = tmp_path / "det.json"
         save_detector(det, path)
-        assert '"hidden": [8, 8]' in path.read_text()
+        assert json.loads(path.read_text())["meta"]["hidden"] == [8, 8]
         loaded = load_detector(path)
         assert loaded.spec == spec
         for l1, l2 in zip(det.net.layers, loaded.net.layers):
@@ -429,16 +459,18 @@ class TestDetectorWrapper:
         save_detector(Detector(spec, build_detector(spec, np.random.default_rng(4))), path)
         assert load_detector(path).spec == spec
 
-    @pytest.mark.parametrize("old, new", [
-        ('"detector": "ecnet"', '"detector": "ernet"'),
-        ('"hidden": [8, 8]', '"hidden": [4, 4]'),
-        ('"activation": "softmax"', '"activation": "linear"'),
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["meta"].update(detector="ernet"),
+        lambda doc: doc["meta"].update(hidden=[4, 4]),
+        lambda doc: doc["layers"][-1].update(activation="linear"),
     ], ids=["other-kind", "other-hidden", "other-head"])
-    def test_network_other_than_the_spec_rejected(self, tmp_path, old, new):
+    def test_network_other_than_the_spec_rejected(self, tmp_path, edit):
         spec = DetectorSpec("ecnet", 10)
         path = tmp_path / "det.json"
         save_detector(Detector(spec, build_detector(spec, np.random.default_rng(4))), path)
-        path.write_text(path.read_text().replace(old, new))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="not the .*layers"):
             load_detector(path)
 

@@ -709,6 +709,15 @@ class TestDataset:
         assert np.array_equal(feats, trials.eigen)
         assert np.array_equal(labels, trials.labels)
 
+    def test_trailing_blank_line_named(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_trials(tiny_config(), path, 3)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        with pytest.raises(ValueError, match=rf"^dataset {re.escape(str(path))}, line 5: "
+                                             r"expected 10 features and a label, got 1 fields$"):
+            read_dataset(path)
+
 
 class TestTrainDetector:
     def test_zero_epochs_equals_initialization(self):

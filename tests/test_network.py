@@ -1,9 +1,9 @@
 """Tests for the from-scratch network engine."""
 
+import json
 import math
 import os
 import platform
-import re
 import subprocess
 import sys
 import warnings
@@ -660,20 +660,64 @@ class TestSerialization:
             assert np.array_equal(l1.weights, l2.weights)
             assert np.array_equal(l1.bias, l2.bias)
 
-    def test_seventeen_significant_digits(self):
+    def test_floats_written_as_shortest_repr(self):
         net = Network([layer([[1.0 / 3.0]], [0.1], "linear")])
         text = dumps_network(net)
-        numbers = re.findall(r"-?\d\.(\d+)e[+-]\d+", text)
-        assert numbers and all(len(frac) >= 16 for frac in numbers)
+        assert f"\n        {1.0 / 3.0!r}\n" in text and "\n        0.1\n" in text
+        assert json.loads(text)["layers"][0]["weights"] == [1.0 / 3.0]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_not_written(self, value):
+        net = Network([layer([[1.0]], [value], "linear")])
+        with pytest.raises(ValueError):
+            dumps_network(net)
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-2e308"])
     def test_rejects_non_finite_parameters(self, constant):
         net = Network([layer(np.eye(2), np.zeros(2), "linear")])
-        text = dumps_network(net).replace('"bias": [0.0000000000000000e+00',
-                                          f'"bias": [{constant}', 1)
-        assert constant in text
+        doc = json.loads(dumps_network(net))
+        doc["layers"][0]["bias"][0] = "placeholder"
+        text = json.dumps(doc).replace('"placeholder"', constant)
         with pytest.raises(ValueError, match="non-finite number"):
             loads_network(text)
+
+    def test_old_layout_loads_bit_for_bit(self):
+        # The layout written before floats were their shortest repr: 17
+        # significant digits and a "layer_sizes" key, which no reader reads.
+        text = """{
+  "format": "sourcecount-network",
+  "version": 1,
+  "layer_sizes": [2, 1, 1],
+  "layers": [
+    {
+      "activation": "relu",
+      "rows": 1, "cols": 2,
+      "weights": [3.3333333333333331e-01, -2.5000000000000171e-310],
+      "bias": [1.0000000000000001e-01]
+    },
+    {
+      "activation": "linear",
+      "rows": 1, "cols": 1,
+      "weights": [-7.0000000000000000e+00],
+      "bias": [1.0000000000000001e+300]
+    }
+  ],
+  "train_config": {
+    "learning_rate": 3.0000000000000001e-03,
+    "batch_size": 128,
+    "epochs": 7,
+    "seed": 11
+  },
+  "meta": {"detector": "ernet"}
+}
+"""
+        net, config, meta = loads_network(text)
+        assert np.array_equal(net.params, [1.0 / 3.0, -2.5e-310, 0.1, -7.0, 1e300])
+        assert [l.activation for l in net.layers] == ["relu", "linear"]
+        assert config == TrainConfig(learning_rate=0.003, batch_size=128, epochs=7, seed=11)
+        assert meta == {"detector": "ernet"}
+        assert loads_network(dumps_network(net, config, meta))[0].params.tobytes() == \
+            net.params.tobytes()
 
     @pytest.mark.parametrize("key, value", [("adam_beta1", 0.5), ("adam_epsilon", 1e-7)])
     def test_old_files_other_adam_values_rejected(self, key, value):

@@ -29,7 +29,8 @@ from sourcecount.classical import (
     measured_op_counts,
     table_op_counts,
 )
-from sourcecount.detectors import NET_KINDS, Detector, DetectorSpec, build_detector, make_features
+from sourcecount.detectors import (NET_KINDS, Detector, DetectorSpec, build_detector, load_detector,
+                                   make_features, save_detector)
 from sourcecount.linalg import FLOAT_MAX
 from sourcecount.network import TrainConfig, dumps_network, init_truncated_normal, loads_network
 from sourcecount.signal_model import (
@@ -78,6 +79,23 @@ def test_estimate_equals_batch_decision(spec, seed, coherent, snr_db):
     batch = det.decide_batch(select_features(trials, spec.kind, spec.subarray_size))
     covs = [(row[:m * m] + 1j * row[m * m:]).reshape(m, m) for row in trials.cov]
     assert [det.estimate(r) for r in covs] == batch.tolist()
+
+
+@SETTINGS
+@given(spec=accepted_specs(), seed=st.integers(0, 2 ** 16), exponent=st.integers(-320, 300),
+       train_config=st.none() | st.builds(TrainConfig, st.floats(0.0, FLOAT_MAX),
+                                          st.integers(1, 2 ** 31), st.integers(0, 10 ** 6),
+                                          st.integers(0, 2 ** 64)))
+def test_model_file_round_trip(tmp_path_factory, spec, seed, exponent, train_config):
+    # Weights from subnormal to 1e300 in scale: each float is written as
+    # its shortest repr and must read back to the same bits.
+    det = Detector(spec, build_detector(spec, np.random.default_rng(seed)), train_config)
+    det.net.params *= 10.0 ** exponent
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_detector(det, path)
+    loaded = load_detector(path)
+    assert loaded.spec == spec and loaded.train_config == train_config
+    assert loaded.net.params.tobytes() == det.net.params.tobytes()
 
 
 @st.composite
