@@ -111,7 +111,7 @@ def _out_file(args, name: str) -> Path:
     return args.out / name
 
 
-def _cmd_gen_data(args, config: ExperimentConfig) -> int:
+def _cmd_gen_data(args, config: ExperimentConfig):
     phase = args.phase
     num = getattr(config, f"num_{phase}")
     snr = tuple(config.train_snr_db) if phase == "train" else config.test_snr_db
@@ -125,10 +125,9 @@ def _cmd_gen_data(args, config: ExperimentConfig) -> int:
     write_manifest(args.out, config, f"gen-data --detector {name} --phase {phase}",
                    extra={"dataset": path.name, "num_samples": num})
     print(f"wrote {num} samples to {path}")
-    return 0
 
 
-def _cmd_train(args, config: ExperimentConfig) -> int:
+def _cmd_train(args, config: ExperimentConfig):
     if args.detector not in NET_KINDS:
         raise ValueError(f"{args.detector} has no trainable parameters")
     out, sub = args.out, config.subarray_size if args.fbss else None
@@ -155,10 +154,9 @@ def _cmd_train(args, config: ExperimentConfig) -> int:
                    extra={"model": model_path.name, "loss_curve": loss_path.name})
     final = history[-1] if history else float("nan")
     print(f"trained {name}: final loss {final:.6g}, model at {model_path}")
-    return 0
 
 
-def _cmd_eval(args, config: ExperimentConfig) -> int:
+def _cmd_eval(args, config: ExperimentConfig):
     out, kind, sub = args.out, args.detector, config.subarray_size if args.fbss else None
     if kind in NET_KINDS:
         model_path = args.model or out / f"model-{detector_name(kind, sub)}.json"
@@ -188,10 +186,9 @@ def _cmd_eval(args, config: ExperimentConfig) -> int:
     write_manifest(out, config, f"eval --detector {name}", extra={"report": report_path.name})
     print(f"{name}: accuracy {accuracy:.4f} over {config.num_test} trials "
           f"(SNR {config.test_snr_db} dB, N={config.num_snapshots})")
-    return 0
 
 
-def _cmd_sweep(args, config: ExperimentConfig) -> int:
+def _cmd_sweep(args, config: ExperimentConfig):
     result = run_sweep(args.command, config)
     csv_path = _out_file(args, f"{args.command}.csv")
     emit_csv(result, csv_path)
@@ -200,10 +197,9 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
     for name in result.detectors:
         cells = " ".join(f"{v:.3f}" for v in result.accuracy[name])
         print(f"  {name:>12}: {cells}")
-    return 0
 
 
-def _cmd_bench(args, config: ExperimentConfig) -> int:
+def _cmd_bench(args, config: ExperimentConfig):
     rows = bench_complexity(config)
     doc = [dataclasses.asdict(row) for row in rows]
     path = _out_file(args, "bench-complexity.json")
@@ -221,7 +217,6 @@ def _cmd_bench(args, config: ExperimentConfig) -> int:
         print(f"{row.method:>8} {cells[0]:>18} {cells[1]:>18} {cells[2]:>14} "
               f"{cells[3]:>14} {row.seconds_per_decision * 1e6:>12.2f}")
     print("(cells are closed-form/instrumented counts; eigendecomposition excluded)")
-    return 0
 
 
 _COMMANDS = {
@@ -243,7 +238,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_experiment_config(args)
-        status = _COMMANDS[args.command](args, config)
+        _COMMANDS[args.command](args, config)
     except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -251,7 +246,7 @@ def main(argv=None) -> int:
         print(f"warning: coherent sources with max_sources={config.max_sources} >= "
               f"subarray_size={config.subarray_size}: the smoothed covariance resolves "
               f"at most {config.subarray_size - 1} sources", file=sys.stderr)
-    return status
+    return 0
 
 
 if __name__ == "__main__":

@@ -121,16 +121,14 @@ def make_features(covs, feature: str, subarray_size: int | None = None) -> np.nd
     """The (num, dim) feature rows of one :func:`feature_kind` for a
     (num, M, M) stack of covariances: descending eigenvalues ("eigen"),
     those of the smoothed covariances ("fbss"), or the row-major real
-    parts then imaginary parts ("cov").  A NaN or inf entry, or a matrix
-    that is not Hermitian, raises ValueError."""
+    parts then imaginary parts ("cov").  ``covs`` is read as complex128,
+    and :func:`check_hermitian` raises ValueError for every kind."""
     if feature not in FEATURES:
         raise ValueError(f"unknown feature {feature!r}; known kinds are {', '.join(FEATURES)}")
-    covs = np.asarray(covs)
+    covs = np.asarray(covs, dtype=np.complex128)
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError(f"covariances must form a (num, M, M) stack, got shape {covs.shape}")
     if feature != "eigen":  # hermitian_eig screens the eigen features' covariances itself
-        if not is_moderate(covs) and not np.isfinite(covs).all():
-            raise ValueError("matrix has non-finite entries (NaN or inf)")
         check_hermitian(covs)
     if feature == "cov":
         flat = covs.reshape(len(covs), covs.shape[1] ** 2)
@@ -197,15 +195,13 @@ class Detector:
         half-up and clamps it to [0, M-1]; the softmax heads take the argmax
         (ties to the smaller index).  A batch that is not 2-D, an overflowing
         trace, or a NaN or inf network output raises ValueError."""
-        with np.errstate(over="ignore", invalid="ignore"):  # each raised as ValueError
-            return self._decide(features)
-
-    def _decide(self, features: np.ndarray) -> np.ndarray:
         if np.ndim(features) != 2:
             raise ValueError(f"features must form a 2-D batch, got shape {np.shape(features)}")
-        if self.spec.normalize:
-            features = _normalize(features, feature_kind(self.spec.kind, self.spec.subarray_size))
-        out = forward(self.net, features)
+        with np.errstate(over="ignore", invalid="ignore"):  # each raised as ValueError
+            if self.spec.normalize:
+                features = _normalize(features,
+                                      feature_kind(self.spec.kind, self.spec.subarray_size))
+            out = forward(self.net, features)
         if not is_moderate(out) and not np.isfinite(out).all():
             raise ValueError("network output is not finite (NaN or inf)")
         if self.spec.kind == "ernet":
@@ -213,22 +209,21 @@ class Detector:
         return np.argmax(out, axis=1)
 
     def estimate(self, r_hat) -> int:
-        """Source-count estimate for one M x M covariance: the one-matrix
-        case of :func:`make_features`, decided as a one-row batch.
+        """Source-count estimate for one M x M covariance: ``decide_batch``
+        of the one-matrix stack's :func:`make_features` row.
 
         Raises:
-            ValueError: If the covariance is not M x M or has a NaN or
-                infinite entry.
+            ValueError: If the covariance is not M x M, or as
+                :func:`make_features` and ``decide_batch`` raise.
         """
         spec = self.spec
         r_hat = np.asarray(r_hat)
         if r_hat.shape != (spec.num_antennas,) * 2:
             raise ValueError(f"covariance must be M x M for M={spec.num_antennas}, "
                              f"got shape {r_hat.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):  # each raised as ValueError
-            row = make_features(r_hat[np.newaxis], feature_kind(spec.kind, spec.subarray_size),
-                                spec.subarray_size)
-            return int(self._decide(row)[0])
+        feature = feature_kind(spec.kind, spec.subarray_size)
+        return int(self.decide_batch(make_features(r_hat[np.newaxis], feature,
+                                                   spec.subarray_size))[0])
 
 
 @dataclass(frozen=True)

@@ -71,9 +71,12 @@ def is_hermitian(a):
 
 
 def check_hermitian(a):
-    """Raises ValueError unless :func:`is_hermitian` holds for each matrix of the stack ``a``."""
+    """The one covariance screen: raises ValueError if a matrix of the stack ``a`` has a NaN
+    or infinite entry, then if :func:`is_hermitian` fails for one."""
+    if not is_moderate(a) and not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries (NaN or inf)")
     if np.count_nonzero(a != a.swapaxes(-1, -2).conj()) and not np.all(is_hermitian(a)):
-        with np.errstate(over="ignore"):  # cov and fbss inputs may hold entries past 1e154
+        with np.errstate(over="ignore"):  # entries may lie past 1e154
             asym = np.abs(a - a.swapaxes(-1, -2).conj()).max()
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
 
@@ -105,19 +108,17 @@ def hermitian_eig(a) -> EigenDecomposition:
         a: Square Hermitian matrix, or an ``(..., M, M)`` stack of them.
 
     Raises:
-        ValueError: If a matrix is not square, has a NaN or infinite
-            entry, has a squared Frobenius norm that overflows, or is not
-            Hermitian within ``HERMITIAN_RTOL``.
+        ValueError: If a matrix is not square, then as
+            :func:`check_hermitian` raises, then if a squared Frobenius
+            norm overflows.
         ArithmeticError: If the underlying iteration fails to converge.
     """
     a = _square(a)
-    if not is_moderate(a):  # the hypot norm tells what is wrong, if anything
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            if not np.isfinite(np.square(_frobenius(a).max(initial=0.0))):  # NaN, inf or overflow
-                if not np.isfinite(a).all():
-                    raise ValueError("matrix has non-finite entries (NaN or inf)")
-                raise ValueError("matrix is too large: its squared Frobenius norm overflows")
     check_hermitian(a)
+    if not is_moderate(a):  # the hypot norm tells whether it is too large
+        with np.errstate(over="ignore"):  # reported below
+            if not np.isfinite(np.square(_frobenius(a).max(initial=0.0))):
+                raise ValueError("matrix is too large: its squared Frobenius norm overflows")
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -133,14 +134,3 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     """Each matrix's Frobenius norm, by hypot so that a tiny one does not underflow."""
     return np.hypot.reduce(np.abs(a.reshape(*a.shape[:-2], a.shape[-1] ** 2)), -1, initial=0.0)
 
-
-def exchange_conjugate(a) -> np.ndarray:
-    """Computes J conj(A) J per matrix, with J the anti-identity of matching size.
-
-    This is the reflection used to form backward sub-array covariances:
-    it reverses both matrix axes and conjugates every entry.
-
-    Raises:
-        ValueError: If the input is not square.
-    """
-    return _square(a)[..., ::-1, ::-1].conj()

@@ -188,21 +188,13 @@ def _backward_from_cache(net: Network, acts, target: np.ndarray, grads, deltas=N
     return grads
 
 
-@dataclass
 class AdamState:
-    """ADAM's moment and scratch vectors, in the layout of ``Network.params``."""
+    """ADAM's step count and zeroed moment and scratch vectors, in the layout of ``net.params``."""
 
-    moment1: np.ndarray
-    moment2: np.ndarray
-    step: int = 0
-    scratch: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.scratch = (np.empty_like(self.moment1), np.empty_like(self.moment1))
-
-    @classmethod
-    def for_network(cls, net: Network) -> "AdamState":
-        return cls(np.zeros_like(net.params), np.zeros_like(net.params))
+    def __init__(self, net: Network):
+        self.step = 0
+        self.moment1, self.moment2 = np.zeros_like(net.params), np.zeros_like(net.params)
+        self.scratch = (np.zeros_like(net.params), np.zeros_like(net.params))
 
 
 def adam_step(net: Network, grad: np.ndarray, state: AdamState, config: TrainConfig):
@@ -266,7 +258,7 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
     n = x.shape[0]
     loss = "cce" if net.layers[-1].activation == "softmax" else "l2"
     rng = np.random.default_rng(config.seed)
-    state = AdamState.for_network(net)
+    state = AdamState(net)
     grad = np.empty_like(net.params)
     grad_views = _layer_views(net, grad)
     # Activation and delta buffers for the full batch and the short tail.

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .linalg import FLOAT_MAX, check_count, check_real, exchange_conjugate, is_moderate
+from .linalg import FLOAT_MAX, check_count, check_real, is_moderate
 
 _HALF_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -31,10 +31,10 @@ _HALF_SQRT2 = 1.0 / math.sqrt(2.0)
 MIN_SNR_DB = -3082.547155599167
 
 
-def noise_variance_at(snr_db, name: str = "snr_db") -> float:
+def noise_variance_at(snr_db) -> float:
     """Per-antenna noise variance ``10^(-snr_db / 10)`` of unit-power sources, 0.0 at inf.
-    Raises ValueError naming ``name`` unless ``snr_db`` is a real in [``MIN_SNR_DB``, inf]."""
-    return 10.0 ** (-check_real(name, snr_db, MIN_SNR_DB, math.inf) / 10.0)
+    Raises ValueError naming ``snr_db`` unless it is a real in [``MIN_SNR_DB``, inf]."""
+    return 10.0 ** (-check_real("snr_db", snr_db, MIN_SNR_DB, math.inf) / 10.0)
 
 
 def steering_matrix(doas, num_antennas: int) -> np.ndarray:
@@ -167,4 +167,4 @@ def fbss_covariance(r_hat, subarray_size: int) -> np.ndarray:
     forward = r_hat[..., :m0, :m0] + 0.0  # as a sum from zeros: -0.0 becomes 0.0
     for offset in range(1, t):
         forward += r_hat[..., offset:offset + m0, offset:offset + m0]
-    return (forward + exchange_conjugate(forward)) / (2 * t)
+    return (forward + forward[..., ::-1, ::-1].conj()) / (2 * t)

@@ -258,7 +258,7 @@ def _battery_adam_fixed_point(rng):
               Layer(rng.standard_normal((1, 4)), rng.standard_normal(1), "linear")]
     net = Network(layers)
     before = [(l.weights.copy(), l.bias.copy()) for l in net.layers]
-    adam_step(net, np.zeros_like(net.params), AdamState.for_network(net), TrainConfig())
+    adam_step(net, np.zeros_like(net.params), AdamState(net), TrainConfig())
     for (w0, b0), lay in zip(before, net.layers):
         assert np.array_equal(w0, lay.weights)
         assert np.array_equal(b0, lay.bias)

@@ -12,7 +12,6 @@ from sourcecount.linalg import (
     PSD_CLAMP_RTOL,
     _frobenius,
     check_count,
-    exchange_conjugate,
     hermitian_eig,
     is_hermitian,
 )
@@ -172,15 +171,8 @@ class TestStacks:
                     hermitian_eig(broken)
                 assert is_hermitian(broken).tolist() == [True, False, True, True]
 
-    def test_exchange_conjugate_stack_equals_per_matrix(self):
-        rng = np.random.default_rng(25)
-        stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
-        out = exchange_conjugate(stack)
-        for i, a in enumerate(stack):
-            assert np.array_equal(out[i], exchange_conjugate(a))
-
     def test_non_square_rejected(self):
-        for f in (hermitian_eig, is_hermitian, exchange_conjugate):
+        for f in (hermitian_eig, is_hermitian):
             with pytest.raises(ValueError, match="square"):
                 f(np.ones((3, 2, 3), dtype=complex))
             with pytest.raises(ValueError, match="square"):
@@ -277,43 +269,6 @@ def test_empty_stack_gives_empty_rows(m):
     d = hermitian_eig(np.zeros((0, m, m), dtype=complex))
     assert d.eigenvalues.shape == (0, m) and d.eigenvectors.shape == (0, m, m)
     assert _frobenius(np.zeros((0, m, m), dtype=complex)).shape == (0,)
-
-
-class TestExchangeConjugate:
-    def test_identity(self):
-        assert np.array_equal(exchange_conjugate(np.eye(3, dtype=complex)),
-                              np.eye(3, dtype=complex))
-
-    def test_reverses_diagonal(self):
-        out = exchange_conjugate(np.diag([1.0 + 0j, 2.0 + 0j]))
-        assert np.array_equal(out, np.diag([2.0 + 0j, 1.0 + 0j]))
-
-    def test_matches_triple_loop_oracle_and_stays_hermitian(self):
-        rng = np.random.default_rng(21)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = 0.5 * (a + a.conj().T)
-        m = a.shape[0]
-        j = np.zeros((m, m))
-        for i in range(m):
-            j[i, m - 1 - i] = 1.0
-        expected = np.zeros((m, m), dtype=complex)
-        for r in range(m):
-            for c in range(m):
-                for s in range(m):
-                    for t in range(m):
-                        expected[r, c] += j[r, s] * np.conj(a[s, t]) * j[t, c]
-        out = exchange_conjugate(a)
-        assert np.allclose(out, expected, atol=1e-14)
-        assert is_hermitian(out)
-
-    def test_involution(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        assert np.array_equal(exchange_conjugate(exchange_conjugate(a)), a)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            exchange_conjugate(np.ones((2, 3), dtype=complex))
 
 
 def test_is_hermitian_tolerance():

@@ -287,7 +287,7 @@ class TestAdam:
         rng = np.random.default_rng(4)
         net = random_net([3, 4, 1], "linear", rng)
         before = [(l.weights.copy(), l.bias.copy()) for l in net.layers]
-        adam_step(net, np.zeros_like(net.params), AdamState.for_network(net), TrainConfig())
+        adam_step(net, np.zeros_like(net.params), AdamState(net), TrainConfig())
         for (w0, b0), lay in zip(before, net.layers):
             assert np.array_equal(w0, lay.weights)
             assert np.array_equal(b0, lay.bias)
@@ -295,7 +295,7 @@ class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self):
         net = Network([layer([[1.0]], [0.0], "linear")])
         config = TrainConfig(learning_rate=0.01)
-        adam_step(net, np.array([0.37, 0.0]), AdamState.for_network(net), config)
+        adam_step(net, np.array([0.37, 0.0]), AdamState(net), config)
         # |dw| = lr * |g| / (|g| + eps) ~ lr
         assert abs(net.layers[0].weights[0, 0] - 1.0) == pytest.approx(0.01, rel=1e-6)
 
@@ -312,7 +312,7 @@ class TestAdam:
             trajectory.append(w)
 
         net = Network([layer([[1.0]], [0.0], "linear")])
-        state = AdamState.for_network(net)
+        state = AdamState(net)
         config = TrainConfig(learning_rate=lr)
         got = []
         for _ in range(3):
@@ -324,7 +324,7 @@ class TestAdam:
     def test_misshapen_gradient_rejected(self):
         net = Network([layer([[1.0]], [0.0], "linear")])
         with pytest.raises(ValueError, match="parameter vector"):
-            adam_step(net, np.zeros(3), AdamState.for_network(net), TrainConfig())
+            adam_step(net, np.zeros(3), AdamState(net), TrainConfig())
 
 
 class TestFlatParameters:

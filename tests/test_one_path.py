@@ -31,7 +31,7 @@ from sourcecount.classical import (
 )
 from sourcecount.detectors import (NET_KINDS, Detector, DetectorSpec, build_detector, load_detector,
                                    make_features, save_detector)
-from sourcecount.linalg import FLOAT_MAX
+from sourcecount.linalg import FLOAT_MAX, hermitian_eig
 from sourcecount.network import TrainConfig, dumps_network, init_truncated_normal, loads_network
 from sourcecount.signal_model import (
     MIN_SNR_DB,
@@ -170,6 +170,43 @@ def test_estimate_enters_errstate_at_most_once(monkeypatch, kind, subarray_size,
     monkeypatch.setattr(np, "errstate", counting_errstate)
     det.estimate(r)
     assert len(entries) <= 1
+
+
+def _detectors(m: int, subarray_size: int) -> list[Detector]:
+    """An untrained detector of every net kind, and the smoothed ERNet and ECNet."""
+    specs = [DetectorSpec(kind, m) for kind in NET_KINDS]
+    specs += [DetectorSpec(kind, m, subarray_size) for kind in ("ernet", "ecnet")]
+    return [Detector(spec, build_detector(spec, np.random.default_rng(6))) for spec in specs]
+
+
+def test_every_kind_reads_a_covariance_as_complex128():
+    # An object or string matrix goes through the same complex128 conversion for every
+    # feature, so each kind answers as it does for the complex matrix or raises one ValueError.
+    obj = np.eye(3).astype(object)
+    with_none, with_str = obj.copy(), obj.copy()
+    with_none[0, 1], with_str[0, 1] = None, "a"
+    for det in _detectors(3, 2):
+        assert det.estimate(obj) == det.estimate(np.eye(3, dtype=complex))
+        with pytest.raises(ValueError, match="^matrix has non-finite entries"):
+            det.estimate(with_none)
+        for bad in (with_str, np.full((3, 3), "a")):
+            with pytest.raises(ValueError, match="malformed string"):
+                det.estimate(bad)
+
+
+def test_a_matrix_too_large_and_not_hermitian_is_reported_as_not_hermitian(recwarn):
+    # check_hermitian runs before the overflow test everywhere, so every path names the
+    # same fault, and none warns on the way.
+    r = 1e200 * np.eye(4, dtype=complex)
+    r[0, 1] = 1e199
+    calls = [lambda: hermitian_eig(r), lambda: make_features(r[np.newaxis], "eigen"),
+             lambda: make_features(r[np.newaxis], "fbss", 2),
+             lambda: make_features(r[np.newaxis], "cov")]
+    calls += [lambda det=det: det.estimate(r) for det in _detectors(4, 2)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+            call()
+    assert not recwarn.list
 
 
 @SETTINGS

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sourcecount.linalg import hermitian_eig, is_hermitian, exchange_conjugate
+from sourcecount.linalg import hermitian_eig, is_hermitian
 from sourcecount.signal_model import (
     fbss_covariance,
     generate_snapshots,
@@ -114,8 +114,8 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("snr_db", [10**400, -10**400], ids=["10**400", "-10**400"])
     def test_rejects_integer_snr_past_the_float_range(self, snr_db):
         # Neither sign escapes as OverflowError: the number does not fit a float.
-        with pytest.raises(ValueError, match=r"^test_snr_db must be a real number in \["):
-            noise_variance_at(snr_db, "test_snr_db")
+        with pytest.raises(ValueError, match=r"^snr_db must be a real number in \["):
+            noise_variance_at(snr_db)
         assert_rejected_before_any_draw(r"^snr_db must be a real number in \[", snr_db=snr_db)
 
     def test_extreme_snrs_that_fit_a_float(self):
@@ -423,7 +423,26 @@ class TestFbssCovariance:
         x = rng.standard_normal((6, 30)) + 1j * rng.standard_normal((6, 30))
         r = sample_covariance(x)
         out = fbss_covariance(r, 6)
-        assert np.allclose(out, 0.5 * (r + exchange_conjugate(r)))
+        assert np.allclose(out, 0.5 * (r + np.flip(r, (-2, -1)).conj()))
+
+    def test_matches_triple_loop_oracle_and_stays_hermitian(self):
+        # At M0 = M the one forward term gives (A + J conj(A) J) / 2, J the anti-identity.
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a = 0.5 * (a + a.conj().T)
+        m = a.shape[0]
+        j = np.zeros((m, m))
+        for i in range(m):
+            j[i, m - 1 - i] = 1.0
+        expected = np.zeros((m, m), dtype=complex)
+        for r in range(m):
+            for c in range(m):
+                for s in range(m):
+                    for t in range(m):
+                        expected[r, c] += j[r, s] * np.conj(a[s, t]) * j[t, c]
+        out = fbss_covariance(a, m)
+        assert np.allclose(out, 0.5 * (a + expected), atol=1e-14)
+        assert is_hermitian(out)
 
     def test_identity_invariant(self):
         for m0 in (1, 3, 5):
