@@ -449,6 +449,26 @@ class TestFbssCovariance:
             out = fbss_covariance(np.eye(5, dtype=complex), m0)
             assert np.allclose(out, np.eye(m0))
 
+    def test_averages_a_diagonal_with_its_reverse(self):
+        # J conj(D) J reverses a diagonal D, so M0 = M gives (d + d[::-1]) / 2.
+        out = fbss_covariance(np.diag([1.0 + 0j, 2.0 + 0j, 4.0 + 0j]), 3)
+        assert np.array_equal(out, np.diag([2.5 + 0j, 2.0 + 0j, 2.5 + 0j]))
+
+    def test_full_subarray_result_is_a_fixed_point(self):
+        # (A + J conj(A) J) / 2 is its own exchanged conjugate, so smoothing
+        # it again at M0 = M returns it bit for bit.
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        a = 0.5 * (a + a.conj().T)
+        once = fbss_covariance(a, 5)
+        assert np.array_equal(fbss_covariance(once, 5), once)
+
+    def test_rejects_non_square(self):
+        for r in (np.ones((2, 3), dtype=complex), np.ones((3, 2, 3), dtype=complex),
+                  np.ones(4, dtype=complex)):
+            with pytest.raises(ValueError, match="square"):
+                fbss_covariance(r, 1)
+
     def test_decorrelates_coherent_pair(self):
         r = sample_covariance(generate_snapshots(10, 200, (0.3, 1.1), (0,), math.inf,
                                                  np.random.default_rng(7)))
