@@ -22,27 +22,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
 from .classical import check_spectra, criterion_values
 from .linalg import check_count, check_hermitian, hermitian_eig, is_moderate
-from .network import (
-    Layer,
-    Network,
-    TrainConfig,
-    dumps_network,
-    forward,
-    init_truncated_normal,
-    loads_network,
-)
+from .network import Layer, Network, TrainConfig, forward, init_truncated_normal
 from .signal_model import fbss_covariance
 
 NET_KINDS = ("ernet", "ecnet", "covnet")
 CLASSICAL_KINDS = ("aic", "mdl")
 FEATURES = ("eigen", "fbss", "cov")
+MODEL_FORMAT, MODEL_VERSION = "sourcecount-network", 1
 
 
 def feature_kind(kind: str, subarray_size: int | None) -> str:
@@ -260,31 +253,80 @@ def _meta(spec: DetectorSpec) -> dict:
 
 
 def save_detector(detector: Detector, path):
-    """Writes the network in the portable model format, with :func:`_meta`."""
+    """Writes the detector as a JSON model file: each layer's activation, shape and
+    row-major weights and bias, the training config and :func:`_meta`, with sorted keys
+    and each float as its shortest repr, which reads back to the same float64.  A NaN or
+    infinite parameter raises ValueError before the file is opened."""
+    config = detector.train_config
+    doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION,
+           "layers": [{"activation": layer.activation, "rows": layer.out_dim,
+                       "cols": layer.in_dim, "weights": layer.weights.ravel().tolist(),
+                       "bias": layer.bias.tolist()} for layer in detector.net.layers],
+           "train_config": None if config is None else asdict(config),
+           "meta": _meta(detector.spec)}
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_network(detector.net, detector.train_config, _meta(detector.spec)))
+        fh.write(text)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
 
 
 def load_detector(path) -> Detector:
-    """The detector in a :func:`save_detector` file.  Raises ValueError if the
-    metadata is missing, differs from :func:`_meta` of the spec it names
-    (JSON types included), or the network is not the one :func:`_layer_plan`
-    lays out.  Each such error, and a file that is not UTF-8 JSON or whose
-    layers do not build, reads ``model file <path>: ...``."""
+    """The detector in a :func:`save_detector` file, bit-exact.  Raises ValueError for
+    another format or version; metadata that names no spec; metadata and layer
+    shapes and activations that differ, JSON types included, from :func:`_meta` and the
+    :func:`_layer_plan` of that spec; weights or a bias that is not a flat list of the
+    planned number of JSON numbers; NaN, Infinity or a number past the float range (such
+    as ``1e400``); a missing entry or one of the wrong JSON type; and a ``train_config``
+    key that is not a :class:`TrainConfig` field or a value its field rejects.  Each
+    error, and a file that is not UTF-8 JSON, reads ``model file <path>: ...``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            net, train_config, meta = loads_network(fh.read())
+            doc = json.load(fh, parse_constant=_reject_constant)
         try:
-            spec = DetectorSpec(meta["detector"], meta["num_antennas"],
-                                meta.get("subarray_size"), meta.get("normalize", False))
-        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"no usable detector metadata: {exc}") from exc
-        expected = _meta(spec)
-        found = {key: meta.get(key, value) for key, value in expected.items()}
-        layers = [(layer.in_dim, layer.out_dim, layer.activation) for layer in net.layers]
-        if json.dumps(found) != json.dumps(expected) or layers != _layer_plan(spec):
-            raise ValueError(f"holds layers {layers} and metadata {found}, not the {spec.name} "
-                             f"layers {_layer_plan(spec)} and metadata {expected}")
+            if doc.get("format") != MODEL_FORMAT:
+                raise ValueError("not a serialized network document")
+            if doc.get("version") != MODEL_VERSION:
+                raise ValueError(f"unsupported format version {doc.get('version')}")
+            meta = doc.get("meta", {})
+            try:
+                spec = DetectorSpec(meta["detector"], meta["num_antennas"],
+                                    meta.get("subarray_size"), meta.get("normalize", False))
+            except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"no usable detector metadata: {exc}") from exc
+            plan = _layer_plan(spec)
+            expected = {"meta": _meta(spec), "layers": [
+                {"activation": activation, "cols": fan_in, "rows": fan_out}
+                for fan_in, fan_out, activation in plan]}
+            found = {"meta": {key: meta.get(key, value) for key, value in expected["meta"].items()},
+                     "layers": [{key: layer.get(key) for key in ("activation", "cols", "rows")}
+                                for layer in doc["layers"]]}
+            if json.dumps(found) != json.dumps(expected):
+                raise ValueError(f"holds {found}, not the {spec.name} layers and "
+                                 f"metadata {expected}")
+            params = []
+            for i, (layer, (fan_in, fan_out, _)) in enumerate(zip(doc["layers"], plan)):
+                for key, size in (("weights", fan_in * fan_out), ("bias", fan_out)):
+                    values = layer[key]
+                    if not (isinstance(values, list) and len(values) == size
+                            and all(type(v) in (int, float) for v in values)):
+                        raise ValueError(f"layer {i} {key} must be a flat list of {size} numbers")
+                    params += values
+            net = Network([Layer(np.zeros((fan_out, fan_in)), np.zeros(fan_out), activation)
+                           for fan_in, fan_out, activation in plan])
+            net.params[:] = params
+            if not np.isfinite(net.params).all():
+                raise ValueError("non-finite number (a literal beyond the float range)")
+            config = doc.get("train_config")
+            if config is not None:
+                unknown = sorted(config.keys() - {f.name for f in fields(TrainConfig)})
+                if unknown:
+                    raise ValueError(f"unknown train_config keys {unknown}")
+                config = TrainConfig(**config)  # which checks each value
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed document: {type(exc).__name__}: {exc}") from exc
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"model file {path}: {exc}") from exc
-    return Detector(spec=spec, net=net, train_config=train_config)
+    return Detector(spec=spec, net=net, train_config=config)

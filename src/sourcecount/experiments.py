@@ -228,13 +228,16 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
     ``phase`` selects the seed-stream role ("train" or "test"), so the
     two phases can never share draws.  Snapshots and covariances are
     computed a block of trials at a time, bit for bit as one by one.
-    Raises ValueError, before any draw, for an unknown phase or feature kind, a ``num`` not in
+    Raises ValueError, before any draw, for an unknown phase or feature kind, a ``want``
+    that is a bare string instead of a collection of kinds, a ``num`` not in
     [0, ``MAX_COUNT``], a negative or non-integer ``axis_index`` or a bad ``snr_db``, and
     after it, naming ``snr_db``, when the noise overflows a covariance or its features.
     """
     role = {"train": ROLE_TRAIN, "test": ROLE_TEST}.get(phase)
     if role is None:
         raise ValueError(f"phase must be 'train' or 'test', got {phase!r}")
+    if isinstance(want, str):
+        raise ValueError(f"want must be a collection of feature kinds, got the string {want!r}")
     num = check_count("num", num, 0, MAX_COUNT)
     axis_index = check_count("axis_index", axis_index, 0)
     snr_db = _check_snr(snr_db, "snr_db")
@@ -440,7 +443,9 @@ def run_sweep(name: str, config: ExperimentConfig) -> SweepResult:
     """Accuracy of each detector along sweep ``name``'s axis.  The nets
     train at the first point, and at every point of an axis the training
     draws read (N); coherent sweeps read smoothed spectra of size M0."""
-    sweep = SWEEPS[name]
+    sweep = SWEEPS.get(name)
+    if sweep is None:
+        raise ValueError(f"unknown sweep {name!r}; known sweeps are {', '.join(SWEEPS)}")
     config = replace(config, coherent=sweep.coherent)
     kinds = config.detectors or sweep.detectors
     subarray_size = config.subarray_size if sweep.coherent else None

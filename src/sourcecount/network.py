@@ -8,20 +8,19 @@ loop.  A network's parameters are views of one float64 vector.
 
 A layer applies ``g(W x + b)`` with ``W`` of shape (out, in).  Batches
 are row-major: :func:`forward` and :func:`compute_loss` take only
-(batch, dim) arrays, one sample being a one-row batch.
+(batch, dim) arrays, one sample being a one-row batch.  The engine takes
+a network's layout as given: ``detectors._layer_plan`` is its one
+description, and ``detectors`` owns the model file.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import FLOAT_MAX, check_count, check_real
-
-ACTIVATIONS = ("relu", "linear", "softmax")
 
 # Probability floor inside the cross-entropy logarithm.
 CCE_FLOOR = 1e-12
@@ -47,32 +46,13 @@ class Layer:
 
 @dataclass
 class Network:
-    """Ordered dense layers; softmax only last, ReLU only hidden.  Holds
+    """Ordered dense layers, laid out by ``detectors._layer_plan``.  Holds
     copies of the given layers, whose arrays are views of ``params``."""
 
     layers: list[Layer]
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError("network needs at least one layer")
-        for i, layer in enumerate(self.layers):
-            if layer.activation not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {layer.activation!r}")
-            if layer.weights.ndim != 2 or layer.bias.ndim != 1:
-                raise ValueError("layer weights must be 2-D and bias 1-D")
-            if layer.bias.shape[0] != layer.out_dim:
-                raise ValueError("bias length must match output size")
-            last = i == len(self.layers) - 1
-            if layer.activation == "softmax" and not last:
-                raise ValueError("softmax is only allowed on the output layer")
-            if layer.activation == "relu" and last:
-                raise ValueError("relu is only allowed on hidden layers")
-            if i > 0 and layer.in_dim != self.layers[i - 1].out_dim:
-                raise ValueError(
-                    f"layer {i} input size {layer.in_dim} does not chain with "
-                    f"previous output size {self.layers[i - 1].out_dim}"
-                )
         self.params = np.concatenate([np.ravel(a) for layer in self.layers
                                       for a in (layer.weights, layer.bias)], dtype=float)
         self.layers = [Layer(w, b, layer.activation) for layer, (w, b)
@@ -290,58 +270,3 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
         raise ArithmeticError(f"{exc} at epoch {epoch}, batch starting at {start}") from exc
     return history
 
-
-# --- Serialization: a JSON document whose floats are written as their
-# shortest repr, which reads back to the same float64.
-
-FORMAT_NAME = "sourcecount-network"
-FORMAT_VERSION = 1
-
-
-def dumps_network(net: Network, train_config: TrainConfig | None = None,
-                  meta: dict | None = None) -> str:
-    """Serializes a network (plus optional training config and metadata).
-    A non-finite parameter raises ValueError."""
-    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
-           "layers": [{"activation": layer.activation, "rows": layer.out_dim,
-                       "cols": layer.in_dim, "weights": layer.weights.ravel().tolist(),
-                       "bias": layer.bias.tolist()} for layer in net.layers],
-           "train_config": None if train_config is None else asdict(train_config),
-           "meta": meta or {}}
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite number {name}")
-
-
-def loads_network(text: str) -> tuple[Network, TrainConfig | None, dict]:
-    """Parses :func:`dumps_network` output back, bit-exact.  Raises ValueError for NaN,
-    Infinity or a layer number past the float range (such as ``1e400``), a missing entry,
-    a value of the wrong JSON type, and a ``train_config`` key that is not a
-    :class:`TrainConfig` field or holds a value of another type than its field's."""
-    doc = json.loads(text, parse_constant=_reject_constant)
-    try:
-        if doc.get("format") != FORMAT_NAME:
-            raise ValueError("not a serialized network document")
-        if doc.get("version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {doc.get('version')}")
-        layers = []
-        for entry in doc["layers"]:
-            rows, cols = int(entry["rows"]), int(entry["cols"])
-            weights = np.array(entry["weights"], dtype=float).reshape(rows, cols)
-            bias = np.array(entry["bias"], dtype=float)
-            if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-                raise ValueError("non-finite number (a literal beyond the float range)")
-            layers.append(Layer(weights=weights, bias=bias, activation=entry["activation"]))
-        net = Network(layers)
-        config = None
-        if doc.get("train_config") is not None:
-            entries = doc["train_config"]
-            unknown = sorted(entries.keys() - {f.name for f in fields(TrainConfig)})
-            if unknown:
-                raise ValueError(f"unknown train_config keys {unknown}")
-            config = TrainConfig(**entries)  # which checks each value
-        return net, config, doc.get("meta", {})
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed document: {type(exc).__name__}: {exc}") from exc

@@ -1,6 +1,7 @@
 """Tests for feature extraction, label encoding and detector assembly."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -462,7 +463,13 @@ class TestDetectorWrapper:
         lambda doc: doc["meta"].update(detector="ernet"),
         lambda doc: doc["meta"].update(hidden=[4, 4]),
         lambda doc: doc["layers"][-1].update(activation="linear"),
-    ], ids=["other-kind", "other-hidden", "other-head"])
+        # Layouts that no plan lays out.
+        lambda doc: doc["layers"][-1].update(activation="relu"),
+        lambda doc: doc["layers"][0].update(activation="softmax"),
+        lambda doc: doc["layers"][1].update(cols=9, weights=[0.0] * 72),
+        lambda doc: doc["layers"][0].update(activation="tanh"),
+    ], ids=["other-kind", "other-hidden", "other-head", "relu-output", "softmax-hidden",
+            "chain-mismatch", "unknown-activation"])
     def test_network_other_than_the_spec_rejected(self, tmp_path, edit):
         spec = DetectorSpec("ecnet", 10)
         path = tmp_path / "det.json"
@@ -497,6 +504,176 @@ class TestDetectorWrapper:
         assert loaded.train_config == config
         assert np.array_equal(loaded.net.params, det.net.params)
         assert np.array_equal(loaded.decide_batch(feats), det.decide_batch(feats))
+
+
+# SHA-256 of the file that save_detector writes for each untrained detector, built with
+# the seed of its position here.  Initialization reads no BLAS result, so each digest
+# holds on every OpenBLAS core.
+MODEL_FILE_DIGESTS = {
+    "ernet": (DetectorSpec("ernet", 6), None,
+              "a09488761213b75add6e65628469b02e55b3110ec8a9f94444bf044a6210fde1"),
+    "ecnet": (DetectorSpec("ecnet", 6), TrainConfig(learning_rate=0.003, epochs=7, seed=11),
+              "78d3b4a272551612bacd664a1c41d1f58d267b85fcd90f12f059f1459615e0c9"),
+    "covnet": (DetectorSpec("covnet", 4), TrainConfig(),
+               "c88af235099df4f53399d681f7d1dabe35651e118b361ac2c8cb8e3510a7e3b5"),
+    "fbss-ernet": (DetectorSpec("ernet", 8, subarray_size=5), TrainConfig(batch_size=64),
+                   "e59b7bab0c4e603ccf564889e5406cc35457c9b92652975da4e2bcbaa2ce7e6f"),
+    "fbss-ecnet-normalized": (DetectorSpec("ecnet", 8, subarray_size=3, normalize=True), None,
+                              "950fc854e6c5405815d46286f84a22d7937cba9a32b95b048a9bd509363c3b60"),
+    "covnet-normalized": (DetectorSpec("covnet", 3, normalize=True), TrainConfig(seed=7),
+                          "f650469f876851c4834ef68cbd97a29d0cc5084bcc6ed116138ec343d764808d"),
+    "ernet-normalized": (DetectorSpec("ernet", 10, normalize=True),
+                         TrainConfig(learning_rate=1e-4),
+                         "ec693dd27873e2519d57745a6444df1bb0b1a9f7859f0a9f192343c6779c9ecb"),
+    "ecnet-m2": (DetectorSpec("ecnet", 2), None,
+                 "09416fbe912fefc785692db54b5a02acef97845c0ce47a3bf0658392423f38c8"),
+}
+
+
+def saved(path, spec, config=None, seed=4):
+    """The untrained detector of ``spec`` built with ``seed``, after saving it to ``path``."""
+    det = Detector(spec, build_detector(spec, np.random.default_rng(seed)), config)
+    save_detector(det, path)
+    return det
+
+
+def edit_model(path, edit):
+    """Rewrites the model file at ``path`` with ``edit`` applied to its document."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("seed, name", enumerate(MODEL_FILE_DIGESTS),
+                             ids=list(MODEL_FILE_DIGESTS))
+    def test_bytes_pinned(self, tmp_path, seed, name):
+        spec, config, digest = MODEL_FILE_DIGESTS[name]
+        saved(tmp_path / "model.json", spec, config, seed)
+        assert hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest() == digest
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        spec, config = DetectorSpec("ecnet", 5), TrainConfig(learning_rate=1e-3, epochs=7, seed=99)
+        det = Detector(spec, build_detector(spec, np.random.default_rng(14)), config)
+        det.net.params[:] = np.random.default_rng(14).standard_normal(det.net.params.size)
+        save_detector(det, tmp_path / "model.json")
+        loaded = load_detector(tmp_path / "model.json")
+        assert loaded.spec == spec and loaded.train_config == config
+        assert [l.activation for l in loaded.net.layers] == [l.activation for l in det.net.layers]
+        for l1, l2 in zip(det.net.layers, loaded.net.layers):
+            assert np.array_equal(l1.weights, l2.weights)
+            assert np.array_equal(l1.bias, l2.bias)
+
+    def test_floats_written_as_shortest_repr(self, tmp_path):
+        det = Detector(DetectorSpec("ernet", 4),
+                       build_detector(DetectorSpec("ernet", 4), np.random.default_rng(0)))
+        det.net.layers[0].weights[0, 0], det.net.layers[0].bias[0] = 1.0 / 3.0, 0.1
+        save_detector(det, tmp_path / "model.json")
+        text = (tmp_path / "model.json").read_text(encoding="utf-8")
+        assert f"\n        {1.0 / 3.0!r},\n" in text and "\n        0.1,\n" in text
+        assert json.loads(text)["layers"][0]["weights"][0] == 1.0 / 3.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_not_written(self, tmp_path, value):
+        det = Detector(DetectorSpec("ernet", 4),
+                       build_detector(DetectorSpec("ernet", 4), np.random.default_rng(0)))
+        det.net.layers[-1].bias[0] = value
+        with pytest.raises(ValueError):
+            save_detector(det, tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_failed_save_keeps_the_old_file(self, tmp_path, value):
+        path = tmp_path / "model.json"
+        det = saved(path, DetectorSpec("ernet", 4))
+        before = path.read_bytes()
+        det.net.layers[-1].bias[0] = value
+        with pytest.raises(ValueError):
+            save_detector(det, path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-2e308"])
+    def test_rejects_non_finite_parameters(self, tmp_path, constant):
+        path = tmp_path / "model.json"
+        saved(path, DetectorSpec("ernet", 4))
+        edit_model(path, lambda doc: doc["layers"][0]["bias"].__setitem__(0, "placeholder"))
+        path.write_text(path.read_text(encoding="utf-8").replace('"placeholder"', constant),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="non-finite number"):
+            load_detector(path)
+
+    def test_old_layout_loads_bit_for_bit(self, tmp_path):
+        # The layout written before floats were their shortest repr: 17
+        # significant digits and a "layer_sizes" key, which no reader reads.
+        spec = DetectorSpec("ernet", 2)
+        net = build_detector(spec, np.random.default_rng(0))
+        net.params[:5] = [1.0 / 3.0, -2.5e-310, 0.1, -7.0, 1e300]
+        layers = ",\n".join(
+            f'    {{"activation": "{l.activation}", "rows": {l.out_dim}, "cols": {l.in_dim},\n'
+            f'     "weights": [{", ".join(f"{v:.16e}" for v in l.weights.ravel())}],\n'
+            f'     "bias": [{", ".join(f"{v:.16e}" for v in l.bias)}]}}' for l in net.layers)
+        path = tmp_path / "old.json"
+        path.write_text('{"format": "sourcecount-network", "version": 1,\n'
+                        ' "layer_sizes": [2, 8, 8, 1],\n'
+                        f' "layers": [\n{layers}\n ],\n'
+                        ' "train_config": {"learning_rate": 3.0000000000000001e-03,\n'
+                        '                  "batch_size": 128, "epochs": 7, "seed": 11},\n'
+                        ' "meta": {"detector": "ernet", "num_antennas": 2, "subarray_size": null,\n'
+                        '          "hidden": [8, 8]}}\n', encoding="utf-8")
+        assert "3.3333333333333331e-01, -2.5000000000000" in path.read_text(encoding="utf-8")
+        loaded = load_detector(path)
+        assert loaded.net.params.tobytes() == net.params.tobytes()
+        assert loaded.spec == spec
+        assert loaded.train_config == TrainConfig(learning_rate=0.003, batch_size=128, epochs=7,
+                                                  seed=11)
+        save_detector(loaded, tmp_path / "new.json")
+        assert load_detector(tmp_path / "new.json").net.params.tobytes() == net.params.tobytes()
+
+    @pytest.mark.parametrize("key, value", [("adam_beta1", 0.5), ("adam_epsilon", 1e-7),
+                                            ("momentum", 0.5)])
+    def test_unknown_train_config_key_rejected(self, tmp_path, key, value):
+        # Files written before the ADAM constants were fixed carry them in
+        # train_config; like any key that is not a field, each is rejected.
+        path = tmp_path / "model.json"
+        saved(path, DetectorSpec("ernet", 4), TrainConfig(seed=99))
+        edit_model(path, lambda doc: doc["train_config"].update({key: value}))
+        with pytest.raises(ValueError, match=rf"unknown train_config keys \['{key}'\]"):
+            load_detector(path)
+
+    def test_rejects_foreign_document(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"format": "something-else", "version": 1}', encoding="utf-8")
+        with pytest.raises(ValueError, match="not a serialized network document"):
+            load_detector(path)
+
+    def test_untrained_config_is_none(self, tmp_path):
+        path = tmp_path / "model.json"
+        saved(path, DetectorSpec("ernet", 4))
+        assert json.loads(path.read_text(encoding="utf-8"))["train_config"] is None
+        assert load_detector(path).train_config is None
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["layers"][0].update(rows="8"), "not the ernet layers"),
+        (lambda doc: doc["layers"][0].update(rows=8.7), "not the ernet layers"),
+        (lambda doc: doc["layers"][0].update(rows=-1), "not the ernet layers"),
+        (lambda doc: doc["layers"][2].update(rows=True), "not the ernet layers"),
+        (lambda doc: doc["layers"][0]["weights"].__setitem__(0, "0.5"),
+         r"layer 0 weights must be a flat list of 80 numbers"),
+        (lambda doc: doc["layers"][1]["bias"].__setitem__(0, False),
+         r"layer 1 bias must be a flat list of 8 numbers"),
+        (lambda doc: doc["layers"][0].update(
+            weights=np.reshape(doc["layers"][0]["weights"], (8, 10)).tolist()),
+         r"layer 0 weights must be a flat list of 80 numbers"),
+        (lambda doc: doc["layers"][2]["weights"].append(0.0),
+         r"layer 2 weights must be a flat list of 8 numbers"),
+    ], ids=["rows-text", "rows-float", "rows-negative", "rows-bool", "weight-text",
+            "bias-bool", "weights-nested", "weights-long"])
+    def test_wrong_json_type_rejected(self, tmp_path, edit, match):
+        path = tmp_path / "model.json"
+        saved(path, DetectorSpec("ernet", 10))
+        edit_model(path, edit)
+        with pytest.raises(ValueError, match=f"^model file {re.escape(str(path))}: .*{match}"):
+            load_detector(path)
 
 
 @settings(max_examples=60, deadline=None)

@@ -437,6 +437,18 @@ class TestTrials:
         with pytest.raises(ValueError, match="covnet has no smoothed form"):
             select_features(t, "covnet", 5)
 
+    def test_bare_string_want_rejected_before_any_draw(self, monkeypatch):
+        # A string is iterable, so "eigen" would otherwise ask for the kinds "e", "i", ...
+        import sourcecount.experiments as experiments
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a scenario was drawn before want was checked")
+
+        monkeypatch.setattr(experiments, "draw_scenario", no_draws)
+        with pytest.raises(ValueError, match="^want must be a collection of feature kinds, "
+                                             "got the string 'eigen'"):
+            generate_trials(tiny_config(), phase="test", num=5, snr_db=5.0, want="eigen")
+
     def test_missing_feature_kind_rejected(self):
         config = tiny_config()
         t = generate_trials(config, phase="test", num=5, snr_db=5.0, want=("eigen",))
@@ -835,6 +847,11 @@ class TestSweeps:
         monkeypatch.setattr(experiments, "generate_trials", no_trials)
         with pytest.raises(ValueError, match="^subarray_size must be at least 2 for aic"):
             run_sweep("sweep-snr-coherent", ExperimentConfig(subarray_size=1))
+
+    def test_unknown_sweep_rejected(self):
+        with pytest.raises(ValueError, match="^unknown sweep 'sweep-foo'; known sweeps are "
+                                             "sweep-snapshots, sweep-snr, sweep-snr-coherent$"):
+            run_sweep("sweep-foo", tiny_config())
 
     def test_sweep_bits_pinned(self):
         assert sweep_digest() == SWEEP_DIGEST

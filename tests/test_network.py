@@ -1,6 +1,5 @@
 """Tests for the from-scratch network engine."""
 
-import json
 import math
 import os
 import platform
@@ -15,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sourcecount import network
-from sourcecount.detectors import DetectorSpec, build_detector
+from sourcecount.detectors import (Detector, DetectorSpec, build_detector, load_detector,
+                                   save_detector)
 from sourcecount.experiments import _blas_core
 from sourcecount.network import (
     AdamState,
@@ -24,10 +24,8 @@ from sourcecount.network import (
     TrainConfig,
     adam_step,
     compute_loss,
-    dumps_network,
     forward,
     init_truncated_normal,
-    loads_network,
     train,
 )
 from sourcecount.network import _backward_from_cache, _forward_cached, _layer_views, _softmax_rows
@@ -115,22 +113,6 @@ class TestForward:
              "fortran": np.asfortranarray(wide[:, :spec.feature_size]),
              "reversed rows": wide[::-1, :spec.feature_size]}[layout]
         assert np.array_equal(forward(net, x), forward(net, np.ascontiguousarray(x)))
-
-
-class TestNetworkValidation:
-    def test_softmax_only_final(self):
-        with pytest.raises(ValueError):
-            Network([layer(np.eye(2), np.zeros(2), "softmax"),
-                     layer(np.eye(2), np.zeros(2), "linear")])
-
-    def test_relu_not_final(self):
-        with pytest.raises(ValueError):
-            Network([layer(np.eye(2), np.zeros(2), "relu")])
-
-    def test_dimension_chain(self):
-        with pytest.raises(ValueError):
-            Network([layer(np.zeros((3, 2)), np.zeros(3), "relu"),
-                     layer(np.zeros((1, 4)), np.zeros(1), "linear")])
 
 
 class TestActivations:
@@ -330,11 +312,11 @@ class TestAdam:
 class TestFlatParameters:
     @pytest.mark.parametrize("kind, m0", [("ernet", None), ("ecnet", None),
                                           ("covnet", None), ("ernet", 4)])
-    def test_layers_are_views_of_params(self, kind, m0):
-        built = build_detector(DetectorSpec(kind, 6, subarray_size=m0),
-                               np.random.default_rng(0))
-        loaded, _, _ = loads_network(dumps_network(built))
-        for net in (built, loaded):
+    def test_layers_are_views_of_params(self, tmp_path, kind, m0):
+        spec = DetectorSpec(kind, 6, subarray_size=m0)
+        built = build_detector(spec, np.random.default_rng(0))
+        save_detector(Detector(spec, built), tmp_path / "model.json")
+        for net in (built, load_detector(tmp_path / "model.json").net):
             flat = [a.ravel() for lay in net.layers for a in (lay.weights, lay.bias)]
             assert np.array_equal(net.params, np.concatenate(flat))
             for lay in net.layers:
@@ -645,102 +627,3 @@ class TestKernels:
         if done.stdout.strip() == _blas_core():  # e.g. the suite itself runs under Prescott
             pytest.skip(f"{core} runs the host's own core, which the other tests cover")
 
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self):
-        rng = np.random.default_rng(14)
-        net = random_net([5, 8, 3], "softmax", rng)
-        config = TrainConfig(learning_rate=1e-3, epochs=7, seed=99)
-        text = dumps_network(net, config, meta={"detector": "ecnet"})
-        loaded, loaded_config, meta = loads_network(text)
-        assert loaded_config == config
-        assert meta == {"detector": "ecnet"}
-        assert [l.activation for l in loaded.layers] == [l.activation for l in net.layers]
-        for l1, l2 in zip(net.layers, loaded.layers):
-            assert np.array_equal(l1.weights, l2.weights)
-            assert np.array_equal(l1.bias, l2.bias)
-
-    def test_floats_written_as_shortest_repr(self):
-        net = Network([layer([[1.0 / 3.0]], [0.1], "linear")])
-        text = dumps_network(net)
-        assert f"\n        {1.0 / 3.0!r}\n" in text and "\n        0.1\n" in text
-        assert json.loads(text)["layers"][0]["weights"] == [1.0 / 3.0]
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_parameter_not_written(self, value):
-        net = Network([layer([[1.0]], [value], "linear")])
-        with pytest.raises(ValueError):
-            dumps_network(net)
-
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-2e308"])
-    def test_rejects_non_finite_parameters(self, constant):
-        net = Network([layer(np.eye(2), np.zeros(2), "linear")])
-        doc = json.loads(dumps_network(net))
-        doc["layers"][0]["bias"][0] = "placeholder"
-        text = json.dumps(doc).replace('"placeholder"', constant)
-        with pytest.raises(ValueError, match="non-finite number"):
-            loads_network(text)
-
-    def test_old_layout_loads_bit_for_bit(self):
-        # The layout written before floats were their shortest repr: 17
-        # significant digits and a "layer_sizes" key, which no reader reads.
-        text = """{
-  "format": "sourcecount-network",
-  "version": 1,
-  "layer_sizes": [2, 1, 1],
-  "layers": [
-    {
-      "activation": "relu",
-      "rows": 1, "cols": 2,
-      "weights": [3.3333333333333331e-01, -2.5000000000000171e-310],
-      "bias": [1.0000000000000001e-01]
-    },
-    {
-      "activation": "linear",
-      "rows": 1, "cols": 1,
-      "weights": [-7.0000000000000000e+00],
-      "bias": [1.0000000000000001e+300]
-    }
-  ],
-  "train_config": {
-    "learning_rate": 3.0000000000000001e-03,
-    "batch_size": 128,
-    "epochs": 7,
-    "seed": 11
-  },
-  "meta": {"detector": "ernet"}
-}
-"""
-        net, config, meta = loads_network(text)
-        assert np.array_equal(net.params, [1.0 / 3.0, -2.5e-310, 0.1, -7.0, 1e300])
-        assert [l.activation for l in net.layers] == ["relu", "linear"]
-        assert config == TrainConfig(learning_rate=0.003, batch_size=128, epochs=7, seed=11)
-        assert meta == {"detector": "ernet"}
-        assert loads_network(dumps_network(net, config, meta))[0].params.tobytes() == \
-            net.params.tobytes()
-
-    @pytest.mark.parametrize("key, value", [("adam_beta1", 0.5), ("adam_epsilon", 1e-7)])
-    def test_old_files_other_adam_values_rejected(self, key, value):
-        # Files written before the ADAM constants were fixed carry them in
-        # train_config; like any key that is not a field, each is rejected.
-        net = Network([layer(np.eye(2), np.zeros(2), "linear")])
-        text = dumps_network(net, TrainConfig(seed=99))
-        old = text.replace('"seed": 99', f'"seed": 99,\n    "{key}": {value}')
-        with pytest.raises(ValueError, match=rf"unknown train_config keys \['{key}'\]"):
-            loads_network(old)
-
-    def test_unknown_train_config_key_rejected(self):
-        net = Network([layer(np.eye(2), np.zeros(2), "linear")])
-        text = dumps_network(net, TrainConfig(seed=99))
-        with pytest.raises(ValueError, match=r"unknown train_config keys \['momentum'\]"):
-            loads_network(text.replace('"seed": 99', '"seed": 99,\n    "momentum": 0.5'))
-
-    def test_rejects_foreign_document(self):
-        with pytest.raises(ValueError):
-            loads_network('{"format": "something-else", "version": 1}')
-
-    def test_untrained_config_is_none(self):
-        net = Network([layer(np.eye(2), np.zeros(2), "linear")])
-        _, config, meta = loads_network(dumps_network(net))
-        assert config is None
-        assert meta == {}

@@ -11,7 +11,9 @@ every real-valued argument.
 
 import json
 import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from sourcecount.classical import (
 from sourcecount.detectors import (NET_KINDS, Detector, DetectorSpec, build_detector, load_detector,
                                    make_features, save_detector)
 from sourcecount.linalg import FLOAT_MAX, hermitian_eig
-from sourcecount.network import TrainConfig, dumps_network, init_truncated_normal, loads_network
+from sourcecount.network import TrainConfig, init_truncated_normal
 from sourcecount.signal_model import (
     MIN_SNR_DB,
     fbss_covariance,
@@ -348,16 +350,27 @@ def test_count_accepts_a_numpy_integer_at_its_bounds(site):
             call(np.int64(bound))
 
 
-def _model_text(learning_rate) -> str:
-    """A model file whose train_config carries ``learning_rate``.  JSON has no form for a
-    numpy bool or a complex, written as the string of its repr, nor for inf, written as
-    1e400, which the reader parses as inf."""
-    text = dumps_network(build_detector(DetectorSpec("ernet", 3), np.random.default_rng(0)),
-                         TrainConfig())
-    doc = json.loads(text)
-    doc["train_config"]["learning_rate"] = learning_rate
-    text = json.dumps(doc, default=lambda v: float(v) if isinstance(v, np.floating) else repr(v))
-    return text.replace("Infinity", "1e400")
+def _load_model(learning_rate):
+    """The detector in a model file whose train_config carries ``learning_rate``, or the
+    ValueError of its reader without the ``model file <path>: `` prefix.  JSON has no form
+    for a numpy bool or a complex, written as the string of its repr, nor for inf, written
+    as 1e400, which the reader parses as inf."""
+    spec = DetectorSpec("ernet", 3)
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "model.json"
+        save_detector(Detector(spec, build_detector(spec, np.random.default_rng(0)),
+                               TrainConfig()), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["train_config"]["learning_rate"] = learning_rate
+        text = json.dumps(doc, default=lambda v: float(v) if isinstance(v, np.floating)
+                          else repr(v))
+        path.write_text(text.replace("Infinity", "1e400"), encoding="utf-8")
+        try:
+            return load_detector(path)
+        except ValueError as exc:
+            prefix = f"model file {path}: "
+            assert str(exc).startswith(prefix), str(exc)
+            raise ValueError(str(exc)[len(prefix):]) from exc
 
 
 # Every real-valued argument of the package: the call that passes it, its name, its
@@ -394,14 +407,14 @@ REAL_SITES = {
                                        lambda c: c.learning_rate),
     "TrainConfig.learning_rate": (lambda v: TrainConfig(learning_rate=v), "learning_rate", 0.0,
                                   FLOAT_MAX, lambda c: c.learning_rate),
-    "loads_network.learning_rate": (lambda v: loads_network(_model_text(v)), "learning_rate",
-                                    0.0, FLOAT_MAX, lambda loaded: loaded[1].learning_rate),
+    "load_detector.learning_rate": (_load_model, "learning_rate", 0.0, FLOAT_MAX,
+                                    lambda loaded: loaded.train_config.learning_rate),
 }
 # At the lowest SNR the noise variance is finite, but a covariance of that noise is not:
 # the value passes the rule, and the draw then fails naming snr_db.
 OVERFLOWS_AFTER_THE_DRAW = {"generate_trials.snr_db"}
 # JSON has no NaN: a model file that writes one is refused by its reader, before any field.
-NO_NAN = {"loads_network.learning_rate"}
+NO_NAN = {"load_detector.learning_rate"}
 
 
 def _float32_within(bound, low, high):
