@@ -132,24 +132,15 @@ def mdl(spec: EigenSpectrum) -> CriterionTrace:
     return _trace(spec, "mdl")
 
 
-@dataclass(frozen=True)
+@dataclass
 class OpCounts:
-    """Arithmetic operation tallies for one decision."""
+    """Arithmetic operation tallies for one decision; each method counts the
+    operation it performs."""
 
-    mul_div: int
-    add_sub: int
-    log: int
-    compare: int
-
-
-class OpCounter:
-    """Counting arithmetic wrapper used to instrument a criterion pass."""
-
-    def __init__(self):
-        self.mul_div = 0
-        self.add_sub = 0
-        self.log = 0
-        self.compare = 0
+    mul_div: int = 0
+    add_sub: int = 0
+    log: int = 0
+    compare: int = 0
 
     def mul(self, a, b):
         self.mul_div += 1
@@ -175,11 +166,8 @@ class OpCounter:
         self.compare += 1
         return a < b
 
-    def counts(self) -> OpCounts:
-        return OpCounts(self.mul_div, self.add_sub, self.log, self.compare)
 
-
-def _criterion_counted(values, num_snapshots: int, kind: str, ops: OpCounter) -> int:
+def _criterion_counted(values, num_snapshots: int, kind: str, ops: OpCounts) -> int:
     """Straightforward per-order evaluation of AIC/MDL through ``ops``.
 
     Mirrors the production formulas operation by operation so the tally
@@ -219,35 +207,3 @@ def _criterion_counted(values, num_snapshots: int, kind: str, ops: OpCounter) ->
             best = k
     return best
 
-
-def table_op_counts(m: int, kind: str) -> OpCounts:
-    """Closed-form per-decision operation counts for AIC or MDL.
-
-    These are the published totals for a spectrum of length ``m``:
-    ``m^2 + 7m`` multiplications/divisions, ``(m^2 + m)/2``
-    additions/subtractions, ``2m`` (AIC) or ``m`` (MDL) logarithms, and
-    ``m`` comparisons.
-    """
-    m = check_count("m", m, 2)
-    if kind not in ("aic", "mdl"):
-        raise ValueError(f"unknown criterion kind {kind!r}")
-    return OpCounts(
-        mul_div=m * m + 7 * m,
-        add_sub=(m * m + m) // 2,
-        log=2 * m if kind == "aic" else m,
-        compare=m,
-    )
-
-
-def measured_op_counts(m: int, kind: str) -> OpCounts:
-    """Instrumented operation tally from actually running the criterion.
-
-    The count depends only on ``m``, so a synthetic spectrum and snapshot
-    count are used.  Reported side by side with :func:`table_op_counts`;
-    the two are not asserted to agree.
-    """
-    m = check_count("m", m, 2)
-    ops = OpCounter()
-    values = [float(m - i) for i in range(m)]
-    _criterion_counted(values, 1000, kind, ops)
-    return ops.counts()

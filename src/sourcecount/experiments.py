@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import OpCounter, OpCounts, measured_op_counts, table_op_counts
+from .classical import OpCounts, _criterion_counted
 from .detectors import (
     CLASSICAL_KINDS,
     NET_KINDS,
@@ -216,7 +216,6 @@ class TrialSet:
     eigen: np.ndarray | None = None
     fbss: np.ndarray | None = None
     cov: np.ndarray | None = None
-    subarray_size: int | None = None
 
 
 def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
@@ -287,8 +286,7 @@ def generate_trials(config: ExperimentConfig, *, phase: str, num: int,
                 except ValueError as exc:
                     raise ValueError(f"snr_db {snr_db} is too low: the noise overflows the "
                                      f"{feature} features ({exc})") from None
-    return TrialSet(labels=labels, num_snapshots=config.num_snapshots,
-                    subarray_size=m0 if "fbss" in feats else None, **feats)
+    return TrialSet(labels=labels, num_snapshots=config.num_snapshots, **feats)
 
 
 def select_features(trials: TrialSet, kind: str, subarray_size: int | None) -> np.ndarray:
@@ -296,7 +294,7 @@ def select_features(trials: TrialSet, kind: str, subarray_size: int | None) -> n
     ``trials``; a detector that normalizes divides it by the trace itself."""
     feature = feature_kind(kind, subarray_size)
     feats = getattr(trials, feature)
-    if feature == "fbss" and feats is not None and trials.subarray_size != subarray_size:
+    if feature == "fbss" and feats is not None and feats.shape[1] != subarray_size:
         raise ValueError("trial set was smoothed with a different sub-array size")
     if feats is None:
         raise ValueError(f"trial set lacks the features required by {kind!r}")
@@ -442,7 +440,8 @@ SWEEPS = {
 def run_sweep(name: str, config: ExperimentConfig) -> SweepResult:
     """Accuracy of each detector along sweep ``name``'s axis.  The nets
     train at the first point, and at every point of an axis the training
-    draws read (N); coherent sweeps read smoothed spectra of size M0."""
+    draws read (N); coherent sweeps read smoothed spectra of size M0.
+    Raises ValueError, before any draw, for an unknown sweep or an empty axis."""
     sweep = SWEEPS.get(name)
     if sweep is None:
         raise ValueError(f"unknown sweep {name!r}; known sweeps are {', '.join(SWEEPS)}")
@@ -451,6 +450,8 @@ def run_sweep(name: str, config: ExperimentConfig) -> SweepResult:
     subarray_size = config.subarray_size if sweep.coherent else None
     want = {feature_kind(kind, subarray_size) for kind in kinds}
     axis = getattr(config, sweep.axis)
+    if not axis:
+        raise ValueError(f"{sweep.axis} must list at least one point for {name}")
     detectors, points = None, []
     for ai, value in enumerate(axis):
         config = replace(config, **{sweep.field: value})
@@ -465,7 +466,7 @@ def run_sweep(name: str, config: ExperimentConfig) -> SweepResult:
         trials = generate_trials(config, phase="test", num=config.num_test,
                                  snr_db=config.test_snr_db, axis_index=ai, want=want)
         points.append(evaluate_detectors(detectors, trials))
-    names = tuple(points[0]) if points else ()
+    names = tuple(points[0])
     accuracy = {det: tuple(point[det] for point in points) for det in names}
     return SweepResult(tuple(float(a) for a in axis), names, accuracy,
                        num_trials=config.num_test, seed=config.seed)
@@ -482,20 +483,10 @@ class ComplexityRow:
     seconds_per_decision: float
 
 
-def table_op_counts_network(kind: str, m: int, n1: int, n2: int) -> OpCounts:
-    """Published closed-form per-decision counts for the networks."""
-    if kind == "ernet":
-        return OpCounts(mul_div=m * n1 + n2, add_sub=n1 + n2 + 1, log=0, compare=0)
-    if kind == "ecnet":
-        return OpCounts(mul_div=m * (n1 + n2), add_sub=n1 + n2 + m, log=0, compare=m)
-    raise ValueError(f"no closed-form counts for {kind!r}")
-
-
-def _measured_op_counts_network(detector: Detector, features) -> OpCounts:
-    """Forward pass re-run through the counting wrapper, scalar by
-    scalar.  Softmax is skipped (argmax decides), matching the stated
-    testing-stage convention; the final rounding/argmax is counted."""
-    ops = OpCounter()
+def _forward_counted(detector: Detector, features, ops: OpCounts):
+    """Forward pass re-run through ``ops``, scalar by scalar.  Softmax is
+    skipped (argmax decides), matching the stated testing-stage
+    convention; the final rounding/argmax is counted."""
     x = [float(v) for v in features]
     for layer in detector.net.layers:
         out = []
@@ -517,14 +508,6 @@ def _measured_op_counts_network(detector: Detector, features) -> OpCounts:
         for v in x[1:]:
             if ops.less(best, v):
                 best = v
-    return ops.counts()
-
-
-def _seconds_per_call(call, trials: int) -> float:
-    start = time.perf_counter()
-    for _ in range(trials):
-        call()
-    return (time.perf_counter() - start) / trials
 
 
 def bench_complexity(config: ExperimentConfig, *,
@@ -532,11 +515,23 @@ def bench_complexity(config: ExperimentConfig, *,
     """Closed-form counts, instrumented counts, and wall-clock time per
     decision for ERNet, ECNet, AIC and MDL at the configured array size.
 
-    The shared eigendecomposition is excluded everywhere: timings start
-    from a precomputed eigenvalue feature vector, decided by
-    ``decide_batch`` as a one-row batch.
+    The closed forms are the published totals; for AIC/MDL on a spectrum
+    of length m they are ``m^2 + 7m`` multiplications/divisions,
+    ``(m^2 + m)/2`` additions/subtractions, ``2m`` (AIC) or ``m`` (MDL)
+    logarithms and ``m`` comparisons.  The instrumented counts come from
+    running one decision scalar by scalar; the two are not asserted to
+    agree.  The shared eigendecomposition is excluded everywhere: timings
+    start from a precomputed eigenvalue feature vector, decided by
+    ``decide_batch`` as a one-row batch.  Raises ValueError unless
+    ``timing_trials`` is an integer >= 1.
     """
+    timing_trials = check_count("timing_trials", timing_trials, 1)
     m = config.num_antennas
+    n1, n2 = DetectorSpec.hidden  # each closed form is (mul_div, add_sub, log, compare)
+    table = {"ernet": OpCounts(m * n1 + n2, n1 + n2 + 1),
+             "ecnet": OpCounts(m * (n1 + n2), n1 + n2 + m, 0, m),
+             "aic": OpCounts(m * m + 7 * m, (m * m + m) // 2, 2 * m, m),
+             "mdl": OpCounts(m * m + 7 * m, (m * m + m) // 2, m, m)}
     rng = _rng(config.seed, ROLE_TEST, 0, 0)
     # Any descending PSD spectrum works; counts and timings do not
     # depend on the values.
@@ -544,26 +539,23 @@ def bench_complexity(config: ExperimentConfig, *,
     row = features[np.newaxis]
 
     rows: list[ComplexityRow] = []
-    for kind in ("ernet", "ecnet"):
-        spec = DetectorSpec(kind, m)
-        det = Detector(spec, build_detector(spec, _rng(config.seed, ROLE_INIT, 0,
-                                                       NET_KINDS.index(kind))))
-        rows.append(ComplexityRow(
-            method=kind,
-            table=table_op_counts_network(kind, m, *spec.hidden),
-            measured=_measured_op_counts_network(det, features),
-            seconds_per_decision=_seconds_per_call(lambda: det.decide_batch(row),
-                                                   timing_trials),
-        ))
-    for kind in CLASSICAL_KINDS:
-        det = ClassicalDetector(kind)
-        rows.append(ComplexityRow(
-            method=kind,
-            table=table_op_counts(m, kind),
-            measured=measured_op_counts(m, kind),
-            seconds_per_decision=_seconds_per_call(
-                lambda: det.decide_batch(row, config.num_snapshots), timing_trials),
-        ))
+    for kind in table:
+        ops = OpCounts()
+        if kind in NET_KINDS:
+            spec = DetectorSpec(kind, m)
+            det = Detector(spec, build_detector(spec, _rng(config.seed, ROLE_INIT, 0,
+                                                           NET_KINDS.index(kind))))
+            _forward_counted(det, features, ops)
+            args = (row,)
+        else:
+            det = ClassicalDetector(kind)
+            _criterion_counted(features.tolist(), config.num_snapshots, kind, ops)
+            args = (row, config.num_snapshots)
+        start = time.perf_counter()
+        for _ in range(timing_trials):
+            det.decide_batch(*args)
+        rows.append(ComplexityRow(kind, table[kind], ops,
+                                  (time.perf_counter() - start) / timing_trials))
     return rows
 
 

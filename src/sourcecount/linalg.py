@@ -58,27 +58,18 @@ def is_moderate(a) -> bool:
     return bool(np.vdot(a, a).real < 2.0 ** 1000)
 
 
-def is_hermitian(a):
-    """Checks |A[i,j] - conj(A[j,i])| <= HERMITIAN_RTOL * max(1, max|A|)
-    entrywise, per matrix of a square stack (a bool for one matrix); a
-    matrix with a NaN or infinite entry is not Hermitian."""
-    a = _square(a)
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf: not Hermitian
-        asym = np.abs(a - a.swapaxes(-1, -2).conj())
-        bound = HERMITIAN_RTOL * np.abs(a).max(axis=(-2, -1), initial=1.0, keepdims=True)
-    ok = ((asym <= bound) & np.isfinite(a)).all(axis=(-2, -1))
-    return bool(ok) if ok.ndim == 0 else ok
-
-
 def check_hermitian(a):
-    """The one covariance screen: raises ValueError if a matrix of the stack ``a`` has a NaN
-    or infinite entry, then if :func:`is_hermitian` fails for one."""
+    """The one covariance screen: raises ValueError if a matrix of the square stack ``a``
+    has a NaN or infinite entry, then unless |A[i,j] - conj(A[j,i])| <= HERMITIAN_RTOL *
+    max(1, max|A|) entrywise for each matrix."""
     if not is_moderate(a) and not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries (NaN or inf)")
-    if np.count_nonzero(a != a.swapaxes(-1, -2).conj()) and not np.all(is_hermitian(a)):
-        with np.errstate(over="ignore"):  # entries may lie past 1e154
-            asym = np.abs(a - a.swapaxes(-1, -2).conj()).max()
-        raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
+    if np.count_nonzero(a != a.swapaxes(-1, -2).conj()):
+        with np.errstate(over="ignore", invalid="ignore"):  # entries may lie past 1e154
+            asym = np.abs(a - a.swapaxes(-1, -2).conj())
+            bound = HERMITIAN_RTOL * np.abs(a).max(axis=(-2, -1), initial=1.0, keepdims=True)
+        if not (asym <= bound).all():
+            raise ValueError(f"matrix is not Hermitian (max asymmetry {asym.max():.3e})")
 
 
 @dataclass(frozen=True)

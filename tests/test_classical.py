@@ -1,4 +1,4 @@
-"""Tests for the AIC/MDL criteria and the operation-count report."""
+"""Tests for the AIC/MDL criteria."""
 
 import math
 import warnings
@@ -13,8 +13,6 @@ from sourcecount.classical import (
     aic,
     criterion_values,
     mdl,
-    measured_op_counts,
-    table_op_counts,
 )
 from sourcecount.detectors import make_features
 from sourcecount.experiments import ClassicalDetector
@@ -203,27 +201,3 @@ class TestCriteria:
         spec = EigenSpectrum(values, 33)
         assert aic(spec).order == aic(spec).order
         assert np.array_equal(aic(spec).values, aic(spec).values)
-
-
-class TestOpCounts:
-    def test_closed_forms_at_m10(self):
-        t_aic = table_op_counts(10, "aic")
-        t_mdl = table_op_counts(10, "mdl")
-        assert t_aic.mul_div == t_mdl.mul_div == 170
-        assert t_aic.add_sub == t_mdl.add_sub == 55
-        assert t_aic.log == 20
-        assert t_mdl.log == 10
-        assert t_aic.compare == t_mdl.compare == 10
-
-    def test_instrumented_counts_reported(self):
-        # Recorded side by side with the closed forms; agreement is not
-        # asserted, only that a real pass was tallied.
-        for kind in ("aic", "mdl"):
-            measured = measured_op_counts(10, kind)
-            assert measured.mul_div > 0
-            assert measured.add_sub > 0
-            assert measured.log >= 10
-            assert measured.compare == 9  # argmin over 10 candidates
-
-    def test_instrumented_counts_deterministic(self):
-        assert measured_op_counts(8, "aic") == measured_op_counts(8, "aic")

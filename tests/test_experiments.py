@@ -11,7 +11,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -449,6 +449,13 @@ class TestTrials:
                                              "got the string 'eigen'"):
             generate_trials(tiny_config(), phase="test", num=5, snr_db=5.0, want="eigen")
 
+    def test_other_subarray_size_rejected(self):
+        t = generate_trials(tiny_config(), phase="test", num=5, snr_db=5.0, want=("fbss",))
+        assert select_features(t, "ecnet", 5).shape == (5, 5)
+        with pytest.raises(ValueError, match="^trial set was smoothed with a different sub-array "
+                                             "size$"):
+            select_features(t, "ecnet", 4)
+
     def test_missing_feature_kind_rejected(self):
         config = tiny_config()
         t = generate_trials(config, phase="test", num=5, snr_db=5.0, want=("eigen",))
@@ -853,6 +860,19 @@ class TestSweeps:
                                              "sweep-snapshots, sweep-snr, sweep-snr-coherent$"):
             run_sweep("sweep-foo", tiny_config())
 
+    @pytest.mark.parametrize("name", ["sweep-snapshots", "sweep-snr", "sweep-snr-coherent"])
+    def test_empty_axis_rejected_before_drawing(self, monkeypatch, name):
+        import sourcecount.experiments as experiments
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials drawn for an empty axis")
+
+        monkeypatch.setattr(experiments, "generate_trials", no_trials)
+        axis = experiments.SWEEPS[name].axis
+        config = tiny_config(**{axis: ()})
+        with pytest.raises(ValueError, match=f"^{axis} must list at least one point for {name}$"):
+            run_sweep(name, config)
+
     def test_sweep_bits_pinned(self):
         assert sweep_digest() == SWEEP_DIGEST
 
@@ -921,33 +941,50 @@ class TestCsv:
         assert b"\r" not in raw
 
 
-class TestBench:
-    def test_table_closed_forms(self):
-        rows = {r.method: r for r in bench_complexity(ExperimentConfig(), timing_trials=50)}
-        assert rows["ernet"].table.mul_div == 88
-        assert rows["ernet"].table.add_sub == 17
-        assert rows["ecnet"].table.mul_div == 160
-        assert rows["ecnet"].table.add_sub == 26
-        assert rows["aic"].table.mul_div == 170
-        assert rows["mdl"].table.mul_div == 170
-        assert rows["aic"].table.add_sub == 55
-        assert rows["aic"].table.log == 20
-        assert rows["mdl"].table.log == 10
+# Every count of bench_complexity, as its (mul_div, add_sub, log, compare) closed form
+# and instrumented tally per method, at M=5 and at M=10.
+BENCH_COUNTS = {
+    5: {"ernet": ((48, 17, 0, 0), (112, 113, 0, 18)),
+        "ecnet": ((80, 21, 0, 5), (144, 144, 0, 20)),
+        "aic": ((60, 15, 10, 5), (31, 20, 10, 4)),
+        "mdl": ((60, 15, 5, 5), (35, 20, 11, 4))},
+    10: {"ernet": ((88, 17, 0, 0), (152, 153, 0, 18)),
+         "ecnet": ((160, 26, 0, 10), (224, 224, 0, 25)),
+         "aic": ((170, 55, 20, 10), (61, 40, 20, 9)),
+         "mdl": ((170, 55, 10, 10), (70, 40, 21, 9))},
+}
 
-    def test_instrumented_and_timed(self):
-        rows = bench_complexity(ExperimentConfig(), timing_trials=50)
-        for row in rows:
-            assert row.measured.mul_div > 0
-            assert row.seconds_per_decision > 0.0
-        measured = {r.method: r.measured for r in rows}
-        # the actual ERNet forward pass costs every layer's products
-        assert measured["ernet"].mul_div == 10 * 8 + 8 * 8 + 8 * 1
+
+def bench_counts(config):
+    return {row.method: (astuple(row.table), astuple(row.measured))
+            for row in bench_complexity(config, timing_trials=1)}
+
+
+class TestBench:
+    @pytest.mark.parametrize("m", BENCH_COUNTS)
+    def test_counts_pinned(self, m):
+        assert bench_counts(ExperimentConfig(num_antennas=m, max_sources=4)) == BENCH_COUNTS[m]
+
+    def test_counts_depend_only_on_the_array_size(self):
+        config = ExperimentConfig(num_antennas=8, max_sources=4)
+        assert (bench_counts(config) == bench_counts(replace(config, seed=3))
+                == bench_counts(replace(config, num_snapshots=1000)))
 
     def test_network_counts_exclude_softmax(self):
-        rows = {r.method: r for r in bench_complexity(ExperimentConfig(), timing_trials=10)}
-        # ECNet decision: three matmuls plus argmax comparisons, no exp calls
-        assert rows["ecnet"].measured.log == 0
-        assert rows["ecnet"].measured.compare == 8 + 8 + 9  # relus + argmax
+        # Every layer's products, relus and the final decision; softmax is
+        # skipped (argmax decides), so no exp is counted.
+        for m in (5, 10):
+            rows = {r.method: r.measured for r in bench_complexity(
+                ExperimentConfig(num_antennas=m, max_sources=4), timing_trials=1)}
+            assert rows["ernet"].mul_div == m * 8 + 8 * 8 + 8 * 1
+            assert rows["ecnet"].mul_div == m * 8 + 8 * 8 + 8 * m
+            assert rows["ecnet"].compare == 8 + 8 + (m - 1)  # relus + argmax
+            assert rows["ecnet"].log == 0
+
+    def test_timed(self):
+        rows = bench_complexity(ExperimentConfig(), timing_trials=50)
+        assert [r.method for r in rows] == ["ernet", "ecnet", "aic", "mdl"]
+        assert all(row.seconds_per_decision > 0.0 for row in rows)
 
 
 class TestManifest:

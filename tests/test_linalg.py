@@ -9,12 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sourcecount.linalg import (
+    HERMITIAN_RTOL,
     PSD_CLAMP_RTOL,
     _frobenius,
     check_count,
+    check_hermitian,
     hermitian_eig,
-    is_hermitian,
 )
+
+
+def screen(a):
+    """check_hermitian's message for the matrix or stack ``a``, or None if it passes."""
+    try:
+        check_hermitian(np.asarray(a, dtype=np.complex128))
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestCheckCount:
@@ -122,7 +132,6 @@ class TestHermitianEig:
         a[0, 2] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not is_hermitian(a)
             with pytest.raises(ValueError, match="non-finite entries"):
                 hermitian_eig(a)
 
@@ -161,7 +170,7 @@ class TestStacks:
         asymmetric[2, 0, 1] = 1e-3
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eig(asymmetric)
-        assert is_hermitian(asymmetric).tolist() == [True, True, False, True]
+        assert [screen(a) is None for a in asymmetric] == [True, True, False, True]
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
             broken = stack.copy()
             broken[1, 2, 0] = bad
@@ -169,14 +178,13 @@ class TestStacks:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="non-finite entries"):
                     hermitian_eig(broken)
-                assert is_hermitian(broken).tolist() == [True, False, True, True]
+                assert [screen(a) is None for a in broken] == [True, False, True, True]
 
     def test_non_square_rejected(self):
-        for f in (hermitian_eig, is_hermitian):
-            with pytest.raises(ValueError, match="square"):
-                f(np.ones((3, 2, 3), dtype=complex))
-            with pytest.raises(ValueError, match="square"):
-                f(np.ones(4, dtype=complex))
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eig(np.ones((3, 2, 3), dtype=complex))
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eig(np.ones(4, dtype=complex))
 
 
 class TestExtremeScales:
@@ -213,6 +221,15 @@ class TestExtremeScales:
                     hermitian_eig(a)
 
 
+def is_hermitian(a):
+    """Oracle: whether every entry is finite and |A[i,j] - conj(A[j,i])| <=
+    HERMITIAN_RTOL * max(1, max|A|) entrywise, for each matrix of a stack."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = np.abs(a - a.swapaxes(-1, -2).conj())
+        bound = HERMITIAN_RTOL * np.abs(a).max(axis=(-2, -1), initial=1.0, keepdims=True)
+    return bool(((asym <= bound) & np.isfinite(a)).all())
+
+
 def hypot_norm_eigenvalues(a):
     """Oracle: the eigenvalues that hermitian_eig gave when it computed the
     hypot Frobenius norm of every matrix on every call, or its error."""
@@ -224,7 +241,7 @@ def hypot_norm_eigenvalues(a):
         if not np.isfinite(a).all():
             raise ValueError("matrix has non-finite entries (NaN or inf)")
         raise ValueError("matrix is too large: its squared Frobenius norm overflows")
-    if not np.all(is_hermitian(a)):
+    if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian")
     values = np.linalg.eigh(a)[0][..., ::-1].copy()
     tiny = PSD_CLAMP_RTOL * norm[..., np.newaxis]
@@ -271,8 +288,18 @@ def test_empty_stack_gives_empty_rows(m):
     assert _frobenius(np.zeros((0, m, m), dtype=complex)).shape == (0,)
 
 
-def test_is_hermitian_tolerance():
+def test_hermitian_tolerance():
     a = np.array([[1.0, 1j], [-1j, 2.0]])
-    assert is_hermitian(a)
+    assert screen(a) is None
     a[0, 1] += 1e-6
-    assert not is_hermitian(a)
+    assert screen(a) == "matrix is not Hermitian (max asymmetry 1.000e-06)"
+    a[0, 1] = 1j + 1e-10  # within HERMITIAN_RTOL * max(1, max|A|) = 2e-10
+    assert screen(a) is None
+
+
+def test_hermitian_screen_of_huge_entries_is_silent():
+    # |1.5e308 (1 + 1j)| overflows to inf: the bound is inf, so the matrix passes.
+    a = np.array([[1.0, 1.5e308 * (1 + 1j)], [1.5e308 * (1 - 1j) * (1 + 1e-3), 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert screen(a) is None

@@ -22,14 +22,12 @@ from hypothesis import strategies as st
 
 from sourcecount.classical import (
     EigenSpectrum,
-    OpCounter,
+    OpCounts,
     _criterion_counted,
     _criterion_terms,
     aic,
     criterion_values,
     mdl,
-    measured_op_counts,
-    table_op_counts,
 )
 from sourcecount.detectors import (NET_KINDS, Detector, DetectorSpec, build_detector, load_detector,
                                    make_features, save_detector)
@@ -46,6 +44,7 @@ from sourcecount.experiments import (
     MAX_COUNT,
     ClassicalDetector,
     ExperimentConfig,
+    bench_complexity,
     generate_trials,
     select_features,
     train_detector,
@@ -215,10 +214,10 @@ def test_a_matrix_too_large_and_not_hermitian_is_reported_as_not_hermitian(recwa
 @given(values=spectra(), num_snapshots=st.integers(1, 1000),
        kind=st.sampled_from(["aic", "mdl"]))
 def test_counted_criterion_equals_batch(values, num_snapshots, kind):
-    # The scalar pass behind measured_op_counts must pick what the batch
+    # The scalar pass behind bench_complexity's counts must pick what the batch
     # core picks, or the counts describe a different decision.
     batch = np.argmin(criterion_values(values, num_snapshots, kind), axis=1)
-    counted = [_criterion_counted(row.tolist(), num_snapshots, kind, OpCounter())
+    counted = [_criterion_counted(row.tolist(), num_snapshots, kind, OpCounts())
                for row in values]
     assert counted == batch.tolist()
 
@@ -322,8 +321,8 @@ COUNT_SITES = {
     "ClassicalDetector.decide_batch.num_snapshots": (
         lambda v: ClassicalDetector("aic").decide_batch(np.array([[3.0, 1.0]]), v),
         "num_snapshots", 1, None),
-    "table_op_counts.m": (lambda v: table_op_counts(v, "aic"), "m", 2, None),
-    "measured_op_counts.m": (lambda v: measured_op_counts(v, "mdl"), "m", 2, None),
+    "bench_complexity.timing_trials": (
+        lambda v: bench_complexity(ExperimentConfig(), timing_trials=v), "timing_trials", 1, None),
     **{f"TrainConfig.{name}": (lambda v, name=name: TrainConfig(**{name: v}), name, low, None)
        for name, low in [("batch_size", 1), ("epochs", 0), ("seed", 0)]},
     "init_truncated_normal.fan_in": (

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sourcecount.linalg import hermitian_eig, is_hermitian
+from sourcecount.linalg import check_hermitian, hermitian_eig
 from sourcecount.signal_model import (
     fbss_covariance,
     generate_snapshots,
@@ -393,7 +393,7 @@ class TestSampleCovariance:
         for seed in range(5):
             r = sample_covariance(generate_snapshots(10, 20, DOAS, (), 5.0,
                                                      np.random.default_rng(seed)))
-            assert is_hermitian(r)
+            check_hermitian(r)  # raises unless Hermitian
             assert np.all(hermitian_eig(r).eigenvalues >= 0.0)
 
     def test_trace_tracks_signal_plus_noise_power(self):
@@ -442,7 +442,7 @@ class TestFbssCovariance:
                         expected[r, c] += j[r, s] * np.conj(a[s, t]) * j[t, c]
         out = fbss_covariance(a, m)
         assert np.allclose(out, 0.5 * (a + expected), atol=1e-14)
-        assert is_hermitian(out)
+        check_hermitian(out)  # raises unless Hermitian
 
     def test_identity_invariant(self):
         for m0 in (1, 3, 5):
@@ -488,7 +488,7 @@ class TestFbssCovariance:
     def test_output_is_hermitian(self):
         data = generate_snapshots(10, 20, DOAS, (), 5.0, np.random.default_rng(3))
         out = fbss_covariance(sample_covariance(data), 5)
-        assert is_hermitian(out)
+        check_hermitian(out)  # raises unless Hermitian
 
     @pytest.mark.parametrize("m0", [1, 3, 6])
     def test_stack_equals_per_matrix(self, m0):
