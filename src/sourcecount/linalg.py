@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +21,6 @@ HERMITIAN_RTOL = 1e-10
 PSD_CLAMP_RTOL = 1e-9
 
 FLOAT_MAX = float(np.finfo(np.float64).max)
-
-
-def _square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    return a
 
 
 def check_count(name: str, value, low: int, high: float = math.inf) -> int:
@@ -58,37 +50,33 @@ def is_moderate(a) -> bool:
     return bool(np.vdot(a, a).real < 2.0 ** 1000)
 
 
-def check_hermitian(a):
+def check_hermitian(a) -> bool:
     """The one covariance screen: raises ValueError if a matrix of the square stack ``a``
     has a NaN or infinite entry, then unless |A[i,j] - conj(A[j,i])| <= HERMITIAN_RTOL *
-    max(1, max|A|) entrywise for each matrix."""
-    if not is_moderate(a) and not np.isfinite(a).all():
+    max(1, max|A|) entrywise for each matrix.  Returns :func:`is_moderate` of ``a``."""
+    moderate = is_moderate(a)
+    if not moderate and not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries (NaN or inf)")
     if np.count_nonzero(a != a.swapaxes(-1, -2).conj()):
-        with np.errstate(over="ignore", invalid="ignore"):  # entries may lie past 1e154
-            asym = np.abs(a - a.swapaxes(-1, -2).conj())
-            bound = HERMITIAN_RTOL * np.abs(a).max(axis=(-2, -1), initial=1.0, keepdims=True)
+        unit = 1.0
+        if not moderate:  # exact powers of two bring each matrix's largest part into [1, 2),
+            # so no |.| overflows, and the floor of 1 binds only where unit is 1, as unscaled
+            top = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1), keepdims=True)
+            unit = np.ldexp(1.0, 1 - np.maximum(np.frexp(top)[1], 1))
+            a = a * unit
+        asym = np.abs(a - a.swapaxes(-1, -2).conj())
+        bound = HERMITIAN_RTOL * np.abs(a).max(axis=(-2, -1), initial=1.0, keepdims=True)
         if not (asym <= bound).all():
-            raise ValueError(f"matrix is not Hermitian (max asymmetry {asym.max():.3e})")
+            with np.errstate(over="ignore"):  # the unscaled asymmetry may pass FLOAT_MAX
+                worst = (asym / unit).max()
+            raise ValueError(f"matrix is not Hermitian (max asymmetry {worst:.3e})")
+    return moderate
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
-
-    Attributes:
-        eigenvalues: Real eigenvalues sorted in descending order.
-        eigenvectors: Unit-norm eigenvector columns aligned with
-            ``eigenvalues``, so ``A = U diag(w) U^H`` (a view, not a copy).
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
-    stack, eigenvalues descending.
+def hermitian_eig(a):
+    """numpy's ``eigh`` result ``(eigenvalues, eigenvectors)`` for a Hermitian matrix or each
+    matrix of a stack, with the eigenvalues descending and the unit-norm eigenvector columns
+    (a view, not a copy) aligned with them, so ``A = U diag(w) U^H``.
 
     Negative eigenvalues within round-off of zero (``PSD_CLAMP_RTOL``
     times that matrix's Frobenius norm) are clamped to zero, so positive
@@ -104,21 +92,21 @@ def hermitian_eig(a) -> EigenDecomposition:
             norm overflows.
         ArithmeticError: If the underlying iteration fails to converge.
     """
-    a = _square(a)
-    check_hermitian(a)
-    if not is_moderate(a):  # the hypot norm tells whether it is too large
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not check_hermitian(a):  # the hypot norm tells whether it is too large
         with np.errstate(over="ignore"):  # reported below
             if not np.isfinite(np.square(_frobenius(a).max(initial=0.0))):
                 raise ValueError("matrix is too large: its squared Frobenius norm overflows")
     try:
-        values, vectors = np.linalg.eigh(a)
+        result = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"eigendecomposition did not converge: {exc}") from exc
-    # eigh returns ascending order; flip to descending.
-    values = values[..., ::-1].copy()
+    values = result.eigenvalues[..., ::-1].copy()  # eigh's ascending order, flipped
     if np.count_nonzero(values < 0.0):  # past the checks, hypot cannot overflow
         values[(values < 0.0) & (values >= -PSD_CLAMP_RTOL * _frobenius(a)[..., np.newaxis])] = 0.0
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors[..., ::-1])
+    return type(result)(values, result.eigenvectors[..., ::-1])
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:

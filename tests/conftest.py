@@ -4,7 +4,9 @@ The acceptance criteria and a few operation-level claims need networks
 trained at the real protocol scale (8000 samples, 400 epochs).  Each
 configuration is trained once per session and shared.  The bit-pinning
 digests hold one entry per OpenBLAS core family, and the report names the
-core that runs and the package's source line count.
+core that runs and the package's source line count.  Every property test
+draws under one ``hypothesis`` profile: derandomized, with no deadline and
+no example database, so each run tests the same examples.
 """
 
 import time
@@ -12,6 +14,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
 
 from sourcecount.experiments import (
     ClassicalDetector,
@@ -23,6 +26,9 @@ from sourcecount.experiments import (
     train_detector,
 )
 
+
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sourcecount"
 

@@ -103,7 +103,7 @@ class TestExtremeScales:
                     warnings.simplefilter("error", RuntimeWarning)
                     assert criterion(EigenSpectrum(scaled, 50)).order == base
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(values=st.lists(st.builds(math.ldexp, st.floats(1.0, 2.0), st.integers(-20, 19)),
                            min_size=2, max_size=10),
            num_snapshots=st.integers(2, 1000),
@@ -195,6 +195,10 @@ class TestCriteria:
             aic(spec)
         with pytest.raises(ValueError):
             mdl(spec)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown criterion kind 'bic'$"):
+            criterion_values(np.array([[3.0, 2.0, 1.0]]), 20, "bic")
 
     def test_deterministic(self):
         values = np.sort(np.random.default_rng(0).uniform(0.1, 5.0, 6))[::-1]

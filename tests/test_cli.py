@@ -724,7 +724,7 @@ class TestEveryFailureIsOneErrorLine:
         assert_one_error_line(status, err)
         assert str(tmp_path) in err
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(data=st.data())
     def test_mutated_dataset(self, small_dataset, data):
         config, text = small_dataset
@@ -736,7 +736,7 @@ class TestEveryFailureIsOneErrorLine:
         if status != 0:
             assert_one_error_line(status, err)
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(case=mutated_configs())
     def test_mutated_config(self, case):
         # A deleted or duplicated line changes nothing that eval rejects; a
@@ -755,7 +755,7 @@ class TestEveryFailureIsOneErrorLine:
             named = (f"error: line {lineno}: ", f"error: {path}, line {lineno}: ")
             assert err.startswith(named) or CONFIG_REJECTION.match(err), err
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(data=st.data())
     def test_mutated_model(self, saved_model, data):
         config, text = saved_model
@@ -768,7 +768,7 @@ class TestEveryFailureIsOneErrorLine:
             assert_one_error_line(status, err)
             assert f"model file {path}: " in err, err
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(command=st.sampled_from(sorted(COUNT_FLAGS)), data=st.data())
     def test_count_flags(self, small_dataset, command, data):
         config, _ = small_dataset
@@ -781,7 +781,7 @@ class TestEveryFailureIsOneErrorLine:
         if status != 0:
             assert_one_error_line(status, err)
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(command=st.sampled_from(sorted(MIXED_FLAGS)), data=st.data())
     def test_mixed_flags(self, saved_model, command, data):
         config, text = saved_model

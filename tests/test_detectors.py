@@ -176,6 +176,10 @@ class TestCountsAreIntegers:
         with pytest.raises(ValueError, match="subarray_size"):
             ClassicalDetector("mdl", subarray_size)
 
+    def test_spec_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown detector kind 'foo'$"):
+            DetectorSpec("foo", 10)
+
     @pytest.mark.parametrize("field, kwargs", [
         ("subarray_size", dict(num_antennas=10, subarray_size=2.5)),
         ("subarray_size", dict(num_antennas=10, subarray_size=True)),
@@ -676,7 +680,7 @@ class TestModelFile:
             load_detector(path)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(kind=st.sampled_from([("ernet", None), ("ecnet", None), ("covnet", None),
                              ("ernet", 5), ("ecnet", 5)]),
        normalize=st.booleans(), exponent=st.floats(-320.0, 308.0),

@@ -483,7 +483,7 @@ class TestTrials:
             if snr_db == math.inf:
                 assert ((t.eigen[:, 0] > 0.0) & (t.eigen[:, -1] == 0.0)).any()
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(m=st.integers(2, 6), n=st.integers(1, 5), data=st.data(), coherent=st.booleans(),
            snr_db=st.one_of(st.just(math.inf), st.floats(-20.0, 60.0),
                             st.tuples(st.floats(-20.0, 20.0), st.floats(20.0, 60.0))),
@@ -538,7 +538,7 @@ class TestTrials:
             with pytest.raises(ValueError, match="^trials must hold at least one trial"):
                 evaluate_detectors([ClassicalDetector("mdl")], t)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(snr_db=st.one_of(TRIAL_SNRS, st.lists(TRIAL_SNRS, max_size=3),
                             st.lists(TRIAL_SNRS, max_size=3).map(tuple)),
            axis_index=st.one_of(st.integers(-3, 2**70), st.floats(), st.booleans(),
@@ -625,7 +625,7 @@ class TestOverflowingNoise:
 
 
 class TestStreams:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(seed=st.integers(0, 2**200), prefix=st.lists(st.integers(0, 2**64), max_size=3),
            start=st.one_of(st.integers(0, 2**33), st.integers(2**32 - 40, 2**32),
                            st.integers(0, 2**64 - 41)),
@@ -642,7 +642,7 @@ class TestStreams:
         assert states.dtype == np.uint64 and states.shape == (count, 4)
         assert np.array_equal(states, np.reshape(expected, (count, 4)))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(seed=st.integers(0, 2**70), prefix=st.lists(st.integers(0, 2**40), max_size=2),
            index=st.integers(0, 2**63), draw=st.sampled_from(range(len(FIRST_DRAWS))))
     def test_set_stream_draws_as_its_own_generator(self, seed, prefix, index, draw):

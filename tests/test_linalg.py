@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sourcecount import linalg
 from sourcecount.linalg import (
     HERMITIAN_RTOL,
     PSD_CLAMP_RTOL,
@@ -69,6 +70,29 @@ class TestHermitianEig:
         assert np.allclose(d.eigenvalues, [3.0, 1.0])
         # eigenvectors are permuted identity columns (up to sign)
         assert np.allclose(np.abs(d.eigenvectors), np.eye(2))
+
+    def test_result_is_numpys_eigh_result(self):
+        a = np.diag([1.0, 3.0]).astype(complex)
+        d = hermitian_eig(a)
+        assert type(d) is type(np.linalg.eigh(a))
+        w, u = d
+        assert w is d.eigenvalues and u is d.eigenvectors and u.base is not None
+
+    def test_one_finiteness_pass_per_stack(self, monkeypatch):
+        # hermitian_eig branches on check_hermitian's is_moderate value: one np.vdot
+        # per call, on a moderate stack and on one that is too large alike.
+        calls = []
+
+        def counting_is_moderate(a, _original=linalg.is_moderate):
+            calls.append(a.shape)
+            return _original(a)
+
+        monkeypatch.setattr(linalg, "is_moderate", counting_is_moderate)
+        hermitian_eig(random_psd_stack(np.random.default_rng(8), 5, 4, 2))
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="overflows"):
+            hermitian_eig(1e200 * np.eye(3, dtype=complex))
+        assert len(calls) == 2
 
     def test_2x2_matches_closed_form(self):
         rng = np.random.default_rng(42)
@@ -249,7 +273,7 @@ def hypot_norm_eigenvalues(a):
     return values
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(seed=st.integers(0, 2 ** 32 - 1), num=st.integers(1, 4), m=st.integers(2, 8),
        rank=st.integers(1, 8), which=st.integers(0, 3), exponent=st.floats(-320.0, 308.0),
        fault=st.sampled_from(["scale", "nan", "inf"]))
@@ -297,9 +321,24 @@ def test_hermitian_tolerance():
     assert screen(a) is None
 
 
-def test_hermitian_screen_of_huge_entries_is_silent():
-    # |1.5e308 (1 + 1j)| overflows to inf: the bound is inf, so the matrix passes.
+def test_hermitian_screen_at_the_float_edge():
+    # |1.5e308 (1 + 1j)| overflows, so a stack past is_moderate is compared after an
+    # exact power-of-two scale of each matrix, which makes the same decision unscaled.
     a = np.array([[1.0, 1.5e308 * (1 + 1j)], [1.5e308 * (1 - 1j) * (1 + 1e-3), 1.0]])
+    exact = np.array([[1e308, 1.5e308 * (1 + 1j)], [1.5e308 * (1 - 1j), -1e308]])
+    within, outside = exact.copy(), exact.copy()
+    within[1, 0] *= 1 + 0.5 * HERMITIAN_RTOL
+    outside[1, 0] *= 1 + 2.0 * HERMITIAN_RTOL
+    asymmetric = np.eye(2, dtype=complex)
+    asymmetric[0, 1] = 1e-3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert screen(a) is None
+        assert screen(a) == "matrix is not Hermitian (max asymmetry 2.121e+305)"
+        assert screen([[1.0, 1.5e308 * (1 + 1j)], [-1.5e308 * (1 + 1j), 1.0]]) == (
+            "matrix is not Hermitian (max asymmetry inf)")
+        assert screen(exact) is None and screen(within) is None
+        assert screen(outside) == "matrix is not Hermitian (max asymmetry 4.243e+298)"
+        # Past is_moderate, a moderate matrix and a tiny one keep their own scale.
+        assert screen([within, 1e-320 * asymmetric, np.eye(2)]) is None
+        assert screen([exact, asymmetric]) == "matrix is not Hermitian (max asymmetry 1.000e-03)"
+        assert check_hermitian(within) is False and check_hermitian(np.eye(2)) is True

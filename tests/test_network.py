@@ -180,6 +180,10 @@ class TestLosses:
         label = np.array([[1.0, 0.0, 0.0]])
         assert compute_loss(pred, label, "cce") == pytest.approx(-math.log(0.7), rel=1e-12)
 
+    def test_unknown_loss_rejected(self):
+        with pytest.raises(ValueError, match="^unknown loss 'l1'$"):
+            compute_loss(np.zeros((1, 2)), np.zeros((1, 2)), "l1")
+
     def test_losses_non_negative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -467,6 +471,15 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"^learning_rate must be a real number in \[0.0, "):
             TrainConfig(learning_rate=learning_rate)
 
+    @pytest.mark.parametrize("x_shape, y_shape, message", [
+        ((4,), (4, 1), "must be 2-D arrays"), ((4, 2), (4, 1, 1), "must be 2-D arrays"),
+        ((4, 2), (3, 1), "equal sample counts"), ((4, 3), (4, 1), "do not match the network"),
+        ((4, 2), (4, 2), "do not match the network")])
+    def test_misshapen_dataset_rejected(self, x_shape, y_shape, message):
+        net = random_net([2, 4, 1], "linear", np.random.default_rng(13))
+        with pytest.raises(ValueError, match=message):
+            train(net, np.zeros(x_shape), np.zeros(y_shape), TrainConfig(epochs=1))
+
     def test_empty_dataset_rejected(self):
         rng = np.random.default_rng(13)
         net = random_net([2, 4, 1], "linear", rng)
@@ -528,7 +541,7 @@ def reference_train(net, x, y, config):
 
 
 class TestStepMatchesReference:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @example(sizes=[200, 8, 8, 10], final="softmax", n=150, batch_size=64, epochs=2,
              learning_rate=1e-3, seed=7)  # CovNet's width, with a short tail batch
     @given(sizes=st.lists(st.integers(1, 12), min_size=2, max_size=4),

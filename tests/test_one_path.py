@@ -12,12 +12,13 @@ every real-valued argument.
 import json
 import math
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sourcecount.classical import (
@@ -29,8 +30,8 @@ from sourcecount.classical import (
     criterion_values,
     mdl,
 )
-from sourcecount.detectors import (NET_KINDS, Detector, DetectorSpec, build_detector, load_detector,
-                                   make_features, save_detector)
+from sourcecount.detectors import (NET_KINDS, Detector, DetectorSpec, build_detector, feature_kind,
+                                   load_detector, make_features, save_detector)
 from sourcecount.linalg import FLOAT_MAX, hermitian_eig
 from sourcecount.network import TrainConfig, init_truncated_normal
 from sourcecount.signal_model import (
@@ -50,8 +51,9 @@ from sourcecount.experiments import (
     train_detector,
 )
 
-SETTINGS = settings(max_examples=40, deadline=None,
-                    suppress_health_check=[HealthCheck.filter_too_much])
+SETTINGS = settings(max_examples=40, suppress_health_check=[HealthCheck.filter_too_much])
+# An asymmetric matrix at the float edge: |1.5e308 (1 + 1j)| overflows to inf.
+FLOAT_EDGE = np.array([[1.0, 1.5e308 * (1 + 1j)], [1e308 * (1 - 1j), 1.0]])
 
 
 @st.composite
@@ -173,10 +175,10 @@ def test_estimate_enters_errstate_at_most_once(monkeypatch, kind, subarray_size,
     assert len(entries) <= 1
 
 
-def _detectors(m: int, subarray_size: int) -> list[Detector]:
+def _detectors(m: int, subarray_size: int, normalize: bool = False) -> list[Detector]:
     """An untrained detector of every net kind, and the smoothed ERNet and ECNet."""
-    specs = [DetectorSpec(kind, m) for kind in NET_KINDS]
-    specs += [DetectorSpec(kind, m, subarray_size) for kind in ("ernet", "ecnet")]
+    specs = [DetectorSpec(kind, m, normalize=normalize) for kind in NET_KINDS]
+    specs += [DetectorSpec(kind, m, subarray_size, normalize) for kind in ("ernet", "ecnet")]
     return [Detector(spec, build_detector(spec, np.random.default_rng(6))) for spec in specs]
 
 
@@ -197,22 +199,83 @@ def test_every_kind_reads_a_covariance_as_complex128():
 
 def test_a_matrix_too_large_and_not_hermitian_is_reported_as_not_hermitian(recwarn):
     # check_hermitian runs before the overflow test everywhere, so every path names the
-    # same fault, and none warns on the way.
-    r = 1e200 * np.eye(4, dtype=complex)
-    r[0, 1] = 1e199
-    calls = [lambda: hermitian_eig(r), lambda: make_features(r[np.newaxis], "eigen"),
-             lambda: make_features(r[np.newaxis], "fbss", 2),
-             lambda: make_features(r[np.newaxis], "cov")]
-    calls += [lambda det=det: det.estimate(r) for det in _detectors(4, 2)]
-    for call in calls:
-        with pytest.raises(ValueError, match="^matrix is not Hermitian"):
-            call()
+    # same fault, and none warns on the way.  At the float edge, where |A| overflows,
+    # it compares each matrix after an exact power-of-two scale.
+    huge = 1e200 * np.eye(4, dtype=complex)
+    huge[0, 1] = 1e199
+    for r in (huge, FLOAT_EDGE):
+        calls = [lambda: hermitian_eig(r), lambda: make_features(r[np.newaxis], "eigen"),
+                 lambda: make_features(r[np.newaxis], "fbss", 1),
+                 lambda: make_features(r[np.newaxis], "fbss", 2),
+                 lambda: make_features(r[np.newaxis], "cov")]
+        calls += [lambda det=det: det.estimate(r) for det in _detectors(len(r), 2)]
+        for call in calls:
+            with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+                call()
     assert not recwarn.list
+
+
+def _valid_covariances(m: int, num: int) -> list[np.ndarray]:
+    x = np.random.default_rng(m).standard_normal((num, m, 4 * m)).view(np.complex128)
+    return list(sample_covariance(x))
+
+
+@st.composite
+def covariances(draw):
+    """A sample covariance scaled by 10**e for e in [-320, 308], perhaps given a NaN
+    or inf entry, or an entry offset by 1e-12 to 1 of its size (or of 1), which on
+    the diagonal keeps it Hermitian and elsewhere makes it asymmetric."""
+    m = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    n = draw(st.integers(1, 2 * m))  # n < m: rank deficient, so the PSD clamp fires
+    r = sample_covariance(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    fault = draw(st.sampled_from(["none", "nan", "inf", "asymmetric"]))
+    with np.errstate(over="ignore"):  # an entry past FLOAT_MAX becomes inf, a fault of its own
+        r *= 10.0 ** draw(st.integers(-320, 308))
+        if fault == "asymmetric":
+            size = min(max(abs(r[i, j]), 1.0), FLOAT_MAX)
+            r[i, j] += draw(st.sampled_from([1e-12, 1e-9, 1e-3, 1.0])) * size
+    if fault in ("nan", "inf"):
+        r[i, j] = math.nan if fault == "nan" else complex(0.0, -math.inf)
+    return r
+
+
+@settings(max_examples=100)
+@given(r=covariances(), row=st.integers(0, 3), subarray_size=st.integers(1, 6))
+@example(r=FLOAT_EDGE, row=1, subarray_size=1)
+@example(r=FLOAT_EDGE, row=0, subarray_size=2)
+def test_estimate_agrees_with_its_row_of_a_batch_or_raises_alike(r, row, subarray_size):
+    # A differential oracle for every decision path: estimate(r) is the decision of r's
+    # row in a stack among valid covariances, or both raise the same ValueError.
+    m = r.shape[0]
+    others = _valid_covariances(m, 3)
+    stack = np.stack(others[:row] + [r] + others[row:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for normalize in (False, True):
+            for det in _detectors(m, min(subarray_size, m), normalize):
+                spec = det.spec
+                feature = feature_kind(spec.kind, spec.subarray_size)
+                try:
+                    expected = det.decide_batch(make_features(stack, feature, spec.subarray_size))
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        det.estimate(r)
+                    assert str(got.value) == str(exc), spec
+                else:
+                    assert det.estimate(r) == expected[row], spec
+
+
+# A row below TINY_SPECTRUM by an exact power of two: both passes rescale it.
+TINY_ROWS = np.array([[2.0 ** -600, 2.0 ** -700, 2.0 ** -1000], [3.0, 2.0, 1.0]])
 
 
 @SETTINGS
 @given(values=spectra(), num_snapshots=st.integers(1, 1000),
        kind=st.sampled_from(["aic", "mdl"]))
+@example(values=TINY_ROWS, num_snapshots=20, kind="aic")
+@example(values=TINY_ROWS, num_snapshots=20, kind="mdl")
 def test_counted_criterion_equals_batch(values, num_snapshots, kind):
     # The scalar pass behind bench_complexity's counts must pick what the batch
     # core picks, or the counts describe a different decision.

@@ -47,7 +47,7 @@ class TestSteeringVector:
 
 
 class TestSteeringMatrix:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(doas=st.lists(st.floats(0.0, 2.0 * math.pi), max_size=6),
            m=st.integers(1, 12))
     def test_columns_are_closed_form_bit_for_bit(self, doas, m):
@@ -257,7 +257,7 @@ def complex_formula(m, n, counts, rows, doas, variances, normals):
 
 
 class TestSnapshotStack:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 6), n=st.integers(1, 5),
            count=st.integers(1, 9), snr_db=st.floats(-30.0, 60.0), coherent=st.booleans(),
            block=st.sampled_from(["noisy", "noise-free", "mixed"]))
@@ -339,7 +339,7 @@ def literal_covariance(x):
 
 
 class TestSampleCovariance:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(seed=st.integers(0, 2 ** 32 - 1), stack=st.integers(1, 3), m=st.integers(1, 4),
            n=st.integers(1, 4), pool=st.sampled_from([SIGNED_ZERO_PARTS, SPECIAL_PARTS]),
            share=st.sampled_from([0.0, 0.1, 0.5, 1.0]), complex_input=st.booleans())
@@ -416,6 +416,10 @@ class TestSampleCovariance:
         with pytest.raises(ValueError):
             sample_covariance(np.zeros((4, 0), dtype=complex))
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="M x N matrix or a stack"):
+            sample_covariance(np.ones(4, dtype=complex))
+
 
 class TestFbssCovariance:
     def test_full_subarray_collapses_to_single_term(self):
@@ -468,6 +472,13 @@ class TestFbssCovariance:
                   np.ones(4, dtype=complex)):
             with pytest.raises(ValueError, match="square"):
                 fbss_covariance(r, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        r = np.eye(4, dtype=complex)
+        r[1, 2] = bad
+        with pytest.raises(ValueError, match=r"^matrix has non-finite entries \(NaN or inf\)$"):
+            fbss_covariance(r, 2)
 
     def test_decorrelates_coherent_pair(self):
         r = sample_covariance(generate_snapshots(10, 200, (0.3, 1.1), (0,), math.inf,
@@ -523,7 +534,7 @@ class TestFbssCovariance:
             out = fbss_covariance(limit * np.eye(10, dtype=complex), 5)
         assert np.isfinite(out).all()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), num=st.integers(1, 4), m=st.integers(1, 8),
            data=st.data())
     def test_equals_the_sum_from_zeros_bit_for_bit(self, seed, num, m, data):
