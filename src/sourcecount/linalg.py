@@ -58,14 +58,10 @@ def check_hermitian(a) -> bool:
     if not moderate and not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries (NaN or inf)")
     if np.count_nonzero(a != a.swapaxes(-1, -2).conj()):
-        unit = 1.0
-        if not moderate:  # exact powers of two bring each matrix's largest part into [1, 2),
-            # so no |.| overflows, and the floor of 1 binds only where unit is 1, as unscaled
-            top = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1), keepdims=True)
-            unit = np.ldexp(1.0, 1 - np.maximum(np.frexp(top)[1], 1))
-            a = a * unit
+        unit = 1.0 if moderate else 0.25  # exact; then no |.| of finite parts overflows
+        a = a * unit
         asym = np.abs(a - a.swapaxes(-1, -2).conj())
-        bound = HERMITIAN_RTOL * np.abs(a).max(axis=(-2, -1), initial=1.0, keepdims=True)
+        bound = HERMITIAN_RTOL * np.abs(a).max(axis=(-2, -1), initial=unit, keepdims=True)
         if not (asym <= bound).all():
             with np.errstate(over="ignore"):  # the unscaled asymmetry may pass FLOAT_MAX
                 worst = (asym / unit).max()

@@ -257,6 +257,9 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
                     outs, deltas = buffers[len(idx)]
                     acts = _forward_cached(net, xb, outs)
                     batch_loss = compute_loss(acts[-1], yb, loss)
+                    if not math.isfinite(batch_loss):  # a GEMM thread's overflow sets no flag
+                        raise ArithmeticError(f"non-finite loss {batch_loss} at epoch {epoch}, "
+                                              f"batch starting at {start}")
                     _backward_from_cache(net, acts, yb, grad_views, deltas)
                     adam_step(net, grad, state, config)
                     total += batch_loss * len(idx)

@@ -323,7 +323,7 @@ def test_hermitian_tolerance():
 
 def test_hermitian_screen_at_the_float_edge():
     # |1.5e308 (1 + 1j)| overflows, so a stack past is_moderate is compared after an
-    # exact power-of-two scale of each matrix, which makes the same decision unscaled.
+    # exact scale by 1/4, its floor of 1 scaled too, which makes the unscaled decision.
     a = np.array([[1.0, 1.5e308 * (1 + 1j)], [1.5e308 * (1 - 1j) * (1 + 1e-3), 1.0]])
     exact = np.array([[1e308, 1.5e308 * (1 + 1j)], [1.5e308 * (1 - 1j), -1e308]])
     within, outside = exact.copy(), exact.copy()
@@ -338,7 +338,7 @@ def test_hermitian_screen_at_the_float_edge():
             "matrix is not Hermitian (max asymmetry inf)")
         assert screen(exact) is None and screen(within) is None
         assert screen(outside) == "matrix is not Hermitian (max asymmetry 4.243e+298)"
-        # Past is_moderate, a moderate matrix and a tiny one keep their own scale.
+        # Past is_moderate, a moderate matrix and a tiny one keep their unscaled decision.
         assert screen([within, 1e-320 * asymmetric, np.eye(2)]) is None
         assert screen([exact, asymmetric]) == "matrix is not Hermitian (max asymmetry 1.000e-03)"
         assert check_hermitian(within) is False and check_hermitian(np.eye(2)) is True

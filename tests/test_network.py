@@ -466,6 +466,27 @@ class TestTrain:
                                                       "starting at 0"):
                 train(net, x, y, TrainConfig(epochs=2, batch_size=2))
 
+    @pytest.mark.parametrize("kind", ["ecnet", "covnet"])
+    def test_overflow_in_a_blas_thread_aborts(self, kind):
+        # OpenBLAS splits a large GEMM's rows over threads, and a worker
+        # thread's overflow sets no floating-point flag that numpy sees:
+        # the rows it computes go inf, then NaN, silently.  With two or
+        # more threads only the loss check stops training (with one,
+        # the overflow is flagged in the dot).
+        spec = DetectorSpec(kind, 10)
+        net = build_detector(spec, np.random.default_rng(0))
+        n = 16384
+        config = TrainConfig(batch_size=n, epochs=2, seed=4)
+        x = np.ones((n, spec.feature_size))
+        x[np.random.default_rng(config.seed).permutation(n)[n // 2:]] = 1.5e308  # batch tail
+        y = np.zeros((n, spec.output_size))
+        y[:, 0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ArithmeticError, match="^(non-finite loss nan|overflow encountered "
+                                                      "in dot) at epoch 0, batch starting at 0$"):
+                train(net, x, y, config)
+
     @pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, -1e-3])
     def test_bad_learning_rate_rejected(self, learning_rate):
         with pytest.raises(ValueError, match=r"^learning_rate must be a real number in \[0.0, "):

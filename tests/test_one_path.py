@@ -200,7 +200,7 @@ def test_every_kind_reads_a_covariance_as_complex128():
 def test_a_matrix_too_large_and_not_hermitian_is_reported_as_not_hermitian(recwarn):
     # check_hermitian runs before the overflow test everywhere, so every path names the
     # same fault, and none warns on the way.  At the float edge, where |A| overflows,
-    # it compares each matrix after an exact power-of-two scale.
+    # it compares the stack after an exact scale by 1/4.
     huge = 1e200 * np.eye(4, dtype=complex)
     huge[0, 1] = 1e199
     for r in (huge, FLOAT_EDGE):
