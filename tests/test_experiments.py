@@ -63,6 +63,69 @@ TRAINING_DIGEST = {
     "Nehalem": "4939ae38222bca288b59e454b5757cade5b06c73277ccd06ab935a5464aa6737",
     "Katmai": "77eaf54e4312af1dc50fe7cdee2e9084f59918c2ded9adf0b5e49725808c587f",
 }
+# OpenBLAS core families of STAGE_DIGESTS, in the order of its per-core values.
+# Prescott runs Katmai's kernels.
+STAGE_CORES = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai")
+
+
+def per_core(digests):
+    """A STAGE_DIGESTS entry: one space-separated value per core of
+    STAGE_CORES, or one value for all of them."""
+    values = digests.split()
+    return dict(zip(STAGE_CORES, values * len(STAGE_CORES) if len(values) == 1 else values))
+
+
+# The first 16 hex digits of each stage_digests SHA-256, per core family.
+STAGE_DIGESTS = {
+    "labels, non-coherent": per_core("d4b3cfbb08ccb60b"),
+    "eigen rows, non-coherent": per_core(
+        "a7344c370c731b18 c4bb52ce3006c6c8 74ee201f58f630f8 cc9e46a6ec82c28a cc9e46a6ec82c28a"),
+    "fbss rows, non-coherent": per_core(
+        "8b08eda8f16eceda be79674dc48244c7 802f4e56f06b0014 3ae86ae37b38fe92 3ae86ae37b38fe92"),
+    "cov rows, non-coherent": per_core(
+        "adbf8a24066860bb ab9b7f32fbff5707 1f93f245cd258780 1f93f245cd258780 1f93f245cd258780"),
+    "labels, coherent": per_core("d4b3cfbb08ccb60b"),
+    "eigen rows, coherent": per_core(
+        "c3bfccdf245978bb f2590ab020d19f9a c65d796d66b2f0ce 57f08f6170cdf572 57f08f6170cdf572"),
+    "fbss rows, coherent": per_core(
+        "7c85ab3bb63f8a8f cd8b2a2fa89d9352 0d3f40ffacd234b5 a011e77fca99d2d4 a011e77fca99d2d4"),
+    "cov rows, coherent": per_core(
+        "2770f90003f1cc6a 60c916c3699fb9dd 29be2aa61572b71e 29be2aa61572b71e 29be2aa61572b71e"),
+    "ernet initial parameters": per_core("daf8016a90e846f9"),
+    "ernet after 1 epoch": per_core(
+        "a15bae06c6ddd3fe f293b22c65fde6fe 9bea66ded6b62fca 4475dc30e09c8aba 4475dc30e09c8aba"),
+    "ernet after 3 epochs": per_core(
+        "ddcf76ae2be20028 c6b71083a133bb12 12a6df9a0e572d42 9541049c34e0655c 9541049c34e0655c"),
+    "ecnet initial parameters": per_core("97747a1668b3bc1b"),
+    "ecnet after 1 epoch": per_core(
+        "03a1e1cc7fb5b387 954063a90d8fc921 d7856bcbfb45e4d1 9d98f23af543374c 9d98f23af543374c"),
+    "ecnet after 3 epochs": per_core(
+        "9f3e2b23b251b543 94a5110f2473ee6f 6ccad10b8e65b138 c689e83ed565abcc 97bd9a8bf2bef3b8"),
+    "covnet initial parameters": per_core("d4970e2181ed6005"),
+    "covnet after 1 epoch": per_core(
+        "8b41e24b976938e1 f13465f595d1b3ba 63c12636ea9f066a 9282e3c2dbbab78c 63c12636ea9f066a"),
+    "covnet after 3 epochs": per_core(
+        "c7696da5150eb0b7 91fbc51963646a4d 6f9104f13abc0ba8 6af64ca4e90dadcb 6f9104f13abc0ba8"),
+    "fbss-ernet initial parameters": per_core("07530f989528d9cd"),
+    "fbss-ernet after 1 epoch": per_core(
+        "5da4cabb27e0cb95 77f7493913d1ad41 7921d2cfbcc0838e 86a71aaccc7718f1 86a71aaccc7718f1"),
+    "fbss-ernet after 3 epochs": per_core(
+        "995c2bf219558b42 2f6d0b2f642909d4 57bda072472b337f 79421e1153fb17a4 9af7b68e2a7e525a"),
+    "fbss-ecnet initial parameters": per_core("19e9f3dff71cf7ad"),
+    "fbss-ecnet after 1 epoch": per_core(
+        "d118af86bf81248b b5cfbadc777715b8 b39790d0825d3fc6 4b1dab44d65fdcaf bb72db0688170e70"),
+    "fbss-ecnet after 3 epochs": per_core(
+        "23785b3f2de311f9 b0ebddbef446481c 9cdf9eab50ce7d3d 156f6cd29c7def61 05dfbe2c22d085d4"),
+    "ernet decisions": per_core("9679600969a99fe3"),
+    "ecnet decisions": per_core("67b1a920685f33ff"),
+    "covnet decisions": per_core("dd554c528a60fc86"),
+    "fbss-ernet decisions": per_core("7b6436b0c98f6238"),
+    "fbss-ecnet decisions": per_core("0f760dd80e14ea9f"),
+    "aic decisions": per_core("a836641c6f5f71bc"),
+    "mdl decisions": per_core("c836b23a268668fc"),
+    "fbss-aic decisions": per_core("3923e271d9abb163"),
+    "fbss-mdl decisions": per_core("3923e271d9abb163"),
+}
 # SHA-256 of sweep_digest's sweep results: one value on every core family tried.
 SWEEP_DIGEST = "1e61c42b8c725836464948b6d95b3a1c2577a38ad4d41a3757acf87d49f2634b"
 # SHA-256 of normalized_sweep_digest's sweep results, likewise one value.
@@ -143,6 +206,56 @@ def normalized_sweep_digest():
             ("sweep-snr-coherent", tiny_config(max_sources=4, detectors=None))):
         digest.update(repr(run_sweep(name, replace(config, normalize_features=True))).encode())
     return digest.hexdigest()
+
+
+def stage_digests():
+    """The first 16 hex digits of one SHA-256 per stage of a tiny seeded
+    run, in pipeline order: per coherence, the labels and each feature
+    kind's rows; per network, its initial parameters, then its parameters
+    and loss history after 1 and 3 epochs; then every detector's batch
+    decisions.  150 trials at batch 64 end each epoch in a 22-row batch."""
+    config = ExperimentConfig(num_antennas=6, num_snapshots=8, max_sources=3, subarray_size=4,
+                              num_train=150, num_test=40, batch_size=64, seed=13)
+    stages = {}
+
+    def record(stage, *arrays):
+        digest = hashlib.sha256()
+        for array in arrays:
+            digest.update(np.ascontiguousarray(array).tobytes())
+        stages[stage] = digest.hexdigest()[:16]
+
+    sets = {}
+    for coherent in (False, True):
+        coherence = "coherent" if coherent else "non-coherent"
+        sets[coherent] = [generate_trials(config, phase=phase, num=num, snr_db=snr_db,
+                                          coherent=coherent, want=("eigen", "fbss", "cov"))
+                          for phase, num, snr_db in (("train", 150, (0.0, 40.0)),
+                                                     ("test", 40, 5.0))]
+        record(f"labels, {coherence}", *(t.labels for t in sets[coherent]))
+        for feature in ("eigen", "fbss", "cov"):
+            record(f"{feature} rows, {coherence}", *(getattr(t, feature) for t in sets[coherent]))
+    decisions = []
+    for kind, m0 in (("ernet", None), ("ecnet", None), ("covnet", None), ("ernet", 4),
+                     ("ecnet", 4)):
+        train_set, test_set = sets[m0 is not None]
+        feats = select_features(train_set, kind, m0)
+        name = DetectorSpec(kind, config.num_antennas, m0).name
+        for epochs, stage in ((0, "initial parameters"), (1, "after 1 epoch"),
+                              (3, "after 3 epochs")):
+            det, history = train_detector(replace(config, epochs=epochs), kind, feats,
+                                          train_set.labels, subarray_size=m0)
+            record(f"{name} {stage}", det.net.params, np.array(history))
+        decisions.append((f"{name} decisions",
+                          det.decide_batch(select_features(test_set, kind, m0))))
+    for kind, m0 in (("aic", None), ("mdl", None), ("aic", 4), ("mdl", 4)):
+        test_set = sets[m0 is not None][1]
+        det = ClassicalDetector(kind, m0)
+        decisions.append((f"{det.name} decisions",
+                          det.decide_batch(select_features(test_set, kind, m0),
+                                           test_set.num_snapshots)))
+    for stage, decided in decisions:
+        record(stage, decided.astype(np.int64))
+    return stages
 
 
 def one_trial_reference(config, trials, snr_db, axis_index):
@@ -756,6 +869,14 @@ class TestTrainDetector:
         # A refactor of the training core must leave every bit in place.
         assert_pinned("TRAINING_DIGEST", TRAINING_DIGEST, training_digest())
 
+    def test_stage_bits_pinned(self, assert_pinned):
+        # Stages are checked in pipeline order, so a change names the first
+        # stage whose bytes it moves.
+        stages = stage_digests()
+        assert list(stages) == list(STAGE_DIGESTS)
+        for stage, actual in stages.items():
+            assert_pinned(f"stage {stage!r}", STAGE_DIGESTS[stage], actual)
+
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                         reason="OPENBLAS_CORETYPE names x86-64 cores")
     def test_bits_pinned_on_a_second_blas_core(self, assert_pinned):
@@ -764,16 +885,20 @@ class TestTrainDetector:
         # sweep accuracies, the portable part of the contract, keep their one value.
         script = ("import test_experiments as t\n"
                   "print(t._blas_core(), t.simulation_digest(), t.training_digest(),\n"
-                  "      t.sweep_digest(), t.normalized_sweep_digest())\n")
+                  "      t.sweep_digest(), t.normalized_sweep_digest())\n"
+                  "print(t.json.dumps(t.stage_digests()))\n")
         here = Path(__file__).resolve().parent
         env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
                "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
         done = subprocess.run([sys.executable, "-c", script], env=env, cwd=here,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        core, simulation, training, sweep, normalized = done.stdout.split()
+        digests, stages = done.stdout.splitlines()
+        core, simulation, training, sweep, normalized = digests.split()
         assert_pinned("SIMULATION_DIGEST", SIMULATION_DIGEST, simulation, core)
         assert_pinned("TRAINING_DIGEST", TRAINING_DIGEST, training, core)
+        for stage, actual in json.loads(stages).items():
+            assert_pinned(f"stage {stage!r}", STAGE_DIGESTS[stage], actual, core)
         assert (sweep, normalized) == (SWEEP_DIGEST, NORMALIZED_SWEEP_DIGEST), core
 
     @pytest.mark.parametrize("core, named", [("Zen9", "Zen9"), (None, "unknown")])

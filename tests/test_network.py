@@ -642,7 +642,7 @@ class TestKernels:
 
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                         reason="OPENBLAS_CORETYPE names x86-64 cores")
-    @pytest.mark.parametrize("core", ["Prescott"])
+    @pytest.mark.parametrize("core", ["Prescott", "Haswell"])
     def test_kernels_hold_on_a_second_blas_core(self, core):
         # The same checks in a process whose OpenBLAS runs another core's
         # kernels, so that the np.dot swap is pinned beyond the host's core.
