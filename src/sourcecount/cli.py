@@ -161,11 +161,19 @@ def _cmd_eval(args, config: ExperimentConfig):
     if kind in NET_KINDS:
         model_path = args.model or out / f"model-{detector_name(kind, sub)}.json"
         detector: Detector | ClassicalDetector = load_detector(model_path)
-        kind, sub = detector.spec.kind, detector.spec.subarray_size
+        if detector.spec.kind != kind:
+            raise ValueError(f"model {model_path} holds {detector.spec.kind}, "
+                             f"but --detector is {kind}")
+        sub = detector.spec.subarray_size
+        if args.fbss not in (None, sub):
+            smoothing = f"smoothed at M0={sub}" if sub else "unsmoothed"
+            raise ValueError(f"model {model_path} is {smoothing}, but --fbss is {args.fbss}")
         try:
             config = dataclasses.replace(config, subarray_size=sub or config.subarray_size)
         except ValueError as exc:
             raise ValueError(f"model {model_path}: {exc}") from exc
+    elif args.model is not None:
+        raise ValueError(f"--detector {kind} has no model, but --model is {args.model}")
     else:
         detector = ClassicalDetector(kind, sub)
     trials = generate_trials(config, phase="test", num=config.num_test,

@@ -165,7 +165,7 @@ def build_detector(spec: DetectorSpec, rng: np.random.Generator) -> Network:
     """Untrained network laid out by :func:`_layer_plan`.  Weights are
     truncated-normal with variance 1/fan_in, drawn layer by layer;
     biases start at zero."""
-    return Network([Layer(weights=init_truncated_normal((fan_out, fan_in), fan_in, rng),
+    return Network([Layer(weights=init_truncated_normal((fan_out, fan_in), rng),
                           bias=np.zeros(fan_out), activation=activation)
                     for fan_in, fan_out, activation in _layer_plan(spec)])
 

@@ -112,6 +112,9 @@ class ExperimentConfig:
         for kind in self.detectors or ():
             if kind not in NET_KINDS + CLASSICAL_KINDS:
                 raise ValueError(f"detectors must name known detectors, got {kind!r}")
+        if self.detectors is not None and not 0 < len(set(self.detectors)) == len(self.detectors):
+            raise ValueError(f"detectors must name one or more detectors, each once, "
+                             f"got {list(self.detectors)}")
         training = TrainConfig(self.learning_rate, self.batch_size, self.epochs)  # checks all three
         for name in ("learning_rate", "batch_size", "epochs"):
             store(name, getattr(training, name))
@@ -301,15 +304,6 @@ def select_features(trials: TrialSet, kind: str, subarray_size: int | None) -> n
     return feats
 
 
-def _targets(spec: DetectorSpec, labels: np.ndarray) -> np.ndarray:
-    """Training targets: the count itself for ERNet, one-hot rows otherwise."""
-    if labels.size and not 0 <= labels.min() <= labels.max() < spec.num_antennas:
-        raise ValueError(f"labels must lie in [0, {spec.num_antennas - 1}]")
-    if spec.kind == "ernet":
-        return labels[:, np.newaxis].astype(float)
-    return np.eye(spec.num_antennas)[labels]
-
-
 def dataset_header(config: ExperimentConfig, feature_dim: int) -> dict[str, str]:
     """The key=value header (M, N, feature_dim, coherence, seed) of a dataset."""
     return {"M": str(config.num_antennas), "N": str(config.num_snapshots),
@@ -377,6 +371,9 @@ def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
     axis_index = check_count("axis_index", axis_index, 0)
     spec = DetectorSpec(kind, config.num_antennas, subarray_size,
                         normalize=config.normalize_features)
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu" or np.any((labels < 0) | (labels >= spec.num_antennas)):
+        raise ValueError(f"labels must be integer counts in [0, {spec.num_antennas - 1}]")
     if spec.normalize:
         features = normalize_features(features, feature_kind(kind, subarray_size))
     ordinal = NET_KINDS.index(kind)
@@ -387,7 +384,7 @@ def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
         epochs=config.epochs,
         seed=int(_stream_states(config.seed, (ROLE_SHUFFLE, axis_index), [ordinal])[0, 0]),
     )
-    history = train(net, features, _targets(spec, labels), train_config)
+    history = train(net, features, labels, train_config)
     return Detector(spec=spec, net=net, train_config=train_config), history
 
 

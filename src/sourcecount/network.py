@@ -8,9 +8,10 @@ loop.  A network's parameters are views of one float64 vector.
 
 A layer applies ``g(W x + b)`` with ``W`` of shape (out, in).  Batches
 are row-major: :func:`forward` and :func:`compute_loss` take only
-(batch, dim) arrays, one sample being a one-row batch.  The engine takes
-a network's layout as given: ``detectors._layer_plan`` is its one
-description, and ``detectors`` owns the model file.
+(batch, dim) predictions, one sample being a one-row batch; training
+takes one label per sample.  The engine takes a network's layout as
+given: ``detectors._layer_plan`` is its one description, and
+``detectors`` owns the model file.
 """
 
 from __future__ import annotations
@@ -124,38 +125,38 @@ def forward(net: Network, x) -> np.ndarray:
     return _forward_cached(net, x)[-1]
 
 
-def compute_loss(pred, target, loss: str) -> float:
-    """Batch mean ``"l2"`` or ``"cce"`` loss of (batch, dim) rows."""
-    pred, target = np.asarray(pred, dtype=float), np.asarray(target, dtype=float)
-    if pred.ndim != 2 or pred.shape != target.shape:
-        raise ValueError(f"prediction and target must be (batch, dim) arrays of one "
-                         f"shape, got {pred.shape} and {target.shape}")
+def compute_loss(pred, labels, loss: str) -> float:
+    """Batch mean ``"l2"`` loss of (batch, 1) predictions against targets, or
+    ``"cce"`` loss of (batch, dim) rows against classes, which index their rows."""
+    pred, labels = np.asarray(pred, dtype=float), np.asarray(labels)
+    if pred.ndim != 2 or labels.shape != pred.shape[:1] or loss == "l2" and pred.shape[1] != 1:
+        raise ValueError(f"prediction and labels must be (batch, dim) and (batch,) arrays, "
+                         f"dim 1 under l2, got {pred.shape} and {labels.shape}")
     if loss == "l2":
-        terms = pred - target
+        terms = pred[:, 0] - labels
         terms *= terms
     elif loss == "cce":
-        terms = np.maximum(pred, CCE_FLOOR)
+        terms = np.maximum(pred[np.arange(len(labels)), labels], CCE_FLOOR)
         np.log(terms, out=terms)
-        terms *= target
     else:
         raise ValueError(f"unknown loss {loss!r}")
-    rows = np.add.reduce(terms, axis=-1)
-    mean = np.add.reduce(rows) / len(rows)  # np.mean's division, without its overhead
+    mean = np.add.reduce(terms) / len(terms)  # np.mean's division, without its overhead
     return float(-mean if loss == "cce" else mean)
 
 
-def _backward_from_cache(net: Network, acts, target: np.ndarray, grads, deltas=None):
-    """Analytic gradients given a cached forward pass, written into ``grads``;
-    each layer's delta goes into ``deltas`` (shaped like ``acts[1:]``) if given.
-
-    Softmax plus cross-entropy is fused, so the output delta is simply
-    (prediction - target) scaled by the batch size under either loss.
-    """
-    deltas = deltas or [None] * len(net.layers)
-    delta = np.subtract(acts[-1], target, out=deltas[-1])
-    if net.layers[-1].activation != "softmax":
+def _backward_from_cache(net: Network, acts, labels: np.ndarray, grads, deltas):
+    """Analytic gradients given a cached forward pass and the batch's labels,
+    written into ``grads``; each layer's delta goes into ``deltas`` (shaped
+    like ``acts[1:]``).  Softmax plus cross-entropy is fused, so the output
+    delta is (prediction - one-hot class) / batch; 2 (prediction - target) / batch under L2."""
+    delta = deltas[-1]
+    np.copyto(delta, acts[-1])
+    if net.layers[-1].activation == "softmax":
+        delta[np.arange(len(labels)), labels] -= 1.0
+    else:
+        delta[:, 0] -= labels
         delta *= 2.0
-    delta /= acts[0].shape[0]
+    delta /= len(labels)
     for i in range(len(net.layers) - 1, -1, -1):
         np.dot(delta.T, acts[i], out=grads[i][0])
         np.add.reduce(delta, axis=0, out=grads[i][1])
@@ -199,9 +200,9 @@ def adam_step(net: Network, grad: np.ndarray, state: AdamState, config: TrainCon
     net.params -= np.divide(s1, s2, out=s1)
 
 
-def init_truncated_normal(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
-    """Normal draws with variance 1/fan_in, redrawn beyond two sigma."""
-    sigma = 1.0 / math.sqrt(check_count("fan_in", fan_in, 1))
+def init_truncated_normal(shape, rng: np.random.Generator) -> np.ndarray:
+    """An (out, in) weight of normal draws with variance 1/in, redrawn beyond two sigma."""
+    sigma = 1.0 / math.sqrt(check_count("fan_in", shape[1], 1))
     w = sigma * rng.standard_normal(shape)
     out_of_bounds = np.abs(w) > 2.0 * sigma
     while np.any(out_of_bounds):
@@ -210,33 +211,35 @@ def init_truncated_normal(shape, fan_in: int, rng: np.random.Generator) -> np.nd
     return w
 
 
-def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
-    """Mini-batch ADAM training, in place; returns per-epoch mean loss
-    (cross-entropy after a softmax output layer, L2 after a linear one).
+def train(net: Network, features, labels, config: TrainConfig) -> list[float]:
+    """Mini-batch ADAM training on (n, input_dim) features and (n,) labels,
+    in place; returns per-epoch mean loss (cross-entropy against integer
+    classes after a softmax output layer, L2 after a one-output linear one).
 
     Each epoch reshuffles the full dataset with the config-seeded RNG
     and sweeps batches of ``config.batch_size`` (final short batch
     kept).  Deterministic given (net, data, config).
 
     Raises:
-        ArithmeticError: If a feature or target is not finite, or a step
+        ValueError: If the data are misshapen, or a label is not a class.
+        ArithmeticError: If a feature or label is not finite, or a step
             overflows or makes a NaN (the error names the epoch and batch).
     """
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ValueError("features and targets must be 2-D arrays")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("features and targets must have equal sample counts")
-    if x.shape[0] == 0:
+    softmax = net.layers[-1].activation == "softmax"
+    x, y = np.asarray(features, dtype=float), np.asarray(labels, dtype=None if softmax else float)
+    if x.ndim != 2 or x.shape[1] != net.input_dim or y.shape != x.shape[:1]:
+        raise ValueError(f"features and labels must be (n, {net.input_dim}) and (n,) arrays, "
+                         f"got shapes {x.shape} and {y.shape}")
+    if len(x) == 0:
         raise ValueError("dataset is empty")
-    if x.shape[1] != net.input_dim or y.shape[1] != net.output_dim:
-        raise ValueError("dataset dimensions do not match the network")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ArithmeticError("non-finite value in the features or targets")
+    if not softmax and net.output_dim != 1:
+        raise ValueError(f"a linear head must have one output, got {net.output_dim}")
+    if not (np.isfinite(x).all() and (y.dtype.kind not in "fc" or np.isfinite(y).all())):
+        raise ArithmeticError("non-finite value in the features or labels")
+    if softmax and (y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= net.output_dim):
+        raise ValueError(f"softmax labels must be integer classes in [0, {net.output_dim - 1}]")
 
-    n = x.shape[0]
-    loss = "cce" if net.layers[-1].activation == "softmax" else "l2"
+    n, loss = len(x), "cce" if softmax else "l2"
     rng = np.random.default_rng(config.seed)
     state = AdamState(net)
     grad = np.empty_like(net.params)
@@ -250,10 +253,11 @@ def train(net: Network, features, targets, config: TrainConfig) -> list[float]:
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(config.epochs):
                 order = rng.permutation(n)
+                shuffled = y.take(order)
                 total = 0.0
                 for start in range(0, n, config.batch_size):
                     idx = order[start:start + config.batch_size]
-                    xb, yb = x.take(idx, axis=0), y.take(idx, axis=0)
+                    xb, yb = x.take(idx, axis=0), shuffled[start:start + config.batch_size]
                     outs, deltas = buffers[len(idx)]
                     acts = _forward_cached(net, xb, outs)
                     batch_loss = compute_loss(acts[-1], yb, loss)

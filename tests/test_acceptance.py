@@ -196,9 +196,10 @@ def _softmax_rows_of_copy(z):
     return out
 
 
-def _gradients(net, x, target):
-    return _backward_from_cache(net, _forward_cached(net, x), target,
-                                _layer_views(net, np.empty_like(net.params)))
+def _gradients(net, x, labels):
+    return _backward_from_cache(net, _forward_cached(net, x), labels,
+                                _layer_views(net, np.empty_like(net.params)),
+                                [np.empty((len(x), lay.out_dim)) for lay in net.layers])
 
 
 def _battery_softmax(rng):
@@ -233,9 +234,8 @@ def _battery_gradients(rng):
         if min(np.min(np.abs(z1)), np.min(np.abs(z2))) < 1e-4:
             continue
         checked += 1
-        y = np.zeros(10)
-        y[int(rng.integers(0, 10))] = 1.0
-        analytic = _gradients(net, x[np.newaxis], y[np.newaxis])
+        y = rng.integers(0, 10, 1)
+        analytic = _gradients(net, x[np.newaxis], y)
         for lay, (gw, gb) in zip(net.layers, analytic):
             for arr, grad in ((lay.weights, gw), (lay.bias, gb)):
                 it = np.nditer(arr, flags=["multi_index"])
@@ -243,9 +243,9 @@ def _battery_gradients(rng):
                     idx = it.multi_index
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    up = compute_loss(forward(net, x[np.newaxis]), y[np.newaxis], "cce")
+                    up = compute_loss(forward(net, x[np.newaxis]), y, "cce")
                     arr[idx] = orig - h
-                    down = compute_loss(forward(net, x[np.newaxis]), y[np.newaxis], "cce")
+                    down = compute_loss(forward(net, x[np.newaxis]), y, "cce")
                     arr[idx] = orig
                     fd = (up - down) / (2.0 * h)
                     denom = max(abs(grad[idx]), abs(fd), 1e-4)

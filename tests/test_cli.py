@@ -392,6 +392,36 @@ class TestFlagValidation:
                        "subarray_size must be an integer in [1, 6], got 8\n")
         assert not list(out.glob("eval-*.json"))
 
+    @pytest.mark.parametrize("m0, flags, message", [
+        (5, ("--detector", "ecnet"), "holds ernet, but --detector is ecnet"),
+        (5, ("--detector", "ernet", "--fbss", "3"), "is smoothed at M0=5, but --fbss is 3"),
+        (None, ("--detector", "ernet", "--fbss", "5"), "is unsmoothed, but --fbss is 5"),
+    ], ids=["other-kind", "other-subarray", "unsmoothed"])
+    def test_eval_flags_must_match_the_model(self, tmp_path, config_file, capsys, m0, flags,
+                                             message):
+        # The model's kind and smoothing once overrode --detector and --fbss.
+        spec = DetectorSpec("ernet", 10, subarray_size=m0)
+        model = tmp_path / "model.json"
+        save_detector(Detector(spec, build_detector(spec, np.random.default_rng(0))), model)
+        out = tmp_path / "run"
+        status = run("eval", "--config", config_file, "--out", out, "--trials", 10, *flags,
+                     "--model", model)
+        err = capsys.readouterr().err
+        assert_one_error_line(status, err)
+        assert err == f"error: model {model} {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["aic", "mdl"])
+    def test_eval_of_a_criterion_rejects_a_model(self, tmp_path, config_file, capsys, kind):
+        # AIC and MDL have no model, so --model once went unread.
+        missing, out = tmp_path / "nonexistent.json", tmp_path / "run"
+        status = run("eval", "--config", config_file, "--out", out, "--detector", kind,
+                     "--model", missing)
+        err = capsys.readouterr().err
+        assert_one_error_line(status, err)
+        assert err == f"error: --detector {kind} has no model, but --model is {missing}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("gen-data", "--phase", "test", "--snr-db", "nan"),
         ("eval", "--snr-db", "nan"),

@@ -24,8 +24,9 @@ from sourcecount.detectors import (
     normalize_features,
     save_detector,
 )
-from sourcecount.experiments import _targets
-from sourcecount.network import Layer, Network, TrainConfig
+from sourcecount.experiments import ExperimentConfig, train_detector
+from sourcecount.network import Layer, Network, TrainConfig, train
+from sourcecount.network import _backward_from_cache, _layer_views
 from sourcecount.signal_model import generate_snapshots, sample_covariance
 
 
@@ -43,8 +44,13 @@ def decide_one(net, kind="ecnet", num_antennas=10):
 
 
 def one_hot(k, num_classes):
-    """ECNet training target for true count ``k``."""
-    return _targets(DetectorSpec("ecnet", num_classes), np.array([k]))[0]
+    """ECNet training target for true count ``k``: a training step's output
+    delta for a one-row batch of zero predictions is this row, negated."""
+    net = constant_output_net(np.zeros(num_classes), "softmax")
+    deltas = [np.empty((1, num_classes))]
+    _backward_from_cache(net, [np.zeros((1, net.input_dim)), np.zeros((1, num_classes))],
+                         np.array([k]), _layer_views(net, np.empty_like(net.params)), deltas)
+    return -deltas[0][0]
 
 
 def one_row(r_hat, feature, subarray_size=None):
@@ -207,7 +213,8 @@ class TestCountsAreIntegers:
 
 
 class TestOneHot:
-    """One-hot training targets of the classification heads."""
+    """One-hot training targets of the classification heads, which train on
+    the counts as class labels."""
 
     def test_zero_class(self):
         v = one_hot(0, 10)
@@ -224,10 +231,14 @@ class TestOneHot:
             assert one_hot(k, 10).sum() == 1.0
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            one_hot(10, 10)
-        with pytest.raises(ValueError):
-            one_hot(-1, 10)
+        for k in (10, -1):
+            with pytest.raises(ValueError, match=r"^labels must be integer counts in \[0, 9\]$"):
+                train_detector(ExperimentConfig(epochs=1), "ecnet", np.ones((1, 10)),
+                               np.array([k]))
+            net = build_detector(DetectorSpec("ecnet", 10), np.random.default_rng(0))
+            with pytest.raises(ValueError, match=r"^softmax labels must be integer classes in "
+                                                 r"\[0, 9\]$"):
+                train(net, np.ones((1, 10)), np.array([k]), TrainConfig(epochs=1))
 
 
 class TestDecisions:

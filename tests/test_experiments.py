@@ -422,6 +422,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=named):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("detectors", [(), ("mdl", "mdl"), ("ernet", "aic", "ernet")])
+    def test_detectors_must_be_named_once_each(self, detectors):
+        # An empty tuple once meant the sweep's defaults while the manifest
+        # recorded [], and a repeated name trained and evaluated twice.
+        with pytest.raises(ValueError, match=r"^detectors must name one or more detectors, "
+                                             r"each once, got \["):
+            ExperimentConfig(detectors=detectors)
+
+    def test_empty_detectors_line_means_unset(self):
+        assert config_from_text("detectors =\n").detectors is None
+
     def test_tuple_fields_are_stored_as_tuples(self):
         config = ExperimentConfig(train_snr_db=[0.0, 40.0], snapshot_axis=[5, 10],
                                   snr_axis_db=[0.0, 5.0], detectors=["ernet", "mdl"])
@@ -914,6 +925,17 @@ class TestTrainDetector:
                                axis_index=axis_index)[0].net.params
                 for axis_index in (2, np.int64(2), np.uint8(2))]
         assert all(np.array_equal(nets[0], net) for net in nets[1:])
+
+    @pytest.mark.parametrize("kind", NET_KINDS)
+    @pytest.mark.parametrize("labels", [[0.5, 1.25, 2.0, 3.0], [False, True, True, False]],
+                             ids=["float", "bool"])
+    def test_labels_must_be_integer_counts(self, kind, labels):
+        # ERNet once regressed on any float or bool label, and the softmax
+        # heads failed on them with an IndexError.
+        config = tiny_config(epochs=1)
+        dim = DetectorSpec(kind, config.num_antennas).feature_size
+        with pytest.raises(ValueError, match=r"^labels must be integer counts in \[0, 9\]$"):
+            train_detector(config, kind, np.ones((4, dim)), np.array(labels))
 
     def test_smoothed_covnet_rejected_before_training(self):
         config = tiny_config()

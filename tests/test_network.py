@@ -35,10 +35,11 @@ def layer(w, b, activation):
     return Layer(np.array(w, dtype=float), np.array(b, dtype=float), activation)
 
 
-def gradients(net, x, target):
+def gradients(net, x, labels):
     """The gradients that a training step takes, one (d_weights, d_bias) pair per layer."""
-    return _backward_from_cache(net, _forward_cached(net, x), target,
-                                _layer_views(net, np.empty_like(net.params)))
+    return _backward_from_cache(net, _forward_cached(net, x), np.asarray(labels),
+                                _layer_views(net, np.empty_like(net.params)),
+                                [np.empty((len(x), lay.out_dim)) for lay in net.layers])
 
 
 def softmax_rows(z):
@@ -57,13 +58,16 @@ def random_net(sizes, final, rng):
     return Network(layers)
 
 
-def random_data(sizes, final, rng, n=150):
-    """``n`` normal feature rows and matching targets: one-hot rows for a
-    softmax output, normal rows for a linear one."""
-    x = rng.standard_normal((n, sizes[0]))
+def random_labels(sizes, final, rng, n):
+    """``n`` labels: classes for a softmax output, normal targets for a linear one."""
     if final == "softmax":
-        return x, np.eye(sizes[-1])[rng.integers(0, sizes[-1], n)]
-    return x, rng.standard_normal((n, sizes[-1]))
+        return rng.integers(0, sizes[-1], n)
+    return rng.standard_normal(n)
+
+
+def random_data(sizes, final, rng, n=150):
+    """``n`` normal feature rows and their labels."""
+    return rng.standard_normal((n, sizes[0])), random_labels(sizes, final, rng, n)
 
 
 class TestForward:
@@ -153,49 +157,64 @@ class TestActivations:
 
 class TestLosses:
     def test_l2_zero_at_fit(self):
-        assert compute_loss(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]), "l2") == 0.0
+        assert compute_loss(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), "l2") == 0.0
 
     def test_l2_scalar(self):
-        assert compute_loss(np.array([[3.0]]), np.array([[1.0]]), "l2") == pytest.approx(4.0)
+        assert compute_loss(np.array([[3.0]]), np.array([1.0]), "l2") == pytest.approx(4.0)
 
     def test_l2_batch_mean_of_two(self):
-        pred = np.array([[1.0, 0.0], [0.0, 2.0]])
-        target = np.array([[0.0, 0.0], [0.0, 0.0]])
+        pred = np.array([[1.0], [2.0]])
+        target = np.array([0.0, 0.0])
         # hand sum: (1 + 4) / 2
         assert compute_loss(pred, target, "l2") == pytest.approx(2.5)
 
     def test_cce_zero_at_one_hot_fit(self):
         y = np.zeros((1, 5))
         y[0, 2] = 1.0
-        assert compute_loss(y, y, "cce") == pytest.approx(0.0, abs=1e-12)
+        assert compute_loss(y, np.array([2]), "cce") == pytest.approx(0.0, abs=1e-12)
 
     def test_cce_uniform_prediction(self):
         pred = np.full((1, 10), 0.1)
-        label = np.zeros((1, 10))
-        label[0, 4] = 1.0
-        assert compute_loss(pred, label, "cce") == pytest.approx(math.log(10.0), rel=1e-12)
+        assert compute_loss(pred, np.array([4]), "cce") == pytest.approx(math.log(10.0),
+                                                                         rel=1e-12)
 
     def test_cce_scalar_evaluation(self):
         pred = np.array([[0.7, 0.2, 0.1]])
-        label = np.array([[1.0, 0.0, 0.0]])
-        assert compute_loss(pred, label, "cce") == pytest.approx(-math.log(0.7), rel=1e-12)
+        assert compute_loss(pred, np.array([0]), "cce") == pytest.approx(-math.log(0.7),
+                                                                         rel=1e-12)
+
+    def test_cce_is_the_one_hot_row_sum_bit_for_bit(self):
+        # The label column's term is the whole row sum of the one-hot
+        # formula: the other terms are +-0.0, and a probability of 0 is floored.
+        rng = np.random.default_rng(4)
+        pred = softmax_rows(rng.standard_normal((64, 10)) * 30.0)
+        pred[:4] = np.eye(10)[:4]
+        labels = rng.integers(0, 10, 64)
+        labels[:2] = [0, 5]  # probability 1, then 0
+        terms = np.log(np.maximum(pred, network.CCE_FLOOR)) * np.eye(10)[labels]
+        rows = np.add.reduce(terms, axis=-1)
+        assert compute_loss(pred, labels, "cce") == float(-(np.add.reduce(rows) / len(rows)))
 
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError, match="^unknown loss 'l1'$"):
-            compute_loss(np.zeros((1, 2)), np.zeros((1, 2)), "l1")
+            compute_loss(np.zeros((1, 2)), np.zeros(1, dtype=int), "l1")
+
+    @pytest.mark.parametrize("pred_shape, labels_shape, loss", [
+        ((3, 2), (3,), "l2"), ((3, 1), (3, 1), "l2"), ((3, 2), (2,), "cce")])
+    def test_misshapen_labels_rejected(self, pred_shape, labels_shape, loss):
+        with pytest.raises(ValueError, match=r"\(batch, dim\) and \(batch,\) arrays"):
+            compute_loss(np.zeros(pred_shape), np.zeros(labels_shape, dtype=int), loss)
 
     def test_losses_non_negative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            a, b = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
+            a, b = rng.standard_normal((1, 1)), rng.standard_normal(1)
             assert compute_loss(a, b, "l2") >= 0.0
             p = softmax_rows(rng.standard_normal((1, 6)))
-            y = np.zeros((1, 6))
-            y[0, int(rng.integers(0, 6))] = 1.0
-            assert compute_loss(p, y, "cce") >= 0.0
+            assert compute_loss(p, rng.integers(0, 6, 1), "cce") >= 0.0
 
 
-def finite_difference_grads(net, x, target, loss, h=1e-6):
+def finite_difference_grads(net, x, labels, loss, h=1e-6):
     """Central-difference oracle over every parameter."""
     grads = []
     for lay in net.layers:
@@ -207,9 +226,9 @@ def finite_difference_grads(net, x, target, loss, h=1e-6):
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                up = compute_loss(forward(net, x), target, loss)
+                up = compute_loss(forward(net, x), labels, loss)
                 arr[idx] = orig - h
-                down = compute_loss(forward(net, x), target, loss)
+                down = compute_loss(forward(net, x), labels, loss)
                 arr[idx] = orig
                 out[idx] = (up - down) / (2.0 * h)
         grads.append((gw, gb))
@@ -229,9 +248,9 @@ def max_relative_error(analytic, numeric):
 
 class TestBackward:
     def test_zero_gradient_at_perfect_fit(self):
-        net = Network([layer(np.eye(2), np.zeros(2), "linear")])
+        net = Network([layer([[1.0, 0.0]], np.zeros(1), "linear")])
         x = np.array([[0.3, -0.7]])
-        grads = gradients(net, x, x)
+        grads = gradients(net, x, x[:, 0])
         for gw, gb in grads:
             assert np.allclose(gw, 0.0)
             assert np.allclose(gb, 0.0)
@@ -240,7 +259,7 @@ class TestBackward:
         rng = np.random.default_rng(12)
         net = random_net([10, 8, 8, 1], "linear", rng)
         x = rng.standard_normal((1, 10))
-        y = np.array([[2.0]])
+        y = np.array([2.0])
         analytic = gradients(net, x, y)
         numeric = finite_difference_grads(net, x, y, "l2")
         assert max_relative_error(analytic, numeric) < 1e-5
@@ -249,8 +268,7 @@ class TestBackward:
         rng = np.random.default_rng(15)
         net = random_net([6, 8, 8, 6], "softmax", rng)
         x = rng.standard_normal((1, 6))
-        y = np.zeros((1, 6))
-        y[0, 2] = 1.0
+        y = np.array([2])
         analytic = gradients(net, x, y)
         numeric = finite_difference_grads(net, x, y, "cce")
         assert max_relative_error(analytic, numeric) < 1e-5
@@ -261,7 +279,7 @@ class TestBackward:
             layer([[-5.0, -5.0], [1.0, 1.0]], [0.0, 0.0], "relu"),
             layer([[1.0, 1.0]], [0.0], "linear"),
         ])
-        grads = gradients(net, np.array([[1.0, 1.0]]), np.array([[0.0]]))
+        grads = gradients(net, np.array([[1.0, 1.0]]), np.array([0.0]))
         gw1, gb1 = grads[0]
         assert np.allclose(gw1[0], 0.0)  # dead unit row
         assert gb1[0] == 0.0
@@ -340,12 +358,12 @@ class TestFlatParameters:
 class TestInit:
     def test_bounded_by_two_sigma(self):
         rng = np.random.default_rng(5)
-        w = init_truncated_normal((100, 100), 8, rng)
+        w = init_truncated_normal((1250, 8), rng)
         assert np.all(np.abs(w) <= 2.0 / math.sqrt(8))
 
     def test_variance_matches_truncated_normal(self):
         rng = np.random.default_rng(6)
-        w = init_truncated_normal((100000,), 8, rng)
+        w = init_truncated_normal((12500, 8), rng)
         # exact variance of a normal truncated at +-2 sigma
         phi = math.exp(-2.0) / math.sqrt(2.0 * math.pi)
         cdf_width = math.erf(2.0 / math.sqrt(2.0))
@@ -354,17 +372,15 @@ class TestInit:
         assert np.var(w) < 1.0 / 8.0  # truncation shrinks variance
 
     def test_seed_determinism(self):
-        w1 = init_truncated_normal((16, 4), 4, np.random.default_rng(7))
-        w2 = init_truncated_normal((16, 4), 4, np.random.default_rng(7))
+        w1 = init_truncated_normal((16, 4), np.random.default_rng(7))
+        w2 = init_truncated_normal((16, 4), np.random.default_rng(7))
         assert np.array_equal(w1, w2)
 
 
 class TestTrain:
     def toy_data(self, rng, n=64):
         x = rng.standard_normal((n, 2))
-        y = (x[:, 0] + x[:, 1] > 0).astype(float)
-        targets = np.stack([1.0 - y, y], axis=1)
-        return x, targets
+        return x, (x[:, 0] + x[:, 1] > 0).astype(int)
 
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(8)
@@ -387,7 +403,7 @@ class TestTrain:
         rng = np.random.default_rng(10)
         net = random_net([3, 8, 8, 1], "linear", rng)
         x = rng.standard_normal((1, 3))
-        y = np.array([[1.5]])
+        y = np.array([1.5])
         history = train(net, x, y, TrainConfig(epochs=2000, batch_size=1, seed=2))
         assert history[-1] < 1e-4
 
@@ -408,19 +424,21 @@ class TestTrain:
         net = random_net([2, 4, 1], "linear", rng)
         x = np.array([[1.0, float("nan")]])
         with pytest.raises(ArithmeticError, match="non-finite"):
-            train(net, x, np.array([[0.0]]), TrainConfig(epochs=1, batch_size=1))
+            train(net, x, np.array([0.0]), TrainConfig(epochs=1, batch_size=1))
 
-    @pytest.mark.parametrize("final", ["linear", "softmax"])
+    @pytest.mark.parametrize("final, outputs", [("linear", 1), ("softmax", 2)],
+                             ids=["linear", "softmax"])
     @pytest.mark.parametrize("where, bad", [("features", math.inf), ("features", -math.inf),
-                                            ("targets", math.nan)])
-    def test_non_finite_data_aborts_without_warning(self, final, where, bad):
-        net = random_net([2, 4, 2], final, np.random.default_rng(12))
-        data = {"features": np.ones((2, 2)), "targets": np.array([[0.0, 1.0], [1.0, 0.0]])}
-        data[where][1, 0] = bad
+                                            ("labels", math.nan)])
+    def test_non_finite_data_aborts_without_warning(self, final, outputs, where, bad):
+        # A NaN label is non-finite before it is a bad class.
+        net = random_net([2, 4, outputs], final, np.random.default_rng(12))
+        data = {"features": np.ones((2, 2)), "labels": np.array([0.0, 1.0])}
+        data[where][1, ...] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ArithmeticError, match="non-finite"):
-                train(net, data["features"], data["targets"],
+                train(net, data["features"], data["labels"],
                       TrainConfig(epochs=1, batch_size=1))
 
     def test_one_loss_and_one_adam_call_per_step(self, monkeypatch):
@@ -458,8 +476,7 @@ class TestTrain:
         spec = DetectorSpec(kind, 10)
         net = build_detector(spec, np.random.default_rng(0))
         x = np.full((4, spec.feature_size), 1e200)
-        y = np.zeros((4, spec.output_size))
-        y[:, 0] = 1.0
+        y = np.zeros(4, dtype=int)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ArithmeticError, match="overflow .* at epoch 0, batch "
@@ -479,8 +496,7 @@ class TestTrain:
         config = TrainConfig(batch_size=n, epochs=2, seed=4)
         x = np.ones((n, spec.feature_size))
         x[np.random.default_rng(config.seed).permutation(n)[n // 2:]] = 1.5e308  # batch tail
-        y = np.zeros((n, spec.output_size))
-        y[:, 0] = 1.0
+        y = np.zeros(n, dtype=int)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ArithmeticError, match="^(non-finite loss nan|overflow encountered "
@@ -492,26 +508,48 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"^learning_rate must be a real number in \[0.0, "):
             TrainConfig(learning_rate=learning_rate)
 
-    @pytest.mark.parametrize("x_shape, y_shape, message", [
-        ((4,), (4, 1), "must be 2-D arrays"), ((4, 2), (4, 1, 1), "must be 2-D arrays"),
-        ((4, 2), (3, 1), "equal sample counts"), ((4, 3), (4, 1), "do not match the network"),
-        ((4, 2), (4, 2), "do not match the network")])
-    def test_misshapen_dataset_rejected(self, x_shape, y_shape, message):
-        net = random_net([2, 4, 1], "linear", np.random.default_rng(13))
-        with pytest.raises(ValueError, match=message):
-            train(net, np.zeros(x_shape), np.zeros(y_shape), TrainConfig(epochs=1))
+    @pytest.mark.parametrize("final, outputs", [("linear", 1), ("softmax", 3)],
+                             ids=["linear", "softmax"])
+    @pytest.mark.parametrize("x_shape, y_shape", [
+        ((4,), (4,)), ((4, 2), (4, 1)), ((4, 2), (3,)), ((4, 3), (4,)), ((4, 2), ())])
+    def test_misshapen_dataset_rejected(self, final, outputs, x_shape, y_shape):
+        net = random_net([2, 4, outputs], final, np.random.default_rng(13))
+        with pytest.raises(ValueError, match=r"^features and labels must be \(n, 2\) and "
+                                             r"\(n,\) arrays, got shapes"):
+            train(net, np.zeros(x_shape), np.zeros(y_shape, dtype=int), TrainConfig(epochs=1))
 
     def test_empty_dataset_rejected(self):
         rng = np.random.default_rng(13)
         net = random_net([2, 4, 1], "linear", rng)
-        with pytest.raises(ValueError):
-            train(net, np.zeros((0, 2)), np.zeros((0, 1)), TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            train(net, np.zeros((0, 2)), np.zeros(0), TrainConfig(epochs=1))
+
+    def test_linear_head_of_two_outputs_rejected(self):
+        net = random_net([2, 4, 2], "linear", np.random.default_rng(13))
+        with pytest.raises(ValueError, match="^a linear head must have one output, got 2$"):
+            train(net, np.zeros((4, 2)), np.zeros(4), TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], [False, True], [0, 3], [-1, 0],
+                                        ["0", "1"]])
+    def test_softmax_labels_must_be_classes(self, labels):
+        net = random_net([2, 4, 3], "softmax", np.random.default_rng(13))
+        before = net.params.copy()
+        with pytest.raises(ValueError, match=r"^softmax labels must be integer classes in "
+                                             r"\[0, 2\]$"):
+            train(net, np.zeros((2, 2)), np.array(labels), TrainConfig(epochs=1))
+        assert np.array_equal(net.params, before)
 
 
-def reference_train(net, x, y, config):
+def reference_train(net, x, labels, config):
     """The training loop with the original formulas and one fresh array
     per operation, on copies of ``net``'s per-layer arrays: the bit-level
-    reference that the buffered step in :func:`train` must match."""
+    reference that the buffered step in :func:`train` must match.  It
+    trains against the labels' target rows: one-hot rows of the classes
+    for a softmax output, a column of the targets for a linear one."""
+    if net.layers[-1].activation == "softmax":
+        y = np.eye(net.output_dim)[labels]
+    else:
+        y = np.asarray(labels, dtype=float)[:, np.newaxis]
     params = [[lay.weights.copy(), lay.bias.copy()] for lay in net.layers]
     acts_of = [lay.activation for lay in net.layers]
     moments = [[np.zeros_like(a) for a in pair] for pair in params]
@@ -571,13 +609,12 @@ class TestStepMatchesReference:
            learning_rate=st.sampled_from([1e-3, 0.05]), seed=st.integers(0, 2 ** 16))
     def test_train_is_bit_identical_to_reference(self, sizes, final, n, batch_size,
                                                  epochs, learning_rate, seed):
+        if final == "linear":  # a linear head has one output
+            sizes = [*sizes[:-1], 1]
         rng = np.random.default_rng(seed)
         net = random_net(sizes, final, rng)
         x = rng.standard_normal((n, sizes[0]))
-        if final == "softmax":
-            y = np.eye(sizes[-1])[rng.integers(0, sizes[-1], n)]
-        else:
-            y = rng.standard_normal((n, sizes[-1]))
+        y = random_labels(sizes, final, rng, n)
         config = TrainConfig(learning_rate=learning_rate, batch_size=batch_size,
                              epochs=epochs, seed=seed)
         x0, y0 = x.copy(), y.copy()

@@ -389,7 +389,7 @@ COUNT_SITES = {
     **{f"TrainConfig.{name}": (lambda v, name=name: TrainConfig(**{name: v}), name, low, None)
        for name, low in [("batch_size", 1), ("epochs", 0), ("seed", 0)]},
     "init_truncated_normal.fan_in": (
-        lambda v: init_truncated_normal((2, 3), v, np.random.default_rng(0)), "fan_in", 1, None),
+        lambda v: init_truncated_normal((2, v), np.random.default_rng(0)), "fan_in", 1, None),
 }
 # AIC and MDL compare at least two smoothed eigenvalues, a rule of their own
 # (feature_kind), so a sub-array size of 1 passes the count check and fails that.
