@@ -84,7 +84,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):  # the types _convert_config_value parses into; numbers below
+        for f in fields(self):  # tuples and bools here, numbers below
             value, default = getattr(self, f.name), f.default
             if isinstance(default, tuple) or default is None and value is not None:
                 if not isinstance(value, (tuple, list)):
@@ -97,7 +97,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
             return value
 
-        m = store("num_antennas", check_count("num_antennas", self.num_antennas, 1, MAX_COUNT))
+        m = store("num_antennas", check_count("num_antennas", self.num_antennas, 2, MAX_COUNT))
         # Every count that sizes an array stops at numpy's largest dimension.
         for name, low, high in (("num_snapshots", 1, MAX_COUNT), ("num_train", 1, MAX_COUNT),
                                 ("num_test", 1, MAX_COUNT), ("max_sources", 0, m - 1),
@@ -389,9 +389,13 @@ def train_detector(config: ExperimentConfig, kind: str, features: np.ndarray,
 
 
 def evaluate_detectors(detectors, trials: TrialSet) -> dict[str, float]:
-    """Accuracy of each detector over the (paired) trials, of which there must be some."""
+    """Accuracy of each detector over the (paired) trials, of which there must be some,
+    keyed by name: two detectors of one name raise ValueError before any decision."""
     if not trials.labels.size:
         raise ValueError("trials must hold at least one trial to measure accuracy")
+    detectors = list(detectors)  # any iterable, read twice
+    if len({det.name for det in detectors}) < len(detectors):
+        raise ValueError(f"detectors must have distinct names, got {[d.name for d in detectors]}")
     results: dict[str, float] = {}
     for det in detectors:
         if isinstance(det, Detector):
@@ -575,59 +579,27 @@ def emit_csv(result: SweepResult, path):
 
 
 def config_to_text(config: ExperimentConfig) -> str:
-    """Canonical flat key=value rendering (also the config file format)."""
-    lines = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            rendered = ",".join(str(v) for v in value)
-        elif value is None:
-            rendered = ""
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
+    """The config as TOML, the config file format: one ``key = value`` line per field
+    that is set, which :func:`config_from_text` reads back to ``config``."""
+    def value(v):  # str gives a float's shortest repr, and inf; bools go lower case
+        if isinstance(v, tuple):
+            return "[" + ", ".join(map(value, v)) + "]"
+        return json.dumps(v) if isinstance(v, str) else str(v).lower()
+
+    return "".join(f"{f.name} = {value(getattr(config, f.name))}\n" for f in fields(config)
+                   if getattr(config, f.name) is not None)
 
 
 def config_from_text(text: str) -> ExperimentConfig:
-    """Parses the flat key=value config format; a line without a known key
-    and a value of its field's type raises ValueError naming the line."""
-    known = {f.name: f for f in fields(ExperimentConfig)}
-    values: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        try:
-            values[key] = _convert_config_value(known[key], raw)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {key}: {exc}") from exc
-    return ExperimentConfig(**values)
+    """Reads a TOML config; tomllib's ValueError names the line of a syntax error or a
+    repeated key, and ``ExperimentConfig`` names the field of a value it rejects."""
+    import tomllib  # here, not at the top: only a config file needs its ~5 ms import
 
-
-_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
-             "false": False, "0": False, "no": False, "off": False}
-
-
-def _convert_config_value(field, raw: str):
-    """``raw`` as the type of the field's default: an int, float or bool,
-    or a comma-separated tuple of its first element's type.  The field
-    whose default is None lists names, and may be empty."""
-    default = field.default
-    if default is None:
-        return tuple(v.strip() for v in raw.split(",") if v.strip()) or None
-    if isinstance(default, tuple):
-        return tuple(type(default[0])(v) for v in raw.split(","))
-    if isinstance(default, bool):
-        if raw.lower() not in _BOOLEANS:
-            raise ValueError(f"cannot parse boolean {raw!r} for {field.name}")
-        return _BOOLEANS[raw.lower()]
-    return type(default)(raw)
+    doc = tomllib.loads(text)
+    unknown = sorted(doc.keys() - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
+    return ExperimentConfig(**doc)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -20,42 +20,61 @@ from hypothesis import strategies as st
 from sourcecount.cli import ALL_DETECTORS, main
 from sourcecount.detectors import (Detector, DetectorSpec, build_detector, load_detector,
                                    normalize_features, save_detector)
-from sourcecount.experiments import (SWEEPS, ExperimentConfig, evaluate_detectors,
-                                     generate_trials, load_config, read_dataset, train_detector)
+from sourcecount.experiments import (SWEEPS, ExperimentConfig, config_to_text,
+                                     evaluate_detectors, generate_trials, load_config,
+                                     read_dataset, train_detector)
 from sourcecount.network import TrainConfig
 
 # Each subcommand's --help at COLUMNS=80, as the flags stood before they
 # became config overrides (Python 3.11 argparse).
 HELP_DIR = Path(__file__).parent / "data" / "help"
 
-TINY_CONFIG = """
-# desk-scale settings for fast CLI runs
-num_train = 150
-num_test = 50
-epochs = 4
-seed = 3
-snapshot_axis = 5,10
-snr_axis_db = 0,10
-detectors = ernet,aic
-"""
+# Desk-scale settings for fast CLI runs.
+TINY_CONFIG = dict(num_train=150, num_test=50, epochs=4, seed=3, snapshot_axis=(5, 10),
+                   snr_axis_db=(0.0, 10.0), detectors=("ernet", "aic"))
 
 # SHA-256 over every file and the stdout of the commands in
 # TestArtefactBits on TINY_CONFIG, less timing and version fields, per
 # OpenBLAS core family.
 CLI_DIGEST = {
-    "SkylakeX": "670f34469f8be4a39ea9a521f293806e50a82d6cfea5ae52ed01b8b44ad13fbd",
-    "Haswell": "50a55e00f97cf664fbaf31a1d7f592a1c017ec7a1633ce092db5a1acc18b9f3b",
-    "Sandybridge": "965ab7af2286328f73d80ef8844807939a123f0188d355111f483df9ffac85a0",
-    "Nehalem": "e2ce4e94d31f852bf4509a3f543d9a1b6d6b9e4ba0bc487b1c646130d8d78023",
-    "Katmai": "3d8ec11aa3a9ac9370024e5e8a8b807c1598c96e85c285da3f698ecb57b5185f",
+    "SkylakeX": "3a608e382af8db9ce3a594d084bc6880181dc295551c5ff7a72288572ee3acb3",
+    "Haswell": "68e0fdc5c01da369573df759a52c761cb9cd59ac74f3a7d07bfc286f520cad7f",
+    "Sandybridge": "3efc6baf4989bfe1808df8f0953728a3c25b377b2a80e10cae57956409de1cc8",
+    "Nehalem": "a2c3451181aed29f0023f29a395a22ea50818e115bc866d9c3aba60a4ba63a57",
+    "Katmai": "8064e6562e3b340c4837dc833dc2b0c74b50930908cf5c74dccdcbb128fb8f6a",
 }
+
+
+class UncheckedConfig(ExperimentConfig):
+    def __post_init__(self):  # no checks, so a test can write a value the reader rejects
+        pass
+
+
+def config_text(**overrides):
+    """The text of TINY_CONFIG with ``overrides``, as config_to_text writes it: one line
+    per field, each written once, and none for a field set to None."""
+    return config_to_text(UncheckedConfig(**{**TINY_CONFIG, **overrides}))
+
+
+def write_config(path, **overrides):
+    path.write_text(config_text(**overrides), encoding="utf-8")
+    return path
 
 
 @pytest.fixture()
 def config_file(tmp_path):
-    path = tmp_path / "tiny.cfg"
-    path.write_text(TINY_CONFIG, encoding="utf-8")
-    return path
+    return write_config(tmp_path / "tiny.toml")
+
+
+@pytest.fixture()
+def no_draw(monkeypatch):
+    """Fails the test if a trial is drawn."""
+    import sourcecount.experiments as experiments
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a trial was drawn before the settings were checked")
+
+    monkeypatch.setattr(experiments, "_set_stream", draw)
 
 
 def run(*argv):
@@ -100,8 +119,7 @@ class TestGenTrainEval:
     def test_normalized_cycle_trains_and_scores_as_the_library(self, tmp_path, config_file):
         # gen-data writes raw rows, and the detector divides them by the
         # trace in train and in eval, as it does on the library path.
-        path = tmp_path / "normalized.cfg"
-        path.write_text(config_file.read_text() + "normalize_features = true\n")
+        path = write_config(tmp_path / "normalized.toml", normalize_features=True)
         out = tmp_path / "run"
         for command in ("gen-data", "train", "eval"):
             assert run(command, "--config", path, "--out", out, "--detector", "ecnet") == 0
@@ -163,11 +181,11 @@ class TestGenTrainEval:
                    "--detector", "aic") == 2
 
     @pytest.mark.parametrize("field, extra, flags", [
-        ("M", "num_antennas = 8\n", ()),
-        ("N", "num_snapshots = 100\n", ()),
-        ("coherence", "coherent = true\n", ()),
-        ("seed", "", ("--seed", "4")),
-        ("feature_dim", "", ("--fbss", "4")),
+        ("M", {"num_antennas": 8}, ()),
+        ("N", {"num_snapshots": 100}, ()),
+        ("coherence", {"coherent": True}, ()),
+        ("seed", {}, ("--seed", "4")),
+        ("feature_dim", {}, ("--fbss", "4")),
     ], ids=["M", "N", "coherence", "seed", "feature_dim"])
     def test_train_rejects_dataset_from_another_run(self, tmp_path, config_file, capsys,
                                                     field, extra, flags):
@@ -176,8 +194,7 @@ class TestGenTrainEval:
         assert run("gen-data", "--config", config_file, "--out", out, "--num", 20,
                    "--detector", "ernet", *fbss) == 0
         _, _, info = read_dataset(next(out.glob("dataset-*.csv")))
-        other = tmp_path / "other.cfg"
-        other.write_text(TINY_CONFIG + extra, encoding="utf-8")
+        other = write_config(tmp_path / "other.toml", **extra)
         capsys.readouterr()
         assert run("train", "--config", other, "--out", out, "--detector", "ernet",
                    *fbss, *flags) == 2
@@ -202,8 +219,7 @@ class TestGenTrainEval:
         assert not list(out.glob("model-*.json"))
 
     def test_train_rejects_infinite_learning_rate(self, tmp_path, capsys):
-        path = tmp_path / "inf.cfg"
-        path.write_text(TINY_CONFIG + "learning_rate = inf\n", encoding="utf-8")
+        path = write_config(tmp_path / "inf.toml", learning_rate=math.inf)
         out = tmp_path / "run"
         for argv in (("gen-data", "--num", 5), ("train",)):
             assert run(*argv, "--config", path, "--out", out, "--detector", "ernet") == 2
@@ -212,18 +228,33 @@ class TestGenTrainEval:
                            "[0.0, 1.7976931348623157e+308], got inf\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["learning_rate = nan", "batch_size = 0", "epochs = -1",
-                                      "num_snapshots = 0", "snapshot_axis = 20,0", "seed = -1"])
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("batch_size", 0), ("epochs", -1), ("num_snapshots", 0),
+        ("snapshot_axis", (20, 0)), ("seed", -1)],
+        ids=["learning_rate = nan", "batch_size = 0", "epochs = -1", "num_snapshots = 0",
+             "snapshot_axis = 20,0", "seed = -1"])
     @pytest.mark.parametrize("command", ["gen-data", "eval", "sweep-snr", "sweep-snapshots"])
     def test_bad_training_settings_rejected_before_any_draw(self, tmp_path, capsys,
-                                                            command, line):
-        path = tmp_path / "bad.cfg"
-        path.write_text(TINY_CONFIG + line + "\n", encoding="utf-8")
+                                                            command, field, value):
+        path = write_config(tmp_path / "bad.toml", **{field: value})
         out = tmp_path / "run"
         argv = (command,) if command in SWEEPS else (command, "--detector", "mdl")
         assert run(*argv, "--config", path, "--out", out) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {line.split()[0]} must be ") and err.count("\n") == 1
+        assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval", *SWEEPS,
+                                         "bench-complexity"])
+    def test_one_antenna_rejected_before_any_draw(self, tmp_path, capsys, no_draw, command):
+        # No detector decides at M = 1; the commands used to fail only after the draw.
+        path = write_config(tmp_path / "m1.toml", num_antennas=1, max_sources=0,
+                            subarray_size=1)
+        out = tmp_path / "run"
+        argv = (command, "--detector", "mdl") if command in ("gen-data", "eval") else (command,)
+        assert run(*argv, "--config", path, "--out", out) == 2
+        assert capsys.readouterr().err == ("error: num_antennas must be an integer in "
+                                           f"[2, {np.iinfo(np.intp).max}], got 1\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("header", ["not a header", "M=10,N=20,coherence=non-coherent,seed=3",
@@ -379,8 +410,7 @@ class TestFlagValidation:
         assert not out.exists()
 
     def test_fbss_model_from_larger_array_rejected(self, tmp_path, capsys):
-        path = tmp_path / "m6.cfg"
-        path.write_text(TINY_CONFIG + "num_antennas = 6\n", encoding="utf-8")
+        path = write_config(tmp_path / "m6.toml", num_antennas=6)
         spec = DetectorSpec("ernet", 10, subarray_size=8)
         model = tmp_path / "model-fbss-ernet.json"
         save_detector(Detector(spec, build_detector(spec, np.random.default_rng(0))), model)
@@ -452,13 +482,7 @@ class TestFlagValidation:
         (("--snr-db", "-4000"), "test_snr_db must be a real number in [-3082.547155599167, inf]"),
         (("--fbss", "1"), "subarray_size must be at least 2 for mdl")])
     def test_eval_flag_that_cannot_run_rejected_before_any_draw(
-            self, tmp_path, config_file, capsys, monkeypatch, flags, message):
-        import sourcecount.experiments as experiments
-
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a trial was drawn before the flags were checked")
-
-        monkeypatch.setattr(experiments, "_set_stream", no_draw)
+            self, tmp_path, config_file, capsys, no_draw, flags, message):
         out = tmp_path / "run"
         assert run("eval", *flags, "--config", config_file, "--out", out,
                    "--detector", "mdl") == 2
@@ -484,8 +508,7 @@ class TestFlagValidation:
         assert not out.exists()
 
     def test_nan_snr_in_config_rejected(self, tmp_path, capsys):
-        path = tmp_path / "nan.cfg"
-        path.write_text(TINY_CONFIG + "test_snr_db = nan\n", encoding="utf-8")
+        path = write_config(tmp_path / "nan.toml", test_snr_db=math.nan)
         out = tmp_path / "run"
         assert run("eval", "--config", path, "--out", out, "--detector", "mdl") == 2
         err = capsys.readouterr().err
@@ -496,8 +519,7 @@ class TestFlagValidation:
     @pytest.mark.parametrize("command", ["gen-data", "sweep-snr"])
     def test_infinite_train_snr_end_in_config_rejected(self, tmp_path, capsys, command):
         # inf is noise-free, but no training SNR can be drawn up to it.
-        path = tmp_path / "inf.cfg"
-        path.write_text(TINY_CONFIG + "train_snr_db = 0,inf\n", encoding="utf-8")
+        path = write_config(tmp_path / "inf.toml", train_snr_db=(0, math.inf))
         out = tmp_path / "run"
         assert run(command, "--config", path, "--out", out) == 2
         err = capsys.readouterr().err
@@ -527,8 +549,7 @@ def run_quietly(*argv):
 def small_dataset(tmp_path_factory):
     """A valid 20-sample ERNet dataset and the config it was drawn with."""
     root = tmp_path_factory.mktemp("small")
-    config = root / "tiny.cfg"
-    config.write_text(TINY_CONFIG, encoding="utf-8")
+    config = write_config(root / "tiny.toml")
     assert run("gen-data", "--config", config, "--out", root, "--num", 20,
                "--detector", "ernet") == 0
     return config, (root / "dataset-ernet-train.csv").read_text(encoding="utf-8")
@@ -564,29 +585,36 @@ def broken_datasets(draw, text):
 
 
 # Config fields, and the values that the config fuzzer writes in place of
-# one: text of each other type, and the special numbers.
+# one: a TOML value of each kind, the special numbers, and text that is no value.
 CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
-ODD_CONFIG_VALUES = ["abc", "0.5", "true", "5,10", "", "nan", "Infinity", "-Infinity", "-7",
-                     str(10 ** 400)]
+ODD_CONFIG_VALUES = ['"abc"', "0.5", "true", "[5, 10]", "{ a = 1 }", "1979-05-27", "nan", "inf",
+                     "-inf", "-7", str(10 ** 400), "abc", "5,10", ""]
 # What ExperimentConfig says of a value that parses but that it rejects.
 CONFIG_REJECTION = re.compile(r"error: (%s) " % "|".join(CONFIG_FIELDS))
 
 
 @st.composite
 def mutated_configs(draw):
-    """TINY_CONFIG with one fault, which kind it is, and the number of the
-    line it lands on: a key line deleted or duplicated, its key or value
-    replaced, the text truncated, or a byte that is not UTF-8 inserted."""
-    lines = TINY_CONFIG.splitlines()
-    i = draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
-    key, value = (part.strip() for part in lines[i].split("=", 1))
+    """The text of TINY_CONFIG with one fault, which kind it is, and the
+    number of the line it lands on: a line deleted or duplicated (the
+    second of the two), its value moved to another key (whose own line
+    goes) or replaced, the text truncated, or a byte that is not UTF-8
+    inserted."""
+    lines = config_text().splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    key, value = lines[i].split(" = ", 1)
     fault = draw(st.sampled_from(["delete", "duplicate", "key", "value", "truncate", "bytes"]))
     if fault == "delete":
         del lines[i]
     elif fault == "duplicate":
         lines.insert(i, lines[i])
+        i += 1
     elif fault == "key":
-        lines[i] = f"{draw(st.sampled_from(CONFIG_FIELDS))} = {value}"
+        key = draw(st.sampled_from(CONFIG_FIELDS))
+        lines[i] = f"{key} = {value}"
+        lines = [line for j, line in enumerate(lines)
+                 if j == i or not line.startswith(f"{key} = ")]
+        i = lines.index(f"{key} = {value}")
     elif fault == "value":
         lines[i] = f"{key} = {draw(st.sampled_from(ODD_CONFIG_VALUES))}"
     data, lineno = ("\n".join(lines) + "\n").encode("utf-8"), i + 1
@@ -603,8 +631,7 @@ def mutated_configs(draw):
 def saved_model(tmp_path_factory):
     """The text of a saved, untrained ECNet model file, and a config it fits."""
     root = tmp_path_factory.mktemp("model")
-    config = root / "tiny.cfg"
-    config.write_text(TINY_CONFIG, encoding="utf-8")
+    config = write_config(root / "tiny.toml")
     spec = DetectorSpec("ecnet", 10)
     det = Detector(spec, build_detector(spec, np.random.default_rng(0)), TrainConfig())
     save_detector(det, root / "model.json")
@@ -695,20 +722,27 @@ class TestEveryFailureIsOneErrorLine:
         assert f"{path}, line 3: " in err, err
 
     @pytest.mark.parametrize("line, message", [
-        (b"num_train = abc", "line {n}: num_train: invalid literal for int() with base 10: 'abc'"),
-        (b"test_snr_db = five", "line {n}: test_snr_db: could not convert string to float: 'five'"),
-        (b"coherent = maybe", "line {n}: coherent: cannot parse boolean 'maybe'"),
-        (b"snapshot_axis = 5,",
-         "line {n}: snapshot_axis: invalid literal for int() with base 10: ''"),
+        (b"num_train = abc", "Invalid value (at line {n}, column 13)"),
+        (b"test_snr_db = five", "Invalid value (at line {n}, column 15)"),
+        (b"coherent = maybe", "Invalid value (at line {n}, column 12)"),
+        (b"snapshot_axis = [5 10]", "Unclosed array (at line {n}, column 20)"),
         (b"num_test = 5\xff", "{path}, line {n}: 'utf-8' codec can't decode byte 0xff"),
-    ], ids=["int", "float", "bool", "list", "not-utf8"])
+        # lines of the key=value format that TOML replaced
+        (b"snapshot_axis = 5,10",
+         "Expected newline or end of document after a statement (at line {n}, column 18)"),
+        (b"detectors = ernet,aic", "Invalid value (at line {n}, column 13)"),
+        (b"coherent = yes", "Invalid value (at line {n}, column 12)"),
+        (b"detectors =", "Invalid value (at line {n}, column 12)"),
+    ], ids=["int", "float", "bool", "list", "not-utf8", "old-list", "old-names", "old-bool",
+            "old-unset"])
     def test_unparsable_config_value_names_its_line(self, tmp_path, line, message):
-        path = tmp_path / "bad.cfg"
-        path.write_bytes(TINY_CONFIG.encode("utf-8") + line + b"\n")
+        text = config_text(**{line.split()[0].decode(): None})  # the key, written once
+        path = tmp_path / "bad.toml"
+        path.write_bytes(text.encode("utf-8") + line + b"\n")
         status, err = run_quietly("eval", "--config", path, "--out", tmp_path / "run",
                                   "--detector", "mdl")
         assert_one_error_line(status, err)
-        expected = message.format(n=TINY_CONFIG.count("\n") + 1, path=path)
+        expected = message.format(n=text.count("\n") + 1, path=path)
         assert err.startswith(f"error: {expected}"), err
 
     def test_count_beyond_numpys_array_limit_names_its_field(self, tmp_path, config_file,
@@ -727,8 +761,7 @@ class TestEveryFailureIsOneErrorLine:
         assert capsys.readouterr().err == "error: dataset is empty\n"
 
     def test_sample_count_too_large_to_allocate(self, tmp_path, capsys):
-        path = tmp_path / "huge.cfg"
-        path.write_text(TINY_CONFIG + "num_test = 10000000000000\n", encoding="utf-8")
+        path = write_config(tmp_path / "huge.toml", num_test=10000000000000)
         assert_one_error_line(run("eval", "--config", path, "--out", tmp_path / "run",
                                   "--detector", "mdl"), capsys.readouterr().err)
 
@@ -769,21 +802,25 @@ class TestEveryFailureIsOneErrorLine:
     @settings(max_examples=80)
     @given(case=mutated_configs())
     def test_mutated_config(self, case):
-        # A deleted or duplicated line changes nothing that eval rejects; a
-        # line that does not decode or parse is named, and any other error
-        # names the setting the config rejects.
+        # A deleted line leaves its default, which eval runs.  A repeated key and a line
+        # that does not decode or parse are named by their line, or by the end of the
+        # document for truncated text, and any other error names the setting the config
+        # rejects.
         data, fault, lineno = case
         with tempfile.TemporaryDirectory() as root:
-            path = Path(root) / "fuzz.cfg"
+            path = Path(root) / "fuzz.toml"
             path.write_bytes(data)
             status, err = run_quietly("eval", "--config", path, "--out", Path(root) / "run",
                                       "--detector", "mdl")
-        if fault in ("delete", "duplicate"):
+        if fault == "delete":
             assert status == 0, err
+        if fault == "duplicate":
+            assert err.startswith(f"error: Cannot overwrite a value (at line {lineno}, "), err
         if status != 0:
             assert_one_error_line(status, err)
-            named = (f"error: line {lineno}: ", f"error: {path}, line {lineno}: ")
-            assert err.startswith(named) or CONFIG_REJECTION.match(err), err
+            named = (f"(at line {lineno}, column ", f"error: {path}, line {lineno}: ",
+                     *["(at end of document)"] * (fault == "truncate"))
+            assert any(name in err for name in named) or CONFIG_REJECTION.match(err), err
 
     @settings(max_examples=80)
     @given(data=st.data())
@@ -861,8 +898,7 @@ class TestSweepCommands:
 
     @pytest.mark.parametrize("command", ["sweep-snr", "sweep-snapshots"])
     def test_non_coherent_sweeps_override_the_config(self, tmp_path, command):
-        path = tmp_path / "coherent.cfg"
-        path.write_text(TINY_CONFIG + "coherent = true\n", encoding="utf-8")
+        path = write_config(tmp_path / "coherent.toml", coherent=True)
         out = tmp_path / "sweep"
         assert run(command, "--config", path, "--out", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -870,8 +906,7 @@ class TestSweepCommands:
 
     def test_identifiable_configs_do_not_warn(self, tmp_path, config_file, capsys):
         assert run("sweep-snr", "--config", config_file, "--out", tmp_path / "a") == 0
-        small = tmp_path / "small.cfg"
-        small.write_text(config_file.read_text() + "max_sources = 4\n", encoding="utf-8")
+        small = write_config(tmp_path / "small.toml", max_sources=4)
         assert run("sweep-snr-coherent", "--config", small, "--out", tmp_path / "b") == 0
         assert "warning:" not in capsys.readouterr().err
         for name in ("a", "b"):

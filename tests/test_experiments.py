@@ -10,10 +10,10 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import astuple, fields, replace
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -33,6 +33,7 @@ from sourcecount.experiments import (
     emit_csv,
     evaluate_detectors,
     generate_trials,
+    load_config,
     read_dataset,
     run_sweep,
     select_features,
@@ -40,11 +41,13 @@ from sourcecount.experiments import (
     write_dataset,
     write_manifest,
 )
-from sourcecount.detectors import DetectorSpec, build_detector, make_features, normalize_features
+from sourcecount.detectors import (CLASSICAL_KINDS, Detector, DetectorSpec, build_detector,
+                                   make_features, normalize_features)
 from sourcecount.experiments import (_FEATURE_BLOCK, _SYNTHESIS_ENTRIES, MAX_COUNT, NET_KINDS,
-                                     ROLE_INIT, ROLE_TEST, _blas_core, _convert_config_value,
-                                     _rng, _set_stream, _stream_states)
-from sourcecount.signal_model import generate_snapshots, sample_covariance
+                                     ROLE_INIT, ROLE_TEST, _blas_core, _rng, _set_stream,
+                                     _stream_states)
+from sourcecount.linalg import FLOAT_MAX
+from sourcecount.signal_model import MIN_SNR_DB, generate_snapshots, sample_covariance
 
 
 # SHA-256 of simulation_digest's trial sets, per OpenBLAS core family.
@@ -284,6 +287,36 @@ class ConstantRng:
         return 2
 
 
+# One TOML token of each kind of value.
+WRONG_KIND_TOKENS = {"string": '"5"', "float": "2.5", "int": "1", "bool": "true", "array": "[1]",
+                     "table": "{ a = 1 }", "date": "1979-05-27"}
+
+
+def bounded(low, high):
+    return st.one_of(st.sampled_from([low, high]), st.integers(low, high))
+
+
+@st.composite
+def every_field(draw):
+    """An ExperimentConfig with every field drawn: counts at their bounds and between,
+    SNRs from MIN_SNR_DB to inf, seeds past 2**64, and no detectors or a unique subset."""
+    m = draw(bounded(2, MAX_COUNT))
+    snr = st.one_of(st.sampled_from([MIN_SNR_DB, math.inf]), st.floats(MIN_SNR_DB, FLOAT_MAX))
+    low = draw(st.one_of(st.just(MIN_SNR_DB), st.floats(MIN_SNR_DB, FLOAT_MAX)))
+    return ExperimentConfig(
+        num_antennas=m, num_snapshots=draw(bounded(1, MAX_COUNT)),
+        max_sources=draw(bounded(0, m - 1)), train_snr_db=(low, draw(st.floats(low, FLOAT_MAX))),
+        test_snr_db=draw(snr), num_train=draw(bounded(1, MAX_COUNT)),
+        num_test=draw(bounded(1, MAX_COUNT)), coherent=draw(st.booleans()),
+        subarray_size=draw(bounded(1, m)),
+        detectors=draw(st.one_of(st.none(), st.lists(st.sampled_from(NET_KINDS + CLASSICAL_KINDS),
+                                                     min_size=1, unique=True))),
+        snapshot_axis=draw(st.lists(bounded(1, MAX_COUNT), max_size=4)),
+        snr_axis_db=draw(st.lists(snr, max_size=4)), epochs=draw(bounded(0, 2 ** 70)),
+        batch_size=draw(bounded(1, 2 ** 70)), learning_rate=draw(st.floats(0.0, FLOAT_MAX)),
+        normalize_features=draw(st.booleans()), seed=draw(bounded(0, 2 ** 80)))
+
+
 class TestConfig:
     def test_defaults_mirror_protocol(self):
         c = ExperimentConfig()
@@ -319,21 +352,13 @@ class TestConfig:
             if isinstance(value, tuple):
                 assert {type(v) for v in value} == {type(default[0])}, f.name
 
-    @pytest.mark.parametrize("default, raw, parsed", [
-        (0.5, "2", 2.0), (3, "2", 2), (False, "on", True), ((1.5,), "2,3", (2.0, 3.0)),
-        ((1,), "2,3", (2, 3)), (None, "a, b,", ("a", "b")), (None, "", None)])
-    def test_values_parse_as_their_defaults_type(self, default, raw, parsed):
-        # a field the converter has never seen parses by its default's type
-        value = _convert_config_value(SimpleNamespace(name="new_field", default=default), raw)
-        assert value == parsed and type(value) is type(parsed)
-        if isinstance(value, tuple):
-            assert [type(v) for v in value] == [type(v) for v in parsed]
-
     @pytest.mark.parametrize("text, message", [
-        ("coherent = maybe\n", "cannot parse boolean 'maybe' for coherent"),
-        ("num_test = 1.5\n", "invalid literal for int"),
-        ("snapshot_axis = 5,x\n", "invalid literal for int"),
-        ("test_snr_db = loud\n", "could not convert string to float")])
+        ("coherent = maybe\n", r"^Invalid value \(at line 1, column 12\)$"),
+        ("num_test = 1.5\n", r"^num_test must be an integer in \[1, \d+\], got 1.5$"),
+        ('snapshot_axis = [5, "x"]\n',
+         r"^snapshot_axis must be an integer in \[1, \d+\], got 'x'$"),
+        ('test_snr_db = "loud"\n', r"^test_snr_db must be a real number in \[.*\], got 'loud'$")],
+        ids=["bool", "int", "list", "float"])
     def test_unparsable_values_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
             config_from_text(text)
@@ -399,8 +424,9 @@ class TestConfig:
         beyond = (5, MAX_COUNT + 1) if field == "snapshot_axis" else MAX_COUNT + 1
         assert MAX_COUNT == np.iinfo(np.intp).max
         assert getattr(ExperimentConfig(**{field: limit}), field) == limit
+        low = 2 if field == "num_antennas" else 1  # no detector decides at one antenna
         with pytest.raises(ValueError,
-                           match=fr"^{field} must be an integer in \[1, {MAX_COUNT}\], got "):
+                           match=fr"^{field} must be an integer in \[{low}, {MAX_COUNT}\], got "):
             ExperimentConfig(**{field: beyond})
         assert ExperimentConfig(seed=10 ** 30).seed == 10 ** 30
 
@@ -430,8 +456,40 @@ class TestConfig:
                                              r"each once, got \["):
             ExperimentConfig(detectors=detectors)
 
-    def test_empty_detectors_line_means_unset(self):
-        assert config_from_text("detectors =\n").detectors is None
+    def test_missing_detectors_key_means_unset(self):
+        assert config_from_text("seed = 4\n").detectors is None
+        assert "detectors" not in config_to_text(ExperimentConfig())
+
+    def test_repeated_key_names_its_line(self):
+        # the last value used to win silently
+        with pytest.raises(ValueError,
+                           match=r"^Cannot overwrite a value \(at line 3, column 9\)$"):
+            config_from_text("seed = 1\n# again\nseed = 2\n")
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(ExperimentConfig)])
+    def test_toml_value_of_the_wrong_kind_names_the_field(self, field):
+        # Each kind that the field's default does not take: a float goes in a float field
+        # as an int does, and a list field takes an array.
+        default = ExperimentConfig.__dataclass_fields__[field].default
+        right = ({"array"} if default is None or isinstance(default, tuple) else
+                 {"bool"} if isinstance(default, bool) else
+                 {"int"} if isinstance(default, int) else {"int", "float"})
+        for kind, token in WRONG_KIND_TOKENS.items():
+            if kind not in right:
+                with pytest.raises(ValueError, match=f"^{field} must "):
+                    config_from_text(f"{field} = {token}\n")
+
+    @settings(max_examples=150)
+    @given(config=every_field())
+    def test_every_config_round_trips_through_its_file(self, config):
+        text = config_to_text(config)
+        assert config_from_text(text) == config
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "config.toml"
+            path.write_text(text, encoding="utf-8")
+            assert load_config(path) == config
+            doc = json.loads(write_manifest(root, config, "round-trip").read_text())
+        assert doc["config_sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def test_tuple_fields_are_stored_as_tuples(self):
         config = ExperimentConfig(train_snr_db=[0.0, 40.0], snapshot_axis=[5, 10],
@@ -1034,6 +1092,25 @@ class TestSweeps:
         accs = evaluate_detectors([ClassicalDetector("aic"), ClassicalDetector("mdl")],
                                   trials)
         assert set(accs) == {"aic", "mdl"}
+        # any iterable of detectors, though the names are read first
+        assert evaluate_detectors((ClassicalDetector(k) for k in ("aic", "mdl")), trials) == accs
+
+    def test_detectors_of_one_name_rejected_before_any_decision(self, monkeypatch):
+        # Results are keyed by name, so the later detector's accuracy used to replace the
+        # earlier one's; a trace-normalized ERNet is named as a raw one.
+        trials = generate_trials(tiny_config(), phase="test", num=5, snr_db=20.0)
+        raw, normalized = (DetectorSpec("ernet", 10, normalize=n) for n in (False, True))
+        nets = [Detector(spec, build_detector(spec, _rng(0))) for spec in (raw, normalized)]
+        criteria = [ClassicalDetector("mdl"), ClassicalDetector("aic"), ClassicalDetector("mdl")]
+
+        def no_decision(*args):
+            raise AssertionError("a detector decided before the names were checked")
+
+        for cls in (Detector, ClassicalDetector):
+            monkeypatch.setattr(cls, "decide_batch", no_decision)
+        for detectors in (nets, criteria):
+            with pytest.raises(ValueError, match=r"^detectors must have distinct names, got \["):
+                evaluate_detectors(detectors, trials)
 
     def test_snr_sweep_high_end_beats_low_end(self):
         # full training protocol, reduced trial count: accuracy at 40 dB

@@ -353,7 +353,7 @@ COUNT_SITES = {
                                         "subarray_size", 1, None),
     "ExperimentConfig.num_antennas": (
         lambda v: ExperimentConfig(num_antennas=v, max_sources=0, subarray_size=1),
-        "num_antennas", 1, MAX_COUNT),
+        "num_antennas", 2, MAX_COUNT),
     **{f"ExperimentConfig.{name}": (lambda v, name=name: ExperimentConfig(**{name: v}),
                                     name, low, high)
        for name, low, high in [("num_snapshots", 1, MAX_COUNT), ("num_train", 1, MAX_COUNT),
