@@ -184,12 +184,12 @@ def _cmd_eval(args, config: ExperimentConfig):
         "detector": name,
         "accuracy": accuracy,
         "num_trials": config.num_test,
-        "snr_db": config.test_snr_db,
+        "snr_db": config.test_snr_db if config.test_snr_db < float("inf") else "inf",
         "num_snapshots": config.num_snapshots,
         "seed": config.seed,
     }
     report_path = _out_file(args, f"eval-{name}.json")
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
                            encoding="utf-8")
     write_manifest(out, config, f"eval --detector {name}", extra={"report": report_path.name})
     print(f"{name}: accuracy {accuracy:.4f} over {config.num_test} trials "

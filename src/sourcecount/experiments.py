@@ -625,10 +625,13 @@ def write_manifest(out_dir, config: ExperimentConfig, command: str,
     run's outputs."""
     from . import __version__
 
+    def safe(v):  # JSON has no inf: ±inf go as "inf" and "-inf", as TOML and float() spell them
+        return [*map(safe, v)] if type(v) is tuple else str(v) if v in (math.inf, -math.inf) else v
+
     text = config_to_text(config)
     doc = {
         "command": command,
-        "config": {f.name: getattr(config, f.name) for f in fields(config)},
+        "config": {f.name: safe(getattr(config, f.name)) for f in fields(config)},
         "config_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "identifiable": config.identifiable,
         "seed": config.seed,
@@ -642,6 +645,6 @@ def write_manifest(out_dir, config: ExperimentConfig, command: str,
     if extra:
         doc.update(extra)
     path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8")
     return path

@@ -286,6 +286,22 @@ class TestFlagsAreConfigOverrides:
         report = json.loads((out / "eval-mdl.json").read_text())
         assert (report["num_snapshots"], report["num_trials"], report["snr_db"]) == (50, 30, 10)
 
+    @pytest.mark.parametrize("command", [("gen-data", "--detector", "mdl", "--phase", "test"),
+                                         ("eval", "--detector", "ecnet")])
+    def test_noise_free_snr_is_written_as_json(self, tmp_path, config_file, command):
+        # JSON has no Infinity, so the outputs spell it as TOML and float() do.
+        def strict(path):
+            return json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(name))
+
+        spec, out = DetectorSpec("ecnet", 10), tmp_path / "run"
+        out.mkdir()
+        save_detector(Detector(spec, build_detector(spec, np.random.default_rng(0)),
+                               TrainConfig()), out / "model-ecnet.json")
+        assert run(*command, "--config", config_file, "--out", out, "--snr-db", "inf") == 0
+        assert strict(out / "manifest.json")["config"]["test_snr_db"] == "inf"
+        if command[0] == "eval":
+            assert strict(out / "eval-ecnet.json")["snr_db"] == "inf"
+
     @pytest.mark.parametrize("phase, field", [("test", "num_test"), ("train", "num_train")])
     def test_gen_data_manifest_records_num(self, tmp_path, config_file, phase, field):
         out = tmp_path / "run"

@@ -317,6 +317,11 @@ def every_field(draw):
         normalize_features=draw(st.booleans()), seed=draw(bounded(0, 2 ** 80)))
 
 
+def reject_constant(name):
+    """A ``json.loads`` ``parse_constant`` that refuses NaN and Infinity, as strict readers do."""
+    raise ValueError(f"not JSON: {name}")
+
+
 class TestConfig:
     def test_defaults_mirror_protocol(self):
         c = ExperimentConfig()
@@ -488,8 +493,12 @@ class TestConfig:
             path = Path(root) / "config.toml"
             path.write_text(text, encoding="utf-8")
             assert load_config(path) == config
-            doc = json.loads(write_manifest(root, config, "round-trip").read_text())
+            # Strict JSON, which has no Infinity: a noise-free SNR is written as "inf".
+            doc = json.loads(write_manifest(root, config, "round-trip").read_text(),
+                             parse_constant=reject_constant)
         assert doc["config_sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert float(doc["config"]["test_snr_db"]) == config.test_snr_db
+        assert tuple(map(float, doc["config"]["snr_axis_db"])) == config.snr_axis_db
 
     def test_tuple_fields_are_stored_as_tuples(self):
         config = ExperimentConfig(train_snr_db=[0.0, 40.0], snapshot_axis=[5, 10],

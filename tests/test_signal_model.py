@@ -501,11 +501,14 @@ class TestFbssCovariance:
         out = fbss_covariance(sample_covariance(data), 5)
         check_hermitian(out)  # raises unless Hermitian
 
-    @pytest.mark.parametrize("m0", [1, 3, 6])
-    def test_stack_equals_per_matrix(self, m0):
-        # M0 = 1 and M0 = M are the ends of the allowed range.
+    @pytest.mark.parametrize("m, m0", [(6, 1), (6, 3), (6, 6), (10, 1), (10, 2), (10, 5),
+                                       (10, 10)])
+    def test_stack_equals_per_matrix(self, m, m0):
+        # M0 = 1 and M0 = M are the ends of the allowed range. A stack sums its windows in a
+        # loop and one matrix in one accumulate, both in order: a sum of the up to 10 windows
+        # in another order, such as a pairwise one, would round otherwise.
         rng = np.random.default_rng(14)
-        x = rng.standard_normal((7, 6, 9)) + 1j * rng.standard_normal((7, 6, 9))
+        x = rng.standard_normal((7, m, 9)) + 1j * rng.standard_normal((7, m, 9))
         stack = np.stack([sample_covariance(snapshots) for snapshots in x])
         out = fbss_covariance(stack, m0)
         assert out.shape == (7, m0, m0)
@@ -535,14 +538,15 @@ class TestFbssCovariance:
         assert np.isfinite(out).all()
 
     @settings(max_examples=60)
-    @given(seed=st.integers(0, 2 ** 32 - 1), num=st.integers(1, 4), m=st.integers(1, 8),
+    @given(seed=st.integers(0, 2 ** 32 - 1), num=st.integers(1, 4), m=st.integers(1, 12),
            data=st.data())
     def test_equals_the_sum_from_zeros_bit_for_bit(self, seed, num, m, data):
         # Entries include signed zeros: 0.0 + -0.0 is 0.0, so the sum must
-        # start as if from zeros.
+        # start as if from zeros. One matrix, 2-D or not, takes another path than a stack;
+        # sums of 0.1 round, so a sum of the windows in another order would differ.
         m0 = data.draw(st.integers(1, m))
         rng = np.random.default_rng(seed)
-        parts = rng.choice([-0.0, 0.0, 1.5, -2.25, 1e-300], size=(2, num, m, m))
+        parts = rng.choice([-0.0, 0.0, 0.1, 1.5, -2.25, 1e-300], size=(2, num, m, m))
         r = parts[0] + 1j * parts[1]
         r = np.where(rng.random((num, m, m)) < 0.5, r, r.conj().swapaxes(-1, -2))
         t = m - m0 + 1
@@ -550,7 +554,10 @@ class TestFbssCovariance:
         for offset in range(t):
             expected += r[:, offset:offset + m0, offset:offset + m0]
         expected = (expected + np.flip(expected, axis=(-2, -1)).conj()) / (2 * t)
-        assert fbss_covariance(r, m0).tobytes() == expected.tobytes()
+        if num == 1 and data.draw(st.booleans()):
+            r, expected = r[0], expected[0]
+        out = fbss_covariance(r, m0)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
     def test_subarray_size_bounds(self):
         r = np.eye(4, dtype=complex)
