@@ -84,16 +84,14 @@ def criterion_values(values: np.ndarray, num_snapshots: int, kind: str) -> np.nd
     spectra that passed :func:`check_spectra`.
 
     Raises:
-        ValueError: If a row is all zeros or ``kind`` is unknown.
+        ValueError: If ``kind`` is unknown.
     """
     top = values[:, :1]  # each row's largest eigenvalue
-    lowest_top = top.min(initial=math.inf)
-    if not lowest_top > 0.0:
-        raise ValueError("degenerate all-zero spectrum")
     counts, weight, penalty = _criterion_terms(values.shape[1], num_snapshots, kind)
-    if lowest_top < TINY_SPECTRUM:
-        # Exact: brings each tiny row's largest eigenvalue into [0.5, 1).
+    if top.min(initial=math.inf) < TINY_SPECTRUM:
+        # Exact: brings each tiny row's top into [0.5, 1); an all-zero row reads as flat.
         values = np.where(top < TINY_SPECTRUM, np.ldexp(values, -np.frexp(top)[1]), values)
+        values[top[:, 0] == 0.0] = 1.0
     lam = np.maximum(values, EIGENVALUE_FLOOR)
     # Suffix sums: column k aggregates the m-k smallest eigenvalues.
     tail_sum = lam[:, ::-1].cumsum(axis=1)[:, ::-1]
@@ -176,7 +174,7 @@ def _criterion_counted(values, num_snapshots: int, kind: str, ops: OpCounts) -> 
     """
     m = len(values)
     if values[0] < TINY_SPECTRUM:
-        values = [math.ldexp(v, -math.frexp(values[0])[1]) for v in values]
+        values = [math.ldexp(v, -math.frexp(values[0])[1]) if values[0] else 1.0 for v in values]
     lam = [max(v, EIGENVALUE_FLOOR) for v in values]
     log_lam = [ops.ln(v) for v in lam]
     if kind == "aic":

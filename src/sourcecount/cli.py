@@ -169,9 +169,13 @@ def _cmd_eval(args, config: ExperimentConfig):
             smoothing = f"smoothed at M0={sub}" if sub else "unsmoothed"
             raise ValueError(f"model {model_path} is {smoothing}, but --fbss is {args.fbss}")
         try:
-            config = dataclasses.replace(config, subarray_size=sub or config.subarray_size)
+            config = dataclasses.replace(config, subarray_size=sub or config.subarray_size,
+                                         normalize_features=detector.spec.normalize)
         except ValueError as exc:
             raise ValueError(f"model {model_path}: {exc}") from exc
+        if detector.spec.num_antennas != config.num_antennas:
+            raise ValueError(f"model {model_path} is for M={detector.spec.num_antennas}, "
+                             f"but num_antennas is {config.num_antennas}")
     elif args.model is not None:
         raise ValueError(f"--detector {kind} has no model, but --model is {args.model}")
     else:

@@ -189,12 +189,17 @@ class TestCriteria:
         spec = EigenSpectrum(np.array([5.0, 0.0]), 100)
         assert aic(spec).order == 1
 
-    def test_all_zero_spectrum_rejected(self):
-        spec = EigenSpectrum(np.zeros(4), 100)
-        with pytest.raises(ValueError):
-            aic(spec)
-        with pytest.raises(ValueError):
-            mdl(spec)
+    @pytest.mark.parametrize("num_snapshots", [1, 2, 100])
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_all_zero_spectrum_selects_zero(self, m, num_snapshots):
+        # A noise-free K = 0 covariance. It reads as flat: fit 0 at every order,
+        # so each value is the penalty alone (all 0 for MDL at N = 1; ties go to 0).
+        spec = EigenSpectrum(np.zeros(m), num_snapshots)
+        flat = EigenSpectrum(np.ones(m), num_snapshots)
+        for criterion in (aic, mdl):
+            trace = criterion(spec)
+            assert trace.order == 0
+            assert trace.values.tobytes() == criterion(flat).values.tobytes()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="^unknown criterion kind 'bic'$"):

@@ -7,7 +7,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -302,6 +305,18 @@ class TestFlagsAreConfigOverrides:
         if command[0] == "eval":
             assert strict(out / "eval-ecnet.json")["snr_db"] == "inf"
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_eval_manifest_records_the_models_normalization(self, tmp_path, normalize):
+        # The model runs as it was trained, whatever the config says, and so does the record.
+        path = write_config(tmp_path / "tiny.toml", normalize_features=not normalize)
+        spec, out = DetectorSpec("ecnet", 10, normalize=normalize), tmp_path / "run"
+        out.mkdir()
+        save_detector(Detector(spec, build_detector(spec, np.random.default_rng(0))),
+                      out / "model-ecnet.json")
+        assert run("eval", "--config", path, "--out", out, "--detector", "ecnet") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["normalize_features"] is normalize
+
     @pytest.mark.parametrize("phase, field", [("test", "num_test"), ("train", "num_train")])
     def test_gen_data_manifest_records_num(self, tmp_path, config_file, phase, field):
         out = tmp_path / "run"
@@ -437,6 +452,20 @@ class TestFlagValidation:
         assert err == (f"error: model {model}: "
                        "subarray_size must be an integer in [1, 6], got 8\n")
         assert not list(out.glob("eval-*.json"))
+
+    def test_eval_model_from_another_array_size_rejected_before_any_draw(
+            self, tmp_path, capsys, no_draw):
+        path = write_config(tmp_path / "m8.toml", num_antennas=8)
+        spec = DetectorSpec("ecnet", 10)
+        model = tmp_path / "model-ecnet.json"
+        save_detector(Detector(spec, build_detector(spec, np.random.default_rng(0))), model)
+        out = tmp_path / "run"
+        status = run("eval", "--config", path, "--out", out, "--detector", "ecnet",
+                     "--model", model)
+        err = capsys.readouterr().err
+        assert_one_error_line(status, err)
+        assert err == f"error: model {model} is for M=10, but num_antennas is 8\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("m0, flags, message", [
         (5, ("--detector", "ecnet"), "holds ernet, but --detector is ecnet"),
@@ -941,6 +970,26 @@ class TestSweepCommands:
         assert base != reseeded
 
 
+class TestNoiseFreeRuns:
+    # A noise-free K = 0 trial has an all-zero covariance, whose spectrum
+    # AIC and MDL read as flat: they select 0 sources there.
+    @pytest.mark.parametrize("flags, name", [(("--detector", "mdl"), "mdl"),
+                                             (("--detector", "aic", "--fbss", 5), "fbss-aic")])
+    def test_classical_eval(self, tmp_path, config_file, flags, name):
+        out = tmp_path / "run"
+        assert run("eval", *flags, "--config", config_file, "--out", out, "--snr-db", "inf") == 0
+        report = json.loads((out / f"eval-{name}.json").read_text())
+        assert report["snr_db"] == "inf" and 0.0 <= report["accuracy"] <= 1.0
+        assert json.loads((out / "manifest.json").read_text())["config"]["test_snr_db"] == "inf"
+
+    def test_sweep_snr_to_inf(self, tmp_path):
+        path = write_config(tmp_path / "inf.toml", snr_axis_db=(0.0, math.inf))
+        out = tmp_path / "sweep"
+        assert run("sweep-snr", "--config", path, "--out", out) == 0
+        assert sweep_columns(out / "sweep-snr.csv") == ((0.0, math.inf), ("ernet", "aic"))
+        assert (out / "sweep-snr.csv").read_text().splitlines()[-1].startswith("inf,aic,")
+
+
 class TestBenchCommand:
     def test_bench_complexity(self, tmp_path, capsys):
         out = tmp_path / "bench"
@@ -951,6 +1000,16 @@ class TestBenchCommand:
         assert methods["ecnet"]["table"]["mul_div"] == 160
         assert methods["aic"]["table"]["log"] == 20
         assert "us/decision" in capsys.readouterr().out
+
+
+def test_importing_the_cli_leaves_tomllib_unloaded():
+    # Only config_from_text imports tomllib, so a command without --config never pays for it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", "import sys, sourcecount.cli; "
+                           "assert 'tomllib' not in sys.modules"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def artefact_bytes(path):

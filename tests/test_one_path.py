@@ -102,20 +102,27 @@ def test_model_file_round_trip(tmp_path_factory, spec, seed, exponent, train_con
 
 
 @st.composite
-def spectra(draw, min_rows=1):
+def spectra(draw, min_rows=1, zero_rows=False):
     """A (num, m) batch of valid spectra: descending, non-negative, with
-    exact zeros and tiny values, no row all zero."""
+    exact zeros and tiny values in the tails. With ``zero_rows``, some rows
+    may be all zero; else every row's largest eigenvalue is at least 1e-3."""
     num = draw(st.integers(min_rows, 8))
     m = draw(st.integers(2, 12))
     value = st.one_of(st.just(0.0), st.floats(1e-300, 1e-6), st.floats(1e-6, 1e6))
     rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=num, max_size=num))
     values = -np.sort(-np.array(rows, dtype=float), axis=1)
     values[:, 0] = np.maximum(values[:, 0], 1e-3)
+    if zero_rows:
+        values[draw(st.lists(st.booleans(), min_size=num, max_size=num))] = 0.0
     return values
 
 
+# Snapshot counts with N = 1 (MDL's penalty is 0) and N = 2 among the draws.
+SNAPSHOT_COUNTS = st.one_of(st.sampled_from([1, 2]), st.integers(1, 100000))
+
+
 @SETTINGS
-@given(values=spectra(), num_snapshots=st.integers(1, 100000),
+@given(values=spectra(zero_rows=True), num_snapshots=SNAPSHOT_COUNTS,
        kind=st.sampled_from(["aic", "mdl"]))
 def test_classical_batch_equals_per_spectrum(values, num_snapshots, kind):
     criterion = aic if kind == "aic" else mdl
@@ -272,7 +279,7 @@ TINY_ROWS = np.array([[2.0 ** -600, 2.0 ** -700, 2.0 ** -1000], [3.0, 2.0, 1.0]]
 
 
 @SETTINGS
-@given(values=spectra(), num_snapshots=st.integers(1, 1000),
+@given(values=spectra(zero_rows=True), num_snapshots=SNAPSHOT_COUNTS,
        kind=st.sampled_from(["aic", "mdl"]))
 @example(values=TINY_ROWS, num_snapshots=20, kind="aic")
 @example(values=TINY_ROWS, num_snapshots=20, kind="mdl")
@@ -287,16 +294,14 @@ def test_counted_criterion_equals_batch(values, num_snapshots, kind):
 
 @SETTINGS
 @given(values=spectra(min_rows=2), data=st.data(),
-       fault=st.sampled_from(["negative", "unsorted", "all-zero"]))
+       fault=st.sampled_from(["negative", "unsorted"]))
 def test_one_bad_row_rejects_the_batch(values, data, fault):
     i = data.draw(st.integers(0, values.shape[0] - 1))
     bad = values.copy()
     if fault == "negative":
         bad[i, -1] = -1e-3
-    elif fault == "unsorted":
-        bad[i, -1] = bad[i, 0] * 2.0
     else:
-        bad[i] = 0.0
+        bad[i, -1] = bad[i, 0] * 2.0
     for kind in ("aic", "mdl"):
         with pytest.raises(ValueError):
             ClassicalDetector(kind).decide_batch(bad, 20)
