@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from .detectors import (CLASSICAL_KINDS, NET_KINDS, ClassicalDetector, Detector, DetectorSpec,
-                        detector_name, feature_kind, load_detector, save_detector)
+                        detector_name, feature_kind, load_detector, save_detector, write_json)
 from .experiments import (
     ExperimentConfig,
     SWEEPS,
@@ -37,7 +36,7 @@ ALL_DETECTORS = NET_KINDS + CLASSICAL_KINDS
 
 
 def _add_common(parser: argparse.ArgumentParser, detector: bool = True):
-    parser.add_argument("--config", type=Path, help="flat key=value config file")
+    parser.add_argument("--config", type=Path, help="TOML config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
     parser.add_argument("--out", type=Path, default=Path("runs"),
                         help="output directory (default: runs)")
@@ -168,14 +167,11 @@ def _cmd_eval(args, config: ExperimentConfig):
         if args.fbss not in (None, sub):
             smoothing = f"smoothed at M0={sub}" if sub else "unsmoothed"
             raise ValueError(f"model {model_path} is {smoothing}, but --fbss is {args.fbss}")
-        try:
-            config = dataclasses.replace(config, subarray_size=sub or config.subarray_size,
-                                         normalize_features=detector.spec.normalize)
-        except ValueError as exc:
-            raise ValueError(f"model {model_path}: {exc}") from exc
         if detector.spec.num_antennas != config.num_antennas:
             raise ValueError(f"model {model_path} is for M={detector.spec.num_antennas}, "
                              f"but num_antennas is {config.num_antennas}")
+        config = dataclasses.replace(config, subarray_size=sub or config.subarray_size,
+                                     normalize_features=detector.spec.normalize)
     elif args.model is not None:
         raise ValueError(f"--detector {kind} has no model, but --model is {args.model}")
     else:
@@ -188,13 +184,12 @@ def _cmd_eval(args, config: ExperimentConfig):
         "detector": name,
         "accuracy": accuracy,
         "num_trials": config.num_test,
-        "snr_db": config.test_snr_db if config.test_snr_db < float("inf") else "inf",
+        "snr_db": config.test_snr_db,
         "num_snapshots": config.num_snapshots,
         "seed": config.seed,
     }
     report_path = _out_file(args, f"eval-{name}.json")
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                           encoding="utf-8")
+    write_json(report_path, report)
     write_manifest(out, config, f"eval --detector {name}", extra={"report": report_path.name})
     print(f"{name}: accuracy {accuracy:.4f} over {config.num_test} trials "
           f"(SNR {config.test_snr_db} dB, N={config.num_snapshots})")
@@ -213,9 +208,8 @@ def _cmd_sweep(args, config: ExperimentConfig):
 
 def _cmd_bench(args, config: ExperimentConfig):
     rows = bench_complexity(config)
-    doc = [dataclasses.asdict(row) for row in rows]
     path = _out_file(args, "bench-complexity.json")
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_json(path, [dataclasses.asdict(row) for row in rows])
     write_manifest(args.out, config, "bench-complexity", extra={"report": path.name})
     print(f"{'method':>8} {'mul/div':>18} {'add/sub':>18} {'log':>14} {'cmp':>14} "
           f"{'us/decision':>12}")

@@ -252,21 +252,33 @@ def _meta(spec: DetectorSpec) -> dict:
             "normalize": spec.normalize}
 
 
-def save_detector(detector: Detector, path):
-    """Writes the detector as a JSON model file: each layer's activation, shape and
-    row-major weights and bias, the training config and :func:`_meta`, with sorted keys
-    and each float as its shortest repr, which reads back to the same float64.  A NaN or
-    infinite parameter raises ValueError before the file is opened."""
-    config = detector.train_config
-    doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION,
-           "layers": [{"activation": layer.activation, "rows": layer.out_dim,
-                       "cols": layer.in_dim, "weights": layer.weights.ravel().tolist(),
-                       "bias": layer.bias.tolist()} for layer in detector.net.layers],
-           "train_config": None if config is None else asdict(config),
-           "meta": _meta(detector.spec)}
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+def write_json(path, doc):
+    """Writes ``doc`` as the package's one JSON format: sorted keys, a two-space indent,
+    UTF-8 and one trailing LF.  JSON has no inf, so a ±inf value or tuple item of a dict,
+    at any depth, goes as "inf" or "-inf", as TOML and float() spell it.  A list goes as it
+    is: a NaN, or an inf in a list, raises ValueError before the file opens."""
+    def safe(v):
+        if type(v) is dict:
+            return {key: safe(item) for key, item in v.items()}
+        return [*map(safe, v)] if type(v) is tuple else str(v) if v in (math.inf, -math.inf) else v
+
+    text = json.dumps(safe(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def save_detector(detector: Detector, path):
+    """Writes the detector as a JSON model file (:func:`write_json`): each layer's
+    activation, shape and row-major weights and bias, the training config and
+    :func:`_meta`, each float reading back to the same float64.  Parameters go as
+    lists, so a NaN or infinite one raises ValueError before the file is opened."""
+    config = detector.train_config
+    write_json(path, {"format": MODEL_FORMAT, "version": MODEL_VERSION,
+                      "layers": [{"activation": layer.activation, "rows": layer.out_dim,
+                                  "cols": layer.in_dim, "weights": layer.weights.ravel().tolist(),
+                                  "bias": layer.bias.tolist()} for layer in detector.net.layers],
+                      "train_config": None if config is None else asdict(config),
+                      "meta": _meta(detector.spec)})
 
 
 def _reject_constant(name: str):

@@ -35,6 +35,7 @@ from .detectors import (
     feature_kind,
     make_features,
     normalize_features,
+    write_json,
 )
 from .linalg import FLOAT_MAX, check_count, check_real
 from .network import TrainConfig, train
@@ -457,8 +458,9 @@ def run_sweep(name: str, config: ExperimentConfig) -> SweepResult:
     for ai, value in enumerate(axis):
         config = replace(config, **{sweep.field: value})
         if detectors is None or sweep.field != "test_snr_db":
-            trials = generate_trials(config, phase="train", num=config.num_train, want=want,
-                                     snr_db=tuple(config.train_snr_db), axis_index=ai)
+            if set(kinds) & set(NET_KINDS):  # only a net reads the training draws
+                trials = generate_trials(config, phase="train", num=config.num_train, want=want,
+                                         snr_db=tuple(config.train_snr_db), axis_index=ai)
             detectors = [train_detector(config, kind, select_features(trials, kind, subarray_size),
                                         trials.labels, subarray_size=subarray_size,
                                         axis_index=ai)[0]
@@ -625,13 +627,10 @@ def write_manifest(out_dir, config: ExperimentConfig, command: str,
     run's outputs."""
     from . import __version__
 
-    def safe(v):  # JSON has no inf: ±inf go as "inf" and "-inf", as TOML and float() spell them
-        return [*map(safe, v)] if type(v) is tuple else str(v) if v in (math.inf, -math.inf) else v
-
     text = config_to_text(config)
     doc = {
         "command": command,
-        "config": {f.name: safe(getattr(config, f.name)) for f in fields(config)},
+        "config": {f.name: getattr(config, f.name) for f in fields(config)},
         "config_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "identifiable": config.identifiable,
         "seed": config.seed,
@@ -645,6 +644,5 @@ def write_manifest(out_dir, config: ExperimentConfig, command: str,
     if extra:
         doc.update(extra)
     path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                    encoding="utf-8")
+    write_json(path, doc)
     return path

@@ -40,11 +40,11 @@ TINY_CONFIG = dict(num_train=150, num_test=50, epochs=4, seed=3, snapshot_axis=(
 # TestArtefactBits on TINY_CONFIG, less timing and version fields, per
 # OpenBLAS core family.
 CLI_DIGEST = {
-    "SkylakeX": "3a608e382af8db9ce3a594d084bc6880181dc295551c5ff7a72288572ee3acb3",
-    "Haswell": "68e0fdc5c01da369573df759a52c761cb9cd59ac74f3a7d07bfc286f520cad7f",
-    "Sandybridge": "3efc6baf4989bfe1808df8f0953728a3c25b377b2a80e10cae57956409de1cc8",
-    "Nehalem": "a2c3451181aed29f0023f29a395a22ea50818e115bc866d9c3aba60a4ba63a57",
-    "Katmai": "8064e6562e3b340c4837dc833dc2b0c74b50930908cf5c74dccdcbb128fb8f6a",
+    "SkylakeX": "5c5daa979417f16d065e61463964cae9b1fea282c373c2aef9ae6002bbafea15",
+    "Haswell": "2c8b5833dd66b0157f42069c4d8b36735c06d3d01e692aeaa0220228d70054a4",
+    "Sandybridge": "63a41c531abb20e86b2bc17581410827e47265602b66b637544ec4538485b57a",
+    "Nehalem": "d9a7a31ec6cf9dea5108dcaeacfc939b7e1086d4a8d37b95e6a90f303dca6928",
+    "Katmai": "7d8c77421bf68ba66f10ab4961f4b4fc9afdf89d344aa20c156b4b0c61b6d7e9",
 }
 
 
@@ -441,6 +441,8 @@ class TestFlagValidation:
         assert not out.exists()
 
     def test_fbss_model_from_larger_array_rejected(self, tmp_path, capsys):
+        # M is checked before the model's M0 enters the config, so the error names
+        # the array size, not a subarray_size the user never set.
         path = write_config(tmp_path / "m6.toml", num_antennas=6)
         spec = DetectorSpec("ernet", 10, subarray_size=8)
         model = tmp_path / "model-fbss-ernet.json"
@@ -449,8 +451,7 @@ class TestFlagValidation:
         assert run("eval", "--config", path, "--out", out, "--detector", "ernet",
                    "--model", model) == 2
         err = capsys.readouterr().err
-        assert err == (f"error: model {model}: "
-                       "subarray_size must be an integer in [1, 6], got 8\n")
+        assert err == f"error: model {model} is for M=10, but num_antennas is 6\n"
         assert not list(out.glob("eval-*.json"))
 
     def test_eval_model_from_another_array_size_rejected_before_any_draw(
@@ -1025,6 +1026,27 @@ def artefact_bytes(path):
             del row["seconds_per_decision"]
         return json.dumps(doc).encode()
     return path.read_bytes()
+
+
+def test_every_json_file_has_one_format(tmp_path, config_file):
+    # Model files, manifests, eval reports and the complexity table: sorted keys, a
+    # two-space indent, one trailing LF, no CR, and strict JSON (a noise-free SNR as "inf").
+    commands = [(command, "--detector", "ecnet") for command in ("gen-data", "train", "eval")]
+    commands += [("eval", "--detector", "mdl", "--snr-db", "inf"), ("sweep-snr",),
+                 ("bench-complexity",)]
+    out, seen = tmp_path / "run", set()
+    for argv in commands:
+        assert run(*argv, "--config", config_file, "--out", out) == 0
+        for path in out.glob("*.json"):
+            text = path.read_bytes().decode("utf-8")
+            assert text.endswith("}\n") or text.endswith("]\n"), path.name
+            assert "\r" not in text, path.name
+            doc = json.loads(text, parse_constant=lambda name: pytest.fail(f"{path.name}: {name}"))
+            expected = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            assert text == expected, path.name
+            seen.add(path.name)
+    assert seen == {"manifest.json", "model-ecnet.json", "eval-ecnet.json", "eval-mdl.json",
+                    "bench-complexity.json"}
 
 
 class TestArtefactBits:

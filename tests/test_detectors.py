@@ -23,6 +23,7 @@ from sourcecount.detectors import (
     make_features,
     normalize_features,
     save_detector,
+    write_json,
 )
 from sourcecount.experiments import ExperimentConfig, train_detector
 from sourcecount.network import Layer, Network, TrainConfig, train
@@ -689,6 +690,25 @@ class TestModelFile:
         edit_model(path, edit)
         with pytest.raises(ValueError, match=f"^model file {re.escape(str(path))}: .*{match}"):
             load_detector(path)
+
+
+class TestWriteJson:
+    def test_infs_of_dicts_and_tuples_are_spelled_at_any_depth(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(path, {"z": {"snr": -math.inf, "axis": (0.0, (math.inf,))}, "a": [(1, 2)]})
+        assert path.read_bytes() == (b'{\n  "a": [\n    [\n      1,\n      2\n    ]\n  ],\n'
+                                     b'  "z": {\n    "axis": [\n      0.0,\n      [\n'
+                                     b'        "inf"\n      ]\n    ],\n    "snr": "-inf"\n'
+                                     b'  }\n}\n')
+
+    @pytest.mark.parametrize("doc", [{"x": math.nan}, {"x": (1.0, math.nan)}, [math.inf],
+                                     {"x": {"y": [1.0, -math.inf]}}, [{"x": math.inf}]])
+    def test_nan_or_an_inf_in_a_list_keeps_the_old_file(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"old")
+        with pytest.raises(ValueError):
+            write_json(path, doc)
+        assert path.read_bytes() == b"old"
 
 
 @settings(max_examples=60)

@@ -1087,6 +1087,24 @@ class TestSweeps:
         with pytest.raises(ValueError, match=f"^{axis} must list at least one point for {name}$"):
             run_sweep(name, config)
 
+    @pytest.mark.parametrize("name", ["sweep-snapshots", "sweep-snr"])
+    def test_classical_only_sweep_draws_no_training_trials(self, monkeypatch, name):
+        # Only a net reads the training draws. Test draws never read the training
+        # streams, so the criteria score what they score beside a net.
+        import sourcecount.experiments as experiments
+
+        phases = []
+
+        def counting(config, *, phase, **kwargs):
+            phases.append(phase)
+            return generate_trials(config, phase=phase, **kwargs)
+
+        with_net = run_sweep(name, tiny_config(detectors=("ernet", "aic", "mdl")))
+        monkeypatch.setattr(experiments, "generate_trials", counting)
+        result = run_sweep(name, tiny_config(detectors=("aic", "mdl")))
+        assert phases == ["test", "test"]
+        assert result.accuracy == {kind: with_net.accuracy[kind] for kind in ("aic", "mdl")}
+
     def test_sweep_bits_pinned(self):
         assert sweep_digest() == SWEEP_DIGEST
 

@@ -121,10 +121,40 @@ def spectra(draw, min_rows=1, zero_rows=False):
 SNAPSHOT_COUNTS = st.one_of(st.sampled_from([1, 2]), st.integers(1, 100000))
 
 
-@SETTINGS
-@given(values=spectra(zero_rows=True), num_snapshots=SNAPSHOT_COUNTS,
-       kind=st.sampled_from(["aic", "mdl"]))
-def test_classical_batch_equals_per_spectrum(values, num_snapshots, kind):
+@st.composite
+def penalty_spectra(draw):
+    """A (spectra, N) pair where the penalty decides the order. Each row has K signal
+    eigenvalues 1 + t sqrt(m L / N), t in [0, 2], over a noise floor of 1 with a jitter
+    of order 1 / sqrt(N). L is 8 (the AIC scale) or 2 ln N (the MDL scale), so a weak
+    signal's fit gain, about t^2 m L / 2, is of the size of a penalty step, and a penalty
+    off by a term or a factor moves the order."""
+    num_snapshots = draw(SNAPSHOT_COUNTS)
+    num, m = draw(st.integers(1, 8)), draw(st.integers(2, 12))
+    scale = 1.0 / math.sqrt(num_snapshots)
+    jitter = min(draw(st.floats(0.0, 2.0)) * scale, 0.5)
+    rows = []
+    for _ in range(num):
+        k = draw(st.integers(0, m - 1))
+        level = draw(st.sampled_from([8.0, 2.0 * max(math.log(num_snapshots), 1.0)]))
+        signal = draw(st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k))
+        noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=m - k, max_size=m - k))
+        rows.append([1.0 + scale * math.sqrt(m * level) * t for t in signal]
+                    + [1.0 + jitter * e for e in noise])
+    return -np.sort(-np.array(rows), axis=1), num_snapshots
+
+
+# Spectra with zero tails and all-zero rows, or spectra whose order the penalty decides.
+# A wrong penalty moves the order in roughly one penalty example in seven, hence the
+# larger example count.
+SPECTRA_AND_COUNTS = st.one_of(st.tuples(spectra(zero_rows=True), SNAPSHOT_COUNTS),
+                               penalty_spectra())
+CRITERION_SETTINGS = settings(SETTINGS, max_examples=200)
+
+
+@CRITERION_SETTINGS
+@given(case=SPECTRA_AND_COUNTS, kind=st.sampled_from(["aic", "mdl"]))
+def test_classical_batch_equals_per_spectrum(case, kind):
+    values, num_snapshots = case
     criterion = aic if kind == "aic" else mdl
     per_row = [criterion(EigenSpectrum(row, num_snapshots)).order for row in values]
     batch = ClassicalDetector(kind).decide_batch(values, num_snapshots)
@@ -278,14 +308,14 @@ def test_estimate_agrees_with_its_row_of_a_batch_or_raises_alike(r, row, subarra
 TINY_ROWS = np.array([[2.0 ** -600, 2.0 ** -700, 2.0 ** -1000], [3.0, 2.0, 1.0]])
 
 
-@SETTINGS
-@given(values=spectra(zero_rows=True), num_snapshots=SNAPSHOT_COUNTS,
-       kind=st.sampled_from(["aic", "mdl"]))
-@example(values=TINY_ROWS, num_snapshots=20, kind="aic")
-@example(values=TINY_ROWS, num_snapshots=20, kind="mdl")
-def test_counted_criterion_equals_batch(values, num_snapshots, kind):
+@CRITERION_SETTINGS
+@given(case=SPECTRA_AND_COUNTS, kind=st.sampled_from(["aic", "mdl"]))
+@example(case=(TINY_ROWS, 20), kind="aic")
+@example(case=(TINY_ROWS, 20), kind="mdl")
+def test_counted_criterion_equals_batch(case, kind):
     # The scalar pass behind bench_complexity's counts must pick what the batch
     # core picks, or the counts describe a different decision.
+    values, num_snapshots = case
     batch = np.argmin(criterion_values(values, num_snapshots, kind), axis=1)
     counted = [_criterion_counted(row.tolist(), num_snapshots, kind, OpCounts())
                for row in values]
