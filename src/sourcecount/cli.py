@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, sweep-snapshots, sweep-snr,
-sweep-snr-coherent, bench-complexity.  Every run writes its outputs plus
-a manifest (config hash, seed, versions) under --out.  Flags that set
-run settings override the config, and the commands read only the config.
+sweep-snr-coherent, bench-complexity.  Flags override the config.  Each command
+writes its outputs under --out and returns the config it ran, from which main
+alone writes the manifest (config hash, seed, versions) and any warning.
 """
 
 from __future__ import annotations
@@ -86,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
-    """The config file (or the defaults) with the flags applied: each
-    flag whose dest names a config field, --num to the phase's sample
-    count, --fbss to the sub-array size, and a sweep's source coherence.
-    Raises ValueError for a flag or file value the config rejects."""
+    """The config file (or the defaults) with the flags applied, and
+    nothing else: each flag whose dest names a config field, --num to the
+    phase's sample count and --fbss to the sub-array size.  Raises
+    ValueError for a flag or file value the config rejects."""
     config = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(config)
                  if getattr(args, f.name, None) is not None}
@@ -98,8 +98,6 @@ def _load_experiment_config(args) -> ExperimentConfig:
     if getattr(args, "fbss", None) is not None:
         feature_kind(args.detector, args.fbss)
         overrides["subarray_size"] = args.fbss
-    if args.command in SWEEPS:
-        overrides["coherent"] = SWEEPS[args.command].coherent
     return dataclasses.replace(config, **overrides)
 
 
@@ -121,9 +119,9 @@ def _cmd_gen_data(args, config: ExperimentConfig):
     name = detector_name(args.detector, sub)
     path = _out_file(args, f"dataset-{name}-{phase}.csv")
     write_dataset(path, feats, trials.labels, config=config)
-    write_manifest(args.out, config, f"gen-data --detector {name} --phase {phase}",
-                   extra={"dataset": path.name, "num_samples": num})
     print(f"wrote {num} samples to {path}")
+    return (config, f"gen-data --detector {name} --phase {phase}",
+            {"dataset": path.name, "num_samples": num})
 
 
 def _cmd_train(args, config: ExperimentConfig):
@@ -149,10 +147,10 @@ def _cmd_train(args, config: ExperimentConfig):
         fh.write("epoch,loss\n")
         for epoch, loss in enumerate(history):
             fh.write(f"{epoch},{loss:.17g}\n")
-    write_manifest(out, config, f"train --detector {name}",
-                   extra={"model": model_path.name, "loss_curve": loss_path.name})
     final = history[-1] if history else float("nan")
     print(f"trained {name}: final loss {final:.6g}, model at {model_path}")
+    return (config, f"train --detector {name}",
+            {"model": model_path.name, "loss_curve": loss_path.name})
 
 
 def _cmd_eval(args, config: ExperimentConfig):
@@ -190,27 +188,27 @@ def _cmd_eval(args, config: ExperimentConfig):
     }
     report_path = _out_file(args, f"eval-{name}.json")
     write_json(report_path, report)
-    write_manifest(out, config, f"eval --detector {name}", extra={"report": report_path.name})
     print(f"{name}: accuracy {accuracy:.4f} over {config.num_test} trials "
           f"(SNR {config.test_snr_db} dB, N={config.num_snapshots})")
+    return config, f"eval --detector {name}", {"report": report_path.name}
 
 
 def _cmd_sweep(args, config: ExperimentConfig):
+    config = dataclasses.replace(config, coherent=SWEEPS[args.command].coherent)
     result = run_sweep(args.command, config)
     csv_path = _out_file(args, f"{args.command}.csv")
     emit_csv(result, csv_path)
-    write_manifest(args.out, config, args.command, extra={"csv": csv_path.name})
     print(f"wrote {csv_path}")
     for name in result.detectors:
         cells = " ".join(f"{v:.3f}" for v in result.accuracy[name])
         print(f"  {name:>12}: {cells}")
+    return config, args.command, {"csv": csv_path.name}
 
 
 def _cmd_bench(args, config: ExperimentConfig):
     rows = bench_complexity(config)
     path = _out_file(args, "bench-complexity.json")
     write_json(path, [dataclasses.asdict(row) for row in rows])
-    write_manifest(args.out, config, "bench-complexity", extra={"report": path.name})
     print(f"{'method':>8} {'mul/div':>18} {'add/sub':>18} {'log':>14} {'cmp':>14} "
           f"{'us/decision':>12}")
     for row in rows:
@@ -223,6 +221,7 @@ def _cmd_bench(args, config: ExperimentConfig):
         print(f"{row.method:>8} {cells[0]:>18} {cells[1]:>18} {cells[2]:>14} "
               f"{cells[3]:>14} {row.seconds_per_decision * 1e6:>12.2f}")
     print("(cells are closed-form/instrumented counts; eigendecomposition excluded)")
+    return config, "bench-complexity", {"report": path.name}
 
 
 _COMMANDS = {
@@ -243,8 +242,9 @@ def main(argv=None) -> int:
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
-        config = _load_experiment_config(args)
-        _COMMANDS[args.command](args, config)
+        config, command, outputs = _COMMANDS[args.command](args, _load_experiment_config(args))
+        # The manifest and the warning read the one config the command ran.
+        write_manifest(args.out, config, command, extra=outputs)
     except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

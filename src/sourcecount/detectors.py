@@ -240,8 +240,11 @@ class ClassicalDetector:
     def decide_batch(self, values: np.ndarray, num_snapshots: int) -> np.ndarray:
         """Selected order for each row of a (num, m) batch of spectra,
         validated once for the whole batch as ``EigenSpectrum`` validates
-        one spectrum."""
+        one spectrum.  A smoothed detector takes only M0-wide rows; else ValueError."""
         values = check_spectra(values, num_snapshots)
+        if self.subarray_size not in (None, values.shape[1]):
+            raise ValueError(f"{self.name} decides on spectra of width M0={self.subarray_size}, "
+                             f"got rows of width {values.shape[1]}")
         return np.argmin(criterion_values(values, num_snapshots, self.kind), axis=1)
 
 

@@ -535,10 +535,7 @@ def bench_complexity(config: ExperimentConfig, *,
              "ecnet": OpCounts(m * (n1 + n2), n1 + n2 + m, 0, m),
              "aic": OpCounts(m * m + 7 * m, (m * m + m) // 2, 2 * m, m),
              "mdl": OpCounts(m * m + 7 * m, (m * m + m) // 2, m, m)}
-    rng = _rng(config.seed, ROLE_TEST, 0, 0)
-    # Any descending PSD spectrum works; counts and timings do not
-    # depend on the values.
-    features = np.sort(rng.uniform(0.1, 10.0, size=m))[::-1].copy()
+    features = np.arange(m, 0, -1, dtype=float)  # counts and timings do not read the values
     row = features[np.newaxis]
 
     rows: list[ComplexityRow] = []

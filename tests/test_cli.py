@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from sourcecount.cli import ALL_DETECTORS, main
 from sourcecount.detectors import (Detector, DetectorSpec, build_detector, load_detector,
                                    normalize_features, save_detector)
-from sourcecount.experiments import (SWEEPS, ExperimentConfig, config_to_text,
+from sourcecount.classical import OpCounts
+from sourcecount.experiments import (SWEEPS, ComplexityRow, ExperimentConfig, config_to_text,
                                      evaluate_detectors, generate_trials, load_config,
                                      read_dataset, train_detector)
 from sourcecount.network import TrainConfig
@@ -317,6 +318,27 @@ class TestFlagsAreConfigOverrides:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["normalize_features"] is normalize
 
+    @pytest.mark.parametrize("saved, configured", [(7, 5), (5, 8)])
+    def test_eval_warns_at_the_models_subarray_size(self, tmp_path, capsys, saved,
+                                                    configured):
+        # The manifest and the warning read the M0 that ran, not the config file's: a
+        # coherent config draws K up to 5, which M0 = 7 resolves and M0 = 5 does not.
+        path = write_config(tmp_path / "coherent.toml", coherent=True, max_sources=5,
+                            subarray_size=configured)
+        spec, model, out = DetectorSpec("ecnet", 10, saved), tmp_path / "m.json", tmp_path / "run"
+        save_detector(Detector(spec, build_detector(spec, np.random.default_rng(0))), model)
+        assert run("eval", "--config", path, "--out", out, "--detector", "ecnet",
+                   "--model", model) == 0
+        warning = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("warning:")]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["subarray_size"] == saved
+        assert manifest["identifiable"] is (saved > 5)
+        if saved > 5:
+            assert warning == []
+        else:
+            assert len(warning) == 1 and "subarray_size=5:" in warning[0]
+
     @pytest.mark.parametrize("phase, field", [("test", "num_test"), ("train", "num_train")])
     def test_gen_data_manifest_records_num(self, tmp_path, config_file, phase, field):
         out = tmp_path / "run"
@@ -330,11 +352,22 @@ class TestFlagsAreConfigOverrides:
                                          "bench-complexity"])
     def test_help_is_unchanged(self, capsys, monkeypatch, command):
         monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(sys, "argv", ["sourcecount", command, "--help"])
         with pytest.raises(SystemExit) as exc:
-            main([command, "--help"])
+            main()  # as the console script calls it, reading sys.argv
         assert exc.value.code == 0
         assert capsys.readouterr().out == (HELP_DIR / f"{command}.txt").read_text(
             encoding="utf-8")
+
+    def test_command_list_names_each_sweeps_axis_and_mode(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listed = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+        assert [words for words in listed if words and words[0] in SWEEPS] == [
+            ["sweep-snapshots", "accuracy versus snapshot count (non-coherent)"],
+            ["sweep-snr", "accuracy versus SNR (non-coherent)"],
+            ["sweep-snr-coherent", "accuracy versus SNR (coherent, smoothed)"]]
 
 
 class TestModelFiles:
@@ -523,6 +556,15 @@ class TestFlagValidation:
                          "--detector", "mdl")
             results.append((status, capsys.readouterr().out))
         assert results[0] == results[1] == results[2] and results[0][0] == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--snr-db", "--detector", "mdl"), "argument --snr-db: expected one argument"),
+        (("--", "5"), "unrecognized arguments: -- 5")])
+    def test_snr_value_join_leaves_other_tokens_to_argparse(self, capsys, argv, message):
+        # Only --snr-db, or a prefix of it, is joined, and never to a flag after it.
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", *argv])
+        assert exc.value.code == 2 and message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, message", [
         (("--snr-db", "-4000"), "test_snr_db must be a real number in [-3082.547155599167, inf]"),
@@ -943,12 +985,14 @@ class TestSweepCommands:
         assert manifest["identifiable"] is False and manifest["config"]["coherent"] is True
 
     @pytest.mark.parametrize("command", ["sweep-snr", "sweep-snapshots"])
-    def test_non_coherent_sweeps_override_the_config(self, tmp_path, command):
+    def test_non_coherent_sweeps_override_the_config(self, tmp_path, command, capsys):
+        # Coherent at max_sources = subarray_size = 5 would warn; these sweeps run non-coherent.
         path = write_config(tmp_path / "coherent.toml", coherent=True)
         out = tmp_path / "sweep"
         assert run(command, "--config", path, "--out", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["coherent"] is False
+        assert manifest["config"]["coherent"] is False and manifest["identifiable"] is True
+        assert "warning:" not in capsys.readouterr().err
 
     def test_identifiable_configs_do_not_warn(self, tmp_path, config_file, capsys):
         assert run("sweep-snr", "--config", config_file, "--out", tmp_path / "a") == 0
@@ -1001,6 +1045,15 @@ class TestBenchCommand:
         assert methods["ecnet"]["table"]["mul_div"] == 160
         assert methods["aic"]["table"]["log"] == 20
         assert "us/decision" in capsys.readouterr().out
+
+    def test_timing_column_is_in_microseconds(self, tmp_path, capsys, monkeypatch):
+        import sourcecount.cli as cli
+
+        row = ComplexityRow("mdl", OpCounts(1, 2, 3, 4), OpCounts(5, 6, 7, 8), 2.5e-6)
+        monkeypatch.setattr(cli, "bench_complexity", lambda config: [row])
+        assert run("bench-complexity", "--out", tmp_path) == 0
+        assert capsys.readouterr().out.splitlines()[1].split() == [
+            "mdl", "1/5", "2/6", "3/7", "4/8", "2.50"]
 
 
 def test_importing_the_cli_leaves_tomllib_unloaded():

@@ -349,6 +349,19 @@ def test_batch_shape_and_snapshot_count_are_validated():
         ClassicalDetector("bic").decide_batch(good, 20)
 
 
+@pytest.mark.parametrize("kind", ["aic", "mdl"])
+def test_smoothed_criterion_takes_only_m0_wide_rows(kind):
+    # As a net's forward pass does, a smoothed criterion refuses a row of another
+    # width; an unsmoothed one decides on any width >= 2.
+    rows = np.arange(10, 0, -1, dtype=float)[np.newaxis]
+    with pytest.raises(ValueError, match=f"^fbss-{kind} decides on spectra of width M0=5, "
+                                         "got rows of width 10$"):
+        ClassicalDetector(kind, 5).decide_batch(rows, 20)
+    for width in (2, 5, 10):
+        expected = ClassicalDetector(kind).decide_batch(rows[:, :width], 20).tolist()
+        assert ClassicalDetector(kind, width).decide_batch(rows[:, :width], 20).tolist() == expected
+
+
 def test_classical_kind_is_checked_when_built():
     for kind in ("aicc", "MDL", ""):
         with pytest.raises(ValueError, match="unknown criterion kind"):
